@@ -5,7 +5,7 @@
 
 Run it from the repository root. It runs the benchmark crate's unit
 tests, then every workload at toy size (2k-node scenarios, a 12-cell
-sweep, a 300-node 4-epoch replica set with the kill inside) and checks
+sweep layer, a 300-node 4-epoch replica set with the kill inside) and checks
 that each run:
 
 - passes its output checks and prints every metric with its unit;
@@ -35,13 +35,12 @@ SCENARIO_ROUNDS = [
     "scenario.round_refresh_ms_p50", "scenario.final_ms", "graph.watts_strogatz_ms",
 ]
 EXERCISED = {
-    "mega_static": SCENARIO_ROUNDS + ["scenario.coverage", "work.interactions", "work.messages"],
+    "mega_static": SCENARIO_ROUNDS + [
+        "scenario.coverage", "work.interactions", "work.messages",
+        "sweep.cells_per_s", "sweep.cell_ms_p50", "sweep.cell_setup_ms_p50", "sweep.efficiency",
+    ],
     "overlay_churn": SCENARIO_ROUNDS + [
         "scenario.coverage", "membership.shuffle_ms_p50", "work.whitewashes",
-    ],
-    "paper_sweep": SCENARIO_ROUNDS + [
-        "sweep.cells_per_s", "sweep.cell_ms_p50", "sweep.cell_setup_ms_p50",
-        "sweep.efficiency", "work.cells",
     ],
     "service_replicated": [
         "replica.commit_ms_p50", "replica.visible_ms_p99", "replica.recovery_ms",

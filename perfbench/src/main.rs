@@ -4,9 +4,9 @@
 //! result line (see `README.md` in this directory for the workloads,
 //! the metrics and how to run it). The system under test is driven
 //! only through public entry points: `ScenarioBuilder` and
-//! `Scenario::run_observed` with a timing observer, `SweepGrid` and
-//! `SweepRunner`, and a `ReplicaSet` fed a `ServiceDriver` timeline
-//! generated before timing starts.
+//! `Scenario::run_observed` with a timing observer, a `ReplicaSet` fed
+//! a `ServiceDriver` timeline generated before timing starts, and, in
+//! the traced run of `mega_static`, `SweepGrid` and `SweepRunner`.
 //!
 //! ```text
 //! perfbench --workload NAME --seed N --seconds S --trace 0|1
@@ -179,13 +179,18 @@ pub fn secs(from: Instant, to: Instant) -> f64 {
     to.saturating_duration_since(from).as_secs_f64()
 }
 
-/// Runs `body(repeat)` until `seconds` have elapsed, and at least
-/// [`MIN_REPEATS`] times.
+/// Runs `body(repeat)` at least [`MIN_REPEATS`] times, and then again
+/// while one more repeat as long as the longest so far still ends
+/// within `seconds`: a run measures for `seconds` without overshooting
+/// by a repeat, so its length does not depend on how long repeats are.
 pub fn repeat_for(seconds: f64, mut body: impl FnMut(u32)) {
     let start = Instant::now();
+    let mut longest = 0.0f64;
     let mut repeats = 0;
-    while repeats < MIN_REPEATS || start.elapsed().as_secs_f64() < seconds {
+    while repeats < MIN_REPEATS || start.elapsed().as_secs_f64() + longest <= seconds {
+        let t0 = Instant::now();
         body(repeats);
+        longest = longest.max(t0.elapsed().as_secs_f64());
         repeats += 1;
     }
 }
@@ -201,7 +206,6 @@ fn main() {
     let mut tracer = Tracer::new(args.trace);
     let report = match args.workload.as_str() {
         "mega_static" | "overlay_churn" => scenario::run(&args, &mut tracer),
-        "paper_sweep" => sweep::run(&args, &mut tracer),
         "service_replicated" => service::run(&args, &mut tracer),
         other => Err(format!("unknown workload '{other}'")),
     };

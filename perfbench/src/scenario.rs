@@ -1,11 +1,10 @@
-//! The scenario-engine workloads, `mega_static` and `overlay_churn`,
-//! plus the observed-run helper the sweep's traced cells share.
+//! The scenario-engine workloads, `mega_static` and `overlay_churn`.
 //!
 //! Each repeat builds the scenario (`setup_s`), then runs it with a
 //! [`RoundClock`] observer whose callback instants split the run into
 //! rounds from outside the engine.
 
-use crate::stats::median;
+use crate::stats::{median, Rate};
 use crate::trace::{SpanId, Tracer};
 use crate::{repeat_for, secs, Args, Counters, Report};
 use std::time::Instant;
@@ -39,7 +38,7 @@ impl Observer for RoundClock {
 /// `scenario.round` child per `on_round` gap (the first measured from
 /// `on_start`) and a `scenario.final` child from the last `on_round`
 /// to the return. Returns the outcome and the instant the run returned.
-pub fn observed_run(
+fn observed_run(
     scenario: &mut Scenario,
     tracer: &mut Tracer,
     parent: Option<SpanId>,
@@ -127,8 +126,8 @@ pub fn run(args: &Args, tracer: &mut Tracer) -> Result<Report, String> {
     let (nodes, rounds) = (config.nodes, config.rounds);
     let mut report = Report::default();
     let mut setups = Vec::new();
-    let mut node_rounds_per_s = Vec::new();
-    let mut ops_per_s = Vec::new();
+    let mut node_rounds = Rate::default();
+    let mut ops = Rate::default();
 
     repeat_for(args.seconds, |repeat| {
         tracer.set_run(repeat);
@@ -155,16 +154,16 @@ pub fn run(args: &Args, tracer: &mut Tracer) -> Result<Report, String> {
         let run_s = secs(t1, t2);
 
         setups.push(secs(t0, t1));
-        node_rounds_per_s.push((nodes * rounds) as f64 / run_s);
-        ops_per_s.push(outcome.interactions as f64 / run_s);
+        node_rounds.add((nodes * rounds) as f64, run_s);
+        ops.add(outcome.interactions as f64, run_s);
         report.attempt(1, 0, "scenario run");
         check_outcome(&mut report, &outcome, rounds, &args.workload);
         report.repeat_counters(counters(&outcome));
     });
 
     report.metric("setup_s", median(&setups), "s");
-    report.metric("node_rounds_per_s", median(&node_rounds_per_s), "1/s");
-    report.metric("ops_per_s", median(&ops_per_s), "1/s");
+    report.metric("node_rounds_per_s", node_rounds.per_second(), "1/s");
+    report.metric("ops_per_s", ops.per_second(), "1/s");
     if tracer.enabled() {
         shadow_layers(&config, tracer);
         scenario_layer_metrics(&mut report, tracer);
@@ -184,13 +183,16 @@ pub fn run(args: &Args, tracer: &mut Tracer) -> Result<Report, String> {
             median(&tracer.durations_ms("membership.shuffle_round")),
             "ms",
         );
+        if args.workload == "mega_static" {
+            crate::sweep::layer_metrics(args, &mut report, tracer);
+        }
     }
     Ok(report)
 }
 
 /// The per-round metrics, computed from the `scenario.round` and
 /// `scenario.final` spans.
-pub fn scenario_layer_metrics(report: &mut Report, tracer: &Tracer) {
+fn scenario_layer_metrics(report: &mut Report, tracer: &Tracer) {
     let rounds = tracer.durations_ms("scenario.round");
     let index = tracer.attr_values("scenario.round", "round");
     let refresh = tracer.attr_values("scenario.round", "refresh");
@@ -242,7 +244,7 @@ fn shadow_layers(config: &ScenarioConfig, tracer: &mut Tracer) {
 
 /// One `graph.watts_strogatz` span: the generator call `Scenario::new`
 /// makes, with the same n, degree, beta and RNG stream.
-pub fn time_watts_strogatz(config: &ScenarioConfig, tracer: &mut Tracer) {
+fn time_watts_strogatz(config: &ScenarioConfig, tracer: &mut Tracer) {
     let mut rng = SimRng::seed_from_u64(config.seed);
     let mut graph_rng = rng.fork(1);
     let start = Instant::now();

@@ -10,7 +10,7 @@
 //! timed from outside. After timing, a bare `TrustService` fed the same
 //! stream must end bit-identical to the primary.
 
-use crate::stats::{median, percentile};
+use crate::stats::{median, percentile, Rate};
 use crate::trace::Tracer;
 use crate::{repeat_for, secs, Args, Counters, Report};
 use std::time::Instant;
@@ -245,8 +245,8 @@ pub fn run(args: &Args, tracer: &mut Tracer) -> Result<Report, String> {
 
     let mut report = Report::default();
     let mut setups = Vec::new();
-    let mut node_rounds_per_s = Vec::new();
-    let mut ops_per_s = Vec::new();
+    let mut node_rounds = Rate::default();
+    let mut ops = Rate::default();
     let mut visible_ms_p99 = Vec::new();
     let mut retained_max = 0;
     let mut last_set: Option<ReplicaSet> = None;
@@ -274,8 +274,8 @@ pub fn run(args: &Args, tracer: &mut Tracer) -> Result<Report, String> {
         };
         let run = replay(&mut set, &timeline, &mut retained_max, tracer);
         visible_ms_p99.push(run.visible_ms_p99);
-        node_rounds_per_s.push((shape.nodes as u64 * shape.epochs) as f64 / run.wall_s);
-        ops_per_s.push(run.acknowledged as f64 / run.wall_s);
+        node_rounds.add((shape.nodes as u64 * shape.epochs) as f64, run.wall_s);
+        ops.add(run.acknowledged as f64, run.wall_s);
         report.attempt(
             total_ops as u64,
             run.failed,
@@ -299,8 +299,8 @@ pub fn run(args: &Args, tracer: &mut Tracer) -> Result<Report, String> {
     });
 
     report.metric("setup_s", median(&setups), "s");
-    report.metric("node_rounds_per_s", median(&node_rounds_per_s), "1/s");
-    report.metric("ops_per_s", median(&ops_per_s), "1/s");
+    report.metric("node_rounds_per_s", node_rounds.per_second(), "1/s");
+    report.metric("ops_per_s", ops.per_second(), "1/s");
     let Some(set) = last_set else {
         return Ok(report);
     };
