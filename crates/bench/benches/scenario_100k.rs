@@ -48,9 +48,9 @@ fn main() {
                 ScenarioBuilder::mega(nodes)
                     .rounds(rounds)
                     .seed(42)
-                    .build_scenario()
+                    .shards(shards)
+                    .run()
                     .expect("valid config")
-                    .run_sharded(shards)
             }),
         );
     }

@@ -1,5 +1,5 @@
 //! Bench: end-to-end scenario throughput (the engine behind every
-//! figure) and the simulator event loop.
+//! figure).
 //!
 //! Run: `cargo bench -p tsn-bench --bench scenario_step`
 //! Emits `BENCH_scenario_step.json`; `BENCH_CHECK=1` gates against the
@@ -7,7 +7,6 @@
 
 use tsn_bench::harness::{Bench, BenchSuite};
 use tsn_core::runner::ScenarioBuilder;
-use tsn_simnet::{SimDuration, SimRng, SimTime, Simulation};
 
 fn main() {
     // Perf trajectory, same protocol and machine class — pre-PR2 =
@@ -15,7 +14,7 @@ fn main() {
     // 50 nodes 1.335ms, 100 nodes 3.808ms.
     let mut suite = BenchSuite::new(
         "scenario_step",
-        "scenario_run:nodes=50,100 rounds=10; simnet:events=10k,chain=5k; samples=10",
+        "scenario_run:nodes=50,100 rounds=10 shards=1; samples=10",
     );
 
     let bench = Bench::new("scenario_run").samples(10);
@@ -32,32 +31,6 @@ fn main() {
             }),
         );
     }
-
-    let bench = Bench::new("simnet").samples(10);
-    suite.record(bench.run_items("10k_events", 10_000, || {
-        let mut sim = Simulation::new(SimRng::seed_from_u64(1));
-        let nodes: Vec<_> = (0..100).map(|_| sim.add_node()).collect();
-        for i in 0..10_000u64 {
-            let from = nodes[(i % 100) as usize];
-            let to = nodes[((i + 1) % 100) as usize];
-            sim.schedule_at(SimTime::from_micros(i), move |s| {
-                s.network_mut().send(from, to, "x".into());
-            });
-        }
-        sim.run_to_idle()
-    }));
-    suite.record(bench.run_items("self_rescheduling_chain", 5_000, || {
-        fn tick(sim: &mut Simulation, remaining: u32) {
-            if remaining > 0 {
-                sim.schedule_in(SimDuration::from_micros(10), move |s| {
-                    tick(s, remaining - 1)
-                });
-            }
-        }
-        let mut sim = Simulation::new(SimRng::seed_from_u64(2));
-        sim.schedule_at(SimTime::ZERO, |s| tick(s, 5_000));
-        sim.run_to_idle()
-    }));
 
     suite.finish();
 }

@@ -124,22 +124,18 @@ pub struct ScenarioConfig {
     /// ballot-stuffing / badmouthing attack that anonymity enables and
     /// identity-based rate limiting prevents). 1 disables the attack.
     pub ballot_stuffing_factor: usize,
-    /// Round-engine sharding (see `DESIGN.md` §10):
+    /// Contiguous node shards the round engine splits each round's
+    /// interaction phase into (see `DESIGN.md` §10). This is an
+    /// execution knob, never an outcome knob: any shard count gives
+    /// bit-identical results.
     ///
-    /// * `1` (default) — the serial engine: one thread, one RNG stream,
-    ///   intra-round feedback visible immediately. Bit-identical to the
-    ///   pinned goldens.
-    /// * `0` — auto: the sharded engine once `nodes ≥` the auto
-    ///   threshold, serial below it. The engine choice depends only on
-    ///   the node count (never on hardware), so auto stays deterministic
-    ///   across machines.
-    /// * `k ≥ 2` — the sharded engine with `k` contiguous node shards.
+    /// * `1` (default) — one shard, run on the calling thread.
+    /// * `0` — auto: one shard below [`SHARD_AUTO_NODES`] nodes, a few
+    ///   per hardware thread at or above it.
+    /// * `k ≥ 2` — `k` shards (clamped to the node count), claimed by
+    ///   up to one worker thread per hardware thread.
     ///
-    /// The sharded engine executes the interaction phase shard-parallel
-    /// against a round-start snapshot and merges feedback in fixed shard
-    /// order; its outcome is *independent of the shard count* (1, 2 or
-    /// 8 shards are bit-identical) but differs from the serial engine,
-    /// whose consumers see same-round feedback.
+    /// [`SHARD_AUTO_NODES`]: crate::scenario::SHARD_AUTO_NODES
     pub shards: usize,
     /// Cap on *raw* disclosure-ledger records kept in memory (oldest
     /// evicted first). Aggregate privacy measurements always cover the

@@ -49,6 +49,7 @@ pub mod prelude;
 pub mod report;
 pub mod runner;
 pub mod scenario;
+mod steal;
 pub mod trust;
 
 pub use config::{PolicyProfile, ScenarioConfig};

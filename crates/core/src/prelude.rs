@@ -19,5 +19,4 @@ pub use tsn_service::{
 };
 pub use tsn_simnet::{
     DynamicsPlan, DynamicsRuntime, NodeId, PartitionWindow, SimDuration, SimRng, SimTime,
-    Simulation,
 };

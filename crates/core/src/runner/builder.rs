@@ -314,12 +314,11 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Round-engine sharding: `1` (default) is the serial engine, `0`
-    /// auto-shards at large node counts, `k ≥ 2` forces the sharded
-    /// engine with `k` contiguous shards. The sharded outcome does not
-    /// depend on `k` — the knob is purely about parallelism — but the
-    /// sharded engine's synchronous round semantics differ from serial
-    /// (see `ScenarioConfig::shards` and DESIGN.md §10).
+    /// Round-engine shard count: `1` (default) runs one shard on the
+    /// calling thread, `0` auto-shards at large node counts, `k ≥ 2`
+    /// runs `k` contiguous shards across threads. An execution knob
+    /// only: the outcome does not depend on it (see
+    /// `ScenarioConfig::shards` and DESIGN.md §10).
     ///
     /// Sweep interplay: a [`SweepRunner`](crate::runner::SweepRunner)
     /// already parallelizes *across* cells; sharded cells inside a

@@ -17,8 +17,8 @@ use crate::json::{format_f64, JsonValue};
 use crate::report::{csv_field, ExperimentRow, ExperimentTable};
 use crate::runner::{DisclosureLevel, ScenarioBuilder, ValidationError};
 use crate::scenario::{run_scenario, ScenarioOutcome};
+use crate::steal::for_each_chunk_mut;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use tsn_reputation::MechanismKind;
 
 /// A declared sweep: a base configuration plus the dimensions to vary.
@@ -435,59 +435,24 @@ impl SweepRunner {
     pub fn run(&self, grid: &SweepGrid) -> Result<SweepReport, ValidationError> {
         grid.validate()?;
         let cells = grid.cells();
-        let threads = self.threads.min(cells.len()).max(1);
         let mut slots: Vec<Option<SweepCellResult>> = Vec::new();
         slots.resize_with(cells.len(), || None);
-
-        if threads == 1 {
-            for cell in &cells {
-                slots[cell.index] = Some(run_cell(grid, cell));
+        // Workers claim runs of consecutive cells (fewer contended
+        // cursor bumps than per-cell claiming) and write each result
+        // straight into its grid slot. A cell's config depends only on
+        // its coordinates, so which worker claims which chunk never
+        // shows in the report.
+        let chunk = cells.len() / (self.threads * 4);
+        for_each_chunk_mut(&mut slots, chunk, self.threads, |offset, claimed| {
+            for (slot, cell) in claimed.iter_mut().zip(&cells[offset..]) {
+                *slot = Some(run_cell(grid, cell));
             }
-        } else {
-            // Chunked work stealing over an atomic cursor: each worker
-            // claims a run of consecutive cells per fetch_add (fewer
-            // contended cursor bumps than per-cell claiming), executes
-            // them into a thread-local buffer, and the results are
-            // merged into their grid slots after the join — no lock
-            // anywhere on the execution path. A cell's config depends
-            // only on its coordinates, so which worker claims which
-            // chunk never shows in the report.
-            let chunk = (cells.len() / (threads * 4)).max(1);
-            let next = AtomicUsize::new(0);
-            let locals: Vec<Vec<(usize, SweepCellResult)>> = std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut local = Vec::new();
-                            loop {
-                                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                                if start >= cells.len() {
-                                    break;
-                                }
-                                let end = (start + chunk).min(cells.len());
-                                for cell in &cells[start..end] {
-                                    local.push((cell.index, run_cell(grid, cell)));
-                                }
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    // tsn-lint: allow(no-unwrap, "join() re-raises a worker-thread panic on the coordinating thread; not a new failure mode")
-                    .map(|w| w.join().expect("sweep worker panicked"))
-                    .collect()
-            });
-            for (index, result) in locals.into_iter().flatten() {
-                slots[index] = Some(result);
-            }
-        }
+        });
 
         Ok(SweepReport {
             cells: slots
                 .into_iter()
-                // tsn-lint: allow(no-unwrap, "the atomic cursor hands every cell to exactly one worker; a hole here is a lost cell worth crashing on")
+                // tsn-lint: allow(no-unwrap, "for_each_chunk_mut visits every slot exactly once; a hole here is a lost cell worth crashing on")
                 .map(|s| s.expect("every cell executed"))
                 .collect(),
         })

@@ -29,8 +29,7 @@ use crate::config::ScenarioConfig;
 use crate::facets::FacetScores;
 use crate::runner::{Observer, ValidationError};
 use crate::trust::TrustMetric;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use crate::steal::for_each_chunk_mut;
 use tsn_graph::{generators, Graph, InterestProfile, InterestSpace};
 use tsn_privacy::enforcement::RequestContext;
 use tsn_privacy::oecd::OecdAudit;
@@ -56,10 +55,11 @@ use tsn_simnet::{
 /// hourly activity waves).
 pub const ROUND_DURATION: SimDuration = SimDuration::from_secs(3600);
 
-/// Node count at or above which `shards = 0` (auto) picks the sharded
-/// round engine. The engine choice depends only on this threshold —
-/// never on the machine — so auto-sharded runs are deterministic across
-/// hardware; only wall-clock time varies with the core count.
+/// Node count at or above which `shards = 0` (auto) splits the round
+/// engine into several shards (a few per hardware thread); below it,
+/// auto runs one shard on the calling thread. The shard count never
+/// changes the outcome, so auto runs are deterministic across hardware;
+/// only wall-clock time varies with the core count.
 pub const SHARD_AUTO_NODES: usize = 10_000;
 
 /// Stream-domain tag of the per-round offline coin flips, keeping them
@@ -67,8 +67,8 @@ pub const SHARD_AUTO_NODES: usize = 10_000;
 /// Registered as [`StreamDomain::ScenarioOffline`].
 const OFFLINE_STREAM_DOMAIN: u64 = StreamDomain::ScenarioOffline.tag();
 
-/// The RNG stream a consumer's interactions draw from in the sharded
-/// engine: one independent stream per `(round, node)`, derived
+/// The RNG stream a consumer's interactions draw from: one
+/// independent stream per `(round, node)`, derived
 /// statelessly from the config seed ([`StreamDomain::Interaction`]).
 /// This is what makes the draw sequence — and therefore the whole
 /// outcome — independent of the shard count and of shard execution
@@ -222,10 +222,6 @@ struct UserState {
 struct ScenarioScratch {
     /// Per-user offline flag for the current round.
     offline: Vec<bool>,
-    /// Online neighbour candidates of the current consumer.
-    candidates: Vec<NodeId>,
-    /// Partner-selection scratch (weights / qualified sets).
-    selection: SelectionScratch,
     /// Per-user trust of the current round.
     trust: Vec<f64>,
     /// Ground-truth qualities for the power measurement.
@@ -313,8 +309,7 @@ struct ShardState {
 }
 
 /// One claimable unit of the interaction phase: a shard's contiguous
-/// user slice plus its scratch/outbox. Workers take it (once) from a
-/// `Mutex<Option<…>>` slot after winning the index off the cursor.
+/// user slice plus its scratch/outbox.
 type ShardUnit<'a> = (&'a mut [UserState], &'a mut ShardState);
 
 /// The read-only world a shard worker sees during the interaction
@@ -339,8 +334,8 @@ struct ShardCtx<'a> {
     /// dynamics plan.
     identities: Option<&'a [NodeId]>,
     /// Slot-indexed partial views of the membership overlay — the
-    /// round's frozen snapshot (shuffled in the serial control path
-    /// before the phase starts), `None` when the overlay is off.
+    /// round's frozen snapshot (shuffled on the calling thread before
+    /// the phase starts), `None` when the overlay is off.
     views: Option<&'a [PartialView]>,
     system_policy: DisclosurePolicy,
     system_exposure: f64,
@@ -357,12 +352,11 @@ impl ShardCtx<'_> {
 /// Executes one shard's interaction/feedback phase against the frozen
 /// round snapshot. `users` is the shard's own contiguous slice
 /// (`state.start ..state.end`); everything cross-shard lands in the
-/// outbox. Mirrors the serial loop except that (a) randomness comes
-/// from per-`(round, node)` streams, (b) reputation scores, served
-/// counters and ledger state are the round-start snapshot, and (c) a
-/// consumer's `privacy_respected` reflects only its own flow this
-/// round — cross-node leak flags are deferred (the synchronous-model
-/// semantics DESIGN.md §10 documents).
+/// outbox. Randomness comes from per-`(round, node)` streams;
+/// reputation scores, served counters and ledger state are as of round
+/// start; and a consumer's `privacy_respected` reflects only its own
+/// flows this round — a leak of its data by another node reaches the
+/// ledger at the merge barrier (the round semantics of DESIGN.md §10).
 fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState) {
     let ShardState {
         start,
@@ -386,12 +380,15 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
         let mut rng = interaction_stream(ctx.config.seed, ctx.round, consumer_idx);
         for _ in 0..ctx.config.interactions_per_node {
             candidates.clear();
+            // While a partition window is active, users can only reach
+            // providers in their own group.
             let eligible = |p: &NodeId| {
                 !ctx.offline[p.index()] && ctx.partition.is_none_or(|m| m.same_group(consumer, *p))
             };
             match ctx.views {
                 // Peer sampling on: partners come from the consumer's
-                // frozen partial view, mirroring the serial loop.
+                // bounded partial view, not the global graph
+                // neighborhood.
                 Some(views) => {
                     candidates.extend(views[consumer_idx].peers().filter(|p| eligible(p)))
                 }
@@ -409,16 +406,17 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
                 &mut rng,
                 selection,
             ) else {
-                // No eligible partner: the candidate set is fixed for
-                // the round, so count the consumer isolated once and
-                // skip its remaining attempts (exactly the serial
-                // loop's behaviour — no randomness consumed).
+                // No eligible partner. The candidate set is fixed for
+                // the round (offline flags, partition and view all
+                // are), so count the consumer isolated once and skip
+                // its remaining attempts; no randomness is consumed.
                 outbox.counters.round_isolated += 1;
                 break;
             };
             outbox.counters.requests += 1;
             outbox.counters.messages += 1; // content request
 
+            // --- Flow 1: content access under the provider's PP.
             let request = AccessRequest {
                 requester: consumer,
                 owner: provider,
@@ -469,16 +467,28 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
                     });
                 }
 
-                // Feedback, against the frozen snapshot; the report is
-                // staged and reaches the mechanism at the merge barrier.
+                // --- Flow 2: feedback. The system *requires* the
+                // configured disclosure level to accept a report; users
+                // unwilling to meet it opt out ("the less a user trusts
+                // towards the system, the less she discloses
+                // information"). Adversaries always comply — influence
+                // is their goal. The report is staged and reaches the
+                // mechanism at the merge barrier.
                 let willing = user.willingness_level;
                 let adversarial_rater = ctx.population.is_adversarial(consumer);
                 if adversarial_rater || willing >= ctx.config.disclosure_level {
                     let mut report = ctx
                         .population
                         .feedback(consumer, provider, outcome, ctx.now, None);
+                    // The mechanism knows whitewashed slots by their
+                    // current identity only.
                     report.rater = ctx.identity(report.rater);
                     report.ratee = ctx.identity(report.ratee);
+                    // Ballot stuffing: without a disclosed rater
+                    // identity, nothing rate-limits a lying rater, so
+                    // false reports arrive amplified; every extra
+                    // disclosed field improves duplicate detection, and
+                    // identity eliminates the attack entirely.
                     let copies = if !ctx.system_policy.rater_identity && adversarial_rater {
                         ctx.config
                             .ballot_stuffing_factor
@@ -498,12 +508,15 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
                 outcome_quality = 0.0; // the consumer got nothing
             }
 
-            // Behaviour metadata (see the serial loop for the paper's
-            // footnote-2 rationale).
+            // Behaviour metadata: the system observes the request at its
+            // configured collection level whether or not it was granted
+            // or feedback was filed. Collection beyond what the user's
+            // own policy tolerates is a *system-caused* breach (the
+            // paper's footnote-2 category).
             if ctx.system_exposure > ctx.policy_exposure_cap[consumer_idx] + 1e-9 {
                 outbox.ledger.push(LedgerEvent::Breach {
                     owner: consumer,
-                    recipient: provider,
+                    recipient: provider, // the counterparty observes the over-shared fields
                     category: DataCategory::Behavior,
                     purpose: Purpose::Reputation,
                     cause: BreachCause::System,
@@ -541,7 +554,6 @@ pub struct Scenario {
     enforcer: Enforcer,
     adequacy: AdequacyModel,
     metric: TrustMetric,
-    rng: SimRng,
     /// Max exposure each user's own policy tolerates in the feedback
     /// pipeline.
     policy_exposure_cap: Vec<f64>,
@@ -554,8 +566,8 @@ pub struct Scenario {
     /// `UserState` so shard workers can read any *provider's* policy
     /// while holding their own contiguous `&mut` user slice.
     policies: Vec<PrivacyPolicy>,
-    /// Shard ranges, scratch and outboxes of the sharded engine; empty
-    /// until the first sharded round, persistent afterwards.
+    /// Shard ranges, scratch and outboxes of the round engine; empty
+    /// until the first run, persistent afterwards.
     shard_state: Vec<ShardState>,
     /// Dynamics executor (session churn, whitewashing, partitions),
     /// present iff `config.dynamics` is. Runs detached — the abstract
@@ -700,10 +712,8 @@ impl Scenario {
         }
 
         // Seeded straight from the config seed rather than forked off
-        // `rng`: forking would consume a draw from the main stream, so
-        // merely *attaching* a plan (even a static or regions-only one)
-        // would shift every later draw. This way dynamics-off runs AND
-        // runs with a no-op plan stay bit-identical to the goldens.
+        // `rng`, so attaching a plan never shifts another stream: runs
+        // with a no-op plan stay bit-identical to dynamics-off runs.
         let net_dynamics = match &config.dynamics {
             Some(plan) => Some(
                 DynamicsRuntime::new(
@@ -718,7 +728,7 @@ impl Scenario {
 
         // Same seeding idiom as dynamics: derived straight from the
         // config seed (never forked), so attaching the overlay leaves
-        // the main stream — and every membership-off golden — intact.
+        // every other stream intact.
         let membership = match &config.membership {
             Some(cfg) => Some(
                 MembershipRuntime::new(config.nodes, *cfg, config.seed ^ MEMBERSHIP_SEED_SALT)
@@ -737,7 +747,6 @@ impl Scenario {
             enforcer: Enforcer::new(),
             adequacy: AdequacyModel::default(),
             metric: TrustMetric::default(),
-            rng,
             policy_exposure_cap,
             ladder_exposure,
             scratch: ScenarioScratch::default(),
@@ -746,14 +755,6 @@ impl Scenario {
             net_dynamics,
             membership,
         })
-    }
-
-    /// The identity the reputation mechanism currently knows `slot` as
-    /// (differs from the slot only after a whitewash re-join).
-    fn slot_identity(&self, slot: NodeId) -> NodeId {
-        self.net_dynamics
-            .as_ref()
-            .map_or(slot, |d| d.identity(slot))
     }
 
     /// The configuration of this scenario.
@@ -839,339 +840,46 @@ impl Scenario {
         self.run_observed(&mut [])
     }
 
-    /// Runs the scenario, invoking every [`Observer`] at start, after
-    /// each round and at completion. Observers only watch: the outcome
-    /// is identical to [`Scenario::run`].
-    ///
-    /// Dispatches between the serial and sharded round engines per
-    /// `ScenarioConfig::shards` (see [`SHARD_AUTO_NODES`] for the auto
-    /// threshold).
-    pub fn run_observed(&mut self, observers: &mut [&mut dyn Observer]) -> ScenarioOutcome {
-        match self.sharded_engine_shards() {
-            None => self.run_serial_observed(observers),
-            Some(shards) => self.run_sharded_observed(shards, observers),
-        }
-    }
-
-    /// Forces the *sharded* engine with exactly `shards` shards,
-    /// regardless of the config knob. The outcome is independent of the
-    /// shard count — this entry point exists so tests and benches can
-    /// pin exactly that (`run_sharded(1)`, `run_sharded(2)` and
-    /// `run_sharded(8)` are bit-identical).
-    pub fn run_sharded(&mut self, shards: usize) -> ScenarioOutcome {
-        self.run_sharded_observed(shards, &mut [])
-    }
-
-    /// The shard count the config selects, or `None` for the serial
-    /// engine. The *engine* choice never depends on the hardware; the
-    /// auto shard *count* does, which is safe because the sharded
-    /// outcome is shard-count-invariant.
-    fn sharded_engine_shards(&self) -> Option<usize> {
-        let threads = || {
-            std::thread::available_parallelism()
-                .map(|c| c.get())
-                .unwrap_or(1)
-        };
+    /// The shard count `ScenarioConfig::shards` selects (see
+    /// [`SHARD_AUTO_NODES`] for auto mode). The auto count depends on
+    /// the hardware, which is safe because the outcome does not depend
+    /// on the shard count.
+    fn shard_count(&self) -> usize {
+        let n = self.config.nodes;
         match self.config.shards {
-            1 => None,
-            0 if self.config.nodes < SHARD_AUTO_NODES => None,
+            0 if n < SHARD_AUTO_NODES => 1,
             // A few shards per worker keeps the atomic-cursor stealing
             // effective when ranges cost unevenly (adversary clusters).
-            0 => Some((threads() * 4).min(self.config.nodes)),
-            k => Some(k.min(self.config.nodes)),
+            0 => std::thread::available_parallelism()
+                .map_or(1, |c| c.get() * 4)
+                .min(n),
+            k => k.min(n),
         }
     }
 
-    fn run_serial_observed(&mut self, observers: &mut [&mut dyn Observer]) -> ScenarioOutcome {
-        for observer in observers.iter_mut() {
-            observer.on_start(&self.config);
-        }
+    /// Pre-round step: advances the dynamics runtime to `now` and fills
+    /// `scratch.offline` — from the session state under a dynamics
+    /// plan, else from i.i.d. `churn_offline` coin flips on a dedicated
+    /// per-round stream. Under a plan it also restarts whitewashed
+    /// users' willingness at the system level, counts the whitewashes
+    /// and grows the mechanism to the identity space.
+    fn pre_round(&mut self, round: usize, now: SimTime, whitewashes: &mut u64) {
         let n = self.config.nodes;
-        let mut samples = Vec::with_capacity(self.config.rounds);
-        let mut interactions = 0u64;
-        let mut messages = 0u64;
-        let mut denials = 0u64;
-        let mut requests = 0u64;
-        let mut refresh_iterations = 0usize;
-        let mut now = SimTime::ZERO;
-        // Loop-invariant system disclosure policy and its exposure.
-        let system_policy = self.config.disclosure_policy();
-        let system_exposure = self.ladder_exposure[self.config.disclosure_level];
-
-        let mut whitewashes = 0u64;
-        for round in 0..self.config.rounds {
-            // The population clock drives time-based traitor betrayal
-            // (consumes no randomness).
-            self.population.advance_clock(now);
-            for u in &mut self.users {
-                u.breached_this_round = false;
-                u.load_this_round = 0;
-            }
-            // Availability churn: some users are offline this round —
-            // session-based when a dynamics plan runs, i.i.d. coin flips
-            // otherwise.
-            self.scratch.offline.clear();
-            if !self.dynamics_pre_round(now, &mut whitewashes) {
-                for _ in 0..n {
-                    let off = self.config.churn_offline > 0.0
-                        && self.rng.gen_bool(self.config.churn_offline);
-                    self.scratch.offline.push(off);
-                }
-            }
-            let round_availability =
-                1.0 - self.scratch.offline.iter().filter(|&&o| o).count() as f64 / n as f64;
-            let round_partition_health = self
-                .net_dynamics
-                .as_ref()
-                .map_or(1.0, |d| d.partition_health());
-            self.membership_pre_round();
-            let mut round_ok = 0u64;
-            let mut round_tried = 0u64;
-            let mut round_reports = 0u64;
-            let mut round_isolated = 0u64;
-
-            for consumer_idx in 0..n {
-                if self.scratch.offline[consumer_idx] {
-                    continue;
-                }
-                let consumer = NodeId::from_index(consumer_idx);
-                for _ in 0..self.config.interactions_per_node {
-                    self.scratch.candidates.clear();
-                    {
-                        let offline = &self.scratch.offline;
-                        // While a partition window is active, users can
-                        // only reach providers in their own group.
-                        let partition = self
-                            .net_dynamics
-                            .as_ref()
-                            .and_then(|d| d.active_group_map());
-                        let eligible = |p: &NodeId| {
-                            !offline[p.index()]
-                                && partition.is_none_or(|m| m.same_group(consumer, *p))
-                        };
-                        match self.membership.as_ref() {
-                            // Peer sampling on: partners come from the
-                            // consumer's bounded partial view, not the
-                            // global graph neighborhood.
-                            Some(m) => self
-                                .scratch
-                                .candidates
-                                .extend(m.view(consumer).peers().filter(|p| eligible(p))),
-                            None => self.scratch.candidates.extend(
-                                self.graph
-                                    .neighbors(consumer)
-                                    .iter()
-                                    .copied()
-                                    .filter(eligible),
-                            ),
-                        }
-                    }
-                    let mech = &self.mechanism;
-                    let dynamics = self.net_dynamics.as_ref();
-                    let Some(provider) = self.config.selection.select_with(
-                        &self.scratch.candidates,
-                        |c| mech.score(dynamics.map_or(c, |d| d.identity(c))),
-                        &mut self.rng,
-                        &mut self.scratch.selection,
-                    ) else {
-                        // No eligible partner. The candidate set is fixed
-                        // for the round (offline flags, partition and view
-                        // all are), so count the consumer isolated once
-                        // and skip its remaining attempts. Consumes no
-                        // randomness, so membership-off runs stay
-                        // bit-identical to the goldens.
-                        round_isolated += 1;
-                        break;
-                    };
-                    requests += 1;
-                    messages += 1; // content request
-
-                    // --- Flow 1: content access under the provider's PP.
-                    let request = AccessRequest {
-                        requester: consumer,
-                        owner: provider,
-                        operation: Operation::Read,
-                        purpose: Purpose::Social,
-                    };
-                    let ctx = RequestContext {
-                        social_distance: Some(1), // candidates are neighbours
-                        requester_trust: self.mechanism.score(self.slot_identity(consumer)),
-                    };
-                    let decision =
-                        self.enforcer
-                            .decide(&request, &self.policies[provider.index()], &ctx);
-
-                    let intended = self.users[consumer_idx].intentions.intends(provider);
-                    self.users[consumer_idx].allocation.observe(intended);
-
-                    let outcome_quality;
-                    if decision.is_granted() {
-                        let anonymized = decision == AccessDecision::GrantAnonymized;
-                        self.ledger.record_disclosure(
-                            now,
-                            provider,
-                            consumer,
-                            DataCategory::Content,
-                            Purpose::Social,
-                            anonymized,
-                        );
-                        let outcome = self.population.interact(provider, consumer, &mut self.rng);
-                        self.users[provider.index()].load_this_round += 1;
-                        interactions += 1;
-                        messages += 1; // content response
-                        round_tried += 1;
-                        if outcome.is_success() {
-                            round_ok += 1;
-                        }
-                        outcome_quality = outcome.value();
-
-                        // Malicious consumers leak what they were granted.
-                        if self.population.is_adversarial(consumer)
-                            && self.rng.gen_bool(self.config.leak_probability)
-                        {
-                            self.ledger.record_breach(
-                                now,
-                                provider,
-                                consumer,
-                                DataCategory::Content,
-                                Purpose::Social,
-                                BreachCause::MaliciousUser,
-                            );
-                            self.users[provider.index()].breached_this_round = true;
-                        }
-
-                        // --- Flow 2: feedback. The system *requires* the
-                        // configured disclosure level to accept a report;
-                        // users unwilling to meet it opt out ("the less a
-                        // user trusts towards the system, the less she
-                        // discloses information"). Adversaries always
-                        // comply — influence is their goal.
-                        let willing = self.users[consumer_idx].willingness_level;
-                        let adversarial_rater = self.population.is_adversarial(consumer);
-                        if adversarial_rater || willing >= self.config.disclosure_level {
-                            let mut report = self
-                                .population
-                                .feedback(consumer, provider, outcome, now, None);
-                            // The mechanism knows whitewashed slots by
-                            // their current identity only.
-                            if let Some(d) = self.net_dynamics.as_ref() {
-                                report.rater = d.identity(report.rater);
-                                report.ratee = d.identity(report.ratee);
-                            }
-                            let effective = system_policy;
-                            let view = effective.view(&report);
-                            // Ballot stuffing: without a disclosed rater
-                            // identity, nothing rate-limits a lying rater,
-                            // so false reports arrive amplified; every
-                            // extra disclosed field improves duplicate
-                            // detection, and identity eliminates the
-                            // attack entirely.
-                            let copies = if !effective.rater_identity && adversarial_rater {
-                                self.config
-                                    .ballot_stuffing_factor
-                                    .saturating_sub(self.config.disclosure_level)
-                                    .max(1)
-                            } else {
-                                1
-                            };
-                            for _ in 0..copies {
-                                self.mechanism.record(&view);
-                            }
-                            round_reports += copies as u64;
-                            messages += (self.mechanism.overhead_per_report() * copies) as u64;
-                        }
-                    } else {
-                        denials += 1;
-                        round_tried += 1;
-                        outcome_quality = 0.0; // the consumer got nothing
-                    }
-
-                    // Behaviour metadata: the system observes the request
-                    // at its configured collection level whether or not it
-                    // was granted or feedback was filed. Collection beyond
-                    // what the user's own policy tolerates is a
-                    // *system-caused* breach (the paper's footnote-2
-                    // category).
-                    if system_exposure > self.policy_exposure_cap[consumer_idx] + 1e-9 {
-                        self.ledger.record_breach(
-                            now,
-                            consumer,
-                            provider, // the counterparty observes the over-shared fields
-                            DataCategory::Behavior,
-                            Purpose::Reputation,
-                            BreachCause::System,
-                        );
-                        self.users[consumer_idx].breached_this_round = true;
-                    } else {
-                        self.ledger.record_disclosure(
-                            now,
-                            consumer,
-                            provider,
-                            DataCategory::Behavior,
-                            Purpose::Reputation,
-                            self.config.disclosure_level <= 1,
-                        );
-                    }
-
-                    let aspects = InteractionAspects {
-                        provider,
-                        outcome_quality,
-                        privacy_respected: !self.users[consumer_idx].breached_this_round,
-                    };
-                    let adequacy = self
-                        .adequacy
-                        .adequacy(&self.users[consumer_idx].intentions, &aspects);
-                    self.users[consumer_idx].satisfaction.observe(adequacy);
-                }
-            }
-
-            let tally = RoundTally {
-                ok: round_ok,
-                tried: round_tried,
-                reports: round_reports,
-                availability: round_availability,
-                partition_health: round_partition_health,
-                isolated: round_isolated,
-            };
-            self.finish_round(
-                round,
-                tally,
-                &mut refresh_iterations,
-                observers,
-                &mut samples,
-            );
-            now += ROUND_DURATION;
-        }
-
-        let totals = RunTotals {
-            interactions,
-            messages,
-            denials,
-            requests,
-            refresh_iterations,
-            whitewashes,
-        };
-        self.assemble_outcome(totals, samples, observers)
-    }
-
-    /// Dynamics pre-round step shared by both engines: advances the
-    /// session/partition runtime to `now`, fills `scratch.offline` from
-    /// the session state, restarts whitewashed users' willingness at the
-    /// system level, counts the whitewashes and grows the mechanism to
-    /// the identity space. Returns `false` when no plan is attached (the
-    /// caller fills the offline flags itself).
-    fn dynamics_pre_round(&mut self, now: SimTime, whitewashes: &mut u64) -> bool {
-        let n = self.config.nodes;
+        let offline = &mut self.scratch.offline;
+        offline.clear();
         let Some(dynamics) = self.net_dynamics.as_mut() else {
-            return false;
+            if self.config.churn_offline > 0.0 {
+                let mut stream =
+                    SimRng::stream(self.config.seed, OFFLINE_STREAM_DOMAIN | round as u64);
+                offline.extend((0..n).map(|_| stream.gen_bool(self.config.churn_offline)));
+            } else {
+                offline.resize(n, false);
+            }
+            return;
         };
         dynamics.clear_events();
         dynamics.advance_detached(now);
-        for slot in 0..n {
-            self.scratch
-                .offline
-                .push(!dynamics.online(NodeId::from_index(slot)));
-        }
+        offline.extend((0..n).map(|slot| !dynamics.online(NodeId::from_index(slot))));
         for &(_, event) in dynamics.events() {
             if let DynamicsEvent::Whitewash { slot, .. } = event {
                 *whitewashes += 1;
@@ -1184,14 +892,13 @@ impl Scenario {
         // Make sure the mechanism tracks every identity ever
         // allocated (whitewashed ones score at the prior).
         self.mechanism.resize(dynamics.identity_count());
-        true
     }
 
-    /// Membership pre-round step shared by both engines: one view
-    /// shuffle against this round's offline flags and any active
-    /// partition. Runs in the serial control path even under sharding,
-    /// so the per-round view snapshot is identical for any shard
-    /// count. No-op when the overlay is off.
+    /// Membership pre-round step: one view shuffle against this
+    /// round's offline flags and any active partition. Runs on the
+    /// calling thread before the interaction phase, so the per-round
+    /// view snapshot is identical for any shard count. No-op when the
+    /// overlay is off.
     fn membership_pre_round(&mut self) {
         let Some(membership) = self.membership.as_mut() else {
             return;
@@ -1207,10 +914,9 @@ impl Scenario {
         );
     }
 
-    /// The shared round tail: provider-role adequacy, a possible
-    /// mechanism refresh, the round sample and the adaptive-disclosure
-    /// update (the Section-3 loop). Pure state math — no randomness — so
-    /// serial and sharded rounds end identically given the same state.
+    /// The round tail: provider-role adequacy, a possible mechanism
+    /// refresh, the round sample and the adaptive-disclosure update (the
+    /// Section-3 loop). Pure state math — no randomness.
     fn finish_round(
         &mut self,
         round: usize,
@@ -1279,7 +985,7 @@ impl Scenario {
         samples.push(sample);
     }
 
-    /// The shared end-of-run assembly: a final refresh and power
+    /// The end-of-run assembly: a final refresh and power
     /// measurement, global facets and the per-user vectors.
     fn assemble_outcome(
         &mut self,
@@ -1365,7 +1071,7 @@ struct RoundTally {
     isolated: u64,
 }
 
-/// Whole-run accumulators both engines hand to
+/// Whole-run accumulators the round loop hands to
 /// [`Scenario::assemble_outcome`].
 struct RunTotals {
     interactions: u64,
@@ -1377,28 +1083,26 @@ struct RunTotals {
 }
 
 // ---------------------------------------------------------------------
-// The sharded round engine (DESIGN.md §10).
+// The round engine (DESIGN.md §10).
 //
-// Nodes are partitioned into contiguous shards. Every round:
+// Nodes are partitioned into contiguous shards (one below
+// `SHARD_AUTO_NODES` unless `shards` asks for more). Every round:
 //
-//   1. *Pre-round* (serial): population clock, dynamics/offline flags.
-//   2. *Interaction phase* (parallel): workers claim shards off an
-//      atomic cursor (the SweepRunner idiom) and run them against the
-//      frozen round-start snapshot — scores, served counters and ledger
-//      state do not move. Randomness comes from per-(round, node)
-//      streams, so draws are independent of shard count and order.
-//   3. *Merge barrier* (serial, fixed shard order): outboxes drain into
-//      the ledger, the population's served counters, provider loads and
-//      the mechanism. Contiguous shards in ascending order make the
-//      merged event sequence exactly global consumer order — for any
-//      shard count, which is why k = 1, 2, 8 are bit-identical.
-//   4. *Round tail* (serial, shared with the serial engine).
-//
-// The serial engine remains the semantics pinned by the goldens: there,
-// a consumer's selection sees feedback recorded earlier in the *same*
-// round, and a leak immediately marks the victim's round. The sharded
-// engine defers both to the barrier (synchronous-model semantics), so
-// its outcomes differ from serial by design, never by scheduling.
+//   1. *Pre-round* (calling thread): population clock, dynamics/offline
+//      flags, membership shuffle.
+//   2. *Interaction phase*: workers claim shards off an atomic cursor
+//      and run them against the frozen round-start snapshot — scores,
+//      served counters and ledger state do not move. Randomness comes
+//      from per-(round, node) streams, so draws are independent of shard
+//      count and order. One shard runs inline on the calling thread.
+//   3. *Merge barrier* (calling thread, fixed shard order): outboxes
+//      drain into the ledger, the population's served counters,
+//      provider loads and the mechanism. Contiguous shards in ascending
+//      order make the merged event sequence exactly global consumer
+//      order — for any shard count, which is why k = 1, 2, 8 are
+//      bit-identical.
+//   4. *Round tail* (calling thread): provider adequacy, refresh,
+//      measurement, adaptive disclosure.
 impl Scenario {
     /// (Re)builds the shard plan: `shards` contiguous ranges of
     /// near-equal size covering `0..nodes`.
@@ -1418,13 +1122,12 @@ impl Scenario {
             .collect();
     }
 
-    fn run_sharded_observed(
-        &mut self,
-        shards: usize,
-        observers: &mut [&mut dyn Observer],
-    ) -> ScenarioOutcome {
+    /// Runs the scenario, invoking every [`Observer`] at start, after
+    /// each round and at completion. Observers only watch: the outcome
+    /// is identical to [`Scenario::run`].
+    pub fn run_observed(&mut self, observers: &mut [&mut dyn Observer]) -> ScenarioOutcome {
         let n = self.config.nodes;
-        let shards = shards.clamp(1, n);
+        let shards = self.shard_count();
         self.init_shard_state(shards);
         for observer in observers.iter_mut() {
             observer.on_start(&self.config);
@@ -1441,40 +1144,23 @@ impl Scenario {
         let mut now = SimTime::ZERO;
         let system_policy = self.config.disclosure_policy();
         let system_exposure = self.ladder_exposure[self.config.disclosure_level];
-        let workers = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1)
-            .min(shards);
+        let workers = if shards == 1 {
+            1
+        } else {
+            std::thread::available_parallelism().map_or(1, |c| c.get().min(shards))
+        };
 
         for round in 0..self.config.rounds {
             self.population.advance_clock(now);
-            // Offline flags: session state under a dynamics plan, one
-            // dedicated per-round stream for i.i.d. coin flips (never
-            // the main `self.rng` — the flags must not depend on how
-            // many draws earlier rounds consumed elsewhere).
-            self.scratch.offline.clear();
-            if !self.dynamics_pre_round(now, &mut totals.whitewashes) {
-                if self.config.churn_offline > 0.0 {
-                    let mut stream =
-                        SimRng::stream(self.config.seed, OFFLINE_STREAM_DOMAIN | round as u64);
-                    for _ in 0..n {
-                        self.scratch
-                            .offline
-                            .push(stream.gen_bool(self.config.churn_offline));
-                    }
-                } else {
-                    self.scratch.offline.resize(n, false);
-                }
-            }
+            self.pre_round(round, now, &mut totals.whitewashes);
             let round_availability =
                 1.0 - self.scratch.offline.iter().filter(|&&o| o).count() as f64 / n as f64;
             let round_partition_health = self
                 .net_dynamics
                 .as_ref()
                 .map_or(1.0, |d| d.partition_health());
-            // View shuffle in the serial control path, before the
-            // phase snapshot freezes — shards then read identical
-            // views for any shard count.
+            // View shuffle before the phase snapshot freezes — shards
+            // then read identical views for any shard count.
             self.membership_pre_round();
 
             // --- Interaction phase: workers steal shards off a cursor.
@@ -1501,41 +1187,18 @@ impl Scenario {
                     now,
                 };
                 let mut rest: &mut [UserState] = &mut self.users;
-                let mut units: Vec<Mutex<Option<ShardUnit<'_>>>> = Vec::with_capacity(shards);
+                let mut units: Vec<ShardUnit<'_>> = Vec::with_capacity(shards);
                 for state in self.shard_state.iter_mut() {
                     let width = state.end - state.start;
                     let (own, tail) = std::mem::take(&mut rest).split_at_mut(width);
                     rest = tail;
-                    units.push(Mutex::new(Some((own, state))));
+                    units.push((own, state));
                 }
-                if workers == 1 {
-                    for unit in &units {
-                        let (users, state) =
-                            // tsn-lint: allow(no-unwrap, "poisoning implies a prior shard-worker panic, and the cursor hands each unit out exactly once")
-                            unit.lock().expect("unpoisoned").take().expect("unclaimed");
+                for_each_chunk_mut(&mut units, 1, workers, |_, claimed| {
+                    for (users, state) in claimed {
                         run_shard(&ctx, users, state);
                     }
-                } else {
-                    let cursor = AtomicUsize::new(0);
-                    std::thread::scope(|scope| {
-                        for _ in 0..workers {
-                            scope.spawn(|| loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= units.len() {
-                                    break;
-                                }
-                                let (users, state) = units[i]
-                                    .lock()
-                                    // tsn-lint: allow(no-unwrap, "lock poisoning implies a prior shard-worker panic; crashing here re-surfaces it")
-                                    .expect("unpoisoned")
-                                    .take()
-                                    // tsn-lint: allow(no-unwrap, "the atomic cursor hands each shard to exactly one worker, so every slot is filled")
-                                    .expect("each shard is claimed exactly once");
-                                run_shard(&ctx, users, state);
-                            });
-                        }
-                    });
-                }
+                });
             }
 
             // --- Merge barrier, in ascending shard order.

@@ -1,0 +1,78 @@
+//! The one work-stealing helper behind every parallel loop in this
+//! crate: the scenario's shard phase and the sweep runner's cells.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+
+/// Runs `work(offset, piece)` once for every `chunk`-sized piece of
+/// `items` (the last piece may be shorter); `offset` is the index of
+/// the piece's first item in `items`.
+///
+/// With `workers <= 1` the pieces run inline, in order, on the calling
+/// thread — no thread is spawned. Otherwise up to `workers` scoped
+/// threads claim pieces off an atomic cursor until none is left, so
+/// unevenly priced pieces balance out. Each piece goes to exactly one
+/// worker; results land in the items themselves, so nothing is merged
+/// after the join. A panic in `work` re-raises on the calling thread.
+pub(crate) fn for_each_chunk_mut<T: Send>(
+    items: &mut [T],
+    chunk: usize,
+    workers: usize,
+    work: impl Fn(usize, &mut [T]) + Sync,
+) {
+    let chunk = chunk.max(1);
+    if workers <= 1 {
+        for (i, piece) in items.chunks_mut(chunk).enumerate() {
+            work(i * chunk, piece);
+        }
+        return;
+    }
+    // One slot per piece. The cursor hands each index out once, so every
+    // lock is taken exactly once, uncontended; it only proves the
+    // exclusive access to the borrow checker, and poisoning can never
+    // be observed.
+    let slots: Vec<Mutex<&mut [T]>> = items.chunks_mut(chunk).map(Mutex::new).collect();
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers.min(slots.len()) {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else { break };
+                let mut piece = slot.lock().unwrap_or_else(PoisonError::into_inner);
+                work(i * chunk, &mut piece);
+            });
+        }
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every item is visited exactly once, at the offset that matches
+    /// its index, for any chunk size and worker count.
+    #[test]
+    fn every_item_runs_once_at_its_offset() {
+        for workers in [0usize, 1, 2, 5] {
+            for chunk in [0usize, 1, 3, 64] {
+                let mut items: Vec<(usize, u32)> = (0..37).map(|i| (i, 0)).collect();
+                for_each_chunk_mut(&mut items, chunk, workers, |offset, piece| {
+                    for (j, (index, visits)) in piece.iter_mut().enumerate() {
+                        assert_eq!(*index, offset + j);
+                        *visits += 1;
+                    }
+                });
+                assert!(
+                    items.iter().all(|&(_, visits)| visits == 1),
+                    "workers {workers}, chunk {chunk}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_input_runs_nothing() {
+        let mut items: Vec<u8> = Vec::new();
+        for_each_chunk_mut(&mut items, 4, 3, |_, _| unreachable!("no pieces"));
+    }
+}

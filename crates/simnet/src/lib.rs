@@ -8,8 +8,8 @@
 //!
 //! The simulator is:
 //!
-//! * **discrete-event** — a virtual clock ([`SimTime`]) advances from event
-//!   to event through a priority queue ([`EventQueue`]);
+//! * **virtual-time** — a simulated clock ([`SimTime`]) that the layers
+//!   above advance explicitly, round by round or op by op;
 //! * **deterministic** — all randomness flows through a seedable
 //!   [`SimRng`] (ChaCha-based), so a `(seed, config)` pair reproduces a run
 //!   bit-for-bit;
@@ -37,16 +37,15 @@
 //! ## Quick example
 //!
 //! ```
-//! use tsn_simnet::{Simulation, SimDuration, SimTime, SimRng, NodeId};
+//! use tsn_simnet::{Network, NetworkConfig, SimRng, SimTime};
 //!
-//! let mut sim = Simulation::new(SimRng::seed_from_u64(42));
-//! let a = sim.add_node();
-//! let b = sim.add_node();
-//! sim.schedule_in(SimDuration::from_millis(5), move |sim| {
-//!     sim.network_mut().send(a, b, "hello".into());
-//! });
-//! let report = sim.run_until(SimTime::from_secs(1));
-//! assert!(report.events_processed >= 1);
+//! let mut net = Network::new(NetworkConfig::default(), SimRng::seed_from_u64(42));
+//! let a = net.add_node();
+//! let b = net.add_node();
+//! net.send(a, b, "hello".into());
+//! // The default transport delivers after 10 ms of virtual time.
+//! assert_eq!(net.advance_to(SimTime::from_millis(10)), 1);
+//! assert_eq!(net.take_inbox(b).len(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,7 +54,6 @@
 pub mod churn;
 pub mod codec;
 pub mod dynamics;
-pub mod event;
 pub mod faults;
 pub mod latency;
 pub mod membership;
@@ -65,7 +63,6 @@ pub mod network;
 pub mod partition;
 pub mod pool;
 pub mod rng;
-pub mod sim;
 pub mod streams;
 pub mod time;
 pub mod trace;
@@ -73,7 +70,6 @@ pub mod trace;
 pub use churn::{ChurnConfig, ChurnEvent, ChurnProcess, NodeLifecycle};
 pub use codec::{ByteReader, ByteWriter};
 pub use dynamics::{DynamicsEvent, DynamicsPlan, DynamicsRuntime, PartitionWindow, RegionPlan};
-pub use event::{Event, EventId, EventQueue, ScheduledEvent};
 pub use faults::{
     FaultInjector, FaultPlan, FaultTarget, MessageFault, MessageFaultKind, MessageVerdict,
     ProcessFault, StorageFault, StorageFaultKind,
@@ -90,14 +86,13 @@ pub use network::{DeliveryOutcome, Network, NetworkConfig, NetworkStats};
 pub use partition::{GroupMap, PartitionedLoss, RegionalLatency};
 pub use pool::BufferPool;
 pub use rng::SimRng;
-pub use sim::{RunReport, Simulation, StopCondition};
 pub use streams::{StreamDomain, StreamFamily};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceKind, TraceLog};
 
 /// Identifier of a simulated node (participant / peer).
 ///
-/// `NodeId`s are dense indices handed out by [`Simulation::add_node`] (or by
+/// `NodeId`s are dense indices handed out by [`Network::add_node`] (or by
 /// higher layers that manage their own populations); they index directly
 /// into per-node vectors throughout the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -65,9 +65,9 @@ fn main() {
         ScenarioBuilder::mega(small)
             .rounds(3)
             .seed(42)
-            .build_scenario()
+            .shards(shards)
+            .run()
             .expect("valid config")
-            .run_sharded(shards)
     };
     let (a, b) = (run_with(2), run_with(7));
     assert_eq!(

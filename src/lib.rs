@@ -54,6 +54,6 @@ pub mod prelude {
     };
     pub use tsn_simnet::{
         DynamicsPlan, DynamicsRuntime, FaultInjector, FaultPlan, NodeId, PartitionWindow,
-        SimDuration, SimRng, SimTime, Simulation,
+        SimDuration, SimRng, SimTime,
     };
 }

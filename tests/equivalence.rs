@@ -8,8 +8,13 @@
 //! [`ScenarioOutcome`] (shortest round-trip form, so the comparison is
 //! exact) plus a full [`SweepReport`] CSV.
 //!
-//! The goldens were generated from the pre-refactor code. To regenerate
-//! after an *intentional* semantic change:
+//! The goldens were generated from the pre-refactor code. The scenario
+//! goldens and `sweep_report.txt` were later regenerated once, when the
+//! serial scenario loop was folded into the sharded round engine: they
+//! pin the single-engine round semantics (scores, served counters and
+//! cross-node leak flags as of round start; one RNG stream per
+//! `(round, node)`). The gossip goldens predate that change. To
+//! regenerate after an *intentional* semantic change:
 //!
 //! ```text
 //! GOLDEN_REGEN=1 cargo test --test equivalence

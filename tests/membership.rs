@@ -76,12 +76,12 @@ fn base() -> ScenarioBuilder {
 
 #[test]
 fn view_constrained_selection_is_shard_count_invariant() {
-    // The shuffle runs in the serial control path of both engines and
-    // the shard phase reads a frozen snapshot of the views, so the
+    // The shuffle runs on the calling thread before the phase and the
+    // shard phase reads a frozen snapshot of the views, so the
     // shard count must not leak into any float or counter.
-    let reference = fingerprint(&base().build_scenario().expect("valid").run_sharded(1));
+    let reference = fingerprint(&base().shards(1).run().expect("valid"));
     for shards in [2usize, 8] {
-        let outcome = base().build_scenario().expect("valid").run_sharded(shards);
+        let outcome = base().shards(shards).run().expect("valid");
         assert_eq!(
             reference,
             fingerprint(&outcome),
