@@ -89,21 +89,16 @@ pub struct ScenarioConfig {
     pub graph_beta: f64,
     /// Probability a malicious recipient leaks granted data per grant.
     pub leak_probability: f64,
-    /// Availability churn: probability each user is offline in a given
-    /// round (0 disables churn). Offline users neither consume nor serve.
-    ///
-    /// This is the legacy i.i.d. coin-flip model; for session-based
-    /// churn with durations, whitewashing and partitions use `dynamics`
-    /// instead (the two are mutually exclusive).
-    pub churn_offline: f64,
-    /// Full dynamics plan: session-based churn (exponential session /
-    /// downtime durations), whitewash re-joins (fresh identities with
-    /// reset reputation), and scheduled partitions that confine partner
-    /// selection to a user's own group while active. Regional latency in
-    /// the plan is accepted but has no effect here — the abstract
-    /// scenario engine has no transport (the protocol crate's round
-    /// driver executes it for real). `None` leaves the legacy behaviour
-    /// bit-identical.
+    /// Full dynamics plan — the scenario's one churn model: session-based
+    /// churn (exponential session / downtime durations; offline users
+    /// neither consume nor serve), whitewash re-joins (fresh identities
+    /// with reset reputation), and scheduled partitions that confine
+    /// partner selection to a user's own group while active. Plain
+    /// availability churn is the [`DynamicsPlan::steady_offline`]
+    /// preset. Regional latency in the plan is accepted but has no
+    /// effect here — the abstract scenario engine has no transport (the
+    /// protocol crate's round driver executes it for real). `None`
+    /// leaves every user online every round.
     pub dynamics: Option<DynamicsPlan>,
     /// Peer-sampling membership overlay (the paper's view-shuffling
     /// model): each node keeps a bounded [`PartialView`] refreshed by
@@ -165,7 +160,6 @@ impl Default for ScenarioConfig {
             graph_degree: 8,
             graph_beta: 0.1,
             leak_probability: 0.3,
-            churn_offline: 0.0,
             dynamics: None,
             membership: None,
             consumer_role_weight: 0.75,
@@ -225,19 +219,9 @@ impl ScenarioConfig {
                 "must be at least 1",
             ));
         }
-        if !(0.0..=1.0).contains(&self.churn_offline) {
-            return Err(ValidationError::new("churn_offline", "must be in [0,1]"));
-        }
         if let Some(plan) = &self.dynamics {
             plan.validate()
                 .map_err(|m| ValidationError::new("dynamics", m))?;
-            if self.churn_offline > 0.0 {
-                return Err(ValidationError::new(
-                    "dynamics",
-                    "churn_offline and a dynamics plan are mutually exclusive; \
-                     pick one churn model",
-                ));
-            }
         }
         if let Some(m) = &self.membership {
             m.validate()

@@ -223,18 +223,25 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Availability churn: per-round offline probability (the legacy
-    /// i.i.d. model; see [`ScenarioBuilder::dynamics`] for sessions,
-    /// whitewashing and partitions).
-    pub fn churn(mut self, offline: f64) -> Self {
-        self.config.churn_offline = offline;
-        self
+    /// Availability churn: in steady state a fraction `offline` of the
+    /// users is offline each round. Shorthand for
+    /// [`ScenarioBuilder::dynamics`] with the
+    /// [`DynamicsPlan::steady_offline`] preset over [`ROUND_DURATION`];
+    /// like every plan setter it replaces any plan set before it (the
+    /// last call wins). `0` leaves the plan untouched; a value outside
+    /// `[0, 1]` fails validation under the field `dynamics`.
+    pub fn churn(self, offline: f64) -> Self {
+        if offline == 0.0 {
+            return self;
+        }
+        self.dynamics(DynamicsPlan::steady_offline(offline, ROUND_DURATION))
     }
 
     /// Attaches a full dynamics plan: session-based churn, whitewash
     /// re-joins (fresh identities with reset reputation) and scheduled
     /// partitions that confine partner selection group-wise while
-    /// active. Mutually exclusive with [`ScenarioBuilder::churn`].
+    /// active. Replaces any plan set before it, including
+    /// [`ScenarioBuilder::churn`]'s.
     ///
     /// Plan times are virtual: one scenario round spans
     /// [`ROUND_DURATION`] (one hour).
@@ -446,7 +453,10 @@ mod tests {
         assert_eq!(config.mechanism, MechanismKind::PowerTrust);
         assert_eq!(config.disclosure_level, 3);
         assert_eq!(config.policy_profile, PolicyProfile::Strict);
-        assert_eq!(config.churn_offline, 0.1);
+        assert_eq!(
+            config.dynamics,
+            Some(DynamicsPlan::steady_offline(0.1, ROUND_DURATION))
+        );
         assert!(config.adaptive_disclosure);
         assert_eq!(config.graph_degree, 6);
         assert_eq!(config.seed, 99);
@@ -457,7 +467,7 @@ mod tests {
         let err = ScenarioBuilder::new().nodes(2).build().unwrap_err();
         assert_eq!(err.field, "nodes");
         let err = ScenarioBuilder::new().churn(1.5).build().unwrap_err();
-        assert_eq!(err.field, "churn_offline");
+        assert_eq!(err.field, "dynamics");
         let err = ScenarioBuilder::new().graph(7, 0.1).build().unwrap_err();
         assert_eq!(err.field, "graph_degree");
         let err = ScenarioBuilder::new()
@@ -502,13 +512,26 @@ mod tests {
     }
 
     #[test]
-    fn dynamics_and_coin_flip_churn_are_mutually_exclusive() {
-        let err = ScenarioBuilder::small()
-            .churn(0.2)
-            .whitewash_attack()
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field, "dynamics");
+    fn churn_is_a_dynamics_preset_and_the_last_plan_wins() {
+        let plan = |builder: ScenarioBuilder| builder.build().unwrap().dynamics;
+        let whitewash = plan(ScenarioBuilder::small().whitewash_attack());
+        assert_eq!(
+            plan(ScenarioBuilder::small().churn(0.2).whitewash_attack()),
+            whitewash
+        );
+        assert_eq!(
+            plan(ScenarioBuilder::small().whitewash_attack().churn(0.2)),
+            Some(DynamicsPlan::steady_offline(0.2, ROUND_DURATION))
+        );
+        assert_eq!(
+            plan(ScenarioBuilder::small().whitewash_attack().churn(0.0)),
+            whitewash,
+            "churn(0) leaves the plan untouched"
+        );
+        for p in [-0.5, 2.0, f64::NAN] {
+            let err = ScenarioBuilder::small().churn(p).build().unwrap_err();
+            assert_eq!(err.field, "dynamics", "p = {p}");
+        }
         // An invalid plan is rejected with the field name too.
         let err = ScenarioBuilder::small()
             .dynamics(DynamicsPlan {

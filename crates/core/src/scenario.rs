@@ -28,8 +28,8 @@
 use crate::config::ScenarioConfig;
 use crate::facets::FacetScores;
 use crate::runner::{Observer, ValidationError};
-use crate::trust::TrustMetric;
 use crate::steal::for_each_chunk_mut;
+use crate::trust::TrustMetric;
 use tsn_graph::{generators, Graph, InterestProfile, InterestSpace};
 use tsn_privacy::enforcement::RequestContext;
 use tsn_privacy::oecd::OecdAudit;
@@ -61,11 +61,6 @@ pub const ROUND_DURATION: SimDuration = SimDuration::from_secs(3600);
 /// changes the outcome, so auto runs are deterministic across hardware;
 /// only wall-clock time varies with the core count.
 pub const SHARD_AUTO_NODES: usize = 10_000;
-
-/// Stream-domain tag of the per-round offline coin flips, keeping them
-/// disjoint from the `(round << 32) | node` interaction streams.
-/// Registered as [`StreamDomain::ScenarioOffline`].
-const OFFLINE_STREAM_DOMAIN: u64 = StreamDomain::ScenarioOffline.tag();
 
 /// The RNG stream a consumer's interactions draw from: one
 /// independent stream per `(round, node)`, derived
@@ -858,23 +853,16 @@ impl Scenario {
     }
 
     /// Pre-round step: advances the dynamics runtime to `now` and fills
-    /// `scratch.offline` — from the session state under a dynamics
-    /// plan, else from i.i.d. `churn_offline` coin flips on a dedicated
-    /// per-round stream. Under a plan it also restarts whitewashed
-    /// users' willingness at the system level, counts the whitewashes
-    /// and grows the mechanism to the identity space.
-    fn pre_round(&mut self, round: usize, now: SimTime, whitewashes: &mut u64) {
+    /// `scratch.offline` from its session state (everyone is online
+    /// without a plan). It also restarts whitewashed users' willingness
+    /// at the system level, counts the whitewashes and grows the
+    /// mechanism to the identity space.
+    fn pre_round(&mut self, now: SimTime, whitewashes: &mut u64) {
         let n = self.config.nodes;
         let offline = &mut self.scratch.offline;
         offline.clear();
         let Some(dynamics) = self.net_dynamics.as_mut() else {
-            if self.config.churn_offline > 0.0 {
-                let mut stream =
-                    SimRng::stream(self.config.seed, OFFLINE_STREAM_DOMAIN | round as u64);
-                offline.extend((0..n).map(|_| stream.gen_bool(self.config.churn_offline)));
-            } else {
-                offline.resize(n, false);
-            }
+            offline.resize(n, false);
             return;
         };
         dynamics.clear_events();
@@ -1152,7 +1140,7 @@ impl Scenario {
 
         for round in 0..self.config.rounds {
             self.population.advance_clock(now);
-            self.pre_round(round, now, &mut totals.whitewashes);
+            self.pre_round(now, &mut totals.whitewashes);
             let round_availability =
                 1.0 - self.scratch.offline.iter().filter(|&&o| o).count() as f64 / n as f64;
             let round_partition_health = self
@@ -1312,6 +1300,7 @@ mod tests {
     use super::*;
     use crate::config::PolicyProfile;
     use tsn_reputation::PopulationConfig;
+    use tsn_simnet::DynamicsPlan;
 
     fn small(seed: u64) -> ScenarioConfig {
         ScenarioConfig {
@@ -1476,7 +1465,7 @@ mod tests {
                 ..Default::default()
             },
             ScenarioConfig {
-                churn_offline: 1.5,
+                dynamics: Some(DynamicsPlan::steady_offline(1.5, ROUND_DURATION)),
                 ..Default::default()
             },
             ScenarioConfig {
@@ -1496,7 +1485,7 @@ mod tests {
         let stable_out = run_scenario(stable).unwrap();
         let mut churny = small(40);
         churny.rounds = 12;
-        churny.churn_offline = 0.4;
+        churny.dynamics = Some(DynamicsPlan::steady_offline(0.4, ROUND_DURATION));
         let churny_out = run_scenario(churny).unwrap();
         assert!(churny_out.interactions < stable_out.interactions);
         assert!(churny_out.facets.validate().is_ok());
@@ -1506,7 +1495,7 @@ mod tests {
     #[test]
     fn full_churn_is_a_degenerate_but_safe_run() {
         let mut c = small(41);
-        c.churn_offline = 1.0;
+        c.dynamics = Some(DynamicsPlan::steady_offline(1.0, ROUND_DURATION));
         let o = run_scenario(c).unwrap();
         assert_eq!(o.interactions, 0);
         assert_eq!(o.denial_rate, 0.0);

@@ -233,21 +233,7 @@ impl ServiceConfig {
                 self.disclosure_level
             ));
         }
-        let mut last_end = SimTime::ZERO;
-        for (i, w) in self.partitions.iter().enumerate() {
-            if w.groups == 0 {
-                return Err(format!("partition window {i} needs at least one group"));
-            }
-            if w.end <= w.start {
-                return Err(format!("partition window {i} must end after it starts"));
-            }
-            if w.start < last_end {
-                return Err(format!(
-                    "partition windows must be sorted and non-overlapping (window {i})"
-                ));
-            }
-            last_end = w.end;
-        }
+        PartitionWindow::validate_schedule(&self.partitions)?;
         if let Some(m) = &self.membership {
             m.validate()?;
             if m.relays >= self.nodes {
@@ -1217,14 +1203,41 @@ mod tests {
             ..ServiceConfig::default()
         };
         assert!(bad.validate().unwrap_err().contains("disclosure_level"));
-        let bad = ServiceConfig {
-            partitions: vec![
-                PartitionWindow::full_split(SimTime::from_secs(5), SimTime::from_secs(9), 2),
-                PartitionWindow::full_split(SimTime::from_secs(8), SimTime::from_secs(12), 2),
-            ],
+        // Partition windows: the one rule set shared with dynamics
+        // plans, also applied to a checkpoint's config section (restore
+        // goes through `TrustService::new`).
+        let at = SimTime::from_secs;
+        let split = |start, end, groups| PartitionWindow::full_split(at(start), at(end), groups);
+        let lossy = |cross_loss, intra_loss| PartitionWindow {
+            cross_loss,
+            intra_loss,
+            ..split(5, 9, 2)
+        };
+        for (partitions, expected) in [
+            (vec![split(5, 9, 0)], "at least 2 groups"),
+            (vec![split(5, 9, 1)], "at least 2 groups"),
+            (vec![split(5, 5, 2)], "must end after it starts"),
+            (vec![split(9, 5, 2)], "must end after it starts"),
+            (vec![lossy(f64::NAN, 0.0)], "cross_loss"),
+            (vec![lossy(0.5, f64::NAN)], "intra_loss"),
+            (vec![lossy(1.5, 0.0)], "cross_loss"),
+            (vec![lossy(0.5, -0.1)], "intra_loss"),
+            (vec![split(5, 9, 2), split(8, 12, 2)], "non-overlapping"),
+            (vec![split(8, 12, 2), split(1, 3, 2)], "non-overlapping"),
+        ] {
+            let bad = ServiceConfig {
+                partitions: partitions.clone(),
+                ..ServiceConfig::default()
+            };
+            let err = bad.validate().unwrap_err();
+            assert!(err.contains(expected), "{partitions:?}: {err}");
+            assert!(TrustService::new(bad).is_err());
+        }
+        let good = ServiceConfig {
+            partitions: vec![split(1, 3, 2), split(3, 9, 4)],
             ..ServiceConfig::default()
         };
-        assert!(bad.validate().unwrap_err().contains("non-overlapping"));
+        assert!(good.validate().is_ok());
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //! executable plan.
 //!
 //! The [`churn`](crate::churn) and [`partition`](crate::partition)
-//! modules define the *vocabulary* of a realistic decentralized
+//! modules define the *parameters* of a realistic decentralized
 //! substrate — session-based joins/leaves/crashes, whitewashing
 //! re-joins, clean splits, slow WAN borders. A [`DynamicsPlan`] composes
-//! them into a declarative schedule and a [`DynamicsRuntime`] *executes*
-//! it against a [`Network`] on the simulation clock: churn transitions
-//! interleave with message delivery at their exact event times,
-//! whitewash re-joins allocate fresh identities, and loss models swap
-//! at partition/heal boundaries.
+//! them into a declarative schedule and a [`DynamicsRuntime`] — the one
+//! churn executor of the workspace — samples and *executes* it against
+//! a [`Network`] on the simulation clock: churn transitions interleave
+//! with message delivery at their exact event times, whitewash
+//! re-joins allocate fresh identities, and loss models swap at
+//! partition/heal boundaries.
 //!
 //! Two execution modes share the same schedule:
 //!
@@ -24,7 +25,7 @@
 //! [`DynamicsEvent`]; higher layers drain those to react (e.g. reset
 //! the reputation state of a whitewashed identity).
 
-use crate::churn::{ChurnConfig, ChurnEvent, ChurnProcess, NodeLifecycle};
+use crate::churn::ChurnConfig;
 use crate::network::Network;
 use crate::partition::{GroupMap, PartitionedLoss, RegionalLatency};
 use crate::rng::SimRng;
@@ -60,6 +61,32 @@ impl PartitionWindow {
             cross_loss: 1.0,
             intra_loss: 0.0,
         }
+    }
+
+    /// Validates a schedule of windows: each splits into at least 2
+    /// groups, ends after it starts and has both loss probabilities in
+    /// `[0, 1]` (NaN rejected); the windows are chronological and
+    /// non-overlapping. The one rule set for every layer that takes a
+    /// window list ([`DynamicsPlan::partitions`], the service config).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first invalid window.
+    pub fn validate_schedule(windows: &[PartitionWindow]) -> Result<(), String> {
+        let mut previous_end = SimTime::ZERO;
+        for (i, window) in windows.iter().enumerate() {
+            window
+                .validate()
+                .map_err(|e| format!("partition {i}: {e}"))?;
+            if window.start < previous_end {
+                return Err(format!(
+                    "partition {i} overlaps its predecessor \
+                     (windows must be sorted and non-overlapping)"
+                ));
+            }
+            previous_end = window.end;
+        }
+        Ok(())
     }
 
     fn validate(&self) -> Result<(), String> {
@@ -173,16 +200,7 @@ impl DynamicsPlan {
         if self.initial_offline > 0.0 && self.churn.is_none() {
             return Err("initial_offline requires churn (offline nodes could never join)".into());
         }
-        let mut previous_end = SimTime::ZERO;
-        for (i, window) in self.partitions.iter().enumerate() {
-            window
-                .validate()
-                .map_err(|e| format!("partition {i}: {e}"))?;
-            if i > 0 && window.start < previous_end {
-                return Err(format!("partition {i} overlaps its predecessor"));
-            }
-            previous_end = window.end;
-        }
+        PartitionWindow::validate_schedule(&self.partitions)?;
         if let Some(regions) = &self.regions {
             regions.validate()?;
         }
@@ -202,16 +220,32 @@ impl DynamicsPlan {
     /// and floods in as the (short) downtimes elapse, then churns with
     /// the given mean session length.
     pub fn flash_crowd(mean_session: SimDuration, mean_downtime: SimDuration) -> Self {
-        DynamicsPlan {
-            churn: Some(ChurnConfig {
-                mean_session,
-                mean_downtime,
-                whitewash_probability: 0.0,
-                crash_fraction: 0.3,
-            }),
-            initial_offline: 0.75,
-            ..Default::default()
+        Self::churning(0.75, mean_session, mean_downtime, 0.0, 0.3)
+    }
+
+    /// Preset: steady availability churn — in steady state a fraction
+    /// `p` of the population is offline at any instant. Sessions last
+    /// one `round` on average and downtimes `p / (1 − p)` rounds
+    /// ([`SimDuration::MAX`], i.e. never back, at `p = 1`), and a
+    /// fraction `p` starts offline so the run begins in steady state.
+    /// Whether a node is offline one round and the next are correlated
+    /// by `e^(−1/p)` (about 0.04 at `p = 0.3`). `p = 0` is the static
+    /// plan; a `p` outside `[0, 1]` (or NaN) yields a plan that fails
+    /// [`DynamicsPlan::validate`].
+    pub fn steady_offline(p: f64, round: SimDuration) -> Self {
+        if p == 0.0 {
+            return DynamicsPlan::default();
         }
+        let mean_downtime = if p >= 1.0 {
+            SimDuration::MAX
+        } else if p > 0.0 {
+            round
+                .mul_f64(p / (1.0 - p))
+                .max(SimDuration::from_micros(1))
+        } else {
+            round // p < 0 or NaN: `initial_offline` fails validation
+        };
+        Self::churning(p, round, mean_downtime, 0.0, 0.0)
     }
 
     /// Preset: one clean two-way split over `[start, end)`, healing at
@@ -261,28 +295,31 @@ impl DynamicsPlan {
     /// [`DynamicsPlan::flash_crowd`] and aimed squarely at the
     /// membership overlay's join path.
     pub fn bootstrap_storm(mean_session: SimDuration, mean_downtime: SimDuration) -> Self {
-        DynamicsPlan {
-            churn: Some(ChurnConfig {
-                mean_session,
-                mean_downtime,
-                whitewash_probability: 0.0,
-                crash_fraction: 0.3,
-            }),
-            initial_offline: 0.95,
-            ..Default::default()
-        }
+        Self::churning(0.95, mean_session, mean_downtime, 0.0, 0.3)
     }
 
     /// Preset: a whitewash economy — sessions end often and 80 % of
     /// re-joins come back under a fresh identity, shedding history.
     pub fn whitewash_attack(mean_session: SimDuration, mean_downtime: SimDuration) -> Self {
+        Self::churning(0.0, mean_session, mean_downtime, 0.8, 0.5)
+    }
+
+    /// A churn-only plan: the shape every churn preset shares.
+    fn churning(
+        initial_offline: f64,
+        mean_session: SimDuration,
+        mean_downtime: SimDuration,
+        whitewash_probability: f64,
+        crash_fraction: f64,
+    ) -> Self {
         DynamicsPlan {
             churn: Some(ChurnConfig {
                 mean_session,
                 mean_downtime,
-                whitewash_probability: 0.8,
-                crash_fraction: 0.5,
+                whitewash_probability,
+                crash_fraction,
             }),
+            initial_offline,
             ..Default::default()
         }
     }
@@ -340,17 +377,15 @@ pub enum DynamicsEvent {
 pub struct DynamicsRuntime {
     plan: DynamicsPlan,
     n: usize,
-    churn: Option<ChurnProcess>,
-    lifecycle: NodeLifecycle,
+    /// Draws the initial offline coins, then every churn transition.
+    rng: SimRng,
     /// slot → identity currently bound to it.
     identity: Vec<NodeId>,
     next_identity: u32,
-    /// Per-slot next transition time ([`SimTime::MAX`] = none).
-    next_at: Vec<SimTime>,
     /// Per-slot pending transition, sampled when it was scheduled.
-    pending: Vec<Option<ChurnEvent>>,
-    /// Min-heap of (time, seq, slot); stale entries (time no longer
-    /// matching `next_at[slot]`) are skipped on pop.
+    pending: Vec<Option<DynamicsEvent>>,
+    /// Min-heap of (time, seq, slot), at most one entry per slot: a
+    /// slot's next transition is scheduled only once its last fired.
     schedule: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
     schedule_seq: u64,
     online: Vec<bool>,
@@ -390,32 +425,8 @@ impl DynamicsRuntime {
             }
         }
         let online_count = online.iter().filter(|&&o| o).count();
-        let mut lifecycle = NodeLifecycle::new();
-        let mut churn = plan.churn.clone().map(|c| ChurnProcess::new(c, rng));
-        let mut next_at = vec![SimTime::MAX; n];
-        let mut pending: Vec<Option<ChurnEvent>> = vec![None; n];
-        let mut schedule = BinaryHeap::new();
-        let mut schedule_seq = 0u64;
         // tsn-lint: allow(no-unwrap, "plan validation bounds the population well below u32::MAX before a runtime exists")
-        let mut next_identity = u32::try_from(n).expect("population fits u32");
-        for slot in 0..n {
-            let id = NodeId::from_index(slot);
-            lifecycle.register(id);
-            if !online[slot] {
-                lifecycle.apply(ChurnEvent::Leave(id));
-            }
-            if let Some(churn) = churn.as_mut() {
-                let (delay, event) =
-                    churn.next_transition(id, online[slot], || allocate(&mut next_identity));
-                let at = SimTime::ZERO + delay;
-                if at < SimTime::MAX {
-                    next_at[slot] = at;
-                    pending[slot] = Some(event);
-                    schedule.push(Reverse((at, schedule_seq, slot)));
-                    schedule_seq += 1;
-                }
-            }
-        }
+        let next_identity = u32::try_from(n).expect("population fits u32");
         let mut outage_steps: Vec<(SimTime, usize, bool)> = Vec::new();
         for outage in &plan.outages {
             if outage.node.index() >= n {
@@ -427,17 +438,15 @@ impl DynamicsRuntime {
             }
         }
         outage_steps.sort_by_key(|&(at, _, _)| at);
-        Ok(DynamicsRuntime {
+        let mut runtime = DynamicsRuntime {
             plan,
             n,
-            churn,
-            lifecycle,
+            rng,
             identity: (0..n).map(NodeId::from_index).collect(),
             next_identity,
-            next_at,
-            pending,
-            schedule,
-            schedule_seq,
+            pending: vec![None; n],
+            schedule: BinaryHeap::new(),
+            schedule_seq: 0,
             online,
             online_count,
             window_cursor: 0,
@@ -447,7 +456,11 @@ impl DynamicsRuntime {
             active_map: None,
             displaced_loss: None,
             events: Vec::new(),
-        })
+        };
+        for slot in 0..n {
+            runtime.schedule_next(slot, SimTime::ZERO);
+        }
+        Ok(runtime)
     }
 
     /// The plan being executed.
@@ -518,7 +531,7 @@ impl DynamicsRuntime {
 
     fn advance_inner(&mut self, mut network: Option<&mut Network>, to: SimTime) {
         loop {
-            let boundary = self.next_boundary().map(|(t, _)| t);
+            let boundary = self.next_boundary();
             let outage = self
                 .outage_steps
                 .get(self.outage_cursor)
@@ -529,14 +542,10 @@ impl DynamicsRuntime {
             // at time t frees traffic before anything revives at t,
             // and a targeted outage overrides a same-instant churn
             // event.
-            let mut best: Option<(SimTime, u8)> = None;
-            for (candidate, kind) in [(boundary, 0u8), (outage, 1), (transition, 2)] {
-                if let Some(t) = candidate {
-                    if best.is_none_or(|(bt, _)| t < bt) {
-                        best = Some((t, kind));
-                    }
-                }
-            }
+            let best = [(boundary, 0u8), (outage, 1), (transition, 2)]
+                .into_iter()
+                .filter_map(|(t, kind)| Some((t?, kind)))
+                .min();
             let Some((at, kind)) = best else {
                 break;
             };
@@ -564,46 +573,45 @@ impl DynamicsRuntime {
     fn apply_outage(&mut self, network: Option<&mut Network>, at: SimTime) {
         let (_, slot, goes_down) = self.outage_steps[self.outage_cursor];
         self.outage_cursor += 1;
-        let now_online = !goes_down;
-        if self.online[slot] == now_online {
+        if !self.set_online(network, slot, !goes_down) {
             return;
         }
-        let identity = self.identity[slot];
+        let slot = NodeId::from_index(slot);
         let event = if goes_down {
-            ChurnEvent::Crash(identity)
+            DynamicsEvent::Crash { slot }
         } else {
-            ChurnEvent::Rejoin(identity)
+            DynamicsEvent::Rejoin { slot }
         };
-        self.lifecycle.apply(event);
+        self.events.push((at, event));
+    }
+
+    /// Moves a slot to `now_online`, mirroring the change onto the
+    /// network when one is attached. Returns whether the state changed
+    /// (`false`: the slot already was there, nothing happened).
+    fn set_online(&mut self, network: Option<&mut Network>, slot: usize, now_online: bool) -> bool {
+        if self.online[slot] == now_online {
+            return false;
+        }
         self.online[slot] = now_online;
         if now_online {
             self.online_count += 1;
         } else {
             self.online_count -= 1;
         }
-        let slot_id = NodeId::from_index(slot);
         if let Some(network) = network {
-            network.set_alive(slot_id, now_online);
+            network.set_alive(NodeId::from_index(slot), now_online);
         }
-        let public = if goes_down {
-            DynamicsEvent::Crash { slot: slot_id }
-        } else {
-            DynamicsEvent::Rejoin { slot: slot_id }
-        };
-        self.events.push((at, public));
+        true
     }
 
-    /// The next partition start/heal time, if any. The bool is `true`
-    /// for a start.
-    fn next_boundary(&self) -> Option<(SimTime, bool)> {
-        if self.in_window {
-            Some((self.plan.partitions[self.window_cursor].end, false))
+    /// The next partition start or heal time, if any.
+    fn next_boundary(&self) -> Option<SimTime> {
+        let window = self.plan.partitions.get(self.window_cursor)?;
+        Some(if self.in_window {
+            window.end
         } else {
-            self.plan
-                .partitions
-                .get(self.window_cursor)
-                .map(|w| (w.start, true))
-        }
+            window.start
+        })
     }
 
     fn apply_boundary(&mut self, network: Option<&mut Network>, at: SimTime) {
@@ -641,65 +649,90 @@ impl DynamicsRuntime {
     }
 
     fn apply_transition(&mut self, network: Option<&mut Network>, at: SimTime) {
-        // Pop the heap entry that triggered this call, skipping stale
-        // ones (a slot rescheduled since the entry was pushed).
-        let slot = loop {
-            let Some(Reverse((t, _, slot))) = self.schedule.pop() else {
-                return;
-            };
-            if self.next_at[slot] == t {
-                break slot;
-            }
+        let Some(Reverse((_, _, slot))) = self.schedule.pop() else {
+            return;
         };
         let event = self.pending[slot]
             .take()
             // tsn-lint: allow(no-unwrap, "heap entries and pending events are inserted together; the popped slot still holds its event")
             .expect("scheduled slot has a pending event");
-        self.lifecycle.apply(event);
-        let slot_id = NodeId::from_index(slot);
-        let now_online = event.online_identity().is_some();
-        if now_online != self.online[slot] {
-            self.online[slot] = now_online;
-            if now_online {
-                self.online_count += 1;
-            } else {
-                self.online_count -= 1;
-            }
-            if let Some(network) = network {
-                network.set_alive(slot_id, now_online);
-            }
-        }
-        let public = match event {
-            ChurnEvent::Leave(_) => DynamicsEvent::Leave { slot: slot_id },
-            ChurnEvent::Crash(_) => DynamicsEvent::Crash { slot: slot_id },
-            ChurnEvent::Rejoin(_) => DynamicsEvent::Rejoin { slot: slot_id },
-            ChurnEvent::Whitewash(old, new) => {
+        let now_online = match event {
+            DynamicsEvent::Whitewash { new, .. } => {
                 self.identity[slot] = new;
-                DynamicsEvent::Whitewash {
-                    slot: slot_id,
-                    old,
-                    new,
-                }
+                true
             }
+            DynamicsEvent::Rejoin { .. } => true,
+            _ => false,
         };
-        self.events.push((at, public));
-        // Schedule the slot's next transition; a time saturated onto
-        // the infinite horizon never fires.
-        let churn = self
-            .churn
-            .as_mut()
-            // tsn-lint: allow(no-unwrap, "transition times are only scheduled when a churn model is configured")
-            .expect("transitions only exist with churn");
-        let next_identity = &mut self.next_identity;
-        let (delay, next_event) =
-            churn.next_transition(self.identity[slot], now_online, || allocate(next_identity));
-        let next_time = at + delay;
-        self.next_at[slot] = next_time;
-        if next_time < SimTime::MAX {
-            self.pending[slot] = Some(next_event);
-            self.schedule
-                .push(Reverse((next_time, self.schedule_seq, slot)));
+        self.set_online(network, slot, now_online);
+        self.events.push((at, event));
+        self.schedule_next(slot, at);
+    }
+
+    /// Samples the slot's next churn transition from its current state
+    /// and schedules it at `from` plus the sampled delay; a time
+    /// saturated onto the infinite horizon never fires. No-op without a
+    /// churn model.
+    fn schedule_next(&mut self, slot: usize, from: SimTime) {
+        let Some(churn) = self.plan.churn else {
+            return;
+        };
+        let (delay, event) = if self.online[slot] {
+            self.sample_departure(&churn, slot)
+        } else {
+            self.sample_return(&churn, slot)
+        };
+        let at = from + delay;
+        if at < SimTime::MAX {
+            self.pending[slot] = Some(event);
+            self.schedule.push(Reverse((at, self.schedule_seq, slot)));
             self.schedule_seq += 1;
+        }
+    }
+
+    /// How long an online slot stays up (exponential session), then
+    /// whether it leaves by crashing (the crash coin).
+    fn sample_departure(
+        &mut self,
+        churn: &ChurnConfig,
+        slot: usize,
+    ) -> (SimDuration, DynamicsEvent) {
+        let session = self.sample_exp(churn.mean_session);
+        let slot = NodeId::from_index(slot);
+        let event = if self.rng.gen_bool(churn.crash_fraction) {
+            DynamicsEvent::Crash { slot }
+        } else {
+            DynamicsEvent::Leave { slot }
+        };
+        (session, event)
+    }
+
+    /// How long an offline slot stays down (exponential downtime), then
+    /// whether it returns under a fresh identity (the whitewash coin).
+    /// The fresh identity is allocated now, when the return is
+    /// scheduled, so identities are numbered in scheduling order.
+    fn sample_return(&mut self, churn: &ChurnConfig, slot: usize) -> (SimDuration, DynamicsEvent) {
+        let downtime = self.sample_exp(churn.mean_downtime);
+        let old = self.identity[slot];
+        let slot = NodeId::from_index(slot);
+        let event = if self.rng.gen_bool(churn.whitewash_probability) {
+            let new = NodeId(self.next_identity);
+            self.next_identity += 1;
+            DynamicsEvent::Whitewash { slot, old, new }
+        } else {
+            DynamicsEvent::Rejoin { slot }
+        };
+        (downtime, event)
+    }
+
+    /// An exponential sample of the given mean; a [`SimDuration::MAX`]
+    /// mean is the "never" horizon, not a very long average.
+    fn sample_exp(&mut self, mean: SimDuration) -> SimDuration {
+        let sample = self.rng.gen_exp(1.0 / mean.as_secs_f64());
+        if mean == SimDuration::MAX {
+            SimDuration::MAX
+        } else {
+            SimDuration::from_secs_f64(sample)
         }
     }
 
@@ -729,11 +762,6 @@ impl DynamicsRuntime {
     /// Identities ever allocated (slots plus whitewash reincarnations).
     pub fn identity_count(&self) -> usize {
         self.next_identity as usize
-    }
-
-    /// The whitewash genealogy and per-identity online state.
-    pub fn lifecycle(&self) -> &NodeLifecycle {
-        &self.lifecycle
     }
 
     /// Whether a partition window is currently active.
@@ -773,12 +801,6 @@ impl DynamicsRuntime {
     pub fn take_events(&mut self) -> Vec<(SimTime, DynamicsEvent)> {
         std::mem::take(&mut self.events)
     }
-}
-
-fn allocate(next_identity: &mut u32) -> NodeId {
-    let id = NodeId(*next_identity);
-    *next_identity += 1;
-    id
 }
 
 #[cfg(test)]
@@ -912,14 +934,32 @@ mod tests {
             !whitewashes.is_empty(),
             "80% whitewash probability over 20s"
         );
+        // The genealogy, derived from the events alone: each `old` is
+        // the slot's previous identity, and following `new → old`
+        // links from any identity ends at an original slot.
+        let mut current: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
+        let mut predecessor = std::collections::HashMap::new();
         for &(slot, old, new) in &whitewashes {
             assert!(new.index() >= n, "fresh identities sit beyond the slots");
-            assert_eq!(runtime.lifecycle().whitewashed_from(new), Some(old));
-            assert!(
-                runtime.lifecycle().root_identity(new).index() < n,
-                "chains root at an original slot"
+            assert_eq!(
+                old,
+                current[slot.index()],
+                "old is the slot's previous identity"
             );
-            let _ = slot;
+            current[slot.index()] = new;
+            predecessor.insert(new, old);
+        }
+        assert_eq!(
+            current,
+            runtime.identities(),
+            "the runtime binds the last identity"
+        );
+        for &(_, _, new) in &whitewashes {
+            let mut root = new;
+            while let Some(&prev) = predecessor.get(&root) {
+                root = prev;
+            }
+            assert!(root.index() < n, "chains root at an original slot");
         }
         // Every distinct new identity is allocated exactly once.
         let mut fresh: Vec<u32> = whitewashes.iter().map(|&(_, _, new)| new.0).collect();
@@ -933,6 +973,51 @@ mod tests {
         // Identities are allocated when the return is *scheduled*, so
         // the count covers fired whitewashes plus any still pending.
         assert!(runtime.identity_count() >= n + fresh.len());
+    }
+
+    #[test]
+    fn steady_offline_holds_the_offline_fraction() {
+        let round = SimDuration::from_secs(3600);
+        let n = 400;
+        let rounds = 200u64;
+        for p in [0.2, 0.5] {
+            let plan = DynamicsPlan::steady_offline(p, round);
+            let mut runtime = DynamicsRuntime::new(plan, n, SimRng::seed_from_u64(30)).unwrap();
+            let mut offline = 0.0;
+            for r in 0..rounds {
+                runtime.advance_detached(SimTime::ZERO + round.mul_f64(r as f64));
+                offline += 1.0 - runtime.availability();
+            }
+            let mean = offline / rounds as f64;
+            assert!((mean - p).abs() <= 0.03, "p = {p}: mean offline {mean}");
+        }
+
+        // p = 1: everyone starts offline and no node ever rejoins.
+        let plan = DynamicsPlan::steady_offline(1.0, round);
+        let mut runtime = DynamicsRuntime::new(plan, n, SimRng::seed_from_u64(31)).unwrap();
+        runtime.advance_detached(SimTime::ZERO + round.mul_f64(rounds as f64));
+        assert_eq!(runtime.availability(), 0.0);
+        assert!(
+            runtime.events().is_empty(),
+            "{:?}",
+            runtime.events().first()
+        );
+    }
+
+    #[test]
+    fn steady_offline_edge_probabilities() {
+        let round = SimDuration::from_secs(3600);
+        assert!(DynamicsPlan::steady_offline(0.0, round).is_static());
+        for (p, valid) in [
+            (1.0, true),
+            (1e-300, true),
+            (-0.1, false),
+            (1.5, false),
+            (f64::NAN, false),
+        ] {
+            let plan = DynamicsPlan::steady_offline(p, round);
+            assert_eq!(plan.validate().is_ok(), valid, "p = {p}");
+        }
     }
 
     #[test]

@@ -16,13 +16,14 @@
 //! * **message-passing** — nodes ([`NodeId`]) exchange [`Envelope`]s through
 //!   a [`Network`] that applies a pluggable [`LatencyModel`] and
 //!   [`LossModel`];
-//! * **churn-aware** — the [`churn`] module drives joins, leaves, crashes
-//!   and whitewashing re-joins, the lifecycle vocabulary of the reputation
-//!   literature the paper builds on;
+//! * **churn-aware** — a [`ChurnConfig`] (the [`churn`] module)
+//!   parameterizes joins, leaves, crashes and whitewashing re-joins,
+//!   the lifecycle vocabulary of the reputation literature the paper
+//!   builds on;
 //! * **dynamic** — a [`DynamicsPlan`] composes churn, scheduled
 //!   partitions and regional latency into one schedule that a
-//!   [`DynamicsRuntime`] executes against the network on the sim clock
-//!   (see the [`dynamics`] module);
+//!   [`DynamicsRuntime`] samples and executes against the network on
+//!   the sim clock (see the [`dynamics`] module);
 //! * **fault-injectable** — a [`FaultPlan`] schedules message, process
 //!   and storage faults deterministically from the seed, executed by a
 //!   [`FaultInjector`] attached to the network and to the service's
@@ -65,9 +66,8 @@ pub mod pool;
 pub mod rng;
 pub mod streams;
 pub mod time;
-pub mod trace;
 
-pub use churn::{ChurnConfig, ChurnEvent, ChurnProcess, NodeLifecycle};
+pub use churn::ChurnConfig;
 pub use codec::{ByteReader, ByteWriter};
 pub use dynamics::{DynamicsEvent, DynamicsPlan, DynamicsRuntime, PartitionWindow, RegionPlan};
 pub use faults::{
@@ -81,14 +81,13 @@ pub use membership::{
     MembershipConfig, MembershipRuntime, PartialView, ShuffleStats, ViewEntry, MEMBERSHIP_SEED_SALT,
 };
 pub use message::{Envelope, MessageId, Payload, Tag};
-pub use metrics::{Counter, Histogram, MetricSet};
+pub use metrics::Counter;
 pub use network::{DeliveryOutcome, Network, NetworkConfig, NetworkStats};
 pub use partition::{GroupMap, PartitionedLoss, RegionalLatency};
 pub use pool::BufferPool;
 pub use rng::SimRng;
 pub use streams::{StreamDomain, StreamFamily};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceKind, TraceLog};
 
 /// Identifier of a simulated node (participant / peer).
 ///

@@ -1,10 +1,6 @@
-//! Lightweight metric primitives used across the workspace.
-//!
-//! The simulator and every experiment binary report through these types, so
-//! EXPERIMENTS.md rows come from one consistent implementation (means,
-//! quantiles, counters) rather than ad-hoc arithmetic in each binary.
+//! Metric primitives of the simulator: the [`Counter`] behind the
+//! network's [`NetworkStats`](crate::NetworkStats).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A monotonically increasing counter.
@@ -42,166 +38,6 @@ impl fmt::Display for Counter {
     }
 }
 
-/// A streaming histogram of `f64` samples.
-///
-/// Keeps every sample (experiments here are small enough); provides mean,
-/// variance, and exact quantiles. Samples must be finite.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Histogram {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a sample. Non-finite samples are ignored (and counted
-    /// nowhere); experiment code treats NaN as "no observation".
-    pub fn record(&mut self, sample: f64) {
-        if sample.is_finite() {
-            self.samples.push(sample);
-            self.sorted = false;
-        }
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Arithmetic mean, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-        }
-    }
-
-    /// Population standard deviation, or `None` if empty.
-    pub fn std_dev(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var = self.samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>()
-            / self.samples.len() as f64;
-        Some(var.sqrt())
-    }
-
-    /// Minimum sample.
-    pub fn min(&self) -> Option<f64> {
-        self.samples.iter().copied().reduce(f64::min)
-    }
-
-    /// Maximum sample.
-    pub fn max(&self) -> Option<f64> {
-        self.samples.iter().copied().reduce(f64::max)
-    }
-
-    /// Exact quantile by nearest-rank, `q` in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.samples.is_empty() {
-            return None;
-        }
-        if !self.sorted {
-            self.samples.sort_by(|a, b| a.total_cmp(b));
-            self.sorted = true;
-        }
-        let rank = ((q * self.samples.len() as f64).ceil() as usize).clamp(1, self.samples.len());
-        Some(self.samples[rank - 1])
-    }
-
-    /// Immutable view of the raw samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-}
-
-/// A named bag of counters and histograms.
-///
-/// Keys are `&'static str` by convention (`"msg.sent"`, `"interaction.ok"`).
-#[derive(Debug, Clone, Default)]
-pub struct MetricSet {
-    counters: BTreeMap<String, Counter>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments the named counter, creating it on first use.
-    pub fn incr(&mut self, name: &str) {
-        self.counters.entry(name.to_owned()).or_default().incr();
-    }
-
-    /// Adds `n` to the named counter.
-    pub fn add(&mut self, name: &str, n: u64) {
-        self.counters.entry(name.to_owned()).or_default().add(n);
-    }
-
-    /// Records a sample in the named histogram.
-    pub fn record(&mut self, name: &str, sample: f64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .record(sample);
-    }
-
-    /// Value of a counter (zero if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).map_or(0, |c| c.value())
-    }
-
-    /// The named histogram, if any sample was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Mutable access (for quantiles, which sort lazily).
-    pub fn histogram_mut(&mut self, name: &str) -> Option<&mut Histogram> {
-        self.histograms.get_mut(name)
-    }
-
-    /// Iterates over counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), v.value()))
-    }
-
-    /// Iterates over histogram names in order.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
-    }
-
-    /// Merges another metric set into this one (counters add, samples
-    /// concatenate). Used to aggregate per-run metrics across Monte-Carlo
-    /// repetitions.
-    pub fn merge(&mut self, other: &MetricSet) {
-        for (k, v) in &other.counters {
-            self.counters.entry(k.clone()).or_default().add(v.value());
-        }
-        for (k, h) in &other.histograms {
-            let dst = self.histograms.entry(k.clone()).or_default();
-            for &s in h.samples() {
-                dst.record(s);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,92 +49,5 @@ mod tests {
         c.add(4);
         assert_eq!(c.value(), 5);
         assert_eq!(c.to_string(), "5");
-    }
-
-    #[test]
-    fn histogram_statistics() {
-        let mut h = Histogram::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            h.record(x);
-        }
-        assert_eq!(h.len(), 4);
-        assert_eq!(h.mean(), Some(2.5));
-        assert_eq!(h.min(), Some(1.0));
-        assert_eq!(h.max(), Some(4.0));
-        let sd = h.std_dev().unwrap();
-        assert!((sd - 1.118).abs() < 1e-3);
-    }
-
-    #[test]
-    fn histogram_quantiles_nearest_rank() {
-        let mut h = Histogram::new();
-        for x in 1..=100 {
-            h.record(x as f64);
-        }
-        assert_eq!(h.quantile(0.5), Some(50.0));
-        assert_eq!(h.quantile(0.99), Some(99.0));
-        assert_eq!(h.quantile(0.0), Some(1.0));
-        assert_eq!(h.quantile(1.0), Some(100.0));
-    }
-
-    #[test]
-    fn histogram_ignores_non_finite() {
-        let mut h = Histogram::new();
-        h.record(f64::NAN);
-        h.record(f64::INFINITY);
-        assert!(h.is_empty());
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.std_dev(), None);
-    }
-
-    #[test]
-    fn empty_histogram_quantile_is_none() {
-        let mut h = Histogram::new();
-        assert_eq!(h.quantile(0.5), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must be in [0,1]")]
-    fn quantile_out_of_range_panics() {
-        let mut h = Histogram::new();
-        h.record(1.0);
-        let _ = h.quantile(1.5);
-    }
-
-    #[test]
-    fn metric_set_counters_and_histograms() {
-        let mut m = MetricSet::new();
-        m.incr("a");
-        m.incr("a");
-        m.add("b", 10);
-        m.record("lat", 1.5);
-        assert_eq!(m.counter("a"), 2);
-        assert_eq!(m.counter("b"), 10);
-        assert_eq!(m.counter("absent"), 0);
-        assert_eq!(m.histogram("lat").unwrap().len(), 1);
-        assert!(m.histogram("absent").is_none());
-    }
-
-    #[test]
-    fn metric_set_merge_adds() {
-        let mut a = MetricSet::new();
-        a.incr("x");
-        a.record("h", 1.0);
-        let mut b = MetricSet::new();
-        b.add("x", 2);
-        b.record("h", 3.0);
-        a.merge(&b);
-        assert_eq!(a.counter("x"), 3);
-        assert_eq!(a.histogram("h").unwrap().len(), 2);
-        assert_eq!(a.histogram_mut("h").unwrap().quantile(1.0), Some(3.0));
-    }
-
-    #[test]
-    fn metric_set_iterates_in_name_order() {
-        let mut m = MetricSet::new();
-        m.incr("zeta");
-        m.incr("alpha");
-        let names: Vec<&str> = m.counters().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["alpha", "zeta"]);
     }
 }

@@ -17,15 +17,19 @@
 //! seed (e.g. the scenario engine hands `config.seed` to interaction
 //! streams but `config.seed ^ DYNAMICS_SALT` to the dynamics runtime),
 //! so the registry keys uniqueness on `(family, tag)`, not on the tag
-//! alone. Two historical tags — [`StreamDomain::ScenarioOffline`] and
-//! [`StreamDomain::ServiceRetry`] — share the raw value `1 << 62`; they
-//! are sound because one labels scenario-seed streams and the other
-//! driver-seed streams, and the registry documents exactly that instead
-//! of letting the overlap hide in two distant files.
+//! alone. The two historically untagged domains —
+//! [`StreamDomain::Interaction`] and [`StreamDomain::ServiceOp`] — share
+//! the raw tag `0`; they are sound because one labels scenario-seed
+//! streams and the other driver-seed streams, and the registry
+//! documents exactly that instead of letting the overlap hide in two
+//! distant files.
 //!
 //! Tag values are frozen: they are part of the reproducibility
 //! contract (goldens, BENCH fingerprints, torture replays), so a new
-//! domain takes a fresh value and an existing one never changes.
+//! domain takes a fresh value and an existing one never changes — not
+//! even when its only user is gone ([`StreamDomain::ServiceRetry`]
+//! keeps `1 << 62`, which it once shared with a retired scenario
+//! domain).
 
 /// The seed namespace a stream label lives in. Labels are unique per
 /// family; see the [module docs](self).
@@ -54,9 +58,6 @@ pub enum StreamDomain {
     /// Per-(round, node) interaction streams of the scenario engine's
     /// sharded path. Low bits: `(round << 32) | node`.
     Interaction,
-    /// Per-round offline coin flips of the scenario engine's sharded
-    /// path. Low bits: `round`.
-    ScenarioOffline,
     /// Per-(epoch, node) op streams of the service driver. Low bits:
     /// `(epoch << 32) | node`.
     ServiceOp,
@@ -83,9 +84,8 @@ pub enum StreamDomain {
 
 impl StreamDomain {
     /// Every registered domain, for exhaustive collision checks.
-    pub const ALL: [StreamDomain; 9] = [
+    pub const ALL: [StreamDomain; 8] = [
         StreamDomain::Interaction,
-        StreamDomain::ScenarioOffline,
         StreamDomain::ServiceOp,
         StreamDomain::ServiceQuality,
         StreamDomain::ServiceRetry,
@@ -98,7 +98,7 @@ impl StreamDomain {
     /// The seed family this domain draws under.
     pub const fn family(self) -> StreamFamily {
         match self {
-            StreamDomain::Interaction | StreamDomain::ScenarioOffline => StreamFamily::Scenario,
+            StreamDomain::Interaction => StreamFamily::Scenario,
             StreamDomain::ServiceOp | StreamDomain::ServiceQuality | StreamDomain::ServiceRetry => {
                 StreamFamily::Service
             }
@@ -116,7 +116,6 @@ impl StreamDomain {
             // Historically untagged: the per-(round,node) /
             // per-(epoch,node) coordinates *are* the label.
             StreamDomain::Interaction | StreamDomain::ServiceOp => 0,
-            StreamDomain::ScenarioOffline => 1 << 62,
             StreamDomain::ServiceQuality => 1 << 61,
             StreamDomain::ServiceRetry => 1 << 62,
             StreamDomain::FaultMessage => 0x7A00_0000_0000_0000,
@@ -176,7 +175,6 @@ mod tests {
         // These values are load-bearing for golden / replay stability;
         // a renumbering must fail loudly.
         assert_eq!(StreamDomain::Interaction.tag(), 0);
-        assert_eq!(StreamDomain::ScenarioOffline.tag(), 1 << 62);
         assert_eq!(StreamDomain::ServiceQuality.tag(), 1 << 61);
         assert_eq!(StreamDomain::ServiceRetry.tag(), 1 << 62);
         assert_eq!(StreamDomain::FaultMessage.tag(), 0x7A00_0000_0000_0000);
@@ -185,7 +183,7 @@ mod tests {
 
     #[test]
     fn stream_matches_raw_call() {
-        let mut a = StreamDomain::ScenarioOffline.stream(42, 7);
+        let mut a = StreamDomain::ServiceRetry.stream(42, 7);
         let mut b = crate::SimRng::stream(42, (1 << 62) | 7);
         for _ in 0..8 {
             assert_eq!(a.next_u64(), b.next_u64());
@@ -196,12 +194,12 @@ mod tests {
     fn same_tag_different_family_is_documented_not_accidental() {
         // The one intentional raw-tag overlap in the workspace.
         assert_eq!(
-            StreamDomain::ScenarioOffline.tag(),
-            StreamDomain::ServiceRetry.tag()
+            StreamDomain::Interaction.tag(),
+            StreamDomain::ServiceOp.tag()
         );
         assert_ne!(
-            StreamDomain::ScenarioOffline.family(),
-            StreamDomain::ServiceRetry.family()
+            StreamDomain::Interaction.family(),
+            StreamDomain::ServiceOp.family()
         );
     }
 }

@@ -78,7 +78,9 @@ common flags:
 scenario flags:
   --mechanism none|beta|eigentrust|powertrust|trustme
   --disclosure 0..4   --malicious 0.0..1.0
-  --policies permissive|mixed|strict   --churn 0.0..1.0   --adaptive
+  --policies permissive|mixed|strict   --adaptive
+  --churn 0.0..1.0  steady availability churn: that fraction of users
+                    is offline each round (one-round mean sessions)
   --progress K   print a progress line every K rounds
 peer-sampling flags (scenario + serve):
   --peer-sampling   draw partners from bounded partial views kept fresh

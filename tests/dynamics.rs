@@ -323,9 +323,9 @@ fn detached_scenario_and_protocol_runtime_share_one_schedule() {
 
 #[test]
 fn runtime_with_saturated_transitions_terminates_without_spurious_events() {
-    // Regression guard for the saturation path: glacial churn means
-    // (SimDuration::MAX) make `from_secs_f64` saturate almost every
-    // sampled transition onto SimTime::MAX. Those saturated steps must
+    // Regression guard for the saturation path: `SimDuration::MAX`
+    // churn means put every sampled transition on SimTime::MAX (the
+    // "never" horizon). Those saturated steps must
     // never fire — advancing to the horizon terminates instead of
     // spinning on MAX-timestamped schedule entries, and no event is
     // fabricated at the horizon itself.

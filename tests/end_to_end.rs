@@ -90,36 +90,3 @@ fn facade_prelude_reexports_work() {
     let recomputed = metric.trust(&outcome.facets);
     assert!((recomputed - outcome.global_trust).abs() < 1e-12);
 }
-
-#[test]
-fn churn_module_composes_with_lifecycle() {
-    use tsn::simnet::{ChurnConfig, ChurnEvent, ChurnProcess, NodeLifecycle, SimDuration};
-    let config = ChurnConfig {
-        mean_session: SimDuration::from_secs(100),
-        mean_downtime: SimDuration::from_secs(50),
-        whitewash_probability: 1.0,
-        crash_fraction: 0.0,
-    };
-    let mut process = ChurnProcess::new(config, SimRng::seed_from_u64(5));
-    let mut lifecycle = NodeLifecycle::new();
-    let mut next_id = 10u32;
-    lifecycle.register(tsn::simnet::NodeId(0));
-
-    let (_, departure) = process.next_departure(tsn::simnet::NodeId(0));
-    lifecycle.apply(departure);
-    assert!(!lifecycle.is_online(tsn::simnet::NodeId(0)));
-
-    let (_, ret) = process.next_return(tsn::simnet::NodeId(0), || {
-        let id = tsn::simnet::NodeId(next_id);
-        next_id += 1;
-        id
-    });
-    lifecycle.apply(ret);
-    match ret {
-        ChurnEvent::Whitewash(old, new) => {
-            assert_eq!(lifecycle.root_identity(new), old);
-            assert!(lifecycle.is_online(new));
-        }
-        other => panic!("whitewash_probability = 1.0 must whitewash, got {other:?}"),
-    }
-}

@@ -13,8 +13,15 @@
 //! serial scenario loop was folded into the sharded round engine: they
 //! pin the single-engine round semantics (scores, served counters and
 //! cross-node leak flags as of round start; one RNG stream per
-//! `(round, node)`). The gossip goldens predate that change. To
-//! regenerate after an *intentional* semantic change:
+//! `(round, node)`). The gossip goldens predate that change.
+//! `eigentrust_adaptive_churn.txt` was regenerated once more, alone,
+//! when `ScenarioBuilder::churn(p)` stopped drawing i.i.d. per-round
+//! offline coin flips and became the `DynamicsPlan::steady_offline`
+//! preset executed by the dynamics runtime: the same offline fraction,
+//! drawn from session churn instead. `dynamics_events.txt` pins the
+//! dynamics runtime's full `(time, event)` stream; it was generated
+//! before the churn sampler moved into the runtime and must never
+//! move. To regenerate after an *intentional* semantic change:
 //!
 //! ```text
 //! GOLDEN_REGEN=1 cargo test --test equivalence
@@ -30,8 +37,8 @@ use tsn_graph::generators;
 use tsn_protocol::{GossipConfig, GossipNetwork};
 use tsn_reputation::{AnonymizationConfig, MechanismKind, SelectionPolicy};
 use tsn_simnet::{
-    latency::ConstantLatency, BernoulliLoss, Network, NetworkConfig, NoLoss, NodeId, SimDuration,
-    SimRng,
+    latency::ConstantLatency, BernoulliLoss, ChurnConfig, DynamicsPlan, DynamicsRuntime, Network,
+    NetworkConfig, NoLoss, NodeId, PartitionWindow, SimDuration, SimRng, SimTime,
 };
 
 use std::fmt::Write as _;
@@ -340,6 +347,88 @@ fn gossip_steady_state_recycles_every_field_buffer() {
         fresh <= 2 * n as u64 + 2,
         "cold-start allocations stay within the working-set bound: {fresh}"
     );
+}
+
+/// The dynamics fixtures: every churn-bearing preset, a targeted relay
+/// outage racing session churn, and a lossy three-way split racing a
+/// whitewash economy (exercises the boundary/outage/churn tie order).
+fn dynamics_fixtures() -> Vec<(&'static str, DynamicsPlan)> {
+    let secs = SimDuration::from_secs;
+    let at = SimTime::from_secs;
+    let mut outage = DynamicsPlan::relay_outage(8, at(3), at(9));
+    outage.churn = Some(ChurnConfig {
+        mean_session: secs(6),
+        mean_downtime: secs(2),
+        whitewash_probability: 0.2,
+        crash_fraction: 0.4,
+    });
+    let mut split = DynamicsPlan::whitewash_attack(secs(8), secs(3));
+    split.partitions = vec![PartitionWindow {
+        cross_loss: 0.5,
+        ..PartitionWindow::full_split(at(4), at(10), 3)
+    }];
+    vec![
+        (
+            "whitewash_attack",
+            DynamicsPlan::whitewash_attack(secs(8), secs(3)),
+        ),
+        ("flash_crowd", DynamicsPlan::flash_crowd(secs(10), secs(2))),
+        ("relay_outage", outage),
+        ("split_window", split),
+    ]
+}
+
+/// The runtime's full `(time, event)` stream over 15 s of 500 ms
+/// steps, with the availability and identity count after each step.
+/// `attached` drives a real [`Network`] through `advance`; otherwise
+/// the same schedule runs through `advance_detached`.
+fn dynamics_stream(plan: &DynamicsPlan, seed: u64, attached: bool) -> String {
+    let n = 200;
+    let mut runtime =
+        DynamicsRuntime::new(plan.clone(), n, SimRng::seed_from_u64(seed)).expect("valid plan");
+    let mut network = Network::new(NetworkConfig::default(), SimRng::seed_from_u64(1));
+    for _ in 0..n {
+        network.add_node();
+    }
+    if attached {
+        runtime.install(&mut network);
+    }
+    let mut s = String::new();
+    for step in 1..=30u64 {
+        let to = SimTime::from_millis(step * 500);
+        if attached {
+            runtime.advance(&mut network, to);
+            network.advance_to(to);
+        } else {
+            runtime.advance_detached(to);
+        }
+        for (at, event) in runtime.events() {
+            let _ = writeln!(s, "{} {event:?}", at.as_micros());
+        }
+        runtime.clear_events();
+        let _ = writeln!(
+            s,
+            "step {step} availability={} identities={}",
+            format_f64(runtime.availability()),
+            runtime.identity_count()
+        );
+    }
+    s
+}
+
+#[test]
+fn dynamics_event_stream_matches_golden() {
+    let mut golden = String::new();
+    for (seed, (name, plan)) in (2026..).zip(dynamics_fixtures()) {
+        let attached = dynamics_stream(&plan, seed, true);
+        assert_eq!(
+            attached,
+            dynamics_stream(&plan, seed, false),
+            "{name}: attached and detached execution diverged"
+        );
+        let _ = writeln!(golden, "# {name}\n{attached}");
+    }
+    check_golden("dynamics_events", &golden);
 }
 
 #[test]

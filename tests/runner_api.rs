@@ -14,7 +14,7 @@ fn builder_rejects_bad_knobs_with_field_names() {
     for (builder, field) in [
         (ScenarioBuilder::new().nodes(3), "nodes"),
         (ScenarioBuilder::new().rounds(0), "rounds"),
-        (ScenarioBuilder::new().churn(2.0), "churn_offline"),
+        (ScenarioBuilder::new().churn(2.0), "dynamics"),
         (
             ScenarioBuilder::new().leak_probability(1.5),
             "leak_probability",

@@ -62,8 +62,9 @@ fn fingerprint(o: &ScenarioOutcome) -> String {
 }
 
 /// A small but adversarial base: malicious raters (ballot stuffing),
-/// traitors (clock betrayal), coin-flip churn and adaptive disclosure —
-/// every code path the shard phase defers to the merge barrier.
+/// traitors (clock betrayal), steady availability churn and adaptive
+/// disclosure — every code path the shard phase defers to the merge
+/// barrier.
 fn base() -> ScenarioBuilder {
     ScenarioBuilder::small()
         .seed(7101)
