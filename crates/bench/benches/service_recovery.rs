@@ -4,7 +4,7 @@
 //! Emits `BENCH_service_recovery.json`; `BENCH_CHECK=1` gates against
 //! the committed baseline.
 //!
-//! Four lanes:
+//! Five lanes:
 //!
 //! * `journal/append` — per-op cost of the write-ahead journal (frame +
 //!   CRC + copy): the tax every acknowledged operation pays when a
@@ -13,6 +13,10 @@
 //!   (framing walk + CRC verify + decode), the first half of replay.
 //! * `recovery/restore_checkpoint` — decoding a warm service's
 //!   checkpoint (per-section CRC verify included).
+//! * `checkpoint/write` — [`ServiceHost::checkpoint_now`] on the same
+//!   warm state: encode plus the post-write grading (one walk that
+//!   CRCs every section and reads the replay cursor), the per-member
+//!   cost of every checkpointing epoch boundary.
 //! * `recovery/crash_restart` — the whole outage: drop the volatile
 //!   service, restore the newest checkpoint, replay the journal
 //!   suffix. This is the number a "recovery time objective" budget
@@ -108,7 +112,21 @@ fn main() {
     println!("checkpoint restore: median {:?}", result.median);
     suite.record(result);
 
-    // ── Lane 4: the whole outage, crash to serving ──────────────────
+    // ── Lane 4: checkpoint write (encode + grade) ───────────────────
+    // Rewrites the newest generation's state each sample; the ring and
+    // the newest checkpoint that lane 5 restores from stay equivalent.
+    let at = host.service().expect("warm host is up").now();
+    let result = Bench::new("checkpoint")
+        .samples(5)
+        .warmup(1)
+        .run("write", || {
+            host.checkpoint_now(at).expect("snapshot-capable mechanism");
+            host.stats().checkpoints_written
+        });
+    println!("checkpoint write: median {:?}", result.median);
+    suite.record(result);
+
+    // ── Lane 5: the whole outage, crash to serving ──────────────────
     // Stage a suffix past the newest checkpoint first: real crashes
     // rarely land exactly on a checkpoint, so the restart should pay
     // for a journal-tail replay too.

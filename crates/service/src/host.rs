@@ -52,7 +52,7 @@
 use crate::event::ServiceOp;
 use crate::journal::{EventJournal, JournalRecord, DEFAULT_SEGMENT_BYTES};
 use crate::service::{
-    checkpoint_cursor, checkpoint_sections, ExposureQueryResult, IngestOutcome, ServiceConfig,
+    checkpoint_sections, cursor_in, ExposureQueryResult, IngestOutcome, ServiceConfig,
     TrustQueryResult, TrustService,
 };
 use tsn_simnet::{FaultInjector, FaultTarget, NodeId, SimDuration, SimTime};
@@ -234,11 +234,14 @@ pub struct StoredCheckpoint {
 }
 
 /// Grades freshly stored checkpoint bytes: the embedded replay cursor
-/// and whether every section CRC holds.
+/// and whether every section CRC holds. One walk of the section table
+/// (one CRC pass) yields both.
 fn grade_checkpoint(bytes: &[u8]) -> (u64, bool) {
-    let intact = checkpoint_sections(bytes).is_ok_and(|s| s.iter().all(|x| x.crc_ok));
-    match checkpoint_cursor(bytes) {
-        Ok(cursor) => (cursor, intact),
+    let Ok(sections) = checkpoint_sections(bytes) else {
+        return (0, false);
+    };
+    match cursor_in(bytes, &sections) {
+        Ok(cursor) => (cursor, sections.iter().all(|s| s.crc_ok)),
         Err(_) => (0, false),
     }
 }
@@ -985,6 +988,64 @@ mod tests {
         assert_eq!(h.stats().recoveries, 1);
         assert_eq!(h.stats().degraded_queries, 1);
         assert_eq!(h.stats().unavailable_rejections, 2);
+    }
+
+    #[test]
+    fn one_walk_checkpoint_grading_matches_the_two_walk_composition() {
+        use crate::service::{checkpoint_cursor, CHECKPOINT_SECTIONS};
+        // The grader as two separate walks: the section table's CRCs,
+        // then a second walk for the cursor.
+        fn two_walks(bytes: &[u8]) -> (u64, bool) {
+            let intact = checkpoint_sections(bytes).is_ok_and(|s| s.iter().all(|x| x.crc_ok));
+            match checkpoint_cursor(bytes) {
+                Ok(cursor) => (cursor, intact),
+                Err(_) => (0, false),
+            }
+        }
+        let check = |bytes: &[u8]| {
+            let graded = grade_checkpoint(bytes);
+            assert_eq!(graded, two_walks(bytes), "input of {} bytes", bytes.len());
+            graded
+        };
+
+        // Staged events, committed samples and a non-zero cursor, so
+        // every section has a payload.
+        let mut h = host();
+        h.apply(&ingest(0, 1, 1)).unwrap();
+        h.apply(&ingest(1, 2, 12)).unwrap(); // auto-checkpoint
+        h.apply(&ingest(2, 3, 14)).unwrap();
+        h.checkpoint_now(SimTime::from_secs(15)).unwrap();
+        let bytes = h.stored_checkpoints().last().unwrap().bytes.clone();
+        let (cursor, intact) = check(&bytes);
+        assert!(intact && cursor > 0, "a clean write grades intact");
+
+        let sections = checkpoint_sections(&bytes).unwrap();
+        assert_eq!(sections.len(), CHECKPOINT_SECTIONS.len());
+        for s in &sections {
+            assert!(s.len > 0, "section '{}' has a payload to flip", s.name);
+            let mut rotted = bytes.clone();
+            rotted[s.offset + s.len / 2] ^= 0x04;
+            let expected = if s.name == "clock" {
+                (0, false)
+            } else {
+                (cursor, false)
+            };
+            assert_eq!(check(&rotted), expected, "flip in section '{}'", s.name);
+            // Truncated at the section's start (before its CRC word),
+            // at its payload, and at its end.
+            for cut in [s.offset - 12, s.offset, s.offset + s.len] {
+                if cut < bytes.len() {
+                    assert_eq!(check(&bytes[..cut]), (0, false), "cut at {cut}");
+                }
+            }
+        }
+
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert_eq!(check(&trailing), (0, false));
+        let mut bad_magic = bytes;
+        bad_magic[8] ^= 0xFF; // first magic byte, after the length prefix
+        assert_eq!(check(&bad_magic), (0, false));
     }
 
     #[test]

@@ -135,12 +135,17 @@ pub fn checkpoint_sections(bytes: &[u8]) -> Result<Vec<CheckpointSection>, Strin
 /// section; a caller that gets an error must treat the checkpoint's
 /// cursor as unknown (i.e. keep the whole journal).
 pub fn checkpoint_cursor(bytes: &[u8]) -> Result<u64, String> {
-    let sections = checkpoint_sections(bytes)?;
+    cursor_in(bytes, &checkpoint_sections(bytes)?)
+}
+
+/// [`checkpoint_cursor`] over an already-walked section table, so a
+/// caller that needs both the table and the cursor walks (and CRCs)
+/// the checkpoint once.
+pub(crate) fn cursor_in(bytes: &[u8], sections: &[CheckpointSection]) -> Result<u64, String> {
     let clock = sections
         .iter()
         .find(|s| s.name == "clock")
-        // tsn-lint: allow(no-unwrap, "checkpoint_sections validated the section table, and the const table always lists the clock")
-        .expect("the section table always lists the clock");
+        .ok_or("checkpoint section table has no 'clock' section")?;
     if !clock.crc_ok {
         return Err("checkpoint section 'clock' is corrupt".into());
     }
@@ -987,35 +992,24 @@ impl TrustService {
     /// Rejects wrong magic, unknown versions, truncation and trailing
     /// garbage; a CRC mismatch or decode failure is reported **naming
     /// the corrupt section**, so a recovery layer can log what was hit
-    /// and fall back to an older checkpoint.
+    /// and fall back to an older checkpoint. A config whose node count
+    /// disagrees with the exposure section's length is rejected before
+    /// anything is allocated for that many nodes.
     pub fn restore_with_cursor(bytes: &[u8]) -> Result<(TrustService, u64), String> {
-        let mut r = ByteReader::new(bytes);
-        r.set_context("header");
-        if r.take_bytes()? != CHECKPOINT_MAGIC {
-            return Err("not a TrustService checkpoint (bad magic)".into());
-        }
-        let version = r.take_u32()?;
-        if version != CHECKPOINT_VERSION {
-            return Err(format!(
-                "unsupported checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
-            ));
-        }
-        let section = |r: &mut ByteReader, name: &'static str| -> Result<Vec<u8>, String> {
-            r.set_context(name);
-            let stored = r.take_u32()?;
-            let payload = r.take_bytes()?;
-            let computed = crc32(payload);
-            if computed != stored {
-                return Err(format!(
-                    "checkpoint section '{name}' is corrupt \
-                     (stored crc {stored:08x}, computed {computed:08x})"
-                ));
+        // One framing walk (magic, version, truncation, trailing
+        // garbage, every section CRC); decoding below borrows payloads.
+        let sections = checkpoint_sections(bytes)?;
+        let section = |name: &'static str| -> Result<&[u8], String> {
+            match sections.iter().find(|s| s.name == name) {
+                Some(s) if s.crc_ok => Ok(&bytes[s.offset..s.offset + s.len]),
+                _ => Err(format!(
+                    "checkpoint section '{name}' is corrupt (crc mismatch)"
+                )),
             }
-            Ok(payload.to_vec())
         };
 
-        let config_bytes = section(&mut r, "config")?;
-        let mut c = ByteReader::new(&config_bytes);
+        let config_bytes = section("config")?;
+        let mut c = ByteReader::new(config_bytes);
         c.set_context("config");
         let nodes = c.take_u64()? as usize;
         let mechanism = kind_from_tag(c.take_u8()?)?;
@@ -1050,6 +1044,17 @@ impl TrustService {
             }
         };
         section_drained(&c, "config")?;
+        // The exposure section holds two u64 counters per node, so its
+        // (CRC-checked, input-bounded) length pins the population. Check
+        // it before `TrustService::new` sizes anything by `nodes`.
+        let exposure_bytes = section("exposure")?;
+        let exposure_len = exposure_bytes.len();
+        if nodes.checked_mul(16) != Some(exposure_len) {
+            return Err(format!(
+                "checkpoint section 'config' declares {nodes} nodes, \
+                 but section 'exposure' holds {exposure_len} bytes (16 per node)"
+            ));
+        }
         let config = ServiceConfig {
             nodes,
             mechanism,
@@ -1063,8 +1068,8 @@ impl TrustService {
         };
         let mut service = TrustService::new(config)?;
 
-        let clock_bytes = section(&mut r, "clock")?;
-        let mut c = ByteReader::new(&clock_bytes);
+        let clock_bytes = section("clock")?;
+        let mut c = ByteReader::new(clock_bytes);
         c.set_context("clock");
         service.now = SimTime::from_micros(c.take_u64()?);
         service.as_of = SimTime::from_micros(c.take_u64()?);
@@ -1073,8 +1078,8 @@ impl TrustService {
         let journal_cursor = c.take_u64()?;
         section_drained(&c, "clock")?;
 
-        let stats_bytes = section(&mut r, "stats")?;
-        let mut c = ByteReader::new(&stats_bytes);
+        let stats_bytes = section("stats")?;
+        let mut c = ByteReader::new(stats_bytes);
         c.set_context("stats");
         service.stats = ServiceStats {
             ingested: c.take_u64()?,
@@ -1085,8 +1090,8 @@ impl TrustService {
         };
         section_drained(&c, "stats")?;
 
-        let staged_bytes = section(&mut r, "staged")?;
-        let mut c = ByteReader::new(&staged_bytes);
+        let staged_bytes = section("staged")?;
+        let mut c = ByteReader::new(staged_bytes);
         c.set_context("staged");
         let staged_count = c.take_seq_len(13)?;
         for _ in 0..staged_count {
@@ -1094,8 +1099,7 @@ impl TrustService {
         }
         section_drained(&c, "staged")?;
 
-        let exposure_bytes = section(&mut r, "exposure")?;
-        let mut c = ByteReader::new(&exposure_bytes);
+        let mut c = ByteReader::new(exposure_bytes);
         c.set_context("exposure");
         for cell in service.exposure.iter_mut() {
             cell.disclosures = c.take_u64()?;
@@ -1103,8 +1107,8 @@ impl TrustService {
         }
         section_drained(&c, "exposure")?;
 
-        let samples_bytes = section(&mut r, "samples")?;
-        let mut c = ByteReader::new(&samples_bytes);
+        let samples_bytes = section("samples")?;
+        let mut c = ByteReader::new(samples_bytes);
         c.set_context("samples");
         let sample_count = c.take_seq_len(40)?;
         for _ in 0..sample_count {
@@ -1118,15 +1122,12 @@ impl TrustService {
         }
         section_drained(&c, "samples")?;
 
-        let mechanism_bytes = section(&mut r, "mechanism")?;
+        let mechanism_bytes = section("mechanism")?;
         service
             .mechanism
-            .restore_state(&mechanism_bytes)
+            .restore_state(mechanism_bytes)
             .map_err(|e| format!("checkpoint section 'mechanism' is corrupt: {e}"))?;
 
-        if !r.is_empty() {
-            return Err(format!("checkpoint has {} trailing bytes", r.remaining()));
-        }
         Ok((service, journal_cursor))
     }
 }
@@ -1383,6 +1384,32 @@ mod tests {
         assert!(TrustService::restore(&wrong_version)
             .unwrap_err()
             .contains("version"),);
+    }
+
+    #[test]
+    fn checkpoint_declaring_more_nodes_than_its_exposure_holds_is_rejected() {
+        let mut service = small_service();
+        service.ingest(interaction(0, 1, true, 1)).unwrap();
+        let mut bytes = service.checkpoint().unwrap();
+        let config = checkpoint_sections(&bytes).unwrap()[0];
+        assert_eq!(config.name, "config");
+        // Re-encode `nodes` (the payload's first u64) and re-seal the
+        // section's CRC (the u32 ahead of its u64 length prefix), so
+        // only the cross-check stands between restore and a 2^33-node
+        // allocation.
+        let payload = config.offset..config.offset + config.len;
+        bytes[config.offset..config.offset + 8].copy_from_slice(&(1u64 << 33).to_le_bytes());
+        let crc = crc32(&bytes[payload]);
+        bytes[config.offset - 12..config.offset - 8].copy_from_slice(&crc.to_le_bytes());
+        assert!(checkpoint_sections(&bytes)
+            .unwrap()
+            .iter()
+            .all(|s| s.crc_ok));
+        let err = TrustService::restore(&bytes).unwrap_err();
+        assert!(
+            err.contains("'config'") && err.contains("'exposure'"),
+            "{err}"
+        );
     }
 
     #[test]
