@@ -82,14 +82,12 @@ fn run_whitewash(
                 .expect("chosen from list")];
             let provider = NodeId::from_index(provider_slot);
             let outcome = population.interact(provider, consumer, &mut rng);
-            tried += 1;
-            if outcome.is_success() && !population.is_adversarial(consumer) {
-                ok += 1;
-            } else if !population.is_adversarial(consumer) {
-                // count tried only for honest consumers
-            }
-            if population.is_adversarial(consumer) {
-                tried -= 1; // honest-consumer metric only
+            // Honest-consumer metric only.
+            if !population.is_adversarial(consumer) {
+                tried += 1;
+                if outcome.is_success() {
+                    ok += 1;
+                }
             }
             let mut report = population.feedback(consumer, provider, outcome, SimTime::ZERO, None);
             // Reports are filed under *current* identities.

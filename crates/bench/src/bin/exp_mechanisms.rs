@@ -2,15 +2,15 @@
 //! success rate and mechanism power for every implemented mechanism as
 //! the malicious fraction grows — the standard evaluation of the
 //! reputation literature the paper builds on (EigenTrust §5, PowerTrust
-//! §6), run on the tsn substrate.
+//! §6), run on the scenario engine with permissive privacy policies (no
+//! request is denied) and full feedback disclosure.
 //!
 //! Run: `cargo run --release -p tsn-bench --bin exp_mechanisms`
 
 use tsn_bench::{emit, mean};
 use tsn_core::report::{ExperimentRow, ExperimentTable};
-use tsn_reputation::{
-    testbed::run_testbed, MechanismKind, PopulationConfig, SelectionPolicy, TestbedConfig,
-};
+use tsn_core::{PolicyProfile, ScenarioBuilder};
+use tsn_reputation::{MechanismKind, SelectionPolicy};
 
 fn main() {
     let fractions = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
@@ -36,22 +36,22 @@ fn main() {
             let mut s = Vec::new();
             let mut p = Vec::new();
             for seed in 0..seeds {
-                let config = TestbedConfig {
-                    nodes: 100,
-                    rounds: 30,
-                    population: PopulationConfig::with_malicious(malicious),
-                    mechanism,
-                    selection: if mechanism == MechanismKind::None {
+                let outcome = ScenarioBuilder::new()
+                    .nodes(100)
+                    .rounds(30)
+                    .policy_profile(PolicyProfile::Permissive)
+                    .malicious_fraction(malicious)
+                    .mechanism(mechanism)
+                    .selection(if mechanism == MechanismKind::None {
                         SelectionPolicy::Random
                     } else {
                         SelectionPolicy::Proportional { sharpness: 2.0 }
-                    },
-                    seed: 4000 + seed,
-                    ..Default::default()
-                };
-                let summary = run_testbed(config).expect("valid config");
-                s.push(summary.honest_success_rate);
-                p.push(summary.power.consistency);
+                    })
+                    .seed(4000 + seed)
+                    .run()
+                    .expect("valid config");
+                s.push(outcome.honest_success_rate);
+                p.push(outcome.power.consistency);
             }
             success_cells.push(mean(s));
             power_cells.push(mean(p));

@@ -1,7 +1,7 @@
 //! Shared helpers for the experiment binaries that regenerate the
 //! paper's figures (see DESIGN.md §5 for the experiment index and
-//! EXPERIMENTS.md for recorded paper-vs-measured outcomes), plus the
-//! dependency-free micro-benchmark harness used by `benches/`.
+//! their reproduction checks), plus the dependency-free micro-benchmark
+//! harness used by `benches/`.
 
 #![forbid(unsafe_code)]
 
@@ -17,8 +17,8 @@ pub fn experiment_base(seed: u64) -> ScenarioBuilder {
     ScenarioBuilder::experiment(seed)
 }
 
-/// Prints a table to stdout in both human and JSON form, the contract
-/// EXPERIMENTS.md rows are quoted from.
+/// Prints a table to stdout in both human and JSON form, the
+/// machine-readable contract of DESIGN.md §5.
 pub fn emit(table: &ExperimentTable) {
     println!("{}", table.render());
     println!("JSON {}", table.to_json());

@@ -22,7 +22,7 @@
 //!   maximize trust under applicative constraints, including the Area-A
 //!   region extraction of Figure 2 (left);
 //! * [`report`] — experiment-row structures shared by the `tsn-bench`
-//!   binaries and EXPERIMENTS.md.
+//!   binaries (the experiment index is DESIGN.md §5).
 //!
 //! ## Quick example
 //!
@@ -49,7 +49,6 @@ pub mod prelude;
 pub mod report;
 pub mod runner;
 pub mod scenario;
-mod steal;
 pub mod trust;
 
 pub use config::{PolicyProfile, ScenarioConfig};

@@ -1,7 +1,7 @@
 //! Experiment-row structures and table rendering shared by the
 //! `tsn-bench` binaries, so every figure regeneration prints rows in one
-//! consistent, machine-checkable format (and EXPERIMENTS.md quotes them
-//! verbatim).
+//! consistent, machine-checkable format (the experiment index is
+//! DESIGN.md §5).
 
 use crate::json::JsonValue;
 use std::borrow::Cow;

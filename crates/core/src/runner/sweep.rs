@@ -17,9 +17,9 @@ use crate::json::{format_f64, JsonValue};
 use crate::report::{csv_field, ExperimentRow, ExperimentTable};
 use crate::runner::{DisclosureLevel, ScenarioBuilder, ValidationError};
 use crate::scenario::{run_scenario, ScenarioOutcome};
-use crate::steal::for_each_chunk_mut;
 use std::collections::BTreeMap;
 use tsn_reputation::MechanismKind;
+use tsn_simnet::steal::for_each_chunk_mut;
 
 /// A declared sweep: a base configuration plus the dimensions to vary.
 ///

@@ -28,7 +28,6 @@
 use crate::config::ScenarioConfig;
 use crate::facets::FacetScores;
 use crate::runner::{Observer, ValidationError};
-use crate::steal::for_each_chunk_mut;
 use crate::trust::TrustMetric;
 use tsn_graph::{generators, Graph, InterestProfile, InterestSpace};
 use tsn_privacy::enforcement::RequestContext;
@@ -47,8 +46,8 @@ use tsn_satisfaction::{
     ProviderIntentions, SatisfactionTracker,
 };
 use tsn_simnet::{
-    DynamicsEvent, DynamicsRuntime, GroupMap, MembershipRuntime, NodeId, PartialView, SimDuration,
-    SimRng, SimTime, StreamDomain, MEMBERSHIP_SEED_SALT,
+    steal::for_each_chunk_mut, DynamicsEvent, DynamicsRuntime, GroupMap, MembershipRuntime, NodeId,
+    PartialView, SimDuration, SimRng, SimTime, StreamDomain, MEMBERSHIP_SEED_SALT,
 };
 
 /// Virtual time one scenario round spans (the interaction loop models
@@ -133,6 +132,10 @@ pub struct ScenarioOutcome {
     pub mean_willingness: f64,
     /// Fraction of content requests denied by privacy enforcement.
     pub denial_rate: f64,
+    /// Success rate of the requests honest consumers made (a denied
+    /// request counts as a failed try) — the headline number of the
+    /// EigenTrust-style mechanism-under-attack evaluation.
+    pub honest_success_rate: f64,
     /// Total interactions attempted.
     pub interactions: u64,
     /// Total protocol messages.
@@ -241,6 +244,8 @@ struct ShardCounters {
     round_tried: u64,
     round_reports: u64,
     round_isolated: u64,
+    honest_ok: u64,
+    honest_tried: u64,
 }
 
 /// A deferred disclosure-ledger entry. Shards cannot touch the shared
@@ -372,6 +377,7 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
             continue;
         }
         let consumer = NodeId::from_index(consumer_idx);
+        let honest = !ctx.population.is_adversarial(consumer);
         let mut rng = interaction_stream(ctx.config.seed, ctx.round, consumer_idx);
         for _ in 0..ctx.config.interactions_per_node {
             candidates.clear();
@@ -444,15 +450,15 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
                 outbox.counters.interactions += 1;
                 outbox.counters.messages += 1; // content response
                 outbox.counters.round_tried += 1;
+                outbox.counters.honest_tried += honest as u64;
                 if outcome.is_success() {
                     outbox.counters.round_ok += 1;
+                    outbox.counters.honest_ok += honest as u64;
                 }
                 outcome_quality = outcome.value();
 
                 // Malicious consumers leak what they were granted.
-                if ctx.population.is_adversarial(consumer)
-                    && rng.gen_bool(ctx.config.leak_probability)
-                {
+                if !honest && rng.gen_bool(ctx.config.leak_probability) {
                     outbox.ledger.push(LedgerEvent::Breach {
                         owner: provider,
                         recipient: consumer,
@@ -470,8 +476,7 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
                 // is their goal. The report is staged and reaches the
                 // mechanism at the merge barrier.
                 let willing = user.willingness_level;
-                let adversarial_rater = ctx.population.is_adversarial(consumer);
-                if adversarial_rater || willing >= ctx.config.disclosure_level {
+                if !honest || willing >= ctx.config.disclosure_level {
                     let mut report = ctx
                         .population
                         .feedback(consumer, provider, outcome, ctx.now, None);
@@ -484,7 +489,7 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
                     // false reports arrive amplified; every extra
                     // disclosed field improves duplicate detection, and
                     // identity eliminates the attack entirely.
-                    let copies = if !ctx.system_policy.rater_identity && adversarial_rater {
+                    let copies = if !ctx.system_policy.rater_identity && !honest {
                         ctx.config
                             .ballot_stuffing_factor
                             .saturating_sub(ctx.config.disclosure_level)
@@ -500,6 +505,7 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
             } else {
                 outbox.counters.denials += 1;
                 outbox.counters.round_tried += 1;
+                outbox.counters.honest_tried += honest as u64;
                 outcome_quality = 0.0; // the consumer got nothing
             }
 
@@ -1036,6 +1042,11 @@ impl Scenario {
             } else {
                 totals.denials as f64 / totals.requests as f64
             },
+            honest_success_rate: if totals.honest_tried == 0 {
+                0.0
+            } else {
+                totals.honest_ok as f64 / totals.honest_tried as f64
+            },
             interactions: totals.interactions,
             messages: totals.messages,
             whitewashes: totals.whitewashes,
@@ -1066,6 +1077,8 @@ struct RunTotals {
     messages: u64,
     denials: u64,
     requests: u64,
+    honest_ok: u64,
+    honest_tried: u64,
     refresh_iterations: usize,
     whitewashes: u64,
 }
@@ -1126,6 +1139,8 @@ impl Scenario {
             messages: 0,
             denials: 0,
             requests: 0,
+            honest_ok: 0,
+            honest_tried: 0,
             refresh_iterations: 0,
             whitewashes: 0,
         };
@@ -1238,6 +1253,8 @@ impl Scenario {
             totals.denials += c.denials;
             totals.interactions += c.interactions;
             totals.messages += c.messages;
+            totals.honest_ok += c.honest_ok;
+            totals.honest_tried += c.honest_tried;
             ok += c.round_ok;
             tried += c.round_tried;
             reports_filed += c.round_reports;
@@ -1373,6 +1390,25 @@ mod tests {
         let low = mean_rep(0);
         let high = mean_rep(4);
         assert!(high > low, "more shared info → more power: {high} vs {low}");
+
+        // An anonymization layer on top of full disclosure costs power too.
+        let consistency = |anonymization| {
+            let mut c = small(4);
+            c.population = PopulationConfig::with_malicious(0.3);
+            c.policy_profile = PolicyProfile::Permissive;
+            c.mechanism = MechanismKind::Beta;
+            c.anonymization = anonymization;
+            run_scenario(c).unwrap().power.consistency
+        };
+        let clean = consistency(None);
+        let anonymized = consistency(Some(tsn_reputation::AnonymizationConfig {
+            strip_probability: 1.0,
+            flip_probability: 0.3,
+        }));
+        assert!(
+            clean > anonymized,
+            "clean {clean} vs anonymized {anonymized}"
+        );
     }
 
     #[test]
@@ -1404,8 +1440,16 @@ mod tests {
         let mut honest = small(6);
         honest.population = PopulationConfig::with_malicious(0.0);
         honest.leak_probability = 0.5;
+        honest.policy_profile = PolicyProfile::Permissive;
+        honest.mechanism = MechanismKind::TrustMe;
         let o = run_scenario(honest).unwrap();
         assert_eq!(o.user_breaches, 0, "no adversaries, no leaks");
+        // Nothing is denied or isolated, so every attempt interacts and
+        // files one report. TrustMe: 2 transport + (holders + 1) = 4
+        // overhead messages per interaction.
+        assert_eq!(o.interactions, 40 * 10 * 2);
+        assert_eq!(o.messages, o.interactions * 6);
+        assert!(o.honest_success_rate > 0.8, "{}", o.honest_success_rate);
     }
 
     #[test]

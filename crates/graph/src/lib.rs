@@ -16,8 +16,8 @@
 //!
 //! [`Graph`] is a compact undirected adjacency structure indexed by
 //! [`NodeId`]; [`metrics`] provides the structural measurements used by
-//! tests and EXPERIMENTS.md to verify each generator produces the shape it
-//! promises.
+//! tests and the experiments (DESIGN.md §5) to verify each generator
+//! produces the shape it promises.
 //!
 //! ```
 //! use tsn_graph::{generators, metrics};

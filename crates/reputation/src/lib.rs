@@ -21,8 +21,9 @@
 //! [`attack`] provides the adversary vocabulary (malicious, selfish,
 //! traitor, whitewasher, colluder) and [`accuracy`] measures mechanism
 //! *power* — reliability, efficiency, consistency with reality — which is
-//! the paper's "Reputation" axis. [`testbed`] runs the standard
-//! interaction loop used by experiments and benches.
+//! the paper's "Reputation" axis. The interaction loop that drives the
+//! mechanisms lives in `tsn-core`'s scenario engine, where the feedback
+//! first passes the privacy facet's disclosure ladder.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +38,6 @@ mod local_matrix;
 pub mod mechanism;
 pub mod powertrust;
 pub mod response;
-pub mod testbed;
 pub mod trustme;
 mod walk;
 
@@ -50,6 +50,5 @@ pub use gathering::{DisclosureField, DisclosurePolicy, FeedbackReport, ReportVie
 pub use mechanism::{build_mechanism, InteractionOutcome, MechanismKind, ReputationMechanism};
 pub use powertrust::{PowerTrust, PowerTrustConfig};
 pub use response::{SelectionPolicy, SelectionScratch};
-pub use testbed::{Testbed, TestbedConfig, TestbedSummary};
 pub use trustme::{TrustMe, TrustMeConfig};
 pub use tsn_simnet::NodeId;

@@ -18,7 +18,7 @@
 //! * deterministic accumulation order: results are bit-identical across
 //!   runs, processes and thread counts;
 //! * cheap clones: a handful of flat `Vec` copies instead of re-hashing
-//!   every entry (the testbed clones mechanisms per experiment arm).
+//!   every entry.
 
 /// A sparse row-major matrix of per-(rater, ratee) cells, sorted by
 /// ratee within each row.

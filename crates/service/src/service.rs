@@ -50,6 +50,7 @@ use tsn_reputation::{
     build_mechanism, DisclosurePolicy, FeedbackReport, MechanismKind, ReputationMechanism,
 };
 use tsn_simnet::codec::{crc32, ByteReader, ByteWriter};
+use tsn_simnet::steal::for_each_chunk_mut;
 use tsn_simnet::{GroupMap, MembershipConfig, NodeId, PartitionWindow, SimDuration, SimTime};
 
 /// Magic bytes opening every checkpoint.
@@ -535,56 +536,49 @@ impl TrustService {
         views.clear();
         let shards = self.effective_commit_shards();
         if shards > 1 && self.staged.len() >= shards * 2 {
-            // Per-shard staging: each worker builds the report views and
-            // disclosure deltas of one contiguous chunk independently
+            // Per-shard staging: workers claim contiguous chunks through
+            // the shared work-stealing helper and build each chunk's
+            // report views and disclosure deltas independently
             // (`DisclosurePolicy::view` is pure). The merge below
             // re-applies them in ascending shard order, so the final
             // view order is exactly the serial arrival order and the
             // commit is shard-count-invariant down to the bits.
             let chunk = self.staged.len().div_ceil(shards);
             let policy = self.policy;
-            let staged = &self.staged;
-            type ShardPart = (Vec<tsn_reputation::ReportView>, Vec<(usize, bool)>);
-            let mut parts: Vec<ShardPart> = Vec::with_capacity(shards);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = staged
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || {
-                            let mut shard_views = Vec::with_capacity(slice.len());
-                            let mut disclosures = Vec::new();
-                            for event in slice {
-                                match *event {
-                                    ServiceEvent::Interaction {
-                                        rater,
-                                        ratee,
-                                        outcome,
-                                        at,
-                                    } => {
-                                        shard_views.push(policy.view(&FeedbackReport {
-                                            rater,
-                                            ratee,
-                                            outcome,
-                                            topic: None,
-                                            at,
-                                        }));
-                                    }
-                                    ServiceEvent::Disclosure {
-                                        node, respected, ..
-                                    } => disclosures.push((node.index(), respected)),
-                                }
+            // One part per chunk: its events, their views, their
+            // (node, respected) disclosure deltas.
+            let mut parts: Vec<_> = self
+                .staged
+                .chunks(chunk)
+                .map(|slice| (slice, Vec::with_capacity(slice.len()), Vec::new()))
+                .collect();
+            for_each_chunk_mut(&mut parts, 1, shards, |_, claimed| {
+                for (slice, shard_views, disclosures) in claimed {
+                    for event in slice.iter() {
+                        match *event {
+                            ServiceEvent::Interaction {
+                                rater,
+                                ratee,
+                                outcome,
+                                at,
+                            } => {
+                                shard_views.push(policy.view(&FeedbackReport {
+                                    rater,
+                                    ratee,
+                                    outcome,
+                                    topic: None,
+                                    at,
+                                }));
                             }
-                            (shard_views, disclosures)
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    // tsn-lint: allow(no-unwrap, "join() re-raises a commit-shard worker panic on the coordinating thread; not a new failure mode")
-                    parts.push(handle.join().expect("commit shard worker panicked"));
+                            ServiceEvent::Disclosure {
+                                node, respected, ..
+                            } => disclosures.push((node.index(), respected)),
+                        }
+                    }
                 }
             });
             // Merge barrier, in ascending shard order.
-            for (shard_views, disclosures) in parts {
+            for (_, shard_views, disclosures) in parts {
                 views.extend(shard_views);
                 for (index, respected) in disclosures {
                     let cell = &mut self.exposure[index];

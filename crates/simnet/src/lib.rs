@@ -64,6 +64,7 @@ pub mod network;
 pub mod partition;
 pub mod pool;
 pub mod rng;
+pub mod steal;
 pub mod streams;
 pub mod time;
 

@@ -1,5 +1,6 @@
-//! The one work-stealing helper behind every parallel loop in this
-//! crate: the scenario's shard phase and the sweep runner's cells.
+//! The one work-stealing helper behind every parallel loop in the
+//! workspace: the scenario's shard phase, the sweep runner's cells and
+//! the trust service's per-shard commit staging.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -14,7 +15,7 @@ use std::sync::{Mutex, PoisonError};
 /// unevenly priced pieces balance out. Each piece goes to exactly one
 /// worker; results land in the items themselves, so nothing is merged
 /// after the join. A panic in `work` re-raises on the calling thread.
-pub(crate) fn for_each_chunk_mut<T: Send>(
+pub fn for_each_chunk_mut<T: Send>(
     items: &mut [T],
     chunk: usize,
     workers: usize,

@@ -1,15 +1,25 @@
 //! Attack resilience: how each reputation mechanism holds up as the
 //! malicious fraction grows — the classic EigenTrust-style evaluation,
-//! run on the tsn substrate (adversaries lie in feedback and collude).
+//! run on the scenario engine (adversaries lie in feedback and collude)
+//! with permissive privacy policies, so no request is denied.
 //!
 //! Run with:
 //! ```text
 //! cargo run --release --example attack_resilience
 //! ```
 
-use tsn::reputation::{
-    testbed::run_testbed, MechanismKind, PopulationConfig, SelectionPolicy, TestbedConfig,
-};
+use tsn::core::{PolicyProfile, ScenarioBuilder};
+use tsn::reputation::{MechanismKind, PopulationConfig, SelectionPolicy};
+
+/// 100 users, 30 rounds, permissive policies, full disclosure.
+fn base(mechanism: MechanismKind, seed: u64) -> ScenarioBuilder {
+    ScenarioBuilder::new()
+        .nodes(100)
+        .rounds(30)
+        .policy_profile(PolicyProfile::Permissive)
+        .mechanism(mechanism)
+        .seed(seed)
+}
 
 fn main() {
     println!("honest-consumer success rate vs malicious fraction");
@@ -27,20 +37,14 @@ fn main() {
             // Average three seeds so single runs don't mislead.
             let mut total = 0.0;
             for seed in 0..3 {
-                let config = TestbedConfig {
-                    nodes: 100,
-                    rounds: 30,
-                    population: PopulationConfig::with_malicious(malicious),
-                    mechanism,
-                    selection: if mechanism == MechanismKind::None {
+                total += base(mechanism, 1000 + seed)
+                    .malicious_fraction(malicious)
+                    .selection(if mechanism == MechanismKind::None {
                         SelectionPolicy::Random
                     } else {
                         SelectionPolicy::Proportional { sharpness: 2.0 }
-                    },
-                    seed: 1000 + seed,
-                    ..Default::default()
-                };
-                total += run_testbed(config)
+                    })
+                    .run()
                     .expect("valid config")
                     .honest_success_rate;
             }
@@ -55,26 +59,21 @@ fn main() {
         MechanismKind::EigenTrust,
         MechanismKind::TrustMe,
     ] {
-        let config = TestbedConfig {
-            nodes: 100,
-            rounds: 30,
-            population: PopulationConfig {
+        let outcome = base(mechanism, 99)
+            .population(PopulationConfig {
                 colluder: 0.3,
                 ring_size: 5,
                 ..Default::default()
-            },
-            mechanism,
-            pretrusted: 5,
-            seed: 99,
-            ..Default::default()
-        };
-        let summary = run_testbed(config).expect("valid config");
+            })
+            .pretrusted(5)
+            .run()
+            .expect("valid config");
         println!(
             "  {:<11} honest-success {:.3}  consistency {:.3}  adversary-detection {:.3}",
             mechanism.name(),
-            summary.honest_success_rate,
-            summary.power.consistency,
-            summary.power.reliability
+            outcome.honest_success_rate,
+            outcome.power.consistency,
+            outcome.power.reliability
         );
     }
 }

@@ -132,12 +132,17 @@ struct Flags<'a> {
 }
 
 impl<'a> Flags<'a> {
-    fn get(&self, key: &str) -> Option<&'a str> {
-        self.args
-            .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+    /// The value after `key`, or `None` when `key` is absent. A `key`
+    /// that is last, or followed by another `--flag`, is an error: it
+    /// must not silently fall back to the default.
+    fn get(&self, key: &str) -> Result<Option<&'a str>, String> {
+        let Some(i) = self.args.iter().position(|a| a == key) else {
+            return Ok(None);
+        };
+        match self.args.get(i + 1) {
+            Some(value) if !value.starts_with("--") => Ok(Some(value)),
+            _ => Err(format!("missing value for {key}")),
+        }
     }
 
     fn has(&self, key: &str) -> bool {
@@ -145,7 +150,7 @@ impl<'a> Flags<'a> {
     }
 
     fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
+        match self.get(key)? {
             None => Ok(default),
             Some(raw) => raw
                 .parse()
@@ -183,13 +188,13 @@ fn scenario_builder(flags: &Flags) -> Result<ScenarioBuilder, String> {
         .churn(flags.parse("--churn", 0.0)?)
         .malicious_fraction(flags.parse("--malicious", 0.2)?)
         .adaptive_disclosure(flags.has("--adaptive"));
-    if let Some(raw) = flags.get("--disclosure") {
+    if let Some(raw) = flags.get("--disclosure")? {
         builder = builder.disclosure(parse_disclosure(raw)?);
     }
-    if let Some(raw) = flags.get("--mechanism") {
+    if let Some(raw) = flags.get("--mechanism")? {
         builder = builder.mechanism(parse_mechanism(raw)?);
     }
-    if let Some(raw) = flags.get("--policies") {
+    if let Some(raw) = flags.get("--policies")? {
         builder = builder.policy_profile(parse_policies(raw)?);
     }
     if let Some(overlay) = membership_flags(flags)? {
@@ -205,8 +210,8 @@ fn scenario_builder(flags: &Flags) -> Result<ScenarioBuilder, String> {
 /// `--relays` tune the overlay (and imply `--peer-sampling`).
 fn membership_flags(flags: &Flags) -> Result<Option<MembershipConfig>, String> {
     let requested = flags.has("--peer-sampling")
-        || flags.get("--view-size").is_some()
-        || flags.get("--relays").is_some();
+        || flags.get("--view-size")?.is_some()
+        || flags.get("--relays")?.is_some();
     if !requested {
         return Ok(None);
     }
@@ -228,7 +233,7 @@ fn cmd_scenario(args: &[String]) -> Result<(), String> {
     let flags = Flags { args };
     let builder = scenario_builder(&flags)?;
     let config = builder.clone().build().map_err(|e| e.to_string())?;
-    let outcome = if let Some(every) = flags.get("--progress") {
+    let outcome = if let Some(every) = flags.get("--progress")? {
         let every: usize = every.parse().map_err(|_| "invalid value for --progress")?;
         let mut progress = ProgressPrinter::every(every);
         builder.run_observed(&mut [&mut progress])
@@ -309,7 +314,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         .all_profiles()
         .seeds((0..seeds_per_point).map(|i| seed.wrapping_add(i * 7919)));
 
-    let runner = match flags.get("--threads") {
+    let runner = match flags.get("--threads")? {
         Some(raw) => {
             let t: usize = raw.parse().map_err(|_| "invalid value for --threads")?;
             SweepRunner::with_threads(t)
@@ -429,10 +434,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         epoch: SimDuration::from_secs(epoch_secs),
         ..ServiceConfig::default()
     };
-    if let Some(raw) = flags.get("--mechanism") {
+    if let Some(raw) = flags.get("--mechanism")? {
         config.mechanism = parse_mechanism(raw)?;
     }
-    if let Some(raw) = flags.get("--disclosure") {
+    if let Some(raw) = flags.get("--disclosure")? {
         config.disclosure_level = parse_disclosure(raw)?.index();
     }
     // The overlay rides in the service config too, so checkpoints
@@ -440,12 +445,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     config.membership = membership_flags(&flags)?;
     let driver = ServiceDriver::new(driver_config(&flags, nodes)?)?;
     let replicas: usize = flags.parse("--replicas", 1usize)?;
-    if replicas > 1 || flags.get("--kill-primary-at").is_some() {
+    if replicas > 1 || flags.get("--kill-primary-at")?.is_some() {
         return serve_replicated(&flags, config, &driver, epochs, replicas.max(2));
     }
     let hosted = flags.has("--journal")
-        || flags.get("--crash-at").is_some()
-        || flags.get("--journal-dir").is_some();
+        || flags.get("--crash-at")?.is_some()
+        || flags.get("--journal-dir")?.is_some();
     if hosted {
         return serve_hosted(&flags, config, &driver, epochs);
     }
@@ -471,7 +476,7 @@ fn serve_hosted(
         ..HostConfig::default()
     };
     let mut host = ServiceHost::new(host_config)?;
-    if let Some(raw) = flags.get("--crash-at") {
+    if let Some(raw) = flags.get("--crash-at")? {
         let crash_at: u64 = raw
             .parse()
             .map_err(|_| format!("invalid value '{raw}' for --crash-at"))?;
@@ -533,7 +538,7 @@ fn serve_replicated(
     epochs: u64,
     replicas: usize,
 ) -> Result<(), String> {
-    if flags.get("--grace").is_some() {
+    if flags.get("--grace")?.is_some() {
         eprintln!("note: --grace is ignored with --replicas (members recover with zero grace)");
     }
     let host = HostConfig {
@@ -542,7 +547,7 @@ fn serve_replicated(
         ..HostConfig::default()
     };
     let mut set = ReplicaSet::new(ReplicaConfig { host, replicas })?;
-    if let Some(raw) = flags.get("--kill-primary-at") {
+    if let Some(raw) = flags.get("--kill-primary-at")? {
         let kill_at: u64 = raw
             .parse()
             .map_err(|_| format!("invalid value '{raw}' for --kill-primary-at"))?;
@@ -587,7 +592,7 @@ fn serve_replicated(
 /// journal manifest, every live segment, and the checkpoint ring —
 /// the storage `replay --from-checkpoint` re-hosts.
 fn persist_storage_flag(flags: &Flags, host: &ServiceHost) -> Result<(), String> {
-    let Some(dir) = flags.get("--journal-dir") else {
+    let Some(dir) = flags.get("--journal-dir")? else {
         return Ok(());
     };
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
@@ -612,7 +617,7 @@ fn persist_storage_flag(flags: &Flags, host: &ServiceHost) -> Result<(), String>
 
 /// Honors `--checkpoint FILE` after a serve run.
 fn write_checkpoint_flag(flags: &Flags, service: &TrustService) -> Result<(), String> {
-    if let Some(path) = flags.get("--checkpoint") {
+    if let Some(path) = flags.get("--checkpoint")? {
         let bytes = service.checkpoint()?;
         std::fs::write(path, &bytes)
             .map_err(|e| format!("cannot write checkpoint to {path}: {e}"))?;
@@ -627,7 +632,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         return replay_from_storage(&flags);
     }
     let path = flags
-        .get("--checkpoint")
+        .get("--checkpoint")?
         .ok_or("replay needs --checkpoint FILE (or --from-checkpoint --journal-dir DIR)")?;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read checkpoint {path}: {e}"))?;
     let (mut service, restored_path, restored_len) = match TrustService::restore(&bytes) {
@@ -644,7 +649,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
                     );
                 }
             }
-            let Some(fallback) = flags.get("--fallback") else {
+            let Some(fallback) = flags.get("--fallback")? else {
                 return Err(format!(
                     "cannot restore {path} and no --fallback checkpoint was given: {error}"
                 ));
@@ -710,7 +715,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
 /// scratch, then (with `--verify`) compare bits against a full replay.
 fn replay_from_storage(flags: &Flags) -> Result<(), String> {
     let dir = flags
-        .get("--journal-dir")
+        .get("--journal-dir")?
         .ok_or("replay --from-checkpoint needs --journal-dir DIR")?;
     let manifest_path = format!("{dir}/manifest.tsnm");
     let manifest = std::fs::read(&manifest_path)
@@ -738,10 +743,10 @@ fn replay_from_storage(flags: &Flags) -> Result<(), String> {
         epoch: SimDuration::from_secs(flags.parse("--epoch-secs", 60u64)?),
         ..ServiceConfig::default()
     };
-    if let Some(raw) = flags.get("--mechanism") {
+    if let Some(raw) = flags.get("--mechanism")? {
         config.mechanism = parse_mechanism(raw)?;
     }
-    if let Some(raw) = flags.get("--disclosure") {
+    if let Some(raw) = flags.get("--disclosure")? {
         config.disclosure_level = parse_disclosure(raw)?.index();
     }
     let host_config = HostConfig {
@@ -839,4 +844,34 @@ fn cmd_dynamics(args: &[String]) -> Result<(), String> {
     println!("  disclosure            = {:.4}", state.disclosure);
     println!("  privacy               = {:.4}", state.privacy);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_rejects_a_flag_without_its_value() {
+        let parse = |raw: &[&str], key: &str| {
+            let args: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
+            Flags { args: &args }.parse(key, 100usize)
+        };
+        assert_eq!(parse(&["--nodes", "12", "--json"], "--nodes"), Ok(12));
+        assert_eq!(parse(&["--nodes", "12"], "--rounds"), Ok(100));
+        assert_eq!(
+            parse(&["--nodes", "many"], "--nodes"),
+            Err("invalid value 'many' for --nodes".to_string())
+        );
+        for raw in [
+            &["--nodes"][..],
+            &["--nodes", "--json"],
+            &["--seed", "1", "--nodes"],
+        ] {
+            assert_eq!(
+                parse(raw, "--nodes"),
+                Err("missing value for --nodes".to_string()),
+                "{raw:?}"
+            );
+        }
+    }
 }

@@ -27,11 +27,12 @@ fn fingerprint(o: &ScenarioOutcome) -> String {
             .join(",")
     };
     s.push_str(&format!(
-        "facets {} {} {} trust {}\n",
+        "facets {} {} {} trust {} honest_success {}\n",
         format_f64(o.facets.privacy),
         format_f64(o.facets.reputation),
         format_f64(o.facets.satisfaction),
         format_f64(o.global_trust),
+        format_f64(o.honest_success_rate),
     ));
     s.push_str(&format!(
         "counts interactions={} messages={} user_breaches={} system_breaches={} whitewashes={}\n",
