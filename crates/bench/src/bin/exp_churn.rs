@@ -4,114 +4,59 @@
 //! whitewashing is exactly the attack that *requires* persistent
 //! identities, i.e. the privacy-reputation tension in its sharpest form.
 //!
-//! The experiment keeps a fixed population of behaviour "slots" whose
-//! *current identity* changes on whitewash: the mechanism sees a fresh
-//! node (prior score), while ground truth knows it is the same adversary.
+//! Runs on the scenario engine with permissive privacy policies (no
+//! request is denied): 80 users, 30 rounds, one interaction per user per
+//! round. The adversaries of A2a/A2b are whitewasher-class slots. Every
+//! user's session lasts a mean of k rounds and ends in a 1 µs downtime;
+//! a whitewasher always comes back under a fresh identity, everyone else
+//! under their own. The mechanism then sees a newcomer (prior score)
+//! while ground truth knows it is the same adversary. A2c swaps the
+//! whitewashers for plain malicious users and takes a steady fraction of
+//! the population offline each round.
 //!
 //! Run: `cargo run --release -p tsn-bench --bin exp_churn`
 
 use tsn_bench::{emit, mean};
 use tsn_core::report::{ExperimentRow, ExperimentTable};
-use tsn_graph::generators;
-use tsn_reputation::mechanism::build_mechanism;
-use tsn_reputation::{
-    DisclosurePolicy, MechanismKind, Population, PopulationConfig, SelectionPolicy,
-};
-use tsn_simnet::{NodeId, SimRng, SimTime};
+use tsn_core::{DynamicsPlan, PolicyProfile, ScenarioBuilder, ScenarioOutcome, ROUND_DURATION};
+use tsn_reputation::{MechanismKind, PopulationConfig};
+use tsn_simnet::{ChurnConfig, SimDuration};
 
-/// Runs one whitewashing economy: returns (honest success rate,
-/// mean score of adversarial current identities at the end).
+/// The A2 scenario for one mechanism and seed; callers add the
+/// population and dynamics under test.
+fn base(mechanism: MechanismKind, seed: u64) -> ScenarioBuilder {
+    ScenarioBuilder::new()
+        .nodes(80)
+        .rounds(30)
+        .interactions_per_node(1)
+        .policy_profile(PolicyProfile::Permissive)
+        .mechanism(mechanism)
+        .seed(seed)
+}
+
+/// 30 % whitewashers, re-joining under a fresh identity once every
+/// `mean_session` rounds on average (`None`: they never leave).
 fn run_whitewash(
-    mechanism_kind: MechanismKind,
-    whitewash_every: Option<usize>,
-    offline_fraction: f64,
+    mechanism: MechanismKind,
+    mean_session: Option<f64>,
     seed: u64,
-) -> (f64, f64) {
-    let n = 80;
-    let rounds = 30;
-    let mut rng = SimRng::seed_from_u64(seed);
-    let mut graph_rng = rng.fork(1);
-    let graph = generators::watts_strogatz(n, 8, 0.1, &mut graph_rng).expect("valid parameters");
-    let mut pop_rng = rng.fork(2);
-    let mut population = Population::new(n, PopulationConfig::with_malicious(0.3), &mut pop_rng);
-
-    // identity[slot] = the NodeId the mechanism currently knows this slot as.
-    let mut identity: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
-    let mut next_id = n;
-    let mut mechanism = build_mechanism(mechanism_kind, n);
-    let disclosure = DisclosurePolicy::full();
-    let selection = SelectionPolicy::Proportional { sharpness: 2.0 };
-
-    let mut ok = 0u64;
-    let mut tried = 0u64;
-    for round in 0..rounds {
-        // Whitewash: adversarial slots take fresh identities periodically.
-        if let Some(every) = whitewash_every {
-            if round > 0 && round % every == 0 {
-                for (slot, id) in identity.iter_mut().enumerate().take(n) {
-                    if population.is_adversarial(NodeId::from_index(slot)) {
-                        *id = NodeId::from_index(next_id);
-                        next_id += 1;
-                        mechanism.resize(next_id);
-                    }
-                }
-            }
-        }
-        // Churn: a random subset is offline this round.
-        let offline: Vec<bool> = (0..n).map(|_| rng.gen_bool(offline_fraction)).collect();
-        for consumer_slot in 0..n {
-            if offline[consumer_slot] {
-                continue;
-            }
-            let consumer = NodeId::from_index(consumer_slot);
-            let candidates: Vec<usize> = graph
-                .neighbors(consumer)
-                .iter()
-                .filter(|p| !offline[p.index()])
-                .map(|p| p.index())
-                .collect();
-            let current_ids: Vec<NodeId> = candidates.iter().map(|&s| identity[s]).collect();
-            let mech = &mechanism;
-            let Some(chosen_id) = selection.select(&current_ids, |c| mech.score(c), &mut rng)
-            else {
-                continue;
-            };
-            let provider_slot = candidates[current_ids
-                .iter()
-                .position(|&c| c == chosen_id)
-                .expect("chosen from list")];
-            let provider = NodeId::from_index(provider_slot);
-            let outcome = population.interact(provider, consumer, &mut rng);
-            // Honest-consumer metric only.
-            if !population.is_adversarial(consumer) {
-                tried += 1;
-                if outcome.is_success() {
-                    ok += 1;
-                }
-            }
-            let mut report = population.feedback(consumer, provider, outcome, SimTime::ZERO, None);
-            // Reports are filed under *current* identities.
-            report.rater = identity[consumer_slot];
-            report.ratee = identity[provider_slot];
-            mechanism.record(&disclosure.view(&report));
-        }
-        if (round + 1) % 5 == 0 {
-            mechanism.refresh();
-        }
+) -> ScenarioOutcome {
+    let mut builder = base(mechanism, seed).population(PopulationConfig {
+        whitewasher: 0.3,
+        ..Default::default()
+    });
+    if let Some(rounds) = mean_session {
+        builder = builder.dynamics(DynamicsPlan {
+            churn: Some(ChurnConfig {
+                mean_session: ROUND_DURATION.mul_f64(rounds),
+                mean_downtime: SimDuration::from_micros(1),
+                whitewash_probability: 0.0,
+                crash_fraction: 0.0,
+            }),
+            ..Default::default()
+        });
     }
-    mechanism.refresh();
-    let adv_scores: Vec<f64> = (0..n)
-        .filter(|&s| population.is_adversarial(NodeId::from_index(s)))
-        .map(|s| mechanism.score(identity[s]))
-        .collect();
-    (
-        if tried == 0 {
-            0.0
-        } else {
-            ok as f64 / tried as f64
-        },
-        mean(adv_scores),
-    )
+    builder.run().expect("valid config")
 }
 
 fn main() {
@@ -123,71 +68,80 @@ fn main() {
     ];
 
     // --- Whitewashing sweep.
-    let periods: [(&str, Option<usize>); 4] = [
+    let sessions: [(&str, Option<f64>); 4] = [
         ("never", None),
-        ("every10", Some(10)),
-        ("every5", Some(5)),
-        ("every2", Some(2)),
+        ("every10", Some(10.0)),
+        ("every5", Some(5.0)),
+        ("every2", Some(2.0)),
     ];
     let mut t1 = ExperimentTable::new(
         "A2a",
-        "honest success rate vs whitewash frequency (30% adversaries)",
-        periods.iter().map(|(l, _)| *l),
+        "honest success rate vs mean rounds between whitewashes (30% whitewashers)",
+        sessions.iter().map(|(l, _)| *l),
     );
     let mut t2 = ExperimentTable::new(
         "A2b",
-        "mean adversary score (their current identity) vs whitewash frequency",
-        periods.iter().map(|(l, _)| *l),
+        "adversary detection (reliability, on current identities) vs whitewash frequency",
+        sessions.iter().map(|(l, _)| *l),
     );
     let mut never_vs_fast = Vec::new();
     for &mechanism in &mechanisms {
         let mut s_cells = Vec::new();
-        let mut a_cells = Vec::new();
-        for &(_, every) in &periods {
-            let results: Vec<(f64, f64)> = (0..seeds)
-                .map(|s| run_whitewash(mechanism, every, 0.0, 5000 + s))
+        let mut r_cells = Vec::new();
+        for &(_, session) in &sessions {
+            let outcomes: Vec<ScenarioOutcome> = (0..seeds)
+                .map(|s| run_whitewash(mechanism, session, 5000 + s))
                 .collect();
-            s_cells.push(mean(results.iter().map(|r| r.0)));
-            a_cells.push(mean(results.iter().map(|r| r.1)));
+            s_cells.push(mean(outcomes.iter().map(|o| o.honest_success_rate)));
+            r_cells.push(mean(outcomes.iter().map(|o| o.power.reliability)));
         }
-        never_vs_fast.push((s_cells[0], s_cells[3], a_cells[0], a_cells[3]));
+        never_vs_fast.push((s_cells[0], s_cells[3], r_cells[0], r_cells[3]));
         t1.push(ExperimentRow::new(mechanism.name(), s_cells));
-        t2.push(ExperimentRow::new(mechanism.name(), a_cells));
+        t2.push(ExperimentRow::new(mechanism.name(), r_cells));
     }
     emit(&t1);
     emit(&t2);
 
-    // --- Churn sweep (no whitewashing): offline fraction.
+    // --- Churn sweep (no whitewashing): steady offline fraction.
     let offline = [0.0, 0.2, 0.4];
     let mut t3 = ExperimentTable::new(
         "A2c",
-        "honest success rate vs offline fraction per round",
+        "honest success rate vs steady offline fraction (30% malicious)",
         offline.iter().map(|f| format!("{:.0}%", f * 100.0)),
     );
     for &mechanism in &mechanisms {
         let cells: Vec<f64> = offline
             .iter()
-            .map(|&frac| mean((0..seeds).map(|s| run_whitewash(mechanism, None, frac, 6000 + s).0)))
+            .map(|&p| {
+                mean((0..seeds).map(|s| {
+                    base(mechanism, 6000 + s)
+                        .malicious_fraction(0.3)
+                        .churn(p)
+                        .run()
+                        .expect("valid config")
+                        .honest_success_rate
+                }))
+            })
             .collect();
         t3.push(ExperimentRow::new(mechanism.name(), cells));
     }
     emit(&t3);
 
     // Reproduction shape: whitewashing must help adversaries — honest
-    // success drops as whitewashing accelerates (the adversary-score
-    // column is reported for context; evidence-hungry mechanisms show it
-    // rising, while fast-converging ones re-learn within a round or two).
+    // success drops as whitewashing accelerates (the detection column is
+    // reported for context; how far it falls depends on how much
+    // evidence a mechanism needs before it distrusts a newcomer).
     let mut ok = true;
     for (i, &mechanism) in mechanisms.iter().enumerate() {
-        let (s_never, s_fast, a_never, a_fast) = never_vs_fast[i];
+        let (s_never, s_fast, r_never, r_fast) = never_vs_fast[i];
         let pass = s_fast < s_never - 0.02;
         println!(
-            "check {}: honest success {:.3}->{:.3} (adversary score {:.3}->{:.3}) -> {}",
+            "check {}: honest success {:.3}->{:.3} (adversary detection {:.3}->{:.3}) -> {}",
             mechanism.name(),
             s_never,
             s_fast,
-            a_never,
-            a_fast,
+            r_never,
+            r_fast,
             if pass { "PASS" } else { "FAIL" }
         );
         ok &= pass;

@@ -38,8 +38,8 @@ use tsn_privacy::{
     PrivacyFacetInputs, PrivacyPolicy, Purpose, SystemPrivacyProfile,
 };
 use tsn_reputation::{
-    accuracy, Anonymized, DisclosurePolicy, FeedbackReport, MechanismKind, Population, PowerReport,
-    ReportView, ReputationMechanism, SelectionScratch,
+    accuracy, Anonymized, BehaviorClass, DisclosurePolicy, FeedbackReport, MechanismKind,
+    Population, PowerReport, ReportView, ReputationMechanism, SelectionScratch,
 };
 use tsn_satisfaction::{
     AdequacyModel, AllocationTracker, ConsumerIntentions, GlobalSatisfaction, InteractionAspects,
@@ -715,12 +715,19 @@ impl Scenario {
         // Seeded straight from the config seed rather than forked off
         // `rng`, so attaching a plan never shifts another stream: runs
         // with a no-op plan stay bit-identical to dynamics-off runs.
+        // Whitewasher-class slots return from every downtime under a
+        // fresh identity.
         let net_dynamics = match &config.dynamics {
             Some(plan) => Some(
-                DynamicsRuntime::new(
+                DynamicsRuntime::with_whitewashers(
                     plan.clone(),
                     config.nodes,
                     SimRng::seed_from_u64(config.seed ^ 0x5D71_4A3C_9E2B_8F01),
+                    (0..config.nodes)
+                        .map(|i| {
+                            population.class(NodeId::from_index(i)) == BehaviorClass::Whitewasher
+                        })
+                        .collect(),
                 )
                 .map_err(|m| ValidationError::new("dynamics", m))?,
             ),
@@ -1534,6 +1541,23 @@ mod tests {
         assert!(churny_out.interactions < stable_out.interactions);
         assert!(churny_out.facets.validate().is_ok());
         assert!((0.0..=1.0).contains(&churny_out.global_trust));
+    }
+
+    #[test]
+    fn only_whitewasher_slots_whitewash_when_the_coin_never_does() {
+        // `steady_offline` churns with whitewash probability 0, so every
+        // whitewash must come from a whitewasher-class slot.
+        let whitewashes = |whitewasher: f64| {
+            let mut c = small(42);
+            c.population = PopulationConfig {
+                whitewasher,
+                ..PopulationConfig::with_malicious(0.1)
+            };
+            c.dynamics = Some(DynamicsPlan::steady_offline(0.3, ROUND_DURATION));
+            run_scenario(c).unwrap().whitewashes
+        };
+        assert_eq!(whitewashes(0.0), 0);
+        assert!(whitewashes(0.2) > 0);
     }
 
     #[test]

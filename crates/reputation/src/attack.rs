@@ -6,7 +6,8 @@
 //! reputation experiment asks:
 //!
 //! * what *actually happens* when a consumer interacts with a provider
-//!   ([`Population::interact`]);
+//!   ([`Population::interact_frozen`], with [`Population::note_served`]
+//!   crediting the provider afterwards);
 //! * what the rater *reports* about it ([`Population::feedback`]),
 //!   including lies and collusion.
 
@@ -30,8 +31,10 @@ pub enum BehaviorClass {
         /// Interactions served honestly before the betrayal.
         switch_after: u64,
     },
-    /// Malicious node that periodically re-enters under a fresh identity
-    /// (the identity churn itself is driven by `tsn-simnet`'s churn).
+    /// Malicious node that re-enters under a fresh identity every time
+    /// it returns from a downtime. Its sessions come from the scenario's
+    /// dynamics plan (`tsn-simnet`'s churn); without churn it never
+    /// leaves and behaves exactly like [`BehaviorClass::Malicious`].
     Whitewasher,
     /// Member of collusion ring `ring`: serves outsiders badly, praises
     /// ring members unconditionally, badmouths outsiders.
@@ -59,15 +62,6 @@ impl BehaviorClass {
             | BehaviorClass::Colluder { .. } => true,
             BehaviorClass::Traitor { switch_after } => served >= switch_after,
         }
-    }
-
-    /// Whether the node lies when rating, by the interaction-count
-    /// trigger only (see [`BehaviorClass::is_adversarial_provider`] for
-    /// the caveat: [`Population::is_adversarial`] additionally applies
-    /// the time-based traitor deadline and is what the production
-    /// feedback path uses).
-    pub fn lies_in_feedback(self, served: u64) -> bool {
-        self.is_adversarial_provider(served)
     }
 
     /// Short label for experiment tables.
@@ -333,22 +327,10 @@ impl Population {
         }
     }
 
-    /// Simulates one interaction where `provider` serves `consumer`.
-    pub fn interact(
-        &mut self,
-        provider: NodeId,
-        _consumer: NodeId,
-        rng: &mut SimRng,
-    ) -> InteractionOutcome {
-        let outcome = self.interact_frozen(provider, rng);
-        self.served[provider.index()] += 1;
-        outcome
-    }
-
-    /// [`Population::interact`] against *frozen* state: the outcome draw
-    /// is identical draw-for-draw, but the provider's served counter is
-    /// not advanced. The sharded scenario engine interacts against a
-    /// round-start snapshot and merges the counters afterwards with
+    /// Simulates one interaction where `provider` serves, against
+    /// *frozen* state: the provider's served counter is not advanced.
+    /// The sharded scenario engine interacts against a round-start
+    /// snapshot and merges the counters afterwards with
     /// [`Population::note_served`], so outcomes cannot depend on which
     /// shard executes first.
     pub fn interact_frozen(&self, provider: NodeId, rng: &mut SimRng) -> InteractionOutcome {
@@ -398,7 +380,7 @@ impl Population {
             }
             // Traitors lie once turned — by served count *or* by the
             // clock (a traitor that is never selected as provider must
-            // still betray; `lies_in_feedback` alone would keep it
+            // still betray; the served count alone would keep it
             // truthful forever).
             _ if self.is_adversarial(rater) => {
                 // Invert the truth.
@@ -464,8 +446,7 @@ mod tests {
     #[test]
     fn honest_nodes_mostly_succeed_malicious_mostly_fail() {
         let mut rng = SimRng::seed_from_u64(1);
-        let pop0 = Population::new(10, PopulationConfig::with_malicious(0.5), &mut rng);
-        let mut pop = pop0;
+        let pop = Population::new(10, PopulationConfig::with_malicious(0.5), &mut rng);
         let mut honest_ok = 0;
         let mut bad_ok = 0;
         let honest: Vec<NodeId> = (0..10)
@@ -477,10 +458,10 @@ mod tests {
             .filter(|&n| pop.is_adversarial(n))
             .collect();
         for _ in 0..200 {
-            if pop.interact(honest[0], NodeId(9), &mut rng).is_success() {
+            if pop.interact_frozen(honest[0], &mut rng).is_success() {
                 honest_ok += 1;
             }
-            if pop.interact(bad[0], NodeId(9), &mut rng).is_success() {
+            if pop.interact_frozen(bad[0], &mut rng).is_success() {
                 bad_ok += 1;
             }
         }
@@ -501,7 +482,10 @@ mod tests {
         assert!(!pop.is_adversarial(t));
         let q_before = pop.true_quality(t);
         for _ in 0..5 {
-            pop.interact(t, t, &mut rng);
+            // A frozen interaction credits nothing until it is merged.
+            pop.interact_frozen(t, &mut rng);
+            assert!(!pop.is_adversarial(t));
+            pop.note_served(t, 1);
         }
         assert!(pop.is_adversarial(t));
         assert!(pop.true_quality(t) < q_before);
@@ -550,13 +534,12 @@ mod tests {
         // particular an adversarial provider (ceiling 0.1) must not
         // report a mean quality above 0.1.
         let mut rng = SimRng::seed_from_u64(12);
-        let mut pop = Population::new(4, PopulationConfig::with_malicious(0.5), &mut rng);
+        let pop = Population::new(4, PopulationConfig::with_malicious(0.5), &mut rng);
         for i in 0..4u32 {
             let node = NodeId(i);
             let ceiling = pop.true_quality(node);
             for _ in 0..300 {
-                if let InteractionOutcome::Success { quality } =
-                    pop.interact(node, NodeId(0), &mut rng)
+                if let InteractionOutcome::Success { quality } = pop.interact_frozen(node, &mut rng)
                 {
                     assert!(
                         (0.0..=ceiling).contains(&quality),
@@ -564,29 +547,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn frozen_interact_matches_interact_draw_for_draw() {
-        let mut rng = SimRng::seed_from_u64(13);
-        let mut pop = Population::new(6, PopulationConfig::with_malicious(0.3), &mut rng);
-        let frozen = pop.clone();
-        let mut rng_a = SimRng::seed_from_u64(99);
-        let mut rng_b = SimRng::seed_from_u64(99);
-        for i in 0..6u32 {
-            let a = pop.interact(NodeId(i), NodeId(0), &mut rng_a);
-            let b = frozen.interact_frozen(NodeId(i), &mut rng_b);
-            assert_eq!(a, b);
-            assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "same draw count");
-        }
-        // Merging the counters catches the frozen copy up.
-        let mut merged = frozen;
-        for i in 0..6u32 {
-            merged.note_served(NodeId(i), 1);
-        }
-        for i in 0..6 {
-            assert_eq!(merged.served[i], pop.served[i]);
         }
     }
 

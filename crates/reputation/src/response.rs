@@ -1,20 +1,22 @@
 //! Response — the third taxonomy block: acting on scores when choosing an
-//! interaction partner.
+//! interaction partner. Selection reuses a caller-held
+//! [`SelectionScratch`], so the scenario engine's interaction loop picks
+//! partners without allocating.
 
 use tsn_simnet::{NodeId, SimRng};
 
 /// Partner-selection policy applied to a candidate set with known scores.
 ///
 /// ```
-/// use tsn_reputation::SelectionPolicy;
+/// use tsn_reputation::{SelectionPolicy, SelectionScratch};
 /// use tsn_simnet::{NodeId, SimRng};
 ///
 /// let mut rng = SimRng::seed_from_u64(1);
+/// let mut scratch = SelectionScratch::default();
 /// let candidates = [NodeId(0), NodeId(1)];
-/// let best = SelectionPolicy::Best
-///     .select(&candidates, |n| if n.0 == 1 { 0.9 } else { 0.1 }, &mut rng)
-///     .expect("candidates are non-empty");
-/// assert_eq!(best, NodeId(1));
+/// let score = |n: NodeId| if n.0 == 1 { 0.9 } else { 0.1 };
+/// let best = SelectionPolicy::Best.select_with(&candidates, score, &mut rng, &mut scratch);
+/// assert_eq!(best, Some(NodeId(1)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SelectionPolicy {
@@ -60,22 +62,8 @@ impl SelectionPolicy {
     /// Picks one provider among `candidates`, whose reputation is given by
     /// `score(candidate)`. Returns `None` when `candidates` is empty.
     ///
-    /// Allocates internal scratch; hot loops should hold a
-    /// [`SelectionScratch`] and call [`SelectionPolicy::select_with`]
-    /// instead.
-    pub fn select(
-        self,
-        candidates: &[NodeId],
-        score: impl FnMut(NodeId) -> f64,
-        rng: &mut SimRng,
-    ) -> Option<NodeId> {
-        self.select_with(candidates, score, rng, &mut SelectionScratch::default())
-    }
-
-    /// [`SelectionPolicy::select`] with caller-provided scratch buffers,
-    /// so a selection performs no allocation. Draw order, draw count and
-    /// the selected candidate are identical to `select` for the same RNG
-    /// state.
+    /// `scratch` holds the working buffers, so a selection performs no
+    /// allocation; what it held before never affects the draw.
     pub fn select_with(
         self,
         candidates: &[NodeId],
@@ -157,38 +145,39 @@ mod tests {
     #[test]
     fn empty_candidates_yield_none() {
         let mut rng = SimRng::seed_from_u64(0);
+        let mut scratch = SelectionScratch::default();
         for policy in SelectionPolicy::SWEEP {
-            assert_eq!(policy.select(&[], |_| 1.0, &mut rng), None);
+            let chosen = policy.select_with(&[], |_| 1.0, &mut rng, &mut scratch);
+            assert_eq!(chosen, None);
         }
     }
 
     #[test]
     fn best_picks_highest_score() {
         let mut rng = SimRng::seed_from_u64(1);
-        let cands = nodes(4);
-        let chosen = SelectionPolicy::Best
-            .select(&cands, |n| [0.2, 0.9, 0.5, 0.7][n.index()], &mut rng)
-            .unwrap();
-        assert_eq!(chosen, NodeId(1));
+        let mut scratch = SelectionScratch::default();
+        let score = |n: NodeId| [0.2, 0.9, 0.5, 0.7][n.index()];
+        let chosen = SelectionPolicy::Best.select_with(&nodes(4), score, &mut rng, &mut scratch);
+        assert_eq!(chosen, Some(NodeId(1)));
     }
 
     #[test]
     fn best_breaks_ties_by_lowest_id() {
         let mut rng = SimRng::seed_from_u64(2);
-        let chosen = SelectionPolicy::Best
-            .select(&nodes(3), |_| 0.5, &mut rng)
-            .unwrap();
-        assert_eq!(chosen, NodeId(0));
+        let mut scratch = SelectionScratch::default();
+        let chosen = SelectionPolicy::Best.select_with(&nodes(3), |_| 0.5, &mut rng, &mut scratch);
+        assert_eq!(chosen, Some(NodeId(0)));
     }
 
     #[test]
     fn random_is_roughly_uniform() {
         let mut rng = SimRng::seed_from_u64(3);
+        let mut scratch = SelectionScratch::default();
         let cands = nodes(4);
         let mut counts = [0usize; 4];
         for _ in 0..8000 {
             let c = SelectionPolicy::Random
-                .select(&cands, |_| 0.0, &mut rng)
+                .select_with(&cands, |_| 0.0, &mut rng, &mut scratch)
                 .unwrap();
             counts[c.index()] += 1;
         }
@@ -200,16 +189,15 @@ mod tests {
     #[test]
     fn proportional_follows_scores() {
         let mut rng = SimRng::seed_from_u64(4);
+        let mut scratch = SelectionScratch::default();
         let cands = nodes(2);
-        let mut high = 0usize;
-        for _ in 0..10_000 {
-            let c = SelectionPolicy::Proportional { sharpness: 1.0 }
-                .select(&cands, |n| if n.0 == 0 { 0.25 } else { 0.75 }, &mut rng)
-                .unwrap();
-            if c.0 == 1 {
-                high += 1;
-            }
-        }
+        let score = |n: NodeId| if n.0 == 0 { 0.25 } else { 0.75 };
+        let policy = SelectionPolicy::Proportional { sharpness: 1.0 };
+        let high = (0..10_000)
+            .filter(|_| {
+                policy.select_with(&cands, score, &mut rng, &mut scratch) == Some(NodeId(1))
+            })
+            .count();
         let rate = high as f64 / 10_000.0;
         assert!((rate - 0.75).abs() < 0.02, "rate {rate}");
     }
@@ -217,21 +205,20 @@ mod tests {
     #[test]
     fn proportional_sharpness_concentrates() {
         let mut rng = SimRng::seed_from_u64(5);
+        let mut scratch = SelectionScratch::default();
         let cands = nodes(2);
-        let pick_rate = |sharpness: f64, rng: &mut SimRng| {
-            let mut high = 0usize;
-            for _ in 0..5000 {
-                let c = SelectionPolicy::Proportional { sharpness }
-                    .select(&cands, |n| if n.0 == 0 { 0.4 } else { 0.6 }, rng)
-                    .unwrap();
-                if c.0 == 1 {
-                    high += 1;
-                }
-            }
+        let score = |n: NodeId| if n.0 == 0 { 0.4 } else { 0.6 };
+        let mut pick_rate = |sharpness: f64| {
+            let policy = SelectionPolicy::Proportional { sharpness };
+            let high = (0..5000)
+                .filter(|_| {
+                    policy.select_with(&cands, score, &mut rng, &mut scratch) == Some(NodeId(1))
+                })
+                .count();
             high as f64 / 5000.0
         };
-        let soft = pick_rate(1.0, &mut rng);
-        let sharp = pick_rate(8.0, &mut rng);
+        let soft = pick_rate(1.0);
+        let sharp = pick_rate(8.0);
         assert!(
             sharp > soft,
             "sharper exponent favours the better node more: {sharp} vs {soft}"
@@ -241,42 +228,48 @@ mod tests {
     #[test]
     fn proportional_all_zero_scores_falls_back_to_uniform() {
         let mut rng = SimRng::seed_from_u64(6);
-        let c =
-            SelectionPolicy::Proportional { sharpness: 2.0 }.select(&nodes(3), |_| 0.0, &mut rng);
-        assert!(c.is_some());
+        let mut scratch = SelectionScratch::default();
+        let policy = SelectionPolicy::Proportional { sharpness: 2.0 };
+        assert!(policy
+            .select_with(&nodes(3), |_| 0.0, &mut rng, &mut scratch)
+            .is_some());
     }
 
     #[test]
     fn threshold_filters_and_falls_back() {
         let mut rng = SimRng::seed_from_u64(7);
+        let mut scratch = SelectionScratch::default();
         let cands = nodes(3);
-        // Only node 2 qualifies.
-        for _ in 0..20 {
-            let c = SelectionPolicy::Threshold { threshold: 0.6 }
-                .select(&cands, |n| [0.1, 0.5, 0.8][n.index()], &mut rng)
-                .unwrap();
-            assert_eq!(c, NodeId(2));
+        let score = |n: NodeId| [0.1, 0.5, 0.8][n.index()];
+        // Only node 2 qualifies at 0.6; nobody at 0.99 → best.
+        for threshold in [0.6; 20].into_iter().chain([0.99]) {
+            let c = SelectionPolicy::Threshold { threshold }.select_with(
+                &cands,
+                score,
+                &mut rng,
+                &mut scratch,
+            );
+            assert_eq!(c, Some(NodeId(2)), "threshold {threshold}");
         }
-        // Nobody qualifies → best.
-        let c = SelectionPolicy::Threshold { threshold: 0.99 }
-            .select(&cands, |n| [0.1, 0.5, 0.8][n.index()], &mut rng)
-            .unwrap();
-        assert_eq!(c, NodeId(2));
     }
 
     #[test]
-    fn select_with_matches_select_draw_for_draw() {
-        // The scratch-based path must consume the same RNG draws and pick
-        // the same candidate as the allocating wrapper.
+    fn reused_scratch_draws_like_a_fresh_one() {
+        // Nothing an earlier selection left in the buffers may leak into
+        // the next: a reused scratch consumes the same RNG draws and
+        // picks the same candidate as a fresh one, also when the
+        // candidate set shrinks between calls.
         let cands = nodes(6);
         let score = |n: NodeId| [0.1, 0.0, 0.55, 0.55, 0.9, 0.3][n.index()];
         for policy in SelectionPolicy::SWEEP {
-            let mut scratch = SelectionScratch::default();
+            let mut reused = SelectionScratch::default();
             for seed in 0..20 {
+                let cands = &cands[..2 + seed as usize % 5];
                 let mut rng_a = SimRng::seed_from_u64(seed);
                 let mut rng_b = SimRng::seed_from_u64(seed);
-                let a = policy.select(&cands, score, &mut rng_a);
-                let b = policy.select_with(&cands, score, &mut rng_b, &mut scratch);
+                let fresh = &mut SelectionScratch::default();
+                let a = policy.select_with(cands, score, &mut rng_a, fresh);
+                let b = policy.select_with(cands, score, &mut rng_b, &mut reused);
                 assert_eq!(a, b, "{policy:?} seed {seed}");
                 // Same draw count ⇒ identical next draw.
                 assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "{policy:?} seed {seed}");

@@ -379,6 +379,9 @@ pub struct DynamicsRuntime {
     n: usize,
     /// Draws the initial offline coins, then every churn transition.
     rng: SimRng,
+    /// Slots that return under a fresh identity whatever the whitewash
+    /// coin says (slots past its end are unmasked).
+    always_whitewash: Vec<bool>,
     /// slot → identity currently bound to it.
     identity: Vec<NodeId>,
     next_identity: u32,
@@ -414,7 +417,25 @@ impl DynamicsRuntime {
     /// # Errors
     ///
     /// Returns the plan's validation error, if any.
-    pub fn new(plan: DynamicsPlan, n: usize, mut rng: SimRng) -> Result<Self, String> {
+    pub fn new(plan: DynamicsPlan, n: usize, rng: SimRng) -> Result<Self, String> {
+        Self::with_whitewashers(plan, n, rng, Vec::new())
+    }
+
+    /// [`DynamicsRuntime::new`] where every slot flagged in
+    /// `always_whitewash` returns from each downtime under a fresh
+    /// identity — the whitewasher behaviour class. The whitewash coin is
+    /// still drawn for every return, so an all-`false` mask replays the
+    /// schedule `new` produces.
+    ///
+    /// # Errors
+    ///
+    /// Returns the plan's validation error, if any.
+    pub fn with_whitewashers(
+        plan: DynamicsPlan,
+        n: usize,
+        mut rng: SimRng,
+        always_whitewash: Vec<bool>,
+    ) -> Result<Self, String> {
         plan.validate()?;
         let mut online = vec![true; n];
         if plan.initial_offline > 0.0 {
@@ -442,6 +463,7 @@ impl DynamicsRuntime {
             plan,
             n,
             rng,
+            always_whitewash,
             identity: (0..n).map(NodeId::from_index).collect(),
             next_identity,
             pending: vec![None; n],
@@ -708,14 +730,17 @@ impl DynamicsRuntime {
     }
 
     /// How long an offline slot stays down (exponential downtime), then
-    /// whether it returns under a fresh identity (the whitewash coin).
-    /// The fresh identity is allocated now, when the return is
-    /// scheduled, so identities are numbered in scheduling order.
+    /// whether it returns under a fresh identity (the whitewash coin, or
+    /// always for a masked slot). The fresh identity is allocated now,
+    /// when the return is scheduled, so identities are numbered in
+    /// scheduling order.
     fn sample_return(&mut self, churn: &ChurnConfig, slot: usize) -> (SimDuration, DynamicsEvent) {
         let downtime = self.sample_exp(churn.mean_downtime);
         let old = self.identity[slot];
+        let coin = self.rng.gen_bool(churn.whitewash_probability);
+        let forced = self.always_whitewash.get(slot).copied().unwrap_or(false);
         let slot = NodeId::from_index(slot);
-        let event = if self.rng.gen_bool(churn.whitewash_probability) {
+        let event = if coin || forced {
             let new = NodeId(self.next_identity);
             self.next_identity += 1;
             DynamicsEvent::Whitewash { slot, old, new }
@@ -973,6 +998,36 @@ mod tests {
         // Identities are allocated when the return is *scheduled*, so
         // the count covers fired whitewashes plus any still pending.
         assert!(runtime.identity_count() >= n + fresh.len());
+    }
+
+    #[test]
+    fn masked_slots_always_whitewash_and_no_other_slot_does() {
+        // Whitewash probability 0: only the mask whitewashes, also on
+        // the first return of a slot that starts offline.
+        let n = 24;
+        let plan = DynamicsPlan {
+            initial_offline: 0.5,
+            ..churny_plan()
+        };
+        let mask: Vec<bool> = (0..n).map(|slot| slot % 3 == 0).collect();
+        let rng = SimRng::seed_from_u64(40);
+        let mut runtime = DynamicsRuntime::with_whitewashers(plan, n, rng, mask.clone()).unwrap();
+        let started_offline: Vec<usize> = (0..n)
+            .filter(|&slot| !runtime.online(NodeId::from_index(slot)))
+            .collect();
+        assert!(started_offline.iter().any(|&slot| mask[slot]));
+        runtime.advance_detached(SimTime::from_secs(30));
+        let mut returns = vec![0; n];
+        for &(_, event) in runtime.events() {
+            let (slot, whitewashed) = match event {
+                DynamicsEvent::Whitewash { slot, .. } => (slot, true),
+                DynamicsEvent::Rejoin { slot } => (slot, false),
+                _ => continue,
+            };
+            assert_eq!(whitewashed, mask[slot.index()], "{slot}");
+            returns[slot.index()] += 1;
+        }
+        assert!(started_offline.iter().all(|&slot| returns[slot] > 0));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use tsn::privacy::enforcement::RequestContext;
 use tsn::privacy::{AccessRequest, DataCategory, Enforcer, Operation, PrivacyPolicy, Purpose};
 use tsn::reputation::{
     BetaReputation, DisclosurePolicy, FeedbackReport, InteractionOutcome, ReputationMechanism,
-    SelectionPolicy,
+    SelectionPolicy, SelectionScratch,
 };
 use tsn::satisfaction::aggregate::{gini_coefficient, GlobalSatisfaction};
 use tsn::satisfaction::SatisfactionTracker;
@@ -155,15 +155,17 @@ fn beta_scores_bounded_and_directional() {
 #[test]
 fn selection_always_picks_a_candidate() {
     let mut rng = rng_for(5);
+    let mut scratch = SelectionScratch::default();
     for case in 0..CASES {
         let k = rng.gen_range(1..20usize);
         let candidates: Vec<NodeId> = (0..k as u32).map(NodeId).collect();
         let policy = *rng.choose(&SelectionPolicy::SWEEP).unwrap();
         let chosen = policy
-            .select(
+            .select_with(
                 &candidates,
                 |n| (n.0 as f64 + 1.0) / (k as f64 + 1.0),
                 &mut rng,
+                &mut scratch,
             )
             .unwrap();
         assert!(

@@ -73,6 +73,7 @@ fn base() -> ScenarioBuilder {
             malicious: 0.2,
             traitor: 0.1,
             traitor_switch_after: 3,
+            whitewasher: 0.1,
             ..Default::default()
         })
         .churn(0.2)
@@ -81,7 +82,9 @@ fn base() -> ScenarioBuilder {
 
 #[test]
 fn one_two_and_eight_shards_are_bit_identical() {
-    let reference = fingerprint(&base().shards(1).run().expect("valid config"));
+    let one = base().shards(1).run().expect("valid config");
+    assert!(one.whitewashes > 0, "whitewasher slots remap identities");
+    let reference = fingerprint(&one);
     for shards in [2usize, 3, 8] {
         let outcome = base().shards(shards).run().expect("valid config");
         assert_eq!(
