@@ -21,7 +21,12 @@
 //! drawn from session churn instead. `dynamics_events.txt` pins the
 //! dynamics runtime's full `(time, event)` stream; it was generated
 //! before the churn sampler moved into the runtime and must never
-//! move. To regenerate after an *intentional* semantic change:
+//! move. `eigentrust_whitewash_overlay.txt` was added later, generated
+//! on the engine as it stood before selection weights were tabled per
+//! slot: it is the one fixture whose consumers score partners through
+//! the slot→identity map (peer-sampling views, a whitewash economy and
+//! two shards), and it pins that path bit for bit. To regenerate after
+//! an *intentional* semantic change:
 //!
 //! ```text
 //! GOLDEN_REGEN=1 cargo test --test equivalence
@@ -173,6 +178,14 @@ fn fixtures() -> Vec<(&'static str, ScenarioBuilder)> {
             ScenarioBuilder::small()
                 .seed(107)
                 .anonymization(AnonymizationConfig::default()),
+        ),
+        (
+            "eigentrust_whitewash_overlay",
+            ScenarioBuilder::small()
+                .seed(108)
+                .with_peer_sampling()
+                .whitewash_attack()
+                .shards(2),
         ),
     ]
 }
