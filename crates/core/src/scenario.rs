@@ -39,7 +39,7 @@ use tsn_privacy::{
 };
 use tsn_reputation::{
     accuracy, Anonymized, BehaviorClass, DisclosurePolicy, FeedbackReport, MechanismKind,
-    Population, PowerReport, ReportView, ReputationMechanism, SelectionScratch,
+    Population, PowerReport, ReportView, ReputationMechanism, SelectionPolicy, SelectionScratch,
 };
 use tsn_satisfaction::{
     AdequacyModel, AllocationTracker, ConsumerIntentions, GlobalSatisfaction, InteractionAspects,
@@ -222,13 +222,78 @@ struct ScenarioScratch {
     offline: Vec<bool>,
     /// Per-user trust of the current round.
     trust: Vec<f64>,
+    /// Slot-indexed selection weights of the current round:
+    /// `selection.weight(score(identity(slot)))`, filled once before the
+    /// interaction phase freezes (empty under `SelectionPolicy::Random`,
+    /// which reads no score).
+    weights: Vec<f64>,
+    /// Slot-indexed mechanism scores for the power measurement.
+    scores: Vec<f64>,
     /// Ground-truth qualities for the power measurement.
     truth: Vec<f64>,
     /// Adversarial flags for the power measurement.
     adversarial: Vec<bool>,
+    /// The last power measurement and the inputs it was computed from.
+    power_memo: PowerMemo,
     /// Report views staged for `record_batch` while draining a shard
     /// outbox at the merge barrier.
     views: Vec<ReportView>,
+}
+
+/// The last [`accuracy::evaluate_scores`] call of a scenario, keyed by
+/// its complete input. The mechanism is fixed for the scenario's
+/// lifetime, so scores, ground truth, adversarial flags and refresh
+/// iterations determine the report; equal inputs (floats compared by
+/// bit pattern) give the bit-identical report without recomputing it.
+#[derive(Debug, Default)]
+struct PowerMemo {
+    scores: Vec<f64>,
+    truth: Vec<f64>,
+    adversarial: Vec<bool>,
+    iterations: usize,
+    /// `None` until the first measurement.
+    report: Option<PowerReport>,
+    /// Measurements actually computed (memo misses).
+    computed: u64,
+}
+
+impl PowerMemo {
+    /// The memoized report, if it was computed from exactly these
+    /// inputs.
+    fn lookup(
+        &self,
+        scores: &[f64],
+        truth: &[f64],
+        adversarial: &[bool],
+        iterations: usize,
+    ) -> Option<PowerReport> {
+        let same_bits = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        self.report.filter(|_| {
+            self.iterations == iterations
+                && self.adversarial == adversarial
+                && same_bits(&self.scores, scores)
+                && same_bits(&self.truth, truth)
+        })
+    }
+}
+
+/// Fills `out` with `f(score)` for every slot `0..nodes`, scoring each
+/// slot under its current identity (`identities[slot]`, or the slot
+/// itself without a dynamics plan).
+fn slot_scores_into(
+    out: &mut Vec<f64>,
+    mechanism: &dyn ReputationMechanism,
+    identities: Option<&[NodeId]>,
+    nodes: usize,
+    f: impl Fn(f64) -> f64,
+) {
+    out.clear();
+    match identities {
+        Some(ids) => out.extend(ids.iter().map(|&id| f(mechanism.score(id)))),
+        None => out.extend((0..nodes).map(|i| f(mechanism.score(NodeId::from_index(i))))),
+    }
 }
 
 /// Per-round counters a shard accumulates locally; summed at the merge
@@ -323,6 +388,9 @@ struct ShardCtx<'a> {
     enforcer: &'a Enforcer,
     adequacy: &'a AdequacyModel,
     offline: &'a [bool],
+    /// Slot-indexed selection weights, frozen for the phase (see
+    /// `ScenarioScratch::weights`).
+    weights: &'a [f64],
     policy_exposure_cap: &'a [f64],
     policies: &'a [PrivacyPolicy],
     /// Active partition group map, if a window is open this round
@@ -401,9 +469,9 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
                         .filter(eligible),
                 ),
             }
-            let Some(provider) = ctx.config.selection.select_with(
+            let Some(provider) = ctx.config.selection.select_weighted(
                 candidates,
-                |c| ctx.mechanism.score(ctx.identity(c)),
+                |c| ctx.weights[c.index()],
                 &mut rng,
                 selection,
             ) else {
@@ -819,28 +887,61 @@ impl Scenario {
         }));
     }
 
+    /// Fills the round's selection-weight table. Runs after `pre_round`
+    /// has settled the round's whitewashes and resized the mechanism,
+    /// before the interaction phase freezes; `Random` reads no score and
+    /// keeps the table empty.
+    fn fill_selection_weights(&mut self) {
+        let policy = self.config.selection;
+        let weights = &mut self.scratch.weights;
+        if matches!(policy, SelectionPolicy::Random) {
+            weights.clear();
+            return;
+        }
+        slot_scores_into(
+            weights,
+            self.mechanism.as_ref(),
+            self.net_dynamics.as_ref().map(|d| d.identities()),
+            self.config.nodes,
+            |score| policy.weight(score),
+        );
+    }
+
+    /// The mechanism's power against the current ground truth. Ground
+    /// truth is slot-indexed; the mechanism sees the slot's *current
+    /// identity*, so whitewashed adversaries are judged as the same
+    /// adversary even though the mechanism sees a newcomer. Returns the
+    /// memoized report when every input equals the last computed call's.
     fn measure_power(&mut self, iterations: usize) -> PowerReport {
         let n = self.config.nodes;
+        let mechanism = self.mechanism.as_ref();
+        let population = &self.population;
         let ScenarioScratch {
-            truth, adversarial, ..
+            scores,
+            truth,
+            adversarial,
+            power_memo,
+            ..
         } = &mut self.scratch;
+        let identities = self.net_dynamics.as_ref().map(|d| d.identities());
+        slot_scores_into(scores, mechanism, identities, n, |score| score);
         adversarial.clear();
-        adversarial.extend((0..n).map(|i| self.population.is_adversarial(NodeId::from_index(i))));
+        adversarial.extend((0..n).map(|i| population.is_adversarial(NodeId::from_index(i))));
         truth.clear();
-        truth.extend((0..n).map(|i| self.population.true_quality(NodeId::from_index(i))));
-        // Ground truth is slot-indexed; the mechanism sees the slot's
-        // *current identity*, so whitewashed adversaries are judged as
-        // the same adversary even though the mechanism sees a newcomer.
-        match self.net_dynamics.as_ref() {
-            Some(d) => accuracy::evaluate_identities(
-                self.mechanism.as_ref(),
-                d.identities(),
-                truth,
-                adversarial,
-                iterations,
-            ),
-            None => accuracy::evaluate(self.mechanism.as_ref(), truth, adversarial, iterations),
+        truth.extend((0..n).map(|i| population.true_quality(NodeId::from_index(i))));
+        if let Some(report) = power_memo.lookup(scores, truth, adversarial, iterations) {
+            return report;
         }
+        let report = accuracy::evaluate_scores(mechanism, scores, truth, adversarial, iterations);
+        // This call's inputs become the key; the old key's buffers are
+        // reused as the next call's scratch.
+        std::mem::swap(&mut power_memo.scores, scores);
+        std::mem::swap(&mut power_memo.truth, truth);
+        std::mem::swap(&mut power_memo.adversarial, adversarial);
+        power_memo.iterations = iterations;
+        power_memo.report = Some(report);
+        power_memo.computed += 1;
+        report
     }
 
     /// Runs the configured number of rounds and returns the outcome.
@@ -1097,7 +1198,7 @@ struct RunTotals {
 // `SHARD_AUTO_NODES` unless `shards` asks for more). Every round:
 //
 //   1. *Pre-round* (calling thread): population clock, dynamics/offline
-//      flags, membership shuffle.
+//      flags, membership shuffle, the round's selection-weight table.
 //   2. *Interaction phase*: workers claim shards off an atomic cursor
 //      and run them against the frozen round-start snapshot — scores,
 //      served counters and ledger state do not move. Randomness comes
@@ -1172,6 +1273,7 @@ impl Scenario {
             // View shuffle before the phase snapshot freezes — shards
             // then read identical views for any shard count.
             self.membership_pre_round();
+            self.fill_selection_weights();
 
             // --- Interaction phase: workers steal shards off a cursor.
             {
@@ -1183,6 +1285,7 @@ impl Scenario {
                     enforcer: &self.enforcer,
                     adequacy: &self.adequacy,
                     offline: &self.scratch.offline,
+                    weights: &self.scratch.weights,
                     policy_exposure_cap: &self.policy_exposure_cap,
                     policies: &self.policies,
                     partition: self
@@ -1558,6 +1661,110 @@ mod tests {
         };
         assert_eq!(whitewashes(0.0), 0);
         assert!(whitewashes(0.2) > 0);
+    }
+
+    fn report_bits(r: &PowerReport) -> [u64; 6] {
+        [
+            r.consistency.to_bits(),
+            r.rmse.to_bits(),
+            r.reliability.to_bits(),
+            r.efficiency.to_bits(),
+            r.iterations as u64,
+            r.overhead_per_report as u64,
+        ]
+    }
+
+    fn memo_misses(s: &Scenario) -> u64 {
+        s.scratch.power_memo.computed
+    }
+
+    #[test]
+    fn power_memo_hit_is_bit_identical_to_a_fresh_evaluation() {
+        // EigenTrust under full disclosure: scores move only at a
+        // refresh, so the rounds between refreshes hit the memo.
+        let mut s = Scenario::new(small(7)).unwrap();
+        let rounds = s.config.rounds as u64;
+        let outcome = s.run();
+        let misses = memo_misses(&s);
+        assert!(misses < rounds + 1, "{misses} misses in {rounds} rounds");
+        let iterations = outcome.power.iterations;
+        let hit = s.measure_power(iterations);
+        assert_eq!(memo_misses(&s), misses, "identical inputs hit");
+        let adversarial: Vec<bool> = (0..s.config.nodes)
+            .map(|i| s.population.is_adversarial(NodeId::from_index(i)))
+            .collect();
+        let fresh = accuracy::evaluate(
+            s.mechanism.as_ref(),
+            &s.population.true_qualities(),
+            &adversarial,
+            iterations,
+        );
+        assert_eq!(report_bits(&hit), report_bits(&fresh));
+        assert_eq!(report_bits(&hit), report_bits(&outcome.power));
+    }
+
+    #[test]
+    fn power_memo_misses_when_the_scores_move() {
+        let mut c = small(8);
+        c.mechanism = MechanismKind::Beta;
+        let mut s = Scenario::new(c).unwrap();
+        let rounds = s.config.rounds as u64;
+        s.run();
+        // Beta scores move with every recorded report, so every round
+        // recomputes; its refresh is a no-op, so the final measurement
+        // (no reports since the last round) hits.
+        assert_eq!(memo_misses(&s), rounds);
+        s.measure_power(0);
+        let misses = memo_misses(&s);
+        let report = FeedbackReport {
+            rater: NodeId(0),
+            ratee: NodeId(1),
+            outcome: tsn_reputation::InteractionOutcome::Failure,
+            topic: None,
+            at: SimTime::ZERO,
+        };
+        s.mechanism.record(&DisclosurePolicy::full().view(&report));
+        s.measure_power(0);
+        assert_eq!(memo_misses(&s), misses + 1);
+    }
+
+    #[test]
+    fn power_memo_misses_when_ground_truth_moves() {
+        let mut c = small(9);
+        c.population = PopulationConfig {
+            traitor: 0.25,
+            ..PopulationConfig::default()
+        };
+        let mut s = Scenario::new(c).unwrap();
+        s.measure_power(0);
+        s.measure_power(0);
+        assert_eq!(memo_misses(&s), 1, "identical inputs hit");
+        let (traitor, switch_after) = (0..s.config.nodes)
+            .map(NodeId::from_index)
+            .find_map(|n| match s.population.class(n) {
+                BehaviorClass::Traitor { switch_after } => Some((n, switch_after)),
+                _ => None,
+            })
+            .expect("a quarter of the population are traitors");
+        // The traitor turns: its true quality drops, the scores do not
+        // move.
+        s.population.note_served(traitor, switch_after);
+        s.measure_power(0);
+        assert_eq!(memo_misses(&s), 2);
+    }
+
+    #[test]
+    fn power_memo_misses_when_only_the_iterations_move() {
+        let mut s = Scenario::new(small(10)).unwrap();
+        let first = s.measure_power(3);
+        let again = s.measure_power(3);
+        assert_eq!(memo_misses(&s), 1);
+        assert_eq!(report_bits(&first), report_bits(&again));
+        // The final refresh adds iterations to otherwise equal inputs.
+        let after_refresh = s.measure_power(4);
+        assert_eq!(memo_misses(&s), 2);
+        assert_eq!(after_refresh.iterations, 4);
+        assert!(after_refresh.efficiency < first.efficiency);
     }
 
     #[test]

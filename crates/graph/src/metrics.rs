@@ -159,10 +159,14 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
     }
 }
 
-/// Spearman rank correlation; `None` when undefined. Ties receive average
-/// ranks (midrank method).
+/// Spearman rank correlation; `None` when undefined, including when
+/// either input holds a NaN (a NaN has no rank). Ties receive average
+/// ranks (midrank method); `-0.0` and `0.0` tie.
 pub fn spearman(xs: &[f64], ys: &[f64]) -> Option<f64> {
     if xs.len() != ys.len() || xs.len() < 2 {
+        return None;
+    }
+    if xs.iter().chain(ys).any(|v| v.is_nan()) {
         return None;
     }
     let rx = midranks(xs);
@@ -170,6 +174,8 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> Option<f64> {
     pearson(&rx, &ry)
 }
 
+/// Midranks of NaN-free `xs` (with a NaN the comparator below would not
+/// be a total order, and the sort may panic).
 fn midranks(xs: &[f64]) -> Vec<f64> {
     let mut idx: Vec<usize> = (0..xs.len()).collect();
     idx.sort_by(|&a, &b| {
@@ -280,6 +286,23 @@ mod tests {
         let xs = [1.0, 2.0, 2.0, 3.0];
         let ys = [1.0, 2.0, 2.0, 3.0];
         assert!((spearman(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn spearman_of_nan_input_is_undefined_not_a_panic() {
+        // 41 elements: long enough that the standard sort checks its
+        // comparator, which the NaN would break.
+        let xs: Vec<f64> = (0..41).map(|i| (i * 7 % 41) as f64).collect();
+        let mut with_nan = xs.clone();
+        with_nan[20] = f64::NAN;
+        assert_eq!(spearman(&with_nan, &xs), None);
+        assert_eq!(spearman(&xs, &with_nan), None);
+        // NaN-free inputs are unaffected, signed zeros still tie.
+        assert!((spearman(&xs, &xs).unwrap() - 1.0).abs() < 1e-12);
+        assert_eq!(
+            spearman(&[-0.0, 0.0, 1.0], &[5.0, 5.0, 6.0]),
+            spearman(&[0.0, 0.0, 1.0], &[5.0, 5.0, 6.0])
+        );
     }
 
     #[test]

@@ -82,13 +82,10 @@ pub fn evaluate(
     adversarial: &[bool],
     iterations: usize,
 ) -> PowerReport {
-    let n = mechanism.len();
-    assert_eq!(true_quality.len(), n, "quality vector length mismatch");
-    assert_eq!(adversarial.len(), n, "adversarial vector length mismatch");
-    let scores: Vec<f64> = (0..n)
+    let scores: Vec<f64> = (0..mechanism.len())
         .map(|i| mechanism.score(NodeId::from_index(i)))
         .collect();
-    evaluate_scores(mechanism, scores, true_quality, adversarial, iterations)
+    evaluate_scores(mechanism, &scores, true_quality, adversarial, iterations)
 }
 
 /// Evaluates `mechanism` against ground truth through an *identity
@@ -111,24 +108,33 @@ pub fn evaluate_identities(
     adversarial: &[bool],
     iterations: usize,
 ) -> PowerReport {
-    let n = identity.len();
-    assert_eq!(true_quality.len(), n, "quality vector length mismatch");
-    assert_eq!(adversarial.len(), n, "adversarial vector length mismatch");
     let scores: Vec<f64> = identity.iter().map(|&id| mechanism.score(id)).collect();
-    evaluate_scores(mechanism, scores, true_quality, adversarial, iterations)
+    evaluate_scores(mechanism, &scores, true_quality, adversarial, iterations)
 }
 
-fn evaluate_scores(
+/// Evaluates caller-owned `scores` — `scores[i]` is what `mechanism`
+/// currently says about behaviour slot `i` — against ground truth.
+/// [`evaluate`] and [`evaluate_identities`] gather the scores and call
+/// this; a caller that already holds them (or wants to keep them, e.g.
+/// as a memo key) skips the copy. `mechanism` supplies only the
+/// per-report overhead.
+///
+/// # Panics
+///
+/// Panics if the slice lengths disagree.
+pub fn evaluate_scores(
     mechanism: &dyn ReputationMechanism,
-    scores: Vec<f64>,
+    scores: &[f64],
     true_quality: &[f64],
     adversarial: &[bool],
     iterations: usize,
 ) -> PowerReport {
     let n = scores.len();
+    assert_eq!(true_quality.len(), n, "quality vector length mismatch");
+    assert_eq!(adversarial.len(), n, "adversarial vector length mismatch");
     // Consistency: Spearman mapped from [-1, 1] to [0, 1]; an undefined
     // correlation (constant scores) counts as zero consistency.
-    let consistency = tsn_graph::metrics::spearman(&scores, true_quality)
+    let consistency = tsn_graph::metrics::spearman(scores, true_quality)
         .map(|r| (r + 1.0) / 2.0)
         .unwrap_or(0.5);
 
@@ -144,7 +150,7 @@ fn evaluate_scores(
             .sqrt()
     };
 
-    let reliability = balanced_detection_accuracy(&scores, adversarial);
+    let reliability = balanced_detection_accuracy(scores, adversarial);
 
     let cost = iterations as f64 / 100.0 + mechanism.overhead_per_report() as f64 / 10.0;
     let efficiency = 1.0 / (1.0 + cost);

@@ -157,15 +157,10 @@ pub trait ReputationMechanism: std::fmt::Debug + Send + Sync {
     }
 
     /// Nodes sorted by descending score (ties by ascending id, so the
-    /// ranking is deterministic).
+    /// ranking is deterministic; NaN scores rank last).
     fn ranking(&self) -> Vec<NodeId> {
         let mut nodes: Vec<NodeId> = (0..self.len()).map(NodeId::from_index).collect();
-        nodes.sort_by(|&a, &b| {
-            self.score(b)
-                .partial_cmp(&self.score(a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        nodes.sort_by(|&a, &b| descending_nan_last(self.score(a), self.score(b)).then(a.cmp(&b)));
         nodes
     }
 
@@ -204,6 +199,16 @@ pub trait ReputationMechanism: std::fmt::Debug + Send + Sync {
             "mechanism '{}' does not support state restore",
             self.kind()
         ))
+    }
+}
+
+/// Orders scores from highest to lowest with every NaN after every
+/// number: a total order, so sorts by it never panic. `-0.0` and `0.0`
+/// compare equal, as under `partial_cmp`.
+pub(crate) fn descending_nan_last(a: f64, b: f64) -> std::cmp::Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => b.partial_cmp(&a).unwrap_or(std::cmp::Ordering::Equal),
+        (a_nan, b_nan) => a_nan.cmp(&b_nan),
     }
 }
 
@@ -383,6 +388,43 @@ mod tests {
             m.ranking(),
             vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]
         );
+    }
+
+    /// A mechanism with fixed scores, for ordering tests.
+    #[derive(Debug)]
+    struct Fixed(Vec<f64>);
+
+    impl ReputationMechanism for Fixed {
+        fn kind(&self) -> MechanismKind {
+            MechanismKind::None
+        }
+        fn resize(&mut self, _n: usize) {}
+        fn record(&mut self, _report: &ReportView) {}
+        fn refresh(&mut self) -> usize {
+            0
+        }
+        fn score(&self, node: NodeId) -> f64 {
+            self.0[node.index()]
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+    }
+
+    #[test]
+    fn ranking_puts_nan_scores_last_without_panicking() {
+        // 41 nodes: long enough that the standard sort checks its
+        // comparator, which a NaN under `partial_cmp` would break.
+        let mut scores: Vec<f64> = (0..41).map(|i| (i * 7 % 41) as f64 / 41.0).collect();
+        scores[3] = f64::NAN;
+        scores[30] = f64::NAN;
+        let ranking = Fixed(scores.clone()).ranking();
+        assert_eq!(&ranking[39..], &[NodeId(3), NodeId(30)]);
+        let ranked: Vec<f64> = ranking[..39].iter().map(|n| scores[n.index()]).collect();
+        assert!(ranked.windows(2).all(|w| w[0] > w[1]), "{ranked:?}");
+        // Signed zeros tie and fall back to the id order.
+        let zeros = Fixed(vec![0.0, -0.0, 0.5, 0.0]).ranking();
+        assert_eq!(zeros, vec![NodeId(2), NodeId(0), NodeId(1), NodeId(3)]);
     }
 
     #[test]

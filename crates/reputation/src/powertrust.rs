@@ -25,7 +25,7 @@
 
 use crate::gathering::ReportView;
 use crate::local_matrix::{LocalMatrix, UpsertMemo};
-use crate::mechanism::{MechanismKind, ReputationMechanism};
+use crate::mechanism::{descending_nan_last, MechanismKind, ReputationMechanism};
 use crate::walk::WalkMatrix;
 use tsn_simnet::NodeId;
 
@@ -93,6 +93,14 @@ impl PtCell {
             self.sum / self.count as f64
         }
     }
+}
+
+/// Fills `order` with the indices of `mass`, highest mass first (ties by
+/// ascending index, NaN last): the power-node election order.
+fn rank_descending(order: &mut Vec<usize>, mass: &[f64]) {
+    order.clear();
+    order.extend(0..mass.len());
+    order.sort_by(|&a, &b| descending_nan_last(mass[a], mass[b]).then(a.cmp(&b)));
 }
 
 /// The PowerTrust mechanism.
@@ -193,14 +201,7 @@ impl PowerTrust {
             self.config.max_iterations,
         );
         let v1 = self.walk.solution();
-        self.order.clear();
-        self.order.extend(0..n);
-        self.order.sort_by(|&a, &b| {
-            v1[b]
-                .partial_cmp(&v1[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        rank_descending(&mut self.order, v1);
         let m = self.config.power_nodes.min(n);
         self.power_set.clear();
         self.power_set
@@ -350,6 +351,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn election_order_ranks_nan_mass_last_without_panicking() {
+        // 41 entries: long enough that the standard sort checks its
+        // comparator, which a NaN under `partial_cmp` would break.
+        let mut mass: Vec<f64> = (0..41).map(|i| (i * 7 % 41) as f64).collect();
+        mass[5] = f64::NAN;
+        mass[17] = f64::NAN;
+        let mut order = Vec::new();
+        rank_descending(&mut order, &mass);
+        assert_eq!(&order[39..], &[5, 17]);
+        assert!(order[..39].windows(2).all(|w| mass[w[0]] > mass[w[1]]));
+        // Signed zeros tie and fall back to the index order.
+        rank_descending(&mut order, &[0.0, -0.0, 1.0, 0.0]);
+        assert_eq!(order, vec![2, 0, 1, 3]);
     }
 
     #[test]

@@ -59,6 +59,23 @@ impl SelectionPolicy {
         }
     }
 
+    /// The selection weight a candidate with reputation `score` carries
+    /// under this policy: `score.max(0) ^ sharpness.max(0)` for
+    /// `Proportional`, the score itself otherwise (`Random` ignores it).
+    ///
+    /// A score that stays fixed across many selections — a scenario
+    /// round's frozen snapshot — can be weighted once and handed to
+    /// [`SelectionPolicy::select_weighted`], which then draws exactly as
+    /// [`SelectionPolicy::select_with`] does on the score.
+    pub fn weight(self, score: f64) -> f64 {
+        match self {
+            SelectionPolicy::Proportional { sharpness } => score.max(0.0).powf(sharpness.max(0.0)),
+            SelectionPolicy::Random | SelectionPolicy::Best | SelectionPolicy::Threshold { .. } => {
+                score
+            }
+        }
+    }
+
     /// Picks one provider among `candidates`, whose reputation is given by
     /// `score(candidate)`. Returns `None` when `candidates` is empty.
     ///
@@ -71,53 +88,50 @@ impl SelectionPolicy {
         rng: &mut SimRng,
         scratch: &mut SelectionScratch,
     ) -> Option<NodeId> {
+        self.select_weighted(candidates, |c| self.weight(score(c)), rng, scratch)
+    }
+
+    /// Picks one provider among `candidates` given each candidate's
+    /// precomputed [`SelectionPolicy::weight`]. The draw — choice and RNG
+    /// consumption — is exactly that of [`SelectionPolicy::select_with`]
+    /// on the unweighted scores. `weight_of` is called at most once per
+    /// candidate (never for `Random`).
+    pub fn select_weighted(
+        self,
+        candidates: &[NodeId],
+        mut weight_of: impl FnMut(NodeId) -> f64,
+        rng: &mut SimRng,
+        scratch: &mut SelectionScratch,
+    ) -> Option<NodeId> {
         if candidates.is_empty() {
             return None;
         }
+        // Weight each candidate once; every policy but `Random` reads
+        // the weights (`Threshold` both to filter and in its fallback).
+        let weights = &mut scratch.weights;
+        weights.clear();
+        if !matches!(self, SelectionPolicy::Random) {
+            weights.extend(candidates.iter().map(|&c| weight_of(c)));
+        }
         match self {
             SelectionPolicy::Random => rng.choose(candidates).copied(),
-            SelectionPolicy::Best => {
-                // Score each candidate once (`max_by` would re-score per
-                // comparison), then keep `max_by`'s exact tie semantics.
-                scratch.weights.clear();
-                scratch.weights.extend(candidates.iter().map(|&c| score(c)));
-                candidates
-                    .iter()
-                    .copied()
-                    .zip(scratch.weights.iter().copied())
-                    .max_by(|&(a, sa), &(b, sb)| {
-                        sa.partial_cmp(&sb)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            // Prefer the lower id on ties (max_by keeps the
-                            // last maximal element, so compare ids in
-                            // reverse).
-                            .then(b.cmp(&a))
-                    })
-                    .map(|(c, _)| c)
-            }
-            SelectionPolicy::Proportional { sharpness } => {
-                scratch.weights.clear();
-                scratch.weights.extend(
-                    candidates
-                        .iter()
-                        .map(|&c| score(c).max(0.0).powf(sharpness.max(0.0))),
-                );
-                match rng.choose_weighted_index(&scratch.weights) {
-                    Some(i) => Some(candidates[i]),
-                    // All-zero scores: fall back to uniform.
-                    None => rng.choose(candidates).copied(),
-                }
-            }
+            SelectionPolicy::Best => best_of(candidates, weights),
+            SelectionPolicy::Proportional { .. } => match rng.choose_weighted_index(weights) {
+                Some(i) => Some(candidates[i]),
+                // All-zero scores: fall back to uniform.
+                None => rng.choose(candidates).copied(),
+            },
             SelectionPolicy::Threshold { threshold } => {
                 scratch.qualified.clear();
                 scratch.qualified.extend(
                     candidates
                         .iter()
-                        .copied()
-                        .filter(|&c| score(c) >= threshold),
+                        .zip(weights.iter())
+                        .filter(|&(_, &w)| w >= threshold)
+                        .map(|(&c, _)| c),
                 );
                 if scratch.qualified.is_empty() {
-                    SelectionPolicy::Best.select_with(candidates, score, rng, scratch)
+                    best_of(candidates, weights)
                 } else {
                     rng.choose(&scratch.qualified).copied()
                 }
@@ -126,7 +140,25 @@ impl SelectionPolicy {
     }
 }
 
-/// Reusable buffers for [`SelectionPolicy::select_with`]; one instance
+/// The highest-weighted candidate, ties → lowest id (`weights[i]`
+/// belongs to `candidates[i]`). Keeps `max_by`'s exact semantics,
+/// including its treatment of incomparable (NaN) weights.
+fn best_of(candidates: &[NodeId], weights: &[f64]) -> Option<NodeId> {
+    candidates
+        .iter()
+        .copied()
+        .zip(weights.iter().copied())
+        .max_by(|&(a, sa), &(b, sb)| {
+            sa.partial_cmp(&sb)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                // Prefer the lower id on ties (max_by keeps the last
+                // maximal element, so compare ids in reverse).
+                .then(b.cmp(&a))
+        })
+        .map(|(c, _)| c)
+}
+
+/// Reusable buffers for [`SelectionPolicy::select_weighted`]; one instance
 /// per interaction loop keeps partner selection allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct SelectionScratch {
@@ -251,6 +283,38 @@ mod tests {
             );
             assert_eq!(c, Some(NodeId(2)), "threshold {threshold}");
         }
+    }
+
+    #[test]
+    fn weight_is_the_proportional_power_and_the_score_otherwise() {
+        let p = SelectionPolicy::Proportional { sharpness: 2.0 };
+        assert_eq!(p.weight(0.5), 0.25);
+        assert_eq!(p.weight(-0.5), 0.0);
+        for policy in [
+            SelectionPolicy::Best,
+            SelectionPolicy::Threshold { threshold: 0.5 },
+        ] {
+            assert_eq!(policy.weight(-0.5), -0.5);
+            assert!(policy.weight(f64::NAN).is_nan());
+        }
+    }
+
+    #[test]
+    fn threshold_fallback_scores_each_candidate_once() {
+        let mut rng = SimRng::seed_from_u64(8);
+        let mut scratch = SelectionScratch::default();
+        let mut calls = 0;
+        let chosen = SelectionPolicy::Threshold { threshold: 0.99 }.select_with(
+            &nodes(5),
+            |n| {
+                calls += 1;
+                n.0 as f64 / 10.0
+            },
+            &mut rng,
+            &mut scratch,
+        );
+        assert_eq!(chosen, Some(NodeId(4)), "nobody qualifies: best wins");
+        assert_eq!(calls, 5);
     }
 
     #[test]

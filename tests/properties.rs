@@ -175,6 +175,65 @@ fn selection_always_picks_a_candidate() {
     }
 }
 
+/// Selecting through a table of precomputed weights — the scenario
+/// engine's per-round path — picks the same candidate and consumes the
+/// same draws as scoring each candidate on the spot, for every policy
+/// and for scores that are negative, zero, NaN or infinite.
+#[test]
+fn weighted_selection_matches_scored_selection() {
+    let mut rng = rng_for(24);
+    let palette = [
+        -1.0,
+        -0.0,
+        0.0,
+        0.25,
+        0.5,
+        1.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    let mut scratch_a = SelectionScratch::default();
+    let mut scratch_b = SelectionScratch::default();
+    for case in 0..CASES * 4 {
+        let nodes = rng.gen_range(1..40usize);
+        let scores: Vec<f64> = (0..nodes)
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    *rng.choose(&palette).unwrap()
+                } else {
+                    rng.gen_f64()
+                }
+            })
+            .collect();
+        // A random candidate multiset in random order, possibly empty.
+        let k = rng.gen_range(0..nodes + 1);
+        let candidates: Vec<NodeId> = (0..k)
+            .map(|_| NodeId::from_index(rng.gen_range(0..nodes)))
+            .collect();
+        let score = |n: NodeId| scores[n.index()];
+        for policy in SelectionPolicy::SWEEP {
+            let table: Vec<f64> = scores.iter().map(|&s| policy.weight(s)).collect();
+            let seed = rng.next_u64();
+            let mut rng_a = SimRng::seed_from_u64(seed);
+            let mut rng_b = SimRng::seed_from_u64(seed);
+            let a = policy.select_with(&candidates, score, &mut rng_a, &mut scratch_a);
+            let b = policy.select_weighted(
+                &candidates,
+                |n| table[n.index()],
+                &mut rng_b,
+                &mut scratch_b,
+            );
+            assert_eq!(a, b, "case {case}: {policy:?} on {scores:?}");
+            assert_eq!(
+                rng_a.next_u64(),
+                rng_b.next_u64(),
+                "case {case}: {policy:?} consumed different draws"
+            );
+        }
+    }
+}
+
 /// Graph generators produce simple graphs with consistent degree
 /// accounting, and BFS distances satisfy the triangle property along
 /// edges.
