@@ -8,7 +8,7 @@ use tsn_privacy::enforcement::RequestContext;
 use tsn_privacy::{
     AccessRequest, DataCategory, DisclosureLedger, Enforcer, Operation, PrivacyPolicy, Purpose,
 };
-use tsn_simnet::{NodeId, SimTime};
+use tsn_simnet::NodeId;
 
 fn main() {
     let enforcer = Enforcer::new();
@@ -56,14 +56,7 @@ fn main() {
         || {
             let mut ledger = DisclosureLedger::new();
             for i in 0..10_000u64 {
-                ledger.record_disclosure(
-                    SimTime::from_secs(i),
-                    NodeId((i % 100) as u32),
-                    NodeId(((i + 1) % 100) as u32),
-                    DataCategory::Content,
-                    Purpose::Social,
-                    false,
-                );
+                ledger.record_disclosure(NodeId((i % 100) as u32), DataCategory::Content, false);
             }
             ledger.respect_rate()
         },

@@ -132,11 +132,6 @@ pub struct ScenarioConfig {
     ///
     /// [`SHARD_AUTO_NODES`]: crate::scenario::SHARD_AUTO_NODES
     pub shards: usize,
-    /// Cap on *raw* disclosure-ledger records kept in memory (oldest
-    /// evicted first). Aggregate privacy measurements always cover the
-    /// full history; the cap only bounds the memory of the raw audit
-    /// trail on long runs. `None` keeps every record.
-    pub ledger_raw_record_cap: Option<usize>,
     /// Random seed.
     pub seed: u64,
 }
@@ -165,7 +160,6 @@ impl Default for ScenarioConfig {
             consumer_role_weight: 0.75,
             ballot_stuffing_factor: 4,
             shards: 1,
-            ledger_raw_record_cap: None,
             seed: 42,
         }
     }
@@ -224,14 +218,8 @@ impl ScenarioConfig {
                 .map_err(|m| ValidationError::new("dynamics", m))?;
         }
         if let Some(m) = &self.membership {
-            m.validate()
+            m.validate_for(self.nodes)
                 .map_err(|msg| ValidationError::new("membership", msg))?;
-            if m.relays >= self.nodes {
-                return Err(ValidationError::new(
-                    "membership",
-                    "need more nodes than relays",
-                ));
-            }
         }
         if !(0.0..=1.0).contains(&self.consumer_role_weight) {
             return Err(ValidationError::new(

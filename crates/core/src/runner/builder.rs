@@ -337,24 +337,12 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Preset: a mega-scale run — auto-sharded round engine and a
-    /// bounded raw ledger audit trail (aggregate privacy measurements
-    /// still cover the full history), which keep a 100k–1M node
-    /// scenario inside memory and on every core.
+    /// Preset: a mega-scale run — 20 rounds on the auto-sharded round
+    /// engine, which keeps a 100k–1M node scenario on every core. The
+    /// disclosure ledger is counters-only, so its memory grows with the
+    /// node count, never with the number of flows.
     pub fn mega(nodes: usize) -> Self {
-        Self::new()
-            .nodes(nodes)
-            .rounds(20)
-            .shards(0)
-            .ledger_raw_record_cap(Some(200_000))
-    }
-
-    /// Caps the raw disclosure-ledger records kept in memory (oldest
-    /// evicted first); aggregate privacy measurements still cover the
-    /// full history. `None` (the default) keeps every record.
-    pub fn ledger_raw_record_cap(mut self, cap: Option<usize>) -> Self {
-        self.config.ledger_raw_record_cap = cap;
-        self
+        Self::new().nodes(nodes).rounds(20).shards(0)
     }
 
     /// Random seed.

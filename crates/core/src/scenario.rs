@@ -42,8 +42,8 @@ use tsn_reputation::{
     Population, PowerReport, ReportView, ReputationMechanism, SelectionPolicy, SelectionScratch,
 };
 use tsn_satisfaction::{
-    AdequacyModel, AllocationTracker, ConsumerIntentions, GlobalSatisfaction, InteractionAspects,
-    ProviderIntentions, SatisfactionTracker,
+    AdequacyModel, ConsumerIntentions, GlobalSatisfaction, InteractionAspects, ProviderIntentions,
+    SatisfactionTracker,
 };
 use tsn_simnet::{
     steal::for_each_chunk_mut, DynamicsEvent, DynamicsRuntime, GroupMap, MembershipRuntime, NodeId,
@@ -204,7 +204,6 @@ struct UserState {
     satisfaction: SatisfactionTracker,
     provider_satisfaction: SatisfactionTracker,
     load_this_round: u32,
-    allocation: AllocationTracker,
     /// Disclosure ladder level the user is willing to feed the
     /// reputation system.
     willingness_level: usize,
@@ -321,16 +320,12 @@ struct ShardCounters {
 enum LedgerEvent {
     Disclosure {
         owner: NodeId,
-        recipient: NodeId,
         category: DataCategory,
-        purpose: Purpose,
         anonymized: bool,
     },
     Breach {
         owner: NodeId,
-        recipient: NodeId,
         category: DataCategory,
-        purpose: Purpose,
         cause: BreachCause,
     },
 }
@@ -500,17 +495,12 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
                 ctx.enforcer
                     .decide(&request, &ctx.policies[provider.index()], &request_ctx);
 
-            let intended = user.intentions.intends(provider);
-            user.allocation.observe(intended);
-
             let outcome_quality;
             if decision.is_granted() {
                 let anonymized = decision == AccessDecision::GrantAnonymized;
                 outbox.ledger.push(LedgerEvent::Disclosure {
                     owner: provider,
-                    recipient: consumer,
                     category: DataCategory::Content,
-                    purpose: Purpose::Social,
                     anonymized,
                 });
                 let outcome = ctx.population.interact_frozen(provider, &mut rng);
@@ -529,9 +519,7 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
                 if !honest && rng.gen_bool(ctx.config.leak_probability) {
                     outbox.ledger.push(LedgerEvent::Breach {
                         owner: provider,
-                        recipient: consumer,
                         category: DataCategory::Content,
-                        purpose: Purpose::Social,
                         cause: BreachCause::MaliciousUser,
                     });
                 }
@@ -585,18 +573,14 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
             if ctx.system_exposure > ctx.policy_exposure_cap[consumer_idx] + 1e-9 {
                 outbox.ledger.push(LedgerEvent::Breach {
                     owner: consumer,
-                    recipient: provider, // the counterparty observes the over-shared fields
                     category: DataCategory::Behavior,
-                    purpose: Purpose::Reputation,
                     cause: BreachCause::System,
                 });
                 user.breached_this_round = true;
             } else {
                 outbox.ledger.push(LedgerEvent::Disclosure {
                     owner: consumer,
-                    recipient: provider,
                     category: DataCategory::Behavior,
-                    purpose: Purpose::Reputation,
                     anonymized: ctx.config.disclosure_level <= 1,
                 });
             }
@@ -760,13 +744,12 @@ impl Scenario {
             let capacity = user_rng.gen_range(3..9u32);
             users.push(UserState {
                 intentions,
-                provider_intentions: ProviderIntentions::new([], capacity)
+                provider_intentions: ProviderIntentions::new(capacity)
                     // tsn-lint: allow(no-unwrap, "capacity is drawn from gen_range(3..9), always positive")
                     .expect("capacity is positive"),
                 satisfaction: SatisfactionTracker::default(),
                 provider_satisfaction: SatisfactionTracker::default(),
                 load_this_round: 0,
-                allocation: AllocationTracker::default(),
                 // Users initially comply with the system's required
                 // feedback-disclosure level; distrust erodes this
                 // willingness when `adaptive_disclosure` is on.
@@ -814,7 +797,7 @@ impl Scenario {
         };
 
         Ok(Scenario {
-            ledger: DisclosureLedger::with_raw_record_cap(config.ledger_raw_record_cap),
+            ledger: DisclosureLedger::new(),
             config,
             graph,
             population,
@@ -1315,7 +1298,7 @@ impl Scenario {
             }
 
             // --- Merge barrier, in ascending shard order.
-            let tally = self.merge_shards(now, system_policy, &mut totals);
+            let tally = self.merge_shards(system_policy, &mut totals);
             let tally = RoundTally {
                 availability: round_availability,
                 partition_health: round_partition_health,
@@ -1339,7 +1322,6 @@ impl Scenario {
     /// through one `record_batch` per shard.
     fn merge_shards(
         &mut self,
-        now: SimTime,
         system_policy: DisclosurePolicy,
         totals: &mut RunTotals,
     ) -> RoundTally {
@@ -1374,19 +1356,14 @@ impl Scenario {
                 match event {
                     LedgerEvent::Disclosure {
                         owner,
-                        recipient,
                         category,
-                        purpose,
                         anonymized,
-                    } => ledger
-                        .record_disclosure(now, owner, recipient, category, purpose, anonymized),
+                    } => ledger.record_disclosure(owner, category, anonymized),
                     LedgerEvent::Breach {
                         owner,
-                        recipient,
                         category,
-                        purpose,
                         cause,
-                    } => ledger.record_breach(now, owner, recipient, category, purpose, cause),
+                    } => ledger.record_breach(owner, category, cause),
                 }
             }
             for &provider in &outbox.touches {

@@ -1,29 +1,25 @@
 //! The disclosure ledger: accounting for every personal-data flow.
 //!
 //! The paper's privacy facet is *measured*, not assumed: "privacy concerns
-//! the respect of individual PPs". The ledger records every disclosure
+//! the respect of individual PPs". The ledger counts every disclosure
 //! (and every breach), so per-user and system-wide respect rates are exact
 //! counts. Footnote 2 of the paper insists breaches by malicious users
 //! and breaches by the system itself "should not be treated in the same
 //! manner" — [`BreachCause`] keeps them apart.
 //!
-//! # Performance
+//! # Counters only
 //!
-//! Aggregate queries ([`DisclosureLedger::respect_rate`],
+//! The ledger keeps running counters, not a log of flows: every query
+//! ([`DisclosureLedger::respect_rate`],
 //! [`DisclosureLedger::respect_rate_for`], [`DisclosureLedger::breach_count`],
 //! [`DisclosureLedger::exposure_for`], [`DisclosureLedger::total_exposure`])
-//! are answered from running counters maintained on every `record_*` call,
-//! so they are O(1) instead of a scan of the full record log — the
-//! scenario loop queries them per user per round. The counters are exact:
-//! integer counts, and exposure sums accumulated in append order (the same
-//! order a scan would use), so the answers are bit-identical to the old
-//! scanning implementation. The raw record log can additionally be capped
-//! with [`DisclosureLedger::with_raw_record_cap`]; counters always cover
-//! the full history even when old raw records have been evicted.
+//! is O(1), and memory grows with the number of owners, never with the
+//! number of flows. The counters are exact: integer counts, and exposure
+//! sums accumulated in record order, so each answer is bit-identical to
+//! a scan over the recorded flows.
 
-use crate::policy::{DataCategory, Purpose};
-use std::collections::VecDeque;
-use tsn_simnet::{NodeId, SimTime};
+use crate::policy::DataCategory;
+use tsn_simnet::NodeId;
 
 /// Who is to blame for a breach.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,33 +31,9 @@ pub enum BreachCause {
     System,
 }
 
-/// One recorded data flow.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DisclosureRecord {
-    /// When it happened.
-    pub at: SimTime,
-    /// Whose data flowed.
-    pub owner: NodeId,
-    /// Who received it.
-    pub recipient: NodeId,
-    /// What category of data.
-    pub category: DataCategory,
-    /// Declared purpose of the flow.
-    pub purpose: Purpose,
-    /// Whether the flow complied with the owner's policy. Non-compliant
-    /// flows are *breaches*.
-    pub compliant: bool,
-    /// Cause, for breaches.
-    pub breach_cause: Option<BreachCause>,
-    /// Whether the data was anonymized before flowing.
-    pub anonymized: bool,
-}
-
-impl DisclosureRecord {
-    /// Sensitivity-weighted exposure contribution of this record.
-    fn exposure(&self) -> f64 {
-        self.category.sensitivity() * if self.anonymized { 0.25 } else { 1.0 }
-    }
+/// Sensitivity-weighted exposure of one flow: anonymized flows count 25 %.
+fn exposure(category: DataCategory, anonymized: bool) -> f64 {
+    category.sensitivity() * if anonymized { 0.25 } else { 1.0 }
 }
 
 /// Running aggregates for one owner's data.
@@ -72,145 +44,64 @@ struct OwnerStats {
     exposure: f64,
 }
 
-/// Append-only ledger of disclosures, with per-owner aggregation.
+/// Counters over every recorded disclosure and breach, per owner and
+/// system-wide.
 ///
 /// ```
-/// use tsn_privacy::{BreachCause, DataCategory, DisclosureLedger, Purpose};
-/// use tsn_simnet::{NodeId, SimTime};
+/// use tsn_privacy::{BreachCause, DataCategory, DisclosureLedger};
+/// use tsn_simnet::NodeId;
 ///
 /// let mut ledger = DisclosureLedger::new();
-/// ledger.record_disclosure(SimTime::ZERO, NodeId(0), NodeId(1), DataCategory::Content, Purpose::Social, false);
-/// ledger.record_breach(SimTime::ZERO, NodeId(0), NodeId(2), DataCategory::Content, Purpose::Social, BreachCause::MaliciousUser);
+/// ledger.record_disclosure(NodeId(0), DataCategory::Content, false);
+/// ledger.record_breach(NodeId(0), DataCategory::Content, BreachCause::MaliciousUser);
 /// assert_eq!(ledger.respect_rate(), 0.5);
 /// assert_eq!(ledger.breach_count(Some(BreachCause::System)), 0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DisclosureLedger {
-    /// Raw audit trail. A ring (`VecDeque`), not a `Vec`: with a
-    /// retention cap every insert beyond the cap evicts the oldest
-    /// record, and `Vec::drain(..1)` would memmove the whole window —
-    /// O(cap) per insert, which turned mega-scale scenario rounds
-    /// quadratic. `pop_front` keeps eviction O(1).
-    records: VecDeque<DisclosureRecord>,
-    /// Optional cap on *raw* record retention; `None` keeps everything.
-    raw_record_cap: Option<usize>,
     /// Per-owner running aggregates, indexed by `owner.index()`.
     owners: Vec<OwnerStats>,
-    /// Running totals over the full history (never evicted).
+    /// System-wide running totals; compliant flows are the rest.
     total: u64,
-    compliant: u64,
     user_breaches: u64,
     system_breaches: u64,
     total_exposure: f64,
 }
 
 impl DisclosureLedger {
-    /// Creates an empty ledger that retains every raw record.
+    /// Creates an empty ledger.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty ledger that keeps at most `cap` raw records
-    /// (oldest evicted first). Aggregate queries still cover the full
-    /// history; only [`DisclosureLedger::records`] and friends see the
-    /// truncated window. `None` disables the cap.
-    pub fn with_raw_record_cap(cap: Option<usize>) -> Self {
-        DisclosureLedger {
-            raw_record_cap: cap,
-            ..Self::default()
-        }
-    }
-
-    /// The configured raw-record retention cap, if any.
-    pub fn raw_record_cap(&self) -> Option<usize> {
-        self.raw_record_cap
-    }
-
-    fn owner_stats_mut(&mut self, owner: NodeId) -> &mut OwnerStats {
+    fn count(&mut self, owner: NodeId, compliant: bool, exposure: f64) {
+        self.total += 1;
+        self.total_exposure += exposure;
         let i = owner.index();
         if i >= self.owners.len() {
             self.owners.resize(i + 1, OwnerStats::default());
         }
-        &mut self.owners[i]
-    }
-
-    fn push(&mut self, record: DisclosureRecord) {
-        self.total += 1;
-        if record.compliant {
-            self.compliant += 1;
-        }
-        match record.breach_cause {
-            Some(BreachCause::MaliciousUser) => self.user_breaches += 1,
-            Some(BreachCause::System) => self.system_breaches += 1,
-            None => {}
-        }
-        let exposure = record.exposure();
-        self.total_exposure += exposure;
-        let stats = self.owner_stats_mut(record.owner);
+        let stats = &mut self.owners[i];
         stats.total += 1;
-        stats.compliant += u64::from(record.compliant);
+        stats.compliant += u64::from(compliant);
         stats.exposure += exposure;
+    }
 
-        self.records.push_back(record);
-        if let Some(cap) = self.raw_record_cap {
-            while self.records.len() > cap {
-                self.records.pop_front();
-            }
+    /// Records a compliant disclosure of `owner`'s data.
+    pub fn record_disclosure(&mut self, owner: NodeId, category: DataCategory, anonymized: bool) {
+        self.count(owner, true, exposure(category, anonymized));
+    }
+
+    /// Records a breach of `owner`'s data.
+    pub fn record_breach(&mut self, owner: NodeId, category: DataCategory, cause: BreachCause) {
+        match cause {
+            BreachCause::MaliciousUser => self.user_breaches += 1,
+            BreachCause::System => self.system_breaches += 1,
         }
+        self.count(owner, false, exposure(category, false));
     }
 
-    /// Records a compliant disclosure.
-    pub fn record_disclosure(
-        &mut self,
-        at: SimTime,
-        owner: NodeId,
-        recipient: NodeId,
-        category: DataCategory,
-        purpose: Purpose,
-        anonymized: bool,
-    ) {
-        self.push(DisclosureRecord {
-            at,
-            owner,
-            recipient,
-            category,
-            purpose,
-            compliant: true,
-            breach_cause: None,
-            anonymized,
-        });
-    }
-
-    /// Records a breach.
-    pub fn record_breach(
-        &mut self,
-        at: SimTime,
-        owner: NodeId,
-        recipient: NodeId,
-        category: DataCategory,
-        purpose: Purpose,
-        cause: BreachCause,
-    ) {
-        self.push(DisclosureRecord {
-            at,
-            owner,
-            recipient,
-            category,
-            purpose,
-            compliant: false,
-            breach_cause: Some(cause),
-            anonymized: false,
-        });
-    }
-
-    /// All retained raw records, in order. With a raw-record cap this is
-    /// the most recent window; aggregates still cover the full history.
-    pub fn records(&self) -> &VecDeque<DisclosureRecord> {
-        &self.records
-    }
-
-    /// Total number of records over the full history (including any raw
-    /// records evicted by the retention cap).
+    /// Number of flows recorded.
     pub fn len(&self) -> usize {
         self.total as usize
     }
@@ -235,7 +126,8 @@ impl DisclosureLedger {
         if self.total == 0 {
             return 1.0;
         }
-        self.compliant as f64 / self.total as f64
+        let compliant = self.total - self.user_breaches - self.system_breaches;
+        compliant as f64 / self.total as f64
     }
 
     /// Policy-respect rate for one owner's data.
@@ -247,8 +139,8 @@ impl DisclosureLedger {
     }
 
     /// Sensitivity-weighted exposure of one owner: Σ sensitivity(category)
-    /// over their non-anonymized disclosed records (anonymized flows count
-    /// 25 %). Unnormalized; see [`crate::exposure`] for the facet mapping.
+    /// over every flow of their data, breaches included (anonymized
+    /// disclosures count 25 %). Unnormalized; see [`crate::exposure`] for the facet mapping.
     pub fn exposure_for(&self, owner: NodeId) -> f64 {
         self.owners
             .get(owner.index())
@@ -259,59 +151,11 @@ impl DisclosureLedger {
     pub fn total_exposure(&self) -> f64 {
         self.total_exposure
     }
-
-    /// Records concerning one owner (within the retained raw window).
-    pub fn records_for(&self, owner: NodeId) -> impl Iterator<Item = &DisclosureRecord> {
-        self.records.iter().filter(move |r| r.owner == owner)
-    }
-
-    /// Drops records older than `horizon` (retention enforcement on the
-    /// ledger itself) and rebuilds the aggregates from the survivors, so
-    /// the counters match a ledger that never saw the purged flows.
-    /// Returns how many retained records were purged.
-    ///
-    /// With a raw-record cap, records evicted from the raw window carry
-    /// no timestamp any more, so a purge resets the aggregates to the
-    /// surviving *retained* window — evicted history is forgotten along
-    /// with the purge, whatever its age.
-    pub fn purge_before(&mut self, horizon: SimTime) -> usize {
-        let before = self.records.len();
-        self.records.retain(|r| r.at >= horizon);
-        let purged = before - self.records.len();
-        let capped_history = self.raw_record_cap.is_some() && self.total as usize > before;
-        if purged > 0 || capped_history {
-            self.rebuild_aggregates();
-        }
-        purged
-    }
-
-    /// Recomputes every counter from the retained raw records, in record
-    /// order — the same accumulation order `push` uses, so the rebuilt
-    /// state is exactly what incremental maintenance would have produced.
-    fn rebuild_aggregates(&mut self) {
-        self.owners.clear();
-        self.total = 0;
-        self.compliant = 0;
-        self.user_breaches = 0;
-        self.system_breaches = 0;
-        self.total_exposure = 0.0;
-        let records = std::mem::take(&mut self.records);
-        let cap = self.raw_record_cap.take();
-        for record in &records {
-            self.push(*record);
-        }
-        self.records = records;
-        self.raw_record_cap = cap;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn t(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
 
     #[test]
     fn empty_ledger_is_fully_respected() {
@@ -325,31 +169,11 @@ mod tests {
     #[test]
     fn respect_rate_counts_breaches() {
         let mut l = DisclosureLedger::new();
-        l.record_disclosure(
-            t(1),
-            NodeId(0),
-            NodeId(1),
-            DataCategory::Content,
-            Purpose::Social,
-            false,
-        );
-        l.record_disclosure(
-            t(2),
-            NodeId(0),
-            NodeId(2),
-            DataCategory::Content,
-            Purpose::Social,
-            false,
-        );
-        l.record_breach(
-            t(3),
-            NodeId(0),
-            NodeId(3),
-            DataCategory::Content,
-            Purpose::Commercial,
-            BreachCause::System,
-        );
+        l.record_disclosure(NodeId(0), DataCategory::Content, false);
+        l.record_disclosure(NodeId(0), DataCategory::Content, false);
+        l.record_breach(NodeId(0), DataCategory::Content, BreachCause::System);
         assert!((l.respect_rate() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(l.len(), 3);
         assert_eq!(l.breach_count(None), 1);
         assert_eq!(l.breach_count(Some(BreachCause::System)), 1);
         assert_eq!(l.breach_count(Some(BreachCause::MaliciousUser)), 0);
@@ -358,22 +182,8 @@ mod tests {
     #[test]
     fn per_owner_rates_are_independent() {
         let mut l = DisclosureLedger::new();
-        l.record_disclosure(
-            t(1),
-            NodeId(0),
-            NodeId(9),
-            DataCategory::Profile,
-            Purpose::Social,
-            false,
-        );
-        l.record_breach(
-            t(2),
-            NodeId(1),
-            NodeId(9),
-            DataCategory::Profile,
-            Purpose::Social,
-            BreachCause::MaliciousUser,
-        );
+        l.record_disclosure(NodeId(0), DataCategory::Profile, false);
+        l.record_breach(NodeId(1), DataCategory::Profile, BreachCause::MaliciousUser);
         assert_eq!(l.respect_rate_for(NodeId(0)), 1.0);
         assert_eq!(l.respect_rate_for(NodeId(1)), 0.0);
         assert_eq!(l.respect_rate_for(NodeId(7)), 1.0, "no data, no violation");
@@ -382,235 +192,73 @@ mod tests {
     #[test]
     fn exposure_weights_sensitivity_and_anonymization() {
         let mut l = DisclosureLedger::new();
-        l.record_disclosure(
-            t(1),
-            NodeId(0),
-            NodeId(1),
-            DataCategory::Location,
-            Purpose::Social,
-            false,
-        );
-        l.record_disclosure(
-            t(2),
-            NodeId(0),
-            NodeId(1),
-            DataCategory::Location,
-            Purpose::Social,
-            true,
-        );
+        l.record_disclosure(NodeId(0), DataCategory::Location, false);
+        l.record_disclosure(NodeId(0), DataCategory::Location, true);
         let expected = 1.0 + 0.25;
         assert!((l.exposure_for(NodeId(0)) - expected).abs() < 1e-12);
         assert!((l.total_exposure() - expected).abs() < 1e-12);
     }
 
     #[test]
-    fn purge_enforces_retention() {
-        let mut l = DisclosureLedger::new();
-        for s in 0..10 {
-            l.record_disclosure(
-                t(s),
-                NodeId(0),
-                NodeId(1),
-                DataCategory::Content,
-                Purpose::Social,
-                false,
-            );
-        }
-        let purged = l.purge_before(t(5));
-        assert_eq!(purged, 5);
-        assert_eq!(l.len(), 5);
-        assert!(l.records().iter().all(|r| r.at >= t(5)));
-    }
-
-    #[test]
-    fn purge_rebuilds_aggregates() {
-        let mut l = DisclosureLedger::new();
-        l.record_breach(
-            t(0),
-            NodeId(0),
-            NodeId(1),
-            DataCategory::Content,
-            Purpose::Social,
-            BreachCause::System,
-        );
-        l.record_disclosure(
-            t(5),
-            NodeId(0),
-            NodeId(1),
-            DataCategory::Content,
-            Purpose::Social,
-            false,
-        );
-        assert_eq!(l.respect_rate(), 0.5);
-        l.purge_before(t(1));
-        assert_eq!(l.respect_rate(), 1.0, "purged breach no longer counted");
-        assert_eq!(l.breach_count(None), 0);
-        assert_eq!(l.len(), 1);
-        assert!(
-            (l.exposure_for(NodeId(0)) - DataCategory::Content.sensitivity()).abs() < 1e-12,
-            "owner exposure rebuilt from survivors"
-        );
-    }
-
-    #[test]
-    fn records_for_filters_by_owner() {
-        let mut l = DisclosureLedger::new();
-        l.record_disclosure(
-            t(1),
-            NodeId(0),
-            NodeId(1),
-            DataCategory::Content,
-            Purpose::Social,
-            false,
-        );
-        l.record_disclosure(
-            t(2),
-            NodeId(1),
-            NodeId(0),
-            DataCategory::Content,
-            Purpose::Social,
-            false,
-        );
-        assert_eq!(l.records_for(NodeId(0)).count(), 1);
-        assert_eq!(l.records_for(NodeId(1)).count(), 1);
-        assert_eq!(l.records_for(NodeId(2)).count(), 0);
-    }
-
-    #[test]
     fn aggregates_match_a_scan_of_the_records() {
-        // The counters must agree with recomputing every query from the
-        // raw log — the pre-optimization implementation.
-        let mut l = DisclosureLedger::new();
+        // The counters must agree bit for bit with recomputing every
+        // query from the list of recorded flows, summed in record order.
+        struct Flow {
+            owner: NodeId,
+            category: DataCategory,
+            anonymized: bool,
+            breach: Option<BreachCause>,
+        }
         let categories = [
             DataCategory::Content,
             DataCategory::Profile,
             DataCategory::Location,
         ];
-        for i in 0..50u64 {
-            let owner = NodeId((i % 7) as u32);
-            let recipient = NodeId(((i + 1) % 7) as u32);
-            let category = categories[(i % 3) as usize];
-            match i % 5 {
-                0 => l.record_breach(
-                    t(i),
-                    owner,
-                    recipient,
-                    category,
-                    Purpose::Social,
-                    BreachCause::MaliciousUser,
-                ),
-                1 => l.record_breach(
-                    t(i),
-                    owner,
-                    recipient,
-                    category,
-                    Purpose::Reputation,
-                    BreachCause::System,
-                ),
-                _ => l.record_disclosure(
-                    t(i),
-                    owner,
-                    recipient,
-                    category,
-                    Purpose::Social,
-                    i % 2 == 0,
-                ),
+        let flows: Vec<Flow> = (0..50u64)
+            .map(|i| Flow {
+                owner: NodeId((i % 7) as u32),
+                category: categories[(i % 3) as usize],
+                anonymized: i % 5 >= 2 && i % 2 == 0,
+                breach: match i % 5 {
+                    0 => Some(BreachCause::MaliciousUser),
+                    1 => Some(BreachCause::System),
+                    _ => None,
+                },
+            })
+            .collect();
+        let mut l = DisclosureLedger::new();
+        for f in &flows {
+            match f.breach {
+                Some(cause) => l.record_breach(f.owner, f.category, cause),
+                None => l.record_disclosure(f.owner, f.category, f.anonymized),
             }
         }
-        let records: Vec<DisclosureRecord> = l.records().iter().copied().collect();
-        let scan_compliant = records.iter().filter(|r| r.compliant).count();
+        let compliant = |fs: &[&Flow]| fs.iter().filter(|f| f.breach.is_none()).count();
+        let all: Vec<&Flow> = flows.iter().collect();
+        assert_eq!(l.len(), flows.len());
         assert_eq!(
             l.respect_rate(),
-            scan_compliant as f64 / records.len() as f64
+            compliant(&all) as f64 / flows.len() as f64
         );
+        let scan_total: f64 = all.iter().map(|f| exposure(f.category, f.anonymized)).sum();
+        assert_eq!(l.total_exposure().to_bits(), scan_total.to_bits());
         for owner in (0..7).map(NodeId) {
-            let mine: Vec<_> = records.iter().filter(|r| r.owner == owner).collect();
-            let scan_rate = mine.iter().filter(|r| r.compliant).count() as f64 / mine.len() as f64;
+            let mine: Vec<&Flow> = flows.iter().filter(|f| f.owner == owner).collect();
+            let scan_rate = compliant(&mine) as f64 / mine.len() as f64;
             assert_eq!(l.respect_rate_for(owner), scan_rate, "owner {owner:?}");
-            let scan_exposure: f64 = mine.iter().map(|r| r.exposure()).sum();
-            assert!((l.exposure_for(owner) - scan_exposure).abs() < 1e-12);
+            let scan_exposure: f64 = mine
+                .iter()
+                .map(|f| exposure(f.category, f.anonymized))
+                .sum();
+            assert_eq!(
+                l.exposure_for(owner).to_bits(),
+                scan_exposure.to_bits(),
+                "owner {owner:?}"
+            );
         }
-        let scan_user = records
-            .iter()
-            .filter(|r| r.breach_cause == Some(BreachCause::MaliciousUser))
-            .count();
-        assert_eq!(l.breach_count(Some(BreachCause::MaliciousUser)), scan_user);
-    }
-
-    #[test]
-    fn purge_with_cap_resets_aggregates_to_retained_window() {
-        // Records evicted by the cap have no timestamps left; a purge
-        // therefore drops them from the aggregates too, even when the
-        // retained window itself is entirely newer than the horizon.
-        let mut l = DisclosureLedger::with_raw_record_cap(Some(4));
-        for s in 0..20 {
-            if s % 3 == 0 {
-                l.record_breach(
-                    t(s),
-                    NodeId(0),
-                    NodeId(1),
-                    DataCategory::Content,
-                    Purpose::Social,
-                    BreachCause::System,
-                );
-            } else {
-                l.record_disclosure(
-                    t(s),
-                    NodeId(0),
-                    NodeId(1),
-                    DataCategory::Content,
-                    Purpose::Social,
-                    false,
-                );
-            }
+        for cause in [BreachCause::MaliciousUser, BreachCause::System] {
+            let scan = flows.iter().filter(|f| f.breach == Some(cause)).count();
+            assert_eq!(l.breach_count(Some(cause)), scan);
         }
-        assert_eq!(l.len(), 20);
-        let purged = l.purge_before(t(10));
-        assert_eq!(purged, 0, "retained window is t=16..19");
-        assert_eq!(l.len(), 4, "evicted history forgotten with the purge");
-        assert_eq!(
-            l.breach_count(None),
-            l.records().iter().filter(|r| !r.compliant).count(),
-            "aggregates match the surviving window"
-        );
-    }
-
-    #[test]
-    fn raw_record_cap_keeps_aggregates_exact() {
-        let mut capped = DisclosureLedger::with_raw_record_cap(Some(4));
-        let mut full = DisclosureLedger::new();
-        for s in 0..20 {
-            for l in [&mut capped, &mut full] {
-                if s % 3 == 0 {
-                    l.record_breach(
-                        t(s),
-                        NodeId(0),
-                        NodeId(1),
-                        DataCategory::Content,
-                        Purpose::Social,
-                        BreachCause::System,
-                    );
-                } else {
-                    l.record_disclosure(
-                        t(s),
-                        NodeId(0),
-                        NodeId(1),
-                        DataCategory::Content,
-                        Purpose::Social,
-                        false,
-                    );
-                }
-            }
-        }
-        assert_eq!(capped.records().len(), 4, "raw window capped");
-        assert_eq!(capped.len(), 20, "history length preserved");
-        assert_eq!(capped.respect_rate(), full.respect_rate());
-        assert_eq!(
-            capped.respect_rate_for(NodeId(0)),
-            full.respect_rate_for(NodeId(0))
-        );
-        assert_eq!(capped.breach_count(None), full.breach_count(None));
-        assert_eq!(capped.total_exposure(), full.total_exposure());
-        assert_eq!(capped.raw_record_cap(), Some(4));
     }
 }

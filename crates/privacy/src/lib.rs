@@ -13,10 +13,11 @@
 //!   openness, individual participation, accountability) evaluated
 //!   against a system configuration;
 //! * **Disclosure accounting** ([`ledger`]): every flow of personal data
-//!   is recorded — what, whose, to whom, for which purpose, under which
-//!   policy — so "privacy respect" is a measured rate, not an assumption,
-//!   and breaches are classified as *user-caused* vs *system-caused*
-//!   (the paper's footnote 2 insists on that distinction).
+//!   is counted — whose data, which category, anonymized or not, and
+//!   whether it respected the owner's policy — so "privacy respect" is a
+//!   measured rate, not an assumption, and breaches are classified as
+//!   *user-caused* vs *system-caused* (the paper's footnote 2 insists on
+//!   that distinction).
 //!
 //! [`enforcement`] is the PriServ-like decision engine gluing these
 //! together: a request is granted only when the requester, operation,
@@ -36,7 +37,7 @@ pub mod retention;
 
 pub use enforcement::{AccessDecision, AccessRequest, DenialReason, Enforcer};
 pub use exposure::{ExposureReport, PrivacyFacetInputs};
-pub use ledger::{BreachCause, DisclosureLedger, DisclosureRecord};
+pub use ledger::{BreachCause, DisclosureLedger};
 pub use oecd::{OecdAudit, OecdPrinciple, SystemPrivacyProfile};
 pub use policy::{
     AccessCondition, DataCategory, Obligation, Operation, PolicyError, PrivacyPolicy, Purpose,

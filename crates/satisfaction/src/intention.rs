@@ -5,8 +5,8 @@
 //!
 //! * **consumers** — want content/services from providers they prefer
 //!   (interest match, known quality) with their privacy respected;
-//! * **providers** — want to serve requests they care about and not be
-//!   flooded with requests they never intended to treat.
+//! * **providers** — intend to treat a bounded load per round and not be
+//!   flooded with more requests than that.
 
 use std::collections::BTreeSet;
 use tsn_simnet::NodeId;
@@ -79,8 +79,6 @@ impl Default for ConsumerIntentions {
 /// A provider's intentions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProviderIntentions {
-    /// Topics the provider wants to serve (empty = everything).
-    pub preferred_topics: BTreeSet<usize>,
     /// Maximum load (requests per round) the provider intends to handle.
     pub capacity: u32,
 }
@@ -91,25 +89,11 @@ impl ProviderIntentions {
     /// # Errors
     ///
     /// Returns a message if `capacity` is zero.
-    pub fn new(
-        preferred_topics: impl IntoIterator<Item = usize>,
-        capacity: u32,
-    ) -> Result<Self, String> {
+    pub fn new(capacity: u32) -> Result<Self, String> {
         if capacity == 0 {
             return Err("capacity must be positive".into());
         }
-        Ok(ProviderIntentions {
-            preferred_topics: preferred_topics.into_iter().collect(),
-            capacity,
-        })
-    }
-
-    /// Whether serving a request on `topic` matches intentions.
-    pub fn intends_topic(&self, topic: Option<usize>) -> bool {
-        match topic {
-            None => true,
-            Some(t) => self.preferred_topics.is_empty() || self.preferred_topics.contains(&t),
-        }
+        Ok(ProviderIntentions { capacity })
     }
 
     /// Adequacy of the current `load` against intended capacity: 1 while
@@ -125,10 +109,7 @@ impl ProviderIntentions {
 
 impl Default for ProviderIntentions {
     fn default() -> Self {
-        ProviderIntentions {
-            preferred_topics: BTreeSet::new(),
-            capacity: 10,
-        }
+        ProviderIntentions { capacity: 10 }
     }
 }
 
@@ -160,18 +141,8 @@ mod tests {
     }
 
     #[test]
-    fn provider_topic_intentions() {
-        let p = ProviderIntentions::new([1, 2], 5).unwrap();
-        assert!(p.intends_topic(Some(1)));
-        assert!(!p.intends_topic(Some(3)));
-        assert!(p.intends_topic(None), "untopiced requests are acceptable");
-        let open = ProviderIntentions::default();
-        assert!(open.intends_topic(Some(42)));
-    }
-
-    #[test]
     fn provider_load_adequacy_decays_when_overloaded() {
-        let p = ProviderIntentions::new([], 4).unwrap();
+        let p = ProviderIntentions::new(4).unwrap();
         assert_eq!(p.load_adequacy(0), 1.0);
         assert_eq!(p.load_adequacy(4), 1.0);
         assert_eq!(p.load_adequacy(8), 0.5);
@@ -180,6 +151,6 @@ mod tests {
 
     #[test]
     fn provider_validation() {
-        assert!(ProviderIntentions::new([], 0).is_err());
+        assert!(ProviderIntentions::new(0).is_err());
     }
 }

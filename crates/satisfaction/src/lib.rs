@@ -18,9 +18,12 @@
 //! * **adequacy** measures how well a single interaction matches the
 //!   participant's [`intention`]s (preferred partners, expected quality,
 //!   privacy respected);
-//! * **allocation satisfaction** tracks whether the *allocation itself*
+//! * **allocation satisfaction** — whether the *allocation itself*
 //!   (which partner the system chose) followed the participant's
-//!   intentions, independent of the outcome.
+//!   intentions — is folded into adequacy's preference term
+//!   ([`ConsumerIntentions::preference_match`]) rather than tracked
+//!   separately, so it reaches long-run satisfaction through every
+//!   observed interaction.
 //!
 //! [`aggregate`] turns per-participant satisfaction into the global
 //! satisfaction axis of the paper's Figure 2, with fairness measures
@@ -37,5 +40,5 @@ pub mod satisfaction;
 pub use adequacy::{AdequacyModel, InteractionAspects};
 pub use aggregate::GlobalSatisfaction;
 pub use intention::{ConsumerIntentions, ProviderIntentions};
-pub use satisfaction::{AllocationTracker, SatisfactionTracker};
+pub use satisfaction::SatisfactionTracker;
 pub use tsn_simnet::NodeId;

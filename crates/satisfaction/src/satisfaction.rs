@@ -1,4 +1,4 @@
-//! Long-run satisfaction and allocation satisfaction (ref \[17\]).
+//! Long-run satisfaction (ref \[17\]).
 
 /// Long-run satisfaction: an exponentially weighted average of adequacy.
 ///
@@ -76,86 +76,6 @@ impl Default for SatisfactionTracker {
     /// Learning rate 0.1: roughly a 10-interaction memory half-life.
     fn default() -> Self {
         SatisfactionTracker::new(0.1)
-    }
-}
-
-/// Allocation satisfaction: the fraction of allocations that matched the
-/// participant's intentions, over a sliding window.
-///
-/// Ref \[17\] separates *satisfaction* (with outcomes) from *allocation
-/// satisfaction* (with the allocation decisions themselves): a consumer
-/// is allocation-satisfied when "in general she receives answers from the
-/// providers she prefers".
-#[derive(Debug, Clone, PartialEq)]
-pub struct AllocationTracker {
-    window: Vec<bool>,
-    capacity: usize,
-    cursor: usize,
-    filled: bool,
-}
-
-impl AllocationTracker {
-    /// Creates a tracker over a window of `capacity` allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "window capacity must be positive");
-        AllocationTracker {
-            window: vec![false; capacity],
-            capacity,
-            cursor: 0,
-            filled: false,
-        }
-    }
-
-    /// Records whether an allocation was intended.
-    pub fn observe(&mut self, intended: bool) {
-        self.window[self.cursor] = intended;
-        self.cursor = (self.cursor + 1) % self.capacity;
-        if self.cursor == 0 {
-            self.filled = true;
-        }
-    }
-
-    /// Number of allocations currently in the window.
-    pub fn len(&self) -> usize {
-        if self.filled {
-            self.capacity
-        } else {
-            self.cursor
-        }
-    }
-
-    /// Whether nothing has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Allocation satisfaction in `\[0, 1\]`; 0.5 (neutral) before any
-    /// observation.
-    pub fn allocation_satisfaction(&self) -> f64 {
-        let n = self.len();
-        if n == 0 {
-            return 0.5;
-        }
-        let hits = self.window[..if self.filled {
-            self.capacity
-        } else {
-            self.cursor
-        }]
-            .iter()
-            .filter(|&&b| b)
-            .count();
-        hits as f64 / n as f64
-    }
-}
-
-impl Default for AllocationTracker {
-    /// A 50-allocation window.
-    fn default() -> Self {
-        AllocationTracker::new(50)
     }
 }
 
@@ -237,38 +157,5 @@ mod tests {
     #[should_panic(expected = "learning rate")]
     fn zero_learning_rate_panics() {
         let _ = SatisfactionTracker::new(0.0);
-    }
-
-    #[test]
-    fn allocation_tracker_window() {
-        let mut a = AllocationTracker::new(4);
-        assert_eq!(a.allocation_satisfaction(), 0.5, "neutral before data");
-        assert!(a.is_empty());
-        a.observe(true);
-        a.observe(true);
-        a.observe(false);
-        assert_eq!(a.len(), 3);
-        assert!((a.allocation_satisfaction() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn allocation_tracker_slides() {
-        let mut a = AllocationTracker::new(3);
-        for _ in 0..3 {
-            a.observe(false);
-        }
-        assert_eq!(a.allocation_satisfaction(), 0.0);
-        // Three intended allocations push the misses out of the window.
-        for _ in 0..3 {
-            a.observe(true);
-        }
-        assert_eq!(a.allocation_satisfaction(), 1.0);
-        assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "window capacity")]
-    fn zero_window_panics() {
-        let _ = AllocationTracker::new(0);
     }
 }

@@ -114,10 +114,7 @@ impl DriverConfig {
             }
         }
         if let Some(m) = &self.membership {
-            m.validate()?;
-            if m.relays >= self.nodes {
-                return Err("membership needs more nodes than relays".into());
-            }
+            m.validate_for(self.nodes)?;
         }
         Ok(())
     }

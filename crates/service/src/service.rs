@@ -241,10 +241,7 @@ impl ServiceConfig {
         }
         PartitionWindow::validate_schedule(&self.partitions)?;
         if let Some(m) = &self.membership {
-            m.validate()?;
-            if m.relays >= self.nodes {
-                return Err("membership needs more nodes than relays".into());
-            }
+            m.validate_for(self.nodes)?;
         }
         Ok(())
     }
@@ -1404,6 +1401,37 @@ mod tests {
             err.contains("'config'") && err.contains("'exposure'"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn checkpoint_with_overflowing_membership_healing_is_rejected() {
+        let mut service = TrustService::new(ServiceConfig {
+            nodes: 8,
+            epoch: SimDuration::from_secs(10),
+            membership: Some(MembershipConfig::default()),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        service.ingest(interaction(0, 1, true, 1)).unwrap();
+        let mut bytes = service.checkpoint().unwrap();
+        let config = checkpoint_sections(&bytes).unwrap()[0];
+        assert_eq!(config.name, "config");
+        // The payload ends with the six membership u64s; `healing` is
+        // the third. Set it to u64::MAX and re-seal the section's CRC, so
+        // only config validation stands between restore and a
+        // `healing + swap` that overflows.
+        let healing = config.offset + config.len - 4 * 8;
+        let default_healing = MembershipConfig::default().healing as u64;
+        assert_eq!(bytes[healing..healing + 8], default_healing.to_le_bytes());
+        bytes[healing..healing + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let crc = crc32(&bytes[config.offset..config.offset + config.len]);
+        bytes[config.offset - 12..config.offset - 8].copy_from_slice(&crc.to_le_bytes());
+        assert!(checkpoint_sections(&bytes)
+            .unwrap()
+            .iter()
+            .all(|s| s.crc_ok));
+        let err = TrustService::restore(&bytes).unwrap_err();
+        assert!(err.contains("healing + swap"), "{err}");
     }
 
     #[test]

@@ -89,7 +89,9 @@ impl PartialView {
     /// An empty view bounded to `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         PartialView {
-            entries: Vec::with_capacity(capacity),
+            // No reservation: `capacity` is a bound, not a size hint. A
+            // huge configured bound must not allocate up front.
+            entries: Vec::new(),
             capacity,
         }
     }
@@ -223,7 +225,11 @@ impl MembershipConfig {
         if self.shuffle_len == 0 || self.shuffle_len > self.view_size {
             return Err("membership shuffle_len must be in [1, view_size]".into());
         }
-        if self.healing + self.swap > self.view_size {
+        if self
+            .healing
+            .checked_add(self.swap)
+            .is_none_or(|evictions| evictions > self.view_size)
+        {
             return Err("membership healing + swap must not exceed view_size".into());
         }
         if self.relays == 0 {
@@ -231,6 +237,25 @@ impl MembershipConfig {
         }
         if self.relay_fanout == 0 || self.relay_fanout > self.view_size {
             return Err("membership relay_fanout must be in [1, view_size]".into());
+        }
+        Ok(())
+    }
+
+    /// Validates the configuration for an overlay over `nodes` slots:
+    /// [`MembershipConfig::validate`], plus a population larger than
+    /// the relay set. Every layer that attaches an overlay checks it
+    /// here.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first problem.
+    pub fn validate_for(&self, nodes: usize) -> Result<(), String> {
+        self.validate()?;
+        if nodes <= self.relays {
+            return Err(format!(
+                "membership needs more nodes ({nodes}) than relays ({})",
+                self.relays
+            ));
         }
         Ok(())
     }
@@ -274,16 +299,9 @@ impl MembershipRuntime {
     ///
     /// # Errors
     ///
-    /// Returns the config's validation error, or an error when the
-    /// population is smaller than the relay set.
+    /// Returns [`MembershipConfig::validate_for`]'s error for `n`.
     pub fn new(n: usize, config: MembershipConfig, seed: u64) -> Result<Self, String> {
-        config.validate()?;
-        if n < config.relays + 1 {
-            return Err(format!(
-                "membership needs more nodes ({n}) than relays ({})",
-                config.relays
-            ));
-        }
+        config.validate_for(n)?;
         let mut views = vec![PartialView::new(config.view_size); n];
         // Bootstrap: each node asks relay `slot % relays`, which hands
         // out itself plus a sample of already-joined peers (the state a
@@ -611,6 +629,14 @@ mod tests {
             ..defaults
         };
         assert!(config.validate().unwrap_err().contains("healing"));
+        // An overflowing sum is an error too, not a wrap (release) or an
+        // overflow panic (debug).
+        let config = MembershipConfig {
+            healing: usize::MAX,
+            swap: 1,
+            ..defaults
+        };
+        assert!(config.validate().unwrap_err().contains("healing"));
         let config = MembershipConfig {
             relays: 0,
             ..defaults
@@ -730,5 +756,41 @@ mod tests {
     #[test]
     fn population_must_exceed_relay_set() {
         assert!(MembershipRuntime::new(3, MembershipConfig::default(), 1).is_err());
+        let config = MembershipConfig::default();
+        let err = config.validate_for(config.relays).unwrap_err();
+        assert!(
+            err.contains("more nodes") && err.contains("relays"),
+            "{err}"
+        );
+        assert!(config.validate_for(config.relays + 1).is_ok());
+        // A bad field is reported ahead of the population check.
+        let bad = MembershipConfig {
+            view_size: 0,
+            ..config
+        };
+        assert!(bad.validate_for(1000).unwrap_err().contains("view_size"));
+    }
+
+    #[test]
+    fn huge_view_bound_allocates_nothing_up_front() {
+        // The view size is a bound, not a reservation: a 10^9-entry bound
+        // over 40 nodes runs like any bound the views never reach.
+        let shaped = |view_size: usize| MembershipConfig {
+            view_size,
+            shuffle_len: view_size / 2,
+            swap: view_size / 2 - 1,
+            ..MembershipConfig::default()
+        };
+        let mut huge = MembershipRuntime::new(40, shaped(1_000_000_000), 5).expect("valid");
+        let mut small = MembershipRuntime::new(40, shaped(1_000), 5).expect("valid");
+        for _ in 0..3 {
+            huge.shuffle_round(|_| true, |_, _| true);
+            small.shuffle_round(|_| true, |_, _| true);
+        }
+        assert_eq!(huge.stats(), small.stats());
+        assert!(huge.stats().exchanges > 0);
+        for (a, b) in huge.views().iter().zip(small.views()) {
+            assert_eq!(a.entries(), b.entries());
+        }
     }
 }

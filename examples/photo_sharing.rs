@@ -77,14 +77,7 @@ fn main() {
             let decision = enforcer.decide(&request, &policies[owner.index()], &context);
             if decision.is_granted() {
                 granted += 1;
-                ledger.record_disclosure(
-                    now,
-                    owner,
-                    viewer,
-                    DataCategory::Content,
-                    Purpose::Social,
-                    false,
-                );
+                ledger.record_disclosure(owner, DataCategory::Content, false);
                 // The viewer rates the album (quality depends on the owner
                 // being a conscientious curator — modelled as id parity).
                 let quality = if owner.0.is_multiple_of(5) { 0.3 } else { 0.9 };

@@ -222,10 +222,6 @@ fn mega_preset_is_valid_and_auto_sharded() {
         .build()
         .expect("mega preset is valid");
     assert_eq!(config.shards, 0, "auto engine selection");
-    assert!(
-        config.ledger_raw_record_cap.is_some(),
-        "bounded audit trail"
-    );
     // At the threshold auto splits into several shards; one round must
     // give the same bits as a single shard.
     let run = |shards: usize| {
