@@ -38,16 +38,17 @@ use tsn_privacy::{
     PrivacyFacetInputs, PrivacyPolicy, Purpose, SystemPrivacyProfile,
 };
 use tsn_reputation::{
-    accuracy, Anonymized, BehaviorClass, DisclosurePolicy, FeedbackReport, MechanismKind,
-    Population, PowerReport, ReportView, ReputationMechanism, SelectionPolicy, SelectionScratch,
+    accuracy, Anonymized, BehaviorClass, DisclosurePolicy, MechanismKind, Population, PowerReport,
+    ReportView, ReputationMechanism, SelectionPolicy, SelectionScratch,
 };
 use tsn_satisfaction::{
     AdequacyModel, ConsumerIntentions, GlobalSatisfaction, InteractionAspects, ProviderIntentions,
     SatisfactionTracker,
 };
 use tsn_simnet::{
-    steal::for_each_chunk_mut, DynamicsEvent, DynamicsRuntime, GroupMap, MembershipRuntime, NodeId,
-    PartialView, SimDuration, SimRng, SimTime, StreamDomain, MEMBERSHIP_SEED_SALT,
+    steal::{for_each_chunk_mut, join},
+    DynamicsEvent, DynamicsRuntime, GroupMap, MembershipRuntime, NodeId, PartialView, SimDuration,
+    SimRng, SimTime, StreamDomain, MEMBERSHIP_SEED_SALT,
 };
 
 /// Virtual time one scenario round spans (the interaction loop models
@@ -234,9 +235,6 @@ struct ScenarioScratch {
     adversarial: Vec<bool>,
     /// The last power measurement and the inputs it was computed from.
     power_memo: PowerMemo,
-    /// Report views staged for `record_batch` while draining a shard
-    /// outbox at the merge barrier.
-    views: Vec<ReportView>,
 }
 
 /// The last [`accuracy::evaluate_scores`] call of a scenario, keyed by
@@ -278,6 +276,25 @@ impl PowerMemo {
     }
 }
 
+/// Fills `out` with `value(slot)` for every slot `0..nodes`, in
+/// 1024-slot pieces on up to `workers` threads. Each slot has exactly
+/// one writer and `value` reads only shared state, so the worker count
+/// never changes a bit.
+fn fill_slots(
+    out: &mut Vec<f64>,
+    nodes: usize,
+    workers: usize,
+    value: impl Fn(usize) -> f64 + Sync,
+) {
+    out.clear();
+    out.resize(nodes, 0.0);
+    for_each_chunk_mut(out, 1024, workers, |offset, piece| {
+        for (slot, out) in (offset..).zip(piece) {
+            *out = value(slot);
+        }
+    });
+}
+
 /// Fills `out` with `f(score)` for every slot `0..nodes`, scoring each
 /// slot under its current identity (`identities[slot]`, or the slot
 /// itself without a dynamics plan).
@@ -286,13 +303,13 @@ fn slot_scores_into(
     mechanism: &dyn ReputationMechanism,
     identities: Option<&[NodeId]>,
     nodes: usize,
-    f: impl Fn(f64) -> f64,
+    workers: usize,
+    f: impl Fn(f64) -> f64 + Sync,
 ) {
-    out.clear();
-    match identities {
-        Some(ids) => out.extend(ids.iter().map(|&id| f(mechanism.score(id)))),
-        None => out.extend((0..nodes).map(|i| f(mechanism.score(NodeId::from_index(i))))),
-    }
+    fill_slots(out, nodes, workers, |slot| {
+        let id = identities.map_or(NodeId::from_index(slot), |ids| ids[slot]);
+        f(mechanism.score(id))
+    });
 }
 
 /// Per-round counters a shard accumulates locally; summed at the merge
@@ -333,9 +350,11 @@ enum LedgerEvent {
 /// Everything a shard defers to the merge barrier.
 #[derive(Debug, Default)]
 struct ShardOutbox {
-    /// Feedback filed by this shard's consumers, in consumer order,
-    /// with the ballot-stuffing copy count.
-    reports: Vec<(FeedbackReport, u32)>,
+    /// Feedback filed by this shard's consumers as the system sees it
+    /// (`system_policy.view`, which is pure), in consumer order, with
+    /// ballot-stuffed copies already expanded: the barrier hands it to
+    /// `record_batch` as is.
+    views: Vec<ReportView>,
     /// Ledger events in interaction order.
     ledger: Vec<LedgerEvent>,
     /// One provider per *granted* interaction: the merge credits one
@@ -346,7 +365,7 @@ struct ShardOutbox {
 
 impl ShardOutbox {
     fn clear(&mut self) {
-        self.reports.clear();
+        self.views.clear();
         self.ledger.clear();
         self.touches.clear();
         self.counters = ShardCounters::default();
@@ -553,7 +572,8 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
                     } else {
                         1
                     };
-                    outbox.reports.push((report, copies as u32));
+                    let view = ctx.system_policy.view(&report);
+                    outbox.views.extend(std::iter::repeat_n(view, copies));
                     outbox.counters.round_reports += copies as u64;
                     outbox.counters.messages +=
                         (ctx.mechanism.overhead_per_report() * copies) as u64;
@@ -631,6 +651,11 @@ pub struct Scenario {
     /// come from each consumer's local view instead of the global
     /// graph neighborhood.
     membership: Option<MembershipRuntime>,
+    /// Threads the round engine's parallel steps may use: the
+    /// interaction phase, the merge barrier and the per-slot tail
+    /// fills. Set from the shard plan at the start of a run; 1 (no
+    /// thread spawned) before it and whenever the plan has one shard.
+    workers: usize,
 }
 
 impl std::fmt::Debug for Scenario {
@@ -813,6 +838,7 @@ impl Scenario {
             shard_state: Vec::new(),
             net_dynamics,
             membership,
+            workers: 1,
         })
     }
 
@@ -845,19 +871,19 @@ impl Scenario {
 
     /// Computes per-user trust into `self.scratch.trust` (the round loop
     /// needs it every round; reusing the buffer keeps the loop
-    /// allocation-free).
+    /// allocation-free). Each user's entry depends on that user alone,
+    /// so it fills per slot on the workers.
     fn per_user_trust_into(&mut self, reputation_facet: f64, oecd: f64) {
-        let trust = &mut self.scratch.trust;
+        let users = &self.users;
         let ledger = &self.ledger;
         let metric = &self.metric;
         let ladder_exposure = &self.ladder_exposure;
         let w_c = self.config.consumer_role_weight;
-        trust.clear();
-        trust.extend(self.users.iter().enumerate().map(|(i, u)| {
-            let me = NodeId::from_index(i);
+        fill_slots(&mut self.scratch.trust, users.len(), self.workers, |i| {
+            let u = &users[i];
             let inputs = PrivacyFacetInputs {
                 exposure: ladder_exposure[u.willingness_level],
-                respect_rate: ledger.respect_rate_for(me),
+                respect_rate: ledger.respect_rate_for(NodeId::from_index(i)),
                 oecd_score: oecd,
             };
             let facets = FacetScores {
@@ -867,7 +893,7 @@ impl Scenario {
                     + (1.0 - w_c) * u.provider_satisfaction.satisfaction(),
             };
             metric.trust(&facets)
-        }));
+        });
     }
 
     /// Fills the round's selection-weight table. Runs after `pre_round`
@@ -886,6 +912,7 @@ impl Scenario {
             self.mechanism.as_ref(),
             self.net_dynamics.as_ref().map(|d| d.identities()),
             self.config.nodes,
+            self.workers,
             |score| policy.weight(score),
         );
     }
@@ -907,7 +934,9 @@ impl Scenario {
             ..
         } = &mut self.scratch;
         let identities = self.net_dynamics.as_ref().map(|d| d.identities());
-        slot_scores_into(scores, mechanism, identities, n, |score| score);
+        slot_scores_into(scores, mechanism, identities, n, self.workers, |score| {
+            score
+        });
         adversarial.clear();
         adversarial.extend((0..n).map(|i| population.is_adversarial(NodeId::from_index(i))));
         truth.clear();
@@ -1181,20 +1210,23 @@ struct RunTotals {
 // `SHARD_AUTO_NODES` unless `shards` asks for more). Every round:
 //
 //   1. *Pre-round* (calling thread): population clock, dynamics/offline
-//      flags, membership shuffle, the round's selection-weight table.
+//      flags, membership shuffle; then the round's selection-weight
+//      table, filled per slot on the workers.
 //   2. *Interaction phase*: workers claim shards off an atomic cursor
 //      and run them against the frozen round-start snapshot — scores,
 //      served counters and ledger state do not move. Randomness comes
 //      from per-(round, node) streams, so draws are independent of shard
 //      count and order. One shard runs inline on the calling thread.
-//   3. *Merge barrier* (calling thread, fixed shard order): outboxes
-//      drain into the ledger, the population's served counters,
-//      provider loads and the mechanism. Contiguous shards in ascending
-//      order make the merged event sequence exactly global consumer
-//      order — for any shard count, which is why k = 1, 2, 8 are
-//      bit-identical.
-//   4. *Round tail* (calling thread): provider adequacy, refresh,
-//      measurement, adaptive disclosure.
+//   3. *Merge barrier* (fixed shard order, two ways): the calling
+//      thread feeds the shards' staged report views to the mechanism
+//      while one helper drains ledger events and served/load credits.
+//      Contiguous shards in ascending order make each merged sequence
+//      exactly global consumer order — for any shard count, which is
+//      why k = 1, 2, 8 are bit-identical.
+//   4. *Round tail*: provider adequacy, refresh, measurement, adaptive
+//      disclosure. The per-slot fills (power scores, per-user trust)
+//      split over the workers, one writer per slot; every reduction
+//      stays serial in slot order. One shard spawns no thread anywhere.
 impl Scenario {
     /// (Re)builds the shard plan: `shards` contiguous ranges of
     /// near-equal size covering `0..nodes`.
@@ -1238,7 +1270,7 @@ impl Scenario {
         let mut now = SimTime::ZERO;
         let system_policy = self.config.disclosure_policy();
         let system_exposure = self.ladder_exposure[self.config.disclosure_level];
-        let workers = if shards == 1 {
+        self.workers = if shards == 1 {
             1
         } else {
             std::thread::available_parallelism().map_or(1, |c| c.get().min(shards))
@@ -1290,7 +1322,7 @@ impl Scenario {
                     rest = tail;
                     units.push((own, state));
                 }
-                for_each_chunk_mut(&mut units, 1, workers, |_, claimed| {
+                for_each_chunk_mut(&mut units, 1, self.workers, |_, claimed| {
                     for (users, state) in claimed {
                         run_shard(&ctx, users, state);
                     }
@@ -1298,7 +1330,7 @@ impl Scenario {
             }
 
             // --- Merge barrier, in ascending shard order.
-            let tally = self.merge_shards(system_policy, &mut totals);
+            let tally = self.merge_shards(&mut totals);
             let tally = RoundTally {
                 availability: round_availability,
                 partition_health: round_partition_health,
@@ -1317,30 +1349,33 @@ impl Scenario {
         self.assemble_outcome(totals, samples, observers)
     }
 
-    /// Drains every shard outbox into the shared state, in shard order:
-    /// ledger events, served/load credits, then the staged feedback
-    /// through one `record_batch` per shard.
-    fn merge_shards(
-        &mut self,
-        system_policy: DisclosurePolicy,
-        totals: &mut RunTotals,
-    ) -> RoundTally {
+    /// Drains every shard outbox into the shared state, in shard order,
+    /// two ways at once: the calling thread feeds each shard's staged
+    /// views to the mechanism through one `record_batch` per shard,
+    /// while a helper applies the ledger events and the served/load
+    /// credits. The two touch disjoint state, and each keeps shard
+    /// order, so the result is the serial drain's bit for bit. The
+    /// mechanism stays on the calling thread: the rows `record_batch`
+    /// grows would otherwise be allocated from a helper thread's heap
+    /// arena, which holds on to its pages and inflates the peak
+    /// resident set.
+    fn merge_shards(&mut self, totals: &mut RunTotals) -> RoundTally {
         let Scenario {
             shard_state,
             ledger,
             population,
             users,
             mechanism,
-            scratch,
+            workers,
             ..
         } = self;
+        let shards: &[ShardState] = shard_state;
         let mut ok = 0u64;
         let mut tried = 0u64;
         let mut reports_filed = 0u64;
         let mut isolated = 0u64;
-        for state in shard_state.iter_mut() {
-            let outbox = &mut state.outbox;
-            let c = outbox.counters;
+        for state in shards {
+            let c = state.outbox.counters;
             totals.requests += c.requests;
             totals.denials += c.denials;
             totals.interactions += c.interactions;
@@ -1351,34 +1386,37 @@ impl Scenario {
             tried += c.round_tried;
             reports_filed += c.round_reports;
             isolated += c.round_isolated;
-
-            for event in outbox.ledger.drain(..) {
-                match event {
-                    LedgerEvent::Disclosure {
-                        owner,
-                        category,
-                        anonymized,
-                    } => ledger.record_disclosure(owner, category, anonymized),
-                    LedgerEvent::Breach {
-                        owner,
-                        category,
-                        cause,
-                    } => ledger.record_breach(owner, category, cause),
-                }
-            }
-            for &provider in &outbox.touches {
-                population.note_served(provider, 1);
-                users[provider.index()].load_this_round += 1;
-            }
-            scratch.views.clear();
-            for &(ref report, copies) in &outbox.reports {
-                let view = system_policy.view(report);
-                for _ in 0..copies {
-                    scratch.views.push(view);
-                }
-            }
-            mechanism.record_batch(&scratch.views);
         }
+        join(
+            *workers,
+            || {
+                for state in shards {
+                    mechanism.record_batch(&state.outbox.views);
+                }
+            },
+            || {
+                for state in shards {
+                    for &event in &state.outbox.ledger {
+                        match event {
+                            LedgerEvent::Disclosure {
+                                owner,
+                                category,
+                                anonymized,
+                            } => ledger.record_disclosure(owner, category, anonymized),
+                            LedgerEvent::Breach {
+                                owner,
+                                category,
+                                cause,
+                            } => ledger.record_breach(owner, category, cause),
+                        }
+                    }
+                    for &provider in &state.outbox.touches {
+                        population.note_served(provider, 1);
+                        users[provider.index()].load_this_round += 1;
+                    }
+                }
+            },
+        );
         RoundTally {
             ok,
             tried,
@@ -1403,7 +1441,7 @@ pub fn run_scenario(config: ScenarioConfig) -> Result<ScenarioOutcome, Validatio
 mod tests {
     use super::*;
     use crate::config::PolicyProfile;
-    use tsn_reputation::PopulationConfig;
+    use tsn_reputation::{FeedbackReport, PopulationConfig};
     use tsn_simnet::DynamicsPlan;
 
     fn small(seed: u64) -> ScenarioConfig {

@@ -316,6 +316,26 @@ mod tests {
     }
 
     #[test]
+    fn aging_decays_on_every_refresh_even_without_reports() {
+        // Unlike the walk mechanisms, an aging Beta has work to do on a
+        // refresh with no report since the last one.
+        let full = DisclosurePolicy::full();
+        let mut m = BetaReputation::new(2)
+            .with_aging(0.5)
+            .without_credibility_weighting();
+        for _ in 0..8 {
+            m.record(&view(0, 1, true, &full));
+        }
+        let mut last = m.score(NodeId(1));
+        for _ in 0..3 {
+            assert_eq!(m.refresh(), 1);
+            let now = m.score(NodeId(1));
+            assert!(now < last, "{now} must decay below {last}");
+            last = now;
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "aging must be in (0,1]")]
     fn invalid_aging_panics() {
         let _ = BetaReputation::new(1).with_aging(0.0);

@@ -294,7 +294,12 @@ impl ReputationMechanism for EigenTrust {
     }
 
     fn refresh(&mut self) -> usize {
-        self.power_iterate();
+        // A walk restarts from the teleport vector and reads only state
+        // that sets `dirty` when it moves, so a clean instance's caches
+        // already hold exactly what a new walk would compute.
+        if self.dirty {
+            self.power_iterate();
+        }
         self.last_iterations
     }
 
@@ -682,6 +687,44 @@ mod tests {
         for i in 0..25 {
             assert_eq!(a.score(NodeId(i)).to_bits(), b.score(NodeId(i)).to_bits());
         }
+    }
+
+    /// The bits a refresh leaves behind: the global trust vector and
+    /// every score.
+    fn refreshed_bits(m: &mut EigenTrust) -> (Vec<u64>, Vec<u64>) {
+        let global = m.global_trust().iter().map(|g| g.to_bits()).collect();
+        let scores = (0..m.len())
+            .map(|i| m.score(NodeId::from_index(i)).to_bits())
+            .collect();
+        (global, scores)
+    }
+
+    #[test]
+    fn refresh_of_a_clean_instance_changes_nothing() {
+        let mut m = EigenTrust::new(25, EigenTrustConfig::default());
+        random_feed(&mut m, 25, 400, 8);
+        let iterations = m.refresh();
+        assert!(iterations > 0);
+        let walked = refreshed_bits(&mut m);
+        // No report since the walk: the second refresh reports the same
+        // iterations and leaves every cached bit in place.
+        assert_eq!(m.refresh(), iterations);
+        assert_eq!(m.last_iterations(), iterations);
+        assert_eq!(refreshed_bits(&mut m), walked);
+
+        // A restored clean snapshot behaves the same way.
+        let snap = m.snapshot_state().expect("eigentrust supports snapshots");
+        let mut restored = EigenTrust::new(25, EigenTrustConfig::default());
+        restored.restore_state(&snap).expect("round trip");
+        assert_eq!(restored.refresh(), iterations);
+        assert_eq!(refreshed_bits(&mut restored), walked);
+
+        // The next report makes the instance dirty again, and both walk
+        // to the same bits.
+        random_feed(&mut m, 25, 1, 9);
+        random_feed(&mut restored, 25, 1, 9);
+        assert_eq!(m.refresh(), restored.refresh());
+        assert_eq!(refreshed_bits(&mut m), refreshed_bits(&mut restored));
     }
 
     #[test]

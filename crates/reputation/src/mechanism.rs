@@ -108,7 +108,7 @@ impl std::fmt::Display for MechanismKind {
 ///
 /// Mechanisms are `Send + Sync`: the sharded scenario engine reads
 /// scores (`&self`) from several worker threads at once while all
-/// mutation (`record`, `refresh`) stays on the merge barrier's single
+/// mutation (`record`, `refresh`) stays on the engine's calling
 /// thread. Implementations hold plain owned data, so this costs nothing.
 pub trait ReputationMechanism: std::fmt::Debug + Send + Sync {
     /// Identifies the mechanism in reports.

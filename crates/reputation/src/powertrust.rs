@@ -295,7 +295,12 @@ impl ReputationMechanism for PowerTrust {
     }
 
     fn refresh(&mut self) -> usize {
-        self.recompute();
+        // Both passes restart from their teleport vectors, so a clean
+        // instance's caches already hold what a recompute would give
+        // (see `EigenTrust::refresh`).
+        if self.dirty {
+            self.recompute();
+        }
         self.last_iterations
     }
 
@@ -453,6 +458,24 @@ mod tests {
         feed(&mut m, 0, 1, true);
         let iters = m.refresh();
         assert!(iters >= 2, "two walk passes, got {iters}");
+    }
+
+    #[test]
+    fn refresh_of_a_clean_instance_changes_nothing() {
+        let mut m = PowerTrust::new(12, PowerTrustConfig::default());
+        for r in 0..12u32 {
+            feed(&mut m, r, (r * 5 + 1) % 12, r % 3 != 0);
+            feed(&mut m, r, (r + 7) % 12, true);
+        }
+        let bits = |m: &mut PowerTrust| {
+            let scores: Vec<u64> = (0..12).map(|i| m.score(NodeId(i)).to_bits()).collect();
+            (m.power_nodes().to_vec(), scores)
+        };
+        let iterations = m.refresh();
+        let walked = bits(&mut m);
+        assert_eq!(m.refresh(), iterations);
+        assert_eq!(m.last_iterations(), iterations);
+        assert_eq!(bits(&mut m), walked);
     }
 
     #[test]

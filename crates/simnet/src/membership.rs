@@ -312,8 +312,12 @@ impl MembershipRuntime {
             if relay.index() != slot {
                 view.insert_fresh(relay);
             }
-            let mut budget = 4 * config.relay_fanout;
-            while view.len() < config.relay_fanout && budget > 0 {
+            // A view holds at most the other n - 1 slots, so targets and
+            // budgets are capped at the population; below it they are
+            // exactly the configured fanout.
+            let want = config.relay_fanout.min(n - 1);
+            let mut budget = 4usize.saturating_mul(config.relay_fanout.min(n));
+            while view.len() < want && budget > 0 {
                 budget -= 1;
                 let peer = NodeId::from_index(rng.gen_range(0..n));
                 if peer.index() != slot {
@@ -464,8 +468,11 @@ impl MembershipRuntime {
         let handouts: Vec<NodeId> = {
             let relay_view = &self.views[relay.index()];
             let mut picked = Vec::new();
-            let mut budget = 2 * self.config.relay_fanout;
-            while picked.len() + 1 < self.config.relay_fanout && budget > 0 {
+            // Capped at the population like the bootstrap loop.
+            let n = self.views.len();
+            let fanout = self.config.relay_fanout.min(n - 1);
+            let mut budget = 2usize.saturating_mul(self.config.relay_fanout.min(n));
+            while picked.len() + 1 < fanout && budget > 0 {
                 budget -= 1;
                 match relay_view.sample(rng) {
                     Some(p) if p != me && !picked.contains(&p) => picked.push(p),
@@ -486,7 +493,9 @@ impl MembershipRuntime {
 
     /// One push-pull exchange between live nodes `a` and `b`.
     fn exchange(&mut self, a: usize, b: usize, rng: &mut SimRng) {
-        let shuffle_len = self.config.shuffle_len;
+        // A buffer can hold at most the population; capping here bounds
+        // `fill_buffer`'s draw budget and changes nothing below it.
+        let shuffle_len = self.config.shuffle_len.min(self.views.len());
         let mut send_a = std::mem::take(&mut self.send_a);
         let mut send_b = std::mem::take(&mut self.send_b);
         fill_buffer(
@@ -568,7 +577,7 @@ fn fill_buffer(
         age: 0,
     });
     let want = (shuffle_len - 1).min(view.len());
-    let mut budget = 4 * shuffle_len.max(1);
+    let mut budget = 4usize.saturating_mul(shuffle_len.max(1));
     while buffer.len() - 1 < want && budget > 0 {
         budget -= 1;
         if let Some(e) = rng.choose(view.entries()) {
@@ -716,6 +725,37 @@ mod tests {
         runtime.shuffle_round(|_| true, |_, _| true);
         assert!(!runtime.views()[9].is_empty(), "rebootstrap refilled it");
         assert!(runtime.stats().rebootstraps >= 1);
+    }
+
+    #[test]
+    fn huge_fanout_returns_promptly_with_views_capped_at_the_population() {
+        // The bootstrap, re-bootstrap and exchange loops used to budget
+        // `4 × relay_fanout` (or `shuffle_len`) draws for a view that can
+        // never hold more than n - 1 peers: a 2^40 fanout spun for
+        // trillions of draws. Capped at the population, this finishes in
+        // a few thousand.
+        let huge = 1usize << 40;
+        let config = MembershipConfig {
+            view_size: huge,
+            shuffle_len: huge,
+            relay_fanout: huge,
+            ..MembershipConfig::default()
+        };
+        let n = 50;
+        let mut runtime = MembershipRuntime::new(n, config, 29).expect("valid");
+        assert_invariants(&runtime);
+        assert!(runtime.views().iter().all(|v| !v.is_empty() && v.len() < n));
+        for _ in 0..3 {
+            runtime.shuffle_round(|_| true, |_, _| true);
+            assert_invariants(&runtime);
+        }
+        runtime.views[9] = PartialView::new(huge);
+        let mut rng = SimRng::seed_from_u64(31);
+        let relay = runtime.rebootstrap(9, &mut rng, &|_| true, &|_, _| true);
+        assert_eq!(relay, Some(NodeId(0)));
+        assert!(!runtime.views()[9].is_empty());
+        assert_invariants(&runtime);
+        assert!(runtime.views().iter().all(|v| v.len() < n));
     }
 
     #[test]

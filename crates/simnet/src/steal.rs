@@ -1,6 +1,8 @@
 //! The one work-stealing helper behind every parallel loop in the
-//! workspace: the scenario's shard phase, the sweep runner's cells and
-//! the trust service's per-shard commit staging.
+//! workspace: the scenario's shard phase and per-slot round-tail fills,
+//! the sweep runner's cells and the trust service's per-shard commit
+//! staging. [`join`] is its two-task sibling (the scenario's merge
+//! barrier); every thread the workspace spawns is spawned here.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -10,11 +12,15 @@ use std::sync::{Mutex, PoisonError};
 /// the piece's first item in `items`.
 ///
 /// With `workers <= 1` the pieces run inline, in order, on the calling
-/// thread — no thread is spawned. Otherwise up to `workers` scoped
-/// threads claim pieces off an atomic cursor until none is left, so
-/// unevenly priced pieces balance out. Each piece goes to exactly one
-/// worker; results land in the items themselves, so nothing is merged
-/// after the join. A panic in `work` re-raises on the calling thread.
+/// thread — no thread is spawned. Otherwise the calling thread and up
+/// to `workers - 1` scoped threads (none for a single piece) claim
+/// pieces off an atomic cursor until none is left, so unevenly
+/// priced pieces balance out. The caller works rather than waits, so
+/// one thread fewer is spawned, and fewer threads allocate from heap
+/// arenas of their own (which inflated the scenario engine's peak
+/// resident set). Each piece goes to exactly one worker; results land
+/// in the items themselves, so nothing is merged after the join. A
+/// panic in `work` re-raises on the calling thread.
 pub fn for_each_chunk_mut<T: Send>(
     items: &mut [T],
     chunk: usize,
@@ -34,16 +40,46 @@ pub fn for_each_chunk_mut<T: Send>(
     // be observed.
     let slots: Vec<Mutex<&mut [T]>> = items.chunks_mut(chunk).map(Mutex::new).collect();
     let cursor = AtomicUsize::new(0);
+    let claim = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(i) else { break };
+        let mut piece = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        work(i * chunk, &mut piece);
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers.min(slots.len()) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(slot) = slots.get(i) else { break };
-                let mut piece = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                work(i * chunk, &mut piece);
-            });
+        for _ in 1..workers.min(slots.len()) {
+            scope.spawn(claim);
         }
+        claim();
     });
+}
+
+/// Runs `inline` on the calling thread and `helper` alongside it, and
+/// returns both results once both are done.
+///
+/// With `workers <= 1` no thread is spawned: `inline` runs, then
+/// `helper`, both on the calling thread. Otherwise `helper` runs on one
+/// scoped thread while `inline` runs on the caller, so state that must
+/// stay on the calling thread (say, one whose allocations should stay
+/// in the caller's heap arena) belongs in `inline`. A panic in either
+/// re-raises on the calling thread.
+pub fn join<A, B: Send>(
+    workers: usize,
+    inline: impl FnOnce() -> A,
+    helper: impl FnOnce() -> B + Send,
+) -> (A, B) {
+    if workers <= 1 {
+        let a = inline();
+        return (a, helper());
+    }
+    std::thread::scope(|scope| {
+        let helper = scope.spawn(helper);
+        let a = inline();
+        match helper.join() {
+            Ok(b) => (a, b),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
 }
 
 #[cfg(test)]
@@ -69,6 +105,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn join_runs_both_tasks_once_for_any_worker_count() {
+        for workers in [0usize, 1, 2, 4] {
+            let (mut left, mut right) = (Vec::new(), Vec::new());
+            let (a, b) = join(
+                workers,
+                || {
+                    left.push(workers);
+                    "inline"
+                },
+                || {
+                    right.push(workers);
+                    7
+                },
+            );
+            assert_eq!((a, b), ("inline", 7));
+            assert_eq!((left, right), (vec![workers], vec![workers]));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "helper failed")]
+    fn join_reraises_a_helper_panic() {
+        join(2, || (), || panic!("helper failed"));
     }
 
     #[test]

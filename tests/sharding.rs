@@ -5,16 +5,18 @@
 //! execution knob. These tests pin:
 //!
 //! * 1, 2, 3 and 8 shards produce bit-identical outcomes;
+//! * a round tail split over the workers (per-slot fills, the two-way
+//!   merge barrier) equals the serial one-shard tail;
 //! * the default, auto mode (`shards = 0`) and explicit counts agree,
 //!   below and at the auto threshold;
 //! * sweeps over sharded cells stay deterministic under the parallel
 //!   sweep runner.
 
 use tsn_core::json::format_f64;
-use tsn_core::runner::{ScenarioBuilder, SweepGrid, SweepRunner};
+use tsn_core::runner::{DisclosureLevel, ScenarioBuilder, SweepGrid, SweepRunner};
 use tsn_core::scenario::{Scenario, ScenarioOutcome, SHARD_AUTO_NODES};
 use tsn_core::ScenarioConfig;
-use tsn_reputation::{MechanismKind, PopulationConfig, SelectionPolicy};
+use tsn_reputation::{AnonymizationConfig, MechanismKind, PopulationConfig, SelectionPolicy};
 
 /// Bit-exact text form of every float an outcome carries (shortest
 /// round-trip form, so equality here is bit equality).
@@ -92,6 +94,63 @@ fn one_two_and_eight_shards_are_bit_identical() {
             fingerprint(&outcome),
             "{shards} shards diverged from 1 shard"
         );
+    }
+}
+
+#[test]
+fn parallel_round_tail_equals_the_serial_tail() {
+    // Large enough that the per-slot fills split into several pieces,
+    // and with every feed the merge barrier splits two ways: report
+    // views (ballot-stuffed copies under anonymous raters, or an
+    // order-sensitive anonymization layer drawing per record), ledger
+    // events and served/load credits, over whitewashed identities and
+    // overlay views.
+    let build = |anonymous_raters: bool| {
+        let builder = ScenarioBuilder::small()
+            .seed(7106)
+            .nodes(2_000)
+            .rounds(6)
+            .refresh_every(2)
+            .mechanism(MechanismKind::EigenTrust)
+            .population(PopulationConfig {
+                malicious: 0.2,
+                whitewasher: 0.1,
+                ..Default::default()
+            })
+            .churn(0.2)
+            .with_peer_sampling()
+            .adaptive_disclosure(true);
+        if anonymous_raters {
+            builder.disclosure(DisclosureLevel::Topical)
+        } else {
+            builder
+                .disclosure(DisclosureLevel::Full)
+                .anonymization(AnonymizationConfig {
+                    strip_probability: 0.3,
+                    flip_probability: 0.1,
+                })
+        }
+    };
+    for anonymous_raters in [true, false] {
+        let serial = build(anonymous_raters)
+            .shards(1)
+            .run()
+            .expect("valid config");
+        assert!(serial.whitewashes > 0, "whitewasher slots remap identities");
+        assert!(serial.samples.iter().all(|r| r.reports_filed > 0));
+        let reference = fingerprint(&serial);
+        for shards in [2usize, 5] {
+            let outcome = build(anonymous_raters)
+                .shards(shards)
+                .run()
+                .expect("valid config");
+            assert_eq!(
+                reference,
+                fingerprint(&outcome),
+                "{shards} shards diverged from the serial tail \
+                 (anonymous raters: {anonymous_raters})"
+            );
+        }
     }
 }
 
