@@ -212,6 +212,14 @@ struct UserState {
     breached_this_round: bool,
 }
 
+/// Whether allocating `provider` to `consumer` is intended: it is on
+/// the consumer's preferred list (see `Scenario::preferred`), or the list
+/// is empty. Exact also for an overlay partner that is not a neighbour.
+fn intends(offsets: &[usize], preferred: &[NodeId], consumer: NodeId, provider: NodeId) -> bool {
+    let list = &preferred[offsets[consumer.index()]..offsets[consumer.index() + 1]];
+    list.is_empty() || list.binary_search(&provider).is_ok()
+}
+
 /// Reusable buffers for the round loop. Owned by the [`Scenario`] so the
 /// steady-state hot path performs no per-round or per-interaction
 /// allocation; every buffer is cleared (never assumed empty) before use,
@@ -405,8 +413,10 @@ struct ShardCtx<'a> {
     /// Slot-indexed selection weights, frozen for the phase (see
     /// `ScenarioScratch::weights`).
     weights: &'a [f64],
-    policy_exposure_cap: &'a [f64],
-    policies: &'a [PrivacyPolicy],
+    strict: &'a [bool],
+    policy_classes: &'a [(PrivacyPolicy, f64); 2],
+    preferred_offsets: &'a [usize],
+    preferred: &'a [NodeId],
     /// Active partition group map, if a window is open this round
     /// (plain data extracted from the dynamics runtime, which itself is
     /// not `Sync` — it owns transport trait objects the phase never
@@ -460,6 +470,7 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
         }
         let consumer = NodeId::from_index(consumer_idx);
         let honest = !ctx.population.is_adversarial(consumer);
+        let requester_trust = ctx.mechanism.score(ctx.identity(consumer));
         let mut rng = interaction_stream(ctx.config.seed, ctx.round, consumer_idx);
         for _ in 0..ctx.config.interactions_per_node {
             candidates.clear();
@@ -508,11 +519,10 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
             };
             let request_ctx = RequestContext {
                 social_distance: Some(1), // candidates are neighbours
-                requester_trust: ctx.mechanism.score(ctx.identity(consumer)),
+                requester_trust,
             };
-            let decision =
-                ctx.enforcer
-                    .decide(&request, &ctx.policies[provider.index()], &request_ctx);
+            let (policy, _) = &ctx.policy_classes[usize::from(ctx.strict[provider.index()])];
+            let decision = ctx.enforcer.decide(&request, policy, &request_ctx);
 
             let outcome_quality;
             if decision.is_granted() {
@@ -590,7 +600,8 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
             // or feedback was filed. Collection beyond what the user's
             // own policy tolerates is a *system-caused* breach (the
             // paper's footnote-2 category).
-            if ctx.system_exposure > ctx.policy_exposure_cap[consumer_idx] + 1e-9 {
+            let (_, exposure_cap) = ctx.policy_classes[usize::from(ctx.strict[consumer_idx])];
+            if ctx.system_exposure > exposure_cap + 1e-9 {
                 outbox.ledger.push(LedgerEvent::Breach {
                     owner: consumer,
                     category: DataCategory::Behavior,
@@ -606,7 +617,7 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
             }
 
             let aspects = InteractionAspects {
-                provider,
+                intended: intends(ctx.preferred_offsets, ctx.preferred, consumer, provider),
                 outcome_quality,
                 privacy_respected: !user.breached_this_round,
             };
@@ -627,18 +638,21 @@ pub struct Scenario {
     enforcer: Enforcer,
     adequacy: AdequacyModel,
     metric: TrustMetric,
-    /// Max exposure each user's own policy tolerates in the feedback
-    /// pipeline.
-    policy_exposure_cap: Vec<f64>,
     /// Exposure of each disclosure-ladder level, precomputed once (the
     /// round loop looks these up per user per round).
     ladder_exposure: [f64; DisclosurePolicy::LADDER_LEVELS],
     /// Round-loop scratch buffers.
     scratch: ScenarioScratch,
-    /// Per-user privacy policies, read-only during rounds. Kept outside
-    /// `UserState` so shard workers can read any *provider's* policy
-    /// while holding their own contiguous `&mut` user slice.
-    policies: Vec<PrivacyPolicy>,
+    /// Each slot's index into `policy_classes`: the permissive and the
+    /// strict (content policy, tolerated behaviour-metadata exposure).
+    /// Kept outside `UserState` so shard workers can read any
+    /// *provider's* class while holding their own `&mut` user slice.
+    strict: Vec<bool>,
+    policy_classes: [(PrivacyPolicy, f64); 2],
+    /// Every slot's sorted preferred providers as one CSR table: slot
+    /// `i`'s list is `preferred[preferred_offsets[i]..preferred_offsets[i + 1]]`.
+    preferred_offsets: Vec<usize>,
+    preferred: Vec<NodeId>,
     /// Shard ranges, scratch and outboxes of the round engine; empty
     /// until the first run, persistent afterwards.
     shard_state: Vec<ShardState>,
@@ -727,51 +741,36 @@ impl Scenario {
             .collect();
         let strict_cut =
             (config.policy_profile.strict_fraction() * config.nodes as f64).round() as usize;
-        let mut strict_flags: Vec<bool> = (0..config.nodes).map(|i| i < strict_cut).collect();
-        user_rng.shuffle(&mut strict_flags);
+        let mut strict: Vec<bool> = (0..config.nodes).map(|i| i < strict_cut).collect();
+        user_rng.shuffle(&mut strict);
 
         let mut users = Vec::with_capacity(config.nodes);
-        let mut policies = Vec::with_capacity(config.nodes);
-        let mut policy_exposure_cap = Vec::with_capacity(config.nodes);
-        for i in 0..config.nodes {
-            let me = NodeId::from_index(i);
-            let my_topic = profiles[i].dominant_topic();
+        let mut preferred_offsets = vec![0];
+        let mut preferred = Vec::new();
+        for (i, profile) in profiles.iter().enumerate() {
             // Preferred providers: neighbours sharing the dominant topic
             // (falling back to all neighbours when none does).
-            let mut preferred: Vec<NodeId> = graph
-                .neighbors(me)
-                .iter()
-                .copied()
-                .filter(|n| profiles[n.index()].dominant_topic() == my_topic)
-                .collect();
-            if preferred.is_empty() {
-                preferred = graph.neighbors(me).to_vec();
+            let neighbors = graph.neighbors(NodeId::from_index(i));
+            let topic = profile.dominant_topic();
+            let shares_topic = |n: &&NodeId| profiles[n.index()].dominant_topic() == topic;
+            let start = preferred.len();
+            preferred.extend(neighbors.iter().filter(shares_topic));
+            if preferred.len() == start {
+                preferred.extend_from_slice(neighbors);
             }
+            preferred[start..].sort_unstable();
+            preferred_offsets.push(preferred.len());
             let concern =
                 (config.privacy_concern_mean + user_rng.gen_normal(0.0, 0.2)).clamp(0.0, 1.0);
-            let intentions = ConsumerIntentions::new(preferred, 0.6, concern)
-                // tsn-lint: allow(no-unwrap, "interest share and concern are clamped into range on the lines above")
-                .expect("intention parameters are in range");
-            let strict = strict_flags[i];
-            policies.push(if strict {
-                PrivacyPolicy::strict(DataCategory::Content)
-            } else {
-                PrivacyPolicy::permissive(DataCategory::Content)
-            });
-            // Strict users tolerate at most ladder level 2 (no topic, no
-            // identity) of *behaviour-metadata collection*; permissive
-            // users accept everything. Collection beyond the cap is a
-            // system-caused breach.
-            let cap_level = if strict { 2 } else { 4 };
-            policy_exposure_cap.push(DisclosurePolicy::ladder(cap_level).exposure());
             // Provider capacity per round varies per user (ref [17]:
             // providers intend to treat a bounded load).
             let capacity = user_rng.gen_range(3..9u32);
             users.push(UserState {
-                intentions,
-                provider_intentions: ProviderIntentions::new(capacity)
-                    // tsn-lint: allow(no-unwrap, "capacity is drawn from gen_range(3..9), always positive")
-                    .expect("capacity is positive"),
+                intentions: ConsumerIntentions {
+                    quality_expectation: 0.6,
+                    privacy_concern: concern,
+                },
+                provider_intentions: ProviderIntentions { capacity },
                 satisfaction: SatisfactionTracker::default(),
                 provider_satisfaction: SatisfactionTracker::default(),
                 load_this_round: 0,
@@ -783,10 +782,16 @@ impl Scenario {
             });
         }
 
-        let mut ladder_exposure = [0.0; DisclosurePolicy::LADDER_LEVELS];
-        for (level, slot) in ladder_exposure.iter_mut().enumerate() {
-            *slot = DisclosurePolicy::ladder(level).exposure();
-        }
+        let ladder_exposure: [f64; DisclosurePolicy::LADDER_LEVELS] =
+            std::array::from_fn(|level| DisclosurePolicy::ladder(level).exposure());
+        // Strict users tolerate at most ladder level 2 (no topic, no
+        // identity) of *behaviour-metadata collection*; permissive users
+        // accept everything.
+        let content = DataCategory::Content;
+        let policy_classes = [
+            (PrivacyPolicy::permissive(content), ladder_exposure[4]),
+            (PrivacyPolicy::strict(content), ladder_exposure[2]),
+        ];
 
         // Seeded straight from the config seed rather than forked off
         // `rng`, so attaching a plan never shifts another stream: runs
@@ -831,10 +836,12 @@ impl Scenario {
             enforcer: Enforcer::new(),
             adequacy: AdequacyModel::default(),
             metric: TrustMetric::default(),
-            policy_exposure_cap,
             ladder_exposure,
             scratch: ScenarioScratch::default(),
-            policies,
+            strict,
+            policy_classes,
+            preferred_offsets,
+            preferred,
             shard_state: Vec::new(),
             net_dynamics,
             membership,
@@ -1301,8 +1308,10 @@ impl Scenario {
                     adequacy: &self.adequacy,
                     offline: &self.scratch.offline,
                     weights: &self.scratch.weights,
-                    policy_exposure_cap: &self.policy_exposure_cap,
-                    policies: &self.policies,
+                    strict: &self.strict,
+                    policy_classes: &self.policy_classes,
+                    preferred_offsets: &self.preferred_offsets,
+                    preferred: &self.preferred,
                     partition: self
                         .net_dynamics
                         .as_ref()
@@ -1449,6 +1458,40 @@ mod tests {
             seed,
             ..ScenarioConfig::small()
         }
+    }
+
+    #[test]
+    fn preferred_providers_are_sorted_neighbour_subsets() {
+        let s = Scenario::new(small(11)).unwrap();
+        let (offsets, table) = (&s.preferred_offsets, &s.preferred);
+        let of = |slot: NodeId| &table[offsets[slot.index()]..offsets[slot.index() + 1]];
+        let n = s.config.nodes;
+        let mut proper_subset = None;
+        for slot in (0..n).map(NodeId::from_index) {
+            let neighbors = s.graph.neighbors(slot);
+            let preferred = of(slot);
+            assert!(preferred.windows(2).all(|w| w[0] < w[1]), "{slot} sorted");
+            assert!(preferred.iter().all(|p| neighbors.contains(p)), "{slot}");
+            assert_eq!(preferred.is_empty(), neighbors.is_empty(), "{slot}");
+            if preferred.len() < neighbors.len() {
+                proper_subset.get_or_insert(slot);
+            }
+        }
+        let consumer = proper_subset.expect("some slot prefers part of its neighbourhood");
+        let neighbors = s.graph.neighbors(consumer);
+        let preferred = of(consumer);
+        let unlisted = *neighbors.iter().find(|p| !preferred.contains(p)).unwrap();
+        // A partner from the membership overlay need not be a neighbour.
+        let stranger = (0..n)
+            .map(NodeId::from_index)
+            .find(|p| *p != consumer && !neighbors.contains(p))
+            .unwrap();
+        assert!(intends(offsets, table, consumer, preferred[0]));
+        assert!(!intends(offsets, table, consumer, unlisted));
+        assert!(!intends(offsets, table, consumer, stranger));
+        // An empty list (a slot without neighbours) intends anyone.
+        assert!(intends(&[0, 1, 1], &[NodeId(2)], NodeId(1), NodeId(0)));
+        assert!(!intends(&[0, 1, 1], &[NodeId(2)], NodeId(0), NodeId(1)));
     }
 
     #[test]

@@ -33,11 +33,14 @@ pub enum RuleId {
     /// Malformed suppression pragmas (missing/empty justification,
     /// unknown rule name).
     PragmaHygiene,
+    /// `std::thread::{scope, spawn, Builder}` outside
+    /// `crates/simnet/src/steal.rs`, the one work-stealing helper.
+    ThreadSpawn,
 }
 
 impl RuleId {
     /// All rules, in reporting order.
-    pub const ALL: [RuleId; 7] = [
+    pub const ALL: [RuleId; 8] = [
         RuleId::HashIter,
         RuleId::WallClock,
         RuleId::ForeignRng,
@@ -45,6 +48,7 @@ impl RuleId {
         RuleId::ForbidUnsafe,
         RuleId::WorkspacePurity,
         RuleId::PragmaHygiene,
+        RuleId::ThreadSpawn,
     ];
 
     /// The kebab-case name used in diagnostics and pragmas.
@@ -57,6 +61,7 @@ impl RuleId {
             RuleId::ForbidUnsafe => "forbid-unsafe",
             RuleId::WorkspacePurity => "workspace-purity",
             RuleId::PragmaHygiene => "pragma-hygiene",
+            RuleId::ThreadSpawn => "thread-spawn",
         }
     }
 
@@ -121,8 +126,7 @@ pub fn run_file_rules(
         hash_iter(path, lexed, raw_lines, &mut findings);
         no_unwrap(path, lexed, raw_lines, &mut findings);
     }
-    wall_clock(path, lexed, raw_lines, &mut findings);
-    foreign_rng(path, lexed, raw_lines, &mut findings);
+    pattern_rules(path, lexed, raw_lines, &mut findings);
     findings.sort_by_key(|a| (a.line, a.rule));
     findings.dedup_by(|a, b| a.line == b.line && a.rule == b.rule);
     findings
@@ -160,51 +164,48 @@ fn is_ident_byte(b: u8) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Rule: wall-clock
+// Rules: wall-clock, foreign-rng, thread-spawn
 // ---------------------------------------------------------------------
 
-const WALL_CLOCK_PATTERNS: [&str; 3] = ["Instant::now", "SystemTime", "thread::sleep"];
+/// The rules that flag a plain pattern in the code channel: each rule's
+/// patterns and the explanation that follows the matched pattern.
+const PATTERN_RULES: [(RuleId, &[&str], &str); 3] = [
+    (
+        RuleId::WallClock,
+        &["Instant::now", "SystemTime", "thread::sleep"],
+        "reads the wall clock — replayed code must use the sim clock (SimTime); justify \
+         timing-only uses with a pragma",
+    ),
+    (
+        RuleId::ForeignRng,
+        &["thread_rng", "rand::", "RandomState", "OsRng", "getrandom"],
+        "is a non-deterministic randomness source — all draws must flow through seeded \
+         SimRng streams",
+    ),
+    (
+        RuleId::ThreadSpawn,
+        &["thread::scope", "thread::spawn", "thread::Builder"],
+        "starts threads outside crates/simnet/src/steal.rs — run parallel work through \
+         tsn_simnet::steal so it stays worker-count invariant",
+    ),
+];
 
-fn wall_clock(path: &str, lexed: &LexedFile, raw: &[&str], out: &mut Vec<Finding>) {
-    for (idx, code) in lexed.code.iter().enumerate() {
-        for pat in WALL_CLOCK_PATTERNS {
-            if !word_positions(code, pat).is_empty() {
-                out.push(Finding {
-                    rule: RuleId::WallClock,
-                    path: path.to_string(),
-                    line: idx + 1,
-                    message: format!(
-                        "`{pat}` reads the wall clock — replayed code must use the sim \
-                         clock (SimTime); justify timing-only uses with a pragma"
-                    ),
-                    snippet: snippet(raw, idx + 1),
-                });
-            }
+fn pattern_rules(path: &str, lexed: &LexedFile, raw: &[&str], out: &mut Vec<Finding>) {
+    for (rule, patterns, why) in PATTERN_RULES {
+        if rule == RuleId::ThreadSpawn && path == "crates/simnet/src/steal.rs" {
+            continue;
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule: foreign-rng
-// ---------------------------------------------------------------------
-
-const FOREIGN_RNG_PATTERNS: [&str; 5] =
-    ["thread_rng", "rand::", "RandomState", "OsRng", "getrandom"];
-
-fn foreign_rng(path: &str, lexed: &LexedFile, raw: &[&str], out: &mut Vec<Finding>) {
-    for (idx, code) in lexed.code.iter().enumerate() {
-        for pat in FOREIGN_RNG_PATTERNS {
-            if !word_positions(code, pat).is_empty() {
-                out.push(Finding {
-                    rule: RuleId::ForeignRng,
-                    path: path.to_string(),
-                    line: idx + 1,
-                    message: format!(
-                        "`{pat}` is a non-deterministic randomness source — all draws \
-                         must flow through seeded SimRng streams"
-                    ),
-                    snippet: snippet(raw, idx + 1),
-                });
+        for (idx, code) in lexed.code.iter().enumerate() {
+            for pat in patterns {
+                if !word_positions(code, pat).is_empty() {
+                    out.push(Finding {
+                        rule,
+                        path: path.to_string(),
+                        line: idx + 1,
+                        message: format!("`{pat}` {why}"),
+                        snippet: snippet(raw, idx + 1),
+                    });
+                }
             }
         }
     }

@@ -6,14 +6,13 @@
 //! aspects the paper's three facets make observable per interaction.
 
 use crate::intention::ConsumerIntentions;
-use tsn_simnet::NodeId;
 
 /// The observable aspects of one finished interaction, from the
 /// consumer's side.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InteractionAspects {
-    /// The provider the system allocated.
-    pub provider: NodeId,
+    /// Whether the consumer intended (prefers) the allocated provider.
+    pub intended: bool,
     /// Outcome quality in `\[0, 1\]` (0 = failure).
     pub outcome_quality: f64,
     /// Whether the consumer's privacy policy was respected during the
@@ -90,7 +89,7 @@ impl AdequacyModel {
         } else {
             (aspects.outcome_quality / intentions.quality_expectation).clamp(0.0, 1.0)
         };
-        let preference_term = intentions.preference_match(aspects.provider);
+        let preference_term = if aspects.intended { 1.0 } else { 0.2 };
         // Concern scales the *effective weight* of privacy, not its value:
         let effective_privacy_weight = self.privacy_weight * intentions.privacy_concern;
         let privacy_term = if aspects.privacy_respected { 1.0 } else { 0.0 };
@@ -108,7 +107,7 @@ mod tests {
 
     fn aspects(quality: f64, privacy: bool) -> InteractionAspects {
         InteractionAspects {
-            provider: NodeId(1),
+            intended: true,
             outcome_quality: quality,
             privacy_respected: privacy,
         }
@@ -133,8 +132,8 @@ mod tests {
     #[test]
     fn meeting_expectation_is_enough() {
         let model = AdequacyModel::default();
-        let demanding = ConsumerIntentions::new([], 0.9, 0.5).unwrap();
-        let modest = ConsumerIntentions::new([], 0.3, 0.5).unwrap();
+        let demanding = ConsumerIntentions::new(0.9, 0.5).unwrap();
+        let modest = ConsumerIntentions::new(0.3, 0.5).unwrap();
         // Quality 0.5 fully satisfies the modest consumer's outcome term,
         // only partially the demanding one's.
         let a_demanding = model.adequacy(&demanding, &aspects(0.5, true));
@@ -146,25 +145,27 @@ mod tests {
     #[test]
     fn unintended_provider_reduces_adequacy() {
         let model = AdequacyModel::default();
-        let picky = ConsumerIntentions::new([NodeId(7)], 0.5, 0.5).unwrap();
-        let intended = InteractionAspects {
-            provider: NodeId(7),
-            outcome_quality: 0.8,
-            privacy_respected: true,
-        };
+        let intentions = ConsumerIntentions::default();
+        let intended = aspects(0.8, true);
         let imposed = InteractionAspects {
-            provider: NodeId(3),
-            outcome_quality: 0.8,
-            privacy_respected: true,
+            intended: false,
+            ..intended
         };
-        assert!(model.adequacy(&picky, &intended) > model.adequacy(&picky, &imposed));
+        let full = model.adequacy(&intentions, &intended);
+        let reduced = model.adequacy(&intentions, &imposed);
+        // Only the preference term moves: from 1 to the 0.2 floor.
+        let total = model.outcome_weight
+            + model.preference_weight
+            + model.privacy_weight * intentions.privacy_concern;
+        assert!(full > reduced);
+        assert!((full - reduced - model.preference_weight * 0.8 / total).abs() < 1e-12);
     }
 
     #[test]
     fn privacy_violation_hurts_concerned_users_more() {
         let model = AdequacyModel::default();
-        let concerned = ConsumerIntentions::new([], 0.5, 1.0).unwrap();
-        let indifferent = ConsumerIntentions::new([], 0.5, 0.0).unwrap();
+        let concerned = ConsumerIntentions::new(0.5, 1.0).unwrap();
+        let indifferent = ConsumerIntentions::new(0.5, 0.0).unwrap();
         let ok = aspects(0.8, true);
         let violated = aspects(0.8, false);
         let concerned_drop =
@@ -181,7 +182,7 @@ mod tests {
     #[test]
     fn zero_expectation_outcome_term_is_one() {
         let model = AdequacyModel::default();
-        let easy = ConsumerIntentions::new([], 0.0, 0.5).unwrap();
+        let easy = ConsumerIntentions::new(0.0, 0.5).unwrap();
         let a = model.adequacy(&easy, &aspects(0.0, true));
         assert!(a > 0.9, "nothing expected, nothing lost: {a}");
     }
@@ -189,7 +190,7 @@ mod tests {
     #[test]
     fn adequacy_is_bounded() {
         let model = AdequacyModel::default();
-        let intentions = ConsumerIntentions::new([NodeId(9)], 0.7, 0.8).unwrap();
+        let intentions = ConsumerIntentions::new(0.7, 0.8).unwrap();
         for q in [0.0, 0.3, 0.9, 1.0] {
             for p in [true, false] {
                 let a = model.adequacy(&intentions, &aspects(q, p));

@@ -20,10 +20,10 @@
 //!   privacy respected);
 //! * **allocation satisfaction** — whether the *allocation itself*
 //!   (which partner the system chose) followed the participant's
-//!   intentions — is folded into adequacy's preference term
-//!   ([`ConsumerIntentions::preference_match`]) rather than tracked
-//!   separately, so it reaches long-run satisfaction through every
-//!   observed interaction.
+//!   intentions — is folded into adequacy's preference term rather than
+//!   tracked separately, so it reaches long-run satisfaction through
+//!   every observed interaction. The caller decides whether the
+//!   provider was intended ([`InteractionAspects::intended`]).
 //!
 //! [`aggregate`] turns per-participant satisfaction into the global
 //! satisfaction axis of the paper's Figure 2, with fairness measures

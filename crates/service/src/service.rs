@@ -1208,6 +1208,7 @@ mod tests {
         for (partitions, expected) in [
             (vec![split(5, 9, 0)], "at least 2 groups"),
             (vec![split(5, 9, 1)], "at least 2 groups"),
+            (vec![split(5, 9, 65_537)], "at most 65536 groups"),
             (vec![split(5, 5, 2)], "must end after it starts"),
             (vec![split(9, 5, 2)], "must end after it starts"),
             (vec![lossy(f64::NAN, 0.0)], "cross_loss"),

@@ -27,7 +27,7 @@
 
 use crate::churn::ChurnConfig;
 use crate::network::Network;
-use crate::partition::{GroupMap, PartitionedLoss, RegionalLatency};
+use crate::partition::{GroupMap, PartitionedLoss, RegionalLatency, MAX_GROUPS};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::NodeId;
@@ -63,7 +63,7 @@ impl PartitionWindow {
         }
     }
 
-    /// Validates a schedule of windows: each splits into at least 2
+    /// Validates a schedule of windows: each splits into 2 to 65,536
     /// groups, ends after it starts and has both loss probabilities in
     /// `[0, 1]` (NaN rejected); the windows are chronological and
     /// non-overlapping. The one rule set for every layer that takes a
@@ -90,8 +90,11 @@ impl PartitionWindow {
     }
 
     fn validate(&self) -> Result<(), String> {
-        if self.groups < 2 {
-            return Err("partition window needs at least 2 groups".into());
+        if !(2..=MAX_GROUPS).contains(&self.groups) {
+            return Err(format!(
+                "partition window needs at least 2 groups and at most {MAX_GROUPS} groups, got {}",
+                self.groups
+            ));
         }
         if self.end <= self.start {
             return Err("partition window must end after it starts".into());
@@ -146,8 +149,11 @@ pub struct RegionPlan {
 
 impl RegionPlan {
     fn validate(&self) -> Result<(), String> {
-        if self.groups == 0 {
-            return Err("regions need at least one group".into());
+        if !(1..=MAX_GROUPS).contains(&self.groups) {
+            return Err(format!(
+                "regions need at least one group and at most {MAX_GROUPS} groups, got {}",
+                self.groups
+            ));
         }
         Ok(())
     }
@@ -895,6 +901,31 @@ mod tests {
             DynamicsPlan::split_then_heal(SimTime::ZERO, SimTime::from_secs(1))
                 .validate()
                 .is_ok()
+        );
+    }
+
+    #[test]
+    fn group_counts_beyond_the_group_id_range_are_rejected() {
+        // Group ids are u16: a 65,537th group would alias group 0.
+        let split = |groups| DynamicsPlan {
+            partitions: vec![PartitionWindow::full_split(
+                SimTime::from_secs(1),
+                SimTime::from_secs(2),
+                groups,
+            )],
+            ..Default::default()
+        };
+        let regions =
+            |groups| DynamicsPlan::wan_regions(groups, SimDuration::ZERO, SimDuration::ZERO);
+        assert!(split(MAX_GROUPS).validate().is_ok());
+        assert!(regions(MAX_GROUPS).validate().is_ok());
+        let err = split(MAX_GROUPS + 1).validate().unwrap_err();
+        assert!(err.contains("at most 65536 groups"), "{err}");
+        let err = regions(MAX_GROUPS + 1).validate().unwrap_err();
+        assert!(err.contains("at most 65536 groups"), "{err}");
+        // Nor can a runtime be built over a plan that would alias.
+        assert!(
+            DynamicsRuntime::new(split(MAX_GROUPS + 1), 70_000, SimRng::seed_from_u64(1)).is_err()
         );
     }
 

@@ -12,6 +12,9 @@ use crate::rng::SimRng;
 use crate::time::SimDuration;
 use crate::NodeId;
 
+/// The most groups a [`GroupMap`] can tell apart: group ids are `u16`.
+pub(crate) const MAX_GROUPS: usize = 1 << 16;
+
 /// Group assignment used by the partition-aware models.
 ///
 /// Nodes map to a group id; unassigned nodes (index beyond the vector)
@@ -37,9 +40,11 @@ impl GroupMap {
     ///
     /// # Panics
     ///
-    /// Panics if `k` is zero.
+    /// Panics if `k` is zero or above 65,536 (more groups would alias
+    /// each other's `u16` ids).
     pub fn contiguous(n: usize, k: usize) -> Self {
         assert!(k > 0, "need at least one group");
+        assert!(k <= MAX_GROUPS, "at most {MAX_GROUPS} groups, got {k}");
         let base = n / k;
         let remainder = n % k;
         // The first `remainder` groups are one node larger.
@@ -241,6 +246,12 @@ mod tests {
         let map = GroupMap::contiguous(3, 5);
         assert_eq!(map.group_sizes(), vec![1, 1, 1]);
         assert_eq!(map.group_count(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 groups")]
+    fn contiguous_rejects_more_groups_than_ids() {
+        let _ = GroupMap::contiguous(70_000, MAX_GROUPS + 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! 1. **The workspace is clean.** `lint_workspace` over this repository
 //!    must report zero findings and zero unjustified pragmas — the same
 //!    gate CI runs via `cargo run -p tsn-lint`.
-//! 2. **Every rule actually fires.** For each of the six shipped rules,
+//! 2. **Every rule actually fires.** For each shipped rule,
 //!    a planted violation must produce exactly the expected finding; a
 //!    rule that silently stops matching would otherwise rot unnoticed
 //!    behind obligation 1.
@@ -144,6 +144,32 @@ fn rule_no_unwrap_spares_cfg_test_modules() {
         lint_source(FileScope::Library, "fixture.rs", src).is_empty(),
         "#[cfg(test)] regions are exempt from no-unwrap"
     );
+}
+
+#[test]
+fn rule_thread_spawn_fires_outside_the_steal_helper() {
+    let src = "pub fn run() {\n    std::thread::scope(|s| { s.spawn(|| ()); });\n    let _ = std::thread::spawn(|| ());\n    let _ = std::thread::Builder::new();\n}\n";
+    for scope in [FileScope::Library, FileScope::Bench, FileScope::Test] {
+        let findings = lint_source(scope, "crates/core/src/fixture.rs", src);
+        assert_eq!(
+            rules_fired(&findings),
+            vec![RuleId::ThreadSpawn; 3],
+            "{scope:?}: {findings:?}"
+        );
+        assert_eq!(
+            findings.iter().map(|f| f.line).collect::<Vec<_>>(),
+            vec![2, 3, 4]
+        );
+    }
+}
+
+#[test]
+fn rule_thread_spawn_spares_the_steal_helper() {
+    let src = "pub fn run() {\n    std::thread::scope(|s| { s.spawn(|| ()); });\n}\n";
+    assert!(lint_source(FileScope::Library, "crates/simnet/src/steal.rs", src).is_empty());
+    // Asking how many threads exist starts none.
+    let src = "pub fn n() -> usize {\n    std::thread::available_parallelism().map_or(1, |c| c.get())\n}\n";
+    assert!(lint_source(FileScope::Library, "crates/core/src/fixture.rs", src).is_empty());
 }
 
 #[test]
