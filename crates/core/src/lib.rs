@@ -45,7 +45,6 @@ pub mod dynamics;
 pub mod facets;
 pub mod json;
 pub mod optimizer;
-pub mod prelude;
 pub mod report;
 pub mod runner;
 pub mod scenario;
@@ -61,5 +60,5 @@ pub use runner::{
     ValidationError,
 };
 pub use scenario::{RoundSample, Scenario, ScenarioOutcome, ROUND_DURATION};
-pub use trust::{Aggregator, TrustMetric, TrustReport};
+pub use trust::{Aggregator, TrustMetric};
 pub use tsn_simnet::{DynamicsPlan, NodeId, PartitionWindow, RegionPlan};

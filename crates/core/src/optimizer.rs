@@ -14,8 +14,7 @@
 
 use crate::config::{PolicyProfile, ScenarioConfig};
 use crate::facets::FacetScores;
-use crate::runner::{ScenarioBuilder, SweepGrid, SweepRunner, ValidationError};
-use crate::scenario::run_scenario;
+use crate::runner::{DisclosureLevel, ScenarioBuilder, SweepGrid, SweepRunner, ValidationError};
 use crate::trust::TrustMetric;
 use tsn_reputation::{MechanismKind, SelectionPolicy};
 
@@ -116,22 +115,54 @@ impl Optimizer {
     /// the base's policy (it is a response-block choice, not a
     /// privacy/reputation dial; the A-ablations sweep it separately).
     pub fn sweep(&self) -> SweepOutcome {
-        let seeds = self.point_seeds();
         let grid = SweepGrid::over(ScenarioBuilder::from_config(self.base.clone()))
             .all_mechanisms()
             .all_disclosures()
-            .all_profiles()
-            .seeds(seeds.iter().copied());
+            .all_profiles();
+        SweepOutcome {
+            points: self.points(grid, self.base.selection),
+        }
+    }
+
+    /// Evaluates one grid point, averaging facets over
+    /// [`Optimizer::seeds_per_point`] seeds: a one-point grid whose
+    /// seeds run in parallel, so it equals the matching
+    /// [`Optimizer::sweep`] point bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `disclosure_level` is off the ladder (above 4).
+    pub fn evaluate(
+        &self,
+        mechanism: MechanismKind,
+        disclosure_level: usize,
+        policy_profile: PolicyProfile,
+        selection: SelectionPolicy,
+    ) -> ConfigPoint {
+        let mut base = self.base.clone();
+        base.selection = selection;
+        let grid = SweepGrid::over(ScenarioBuilder::from_config(base))
+            .mechanisms([mechanism])
+            .disclosures(DisclosureLevel::from_index(disclosure_level))
+            .profiles([policy_profile]);
+        self.points(grid, selection).swap_remove(0)
+    }
+
+    /// Runs `grid` over [`Optimizer::seeds_per_point`] seeds and averages
+    /// each point's facets over its seeds.
+    fn points(&self, grid: SweepGrid, selection: SelectionPolicy) -> Vec<ConfigPoint> {
+        let seeds = self.point_seeds();
+        let per_point = seeds.len();
         let report = SweepRunner::parallel()
-            .run(&grid)
-            // tsn-lint: allow(no-unwrap, "the base config was validated in Optimizer::new; deriving a builder from it cannot fail")
+            .run(&grid.seeds(seeds))
+            // tsn-lint: allow(no-unwrap, "the base was validated in Optimizer::new; only an off-ladder evaluate level (documented panic) empties a dimension")
             .expect("base validated in Optimizer::new");
         // Seeds are the innermost grid dimension: consecutive chunks of
-        // `seeds.len()` cells are the Monte-Carlo repetitions of one
+        // `per_point` cells are the Monte-Carlo repetitions of one
         // point, in the original (mechanism, disclosure, profile) order.
-        let points = report
+        report
             .cells
-            .chunks(seeds.len())
+            .chunks(per_point)
             .map(|chunk| {
                 let k = chunk.len() as f64;
                 let facets = FacetScores {
@@ -144,52 +175,12 @@ impl Optimizer {
                     mechanism: first.mechanism,
                     disclosure_level: first.disclosure.index(),
                     policy_profile: first.profile,
-                    selection: self.base.selection.label().to_owned(),
+                    selection: selection.label().to_owned(),
                     facets,
                     trust: self.metric.trust(&facets),
                 }
             })
-            .collect();
-        SweepOutcome { points }
-    }
-
-    /// Evaluates one grid point, averaging facets over
-    /// [`Optimizer::seeds_per_point`] seeds.
-    pub fn evaluate(
-        &self,
-        mechanism: MechanismKind,
-        disclosure_level: usize,
-        policy_profile: PolicyProfile,
-        selection: SelectionPolicy,
-    ) -> ConfigPoint {
-        let mut acc = (0.0, 0.0, 0.0);
-        let seeds = self.point_seeds();
-        for (mut config, seed) in std::iter::repeat_with(|| self.base.clone()).zip(&seeds) {
-            config.mechanism = mechanism;
-            config.disclosure_level = disclosure_level;
-            config.policy_profile = policy_profile;
-            config.selection = selection;
-            config.seed = *seed;
-            // tsn-lint: allow(no-unwrap, "sweep cells derive from the base validated in Optimizer::new; run_scenario cannot reject them")
-            let outcome = run_scenario(config).expect("sweep configs derive from a valid base");
-            acc.0 += outcome.facets.privacy;
-            acc.1 += outcome.facets.reputation;
-            acc.2 += outcome.facets.satisfaction;
-        }
-        let k = seeds.len() as f64;
-        let facets = FacetScores {
-            privacy: acc.0 / k,
-            reputation: acc.1 / k,
-            satisfaction: acc.2 / k,
-        };
-        ConfigPoint {
-            mechanism,
-            disclosure_level,
-            policy_profile,
-            selection: selection.label().to_owned(),
-            facets,
-            trust: self.metric.trust(&facets),
-        }
+            .collect()
     }
 
     /// Classifies sweep points into the Figure-2 (left) regions.
@@ -325,6 +316,32 @@ mod tests {
         assert!((0.0..=1.0).contains(&p.trust));
         assert_eq!(p.disclosure_level, 2);
         assert_eq!(p.selection, "best");
+    }
+
+    #[test]
+    fn evaluate_equals_the_matching_sweep_point() {
+        let mut o = optimizer();
+        o.seeds_per_point = 2;
+        let sweep = o.sweep();
+        for point in &sweep.points {
+            let single = o.evaluate(
+                point.mechanism,
+                point.disclosure_level,
+                point.policy_profile,
+                tiny_base().selection,
+            );
+            let bits = |p: &ConfigPoint| {
+                [
+                    p.facets.privacy,
+                    p.facets.reputation,
+                    p.facets.satisfaction,
+                    p.trust,
+                ]
+                .map(f64::to_bits)
+            };
+            assert_eq!(bits(&single), bits(point));
+            assert_eq!(single.selection, point.selection);
+        }
     }
 
     #[test]

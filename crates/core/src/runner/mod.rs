@@ -7,7 +7,7 @@
 //!   scenario, with typed knobs ([`DisclosureLevel`] instead of a raw
 //!   `usize`) and a [`ValidationError`] naming the offending field;
 //! * [`Observer`] — per-round subscription hooks
-//!   ([`SeriesRecorder`], [`ProgressPrinter`], [`ConvergenceProbe`]),
+//!   ([`SeriesRecorder`], [`ProgressPrinter`]),
 //!   replacing post-hoc mining of `ScenarioOutcome::samples`;
 //! * [`SweepGrid`] / [`SweepRunner`] — declarative mechanism ×
 //!   disclosure × profile × seed grids executed across threads with
@@ -25,5 +25,5 @@ mod sweep;
 
 pub use builder::{DisclosureLevel, ScenarioBuilder};
 pub use error::ValidationError;
-pub use observer::{ConvergenceProbe, Observer, ProgressPrinter, SeriesRecorder};
+pub use observer::{Observer, ProgressPrinter, SeriesRecorder};
 pub use sweep::{SweepCell, SweepCellResult, SweepGrid, SweepReport, SweepRunner};

@@ -3,8 +3,8 @@
 //! Callers that need the time series behind Figure 1 used to mine
 //! `ScenarioOutcome::samples` after the fact; an [`Observer`] instead
 //! receives each [`RoundSample`] as the scenario produces it, so
-//! streaming consumers (progress printers, live plots, convergence
-//! detectors) need no post-hoc bookkeeping.
+//! streaming consumers (progress printers, live plots) need no post-hoc
+//! bookkeeping.
 
 use crate::config::ScenarioConfig;
 use crate::scenario::{RoundSample, ScenarioOutcome};
@@ -115,52 +115,6 @@ impl Observer for ProgressPrinter {
     }
 }
 
-/// Detects the round after which a series stopped moving more than
-/// `tolerance` — a cheap convergence probe for choosing `rounds`.
-#[derive(Debug, Clone)]
-pub struct ConvergenceProbe {
-    name: &'static str,
-    tolerance: f64,
-    last: Option<f64>,
-    /// First round index after which every successive delta stayed
-    /// within tolerance, if any.
-    converged_at: Option<usize>,
-}
-
-impl ConvergenceProbe {
-    /// Probes the named series (see [`RoundSample::SERIES_NAMES`]) with
-    /// the given absolute tolerance.
-    pub fn new(name: &'static str, tolerance: f64) -> Self {
-        ConvergenceProbe {
-            name,
-            tolerance,
-            last: None,
-            converged_at: None,
-        }
-    }
-
-    /// The round the series settled at, if it did.
-    pub fn converged_at(&self) -> Option<usize> {
-        self.converged_at
-    }
-}
-
-impl Observer for ConvergenceProbe {
-    fn on_round(&mut self, sample: &RoundSample) {
-        let Some(value) = sample.field(self.name) else {
-            return;
-        };
-        if let Some(last) = self.last {
-            if (value - last).abs() <= self.tolerance {
-                self.converged_at.get_or_insert(sample.round);
-            } else {
-                self.converged_at = None;
-            }
-        }
-        self.last = Some(value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,15 +155,14 @@ mod tests {
     fn multiple_observers_all_fire() {
         let mut a = SeriesRecorder::new(["trust"]);
         let mut b = SeriesRecorder::new(["satisfaction"]);
-        let mut probe = ConvergenceProbe::new("respect", 1.0);
+        let mut c = SeriesRecorder::new(["respect"]);
         ScenarioBuilder::small()
             .seed(7)
-            .run_observed(&mut [&mut a, &mut b, &mut probe])
+            .run_observed(&mut [&mut a, &mut b, &mut c])
             .expect("valid");
         assert_eq!(a.series("trust").expect("subscribed").len(), 10);
         assert_eq!(b.series("satisfaction").expect("subscribed").len(), 10);
-        // Tolerance 1.0 on a [0,1] series converges immediately.
-        assert_eq!(probe.converged_at(), Some(1));
+        assert_eq!(c.series("respect").expect("subscribed").len(), 10);
     }
 
     #[test]

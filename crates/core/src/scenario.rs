@@ -42,8 +42,8 @@ use tsn_reputation::{
     ReportView, ReputationMechanism, SelectionPolicy, SelectionScratch,
 };
 use tsn_satisfaction::{
-    AdequacyModel, ConsumerIntentions, GlobalSatisfaction, InteractionAspects, ProviderIntentions,
-    SatisfactionTracker,
+    adequacy::adequacy, ConsumerIntentions, GlobalSatisfaction, InteractionAspects,
+    ProviderIntentions, SatisfactionTracker,
 };
 use tsn_simnet::{
     steal::{for_each_chunk_mut, join},
@@ -212,6 +212,15 @@ struct UserState {
     breached_this_round: bool,
 }
 
+impl UserState {
+    /// Overall satisfaction: the consumer and provider roles blended
+    /// with consumer weight `w_c`.
+    fn blended_satisfaction(&self, w_c: f64) -> f64 {
+        w_c * self.satisfaction.satisfaction()
+            + (1.0 - w_c) * self.provider_satisfaction.satisfaction()
+    }
+}
+
 /// Whether allocating `provider` to `consumer` is intended: it is on
 /// the consumer's preferred list (see `Scenario::preferred`), or the list
 /// is empty. Exact also for an overlay partner that is not a neighbour.
@@ -320,21 +329,42 @@ fn slot_scores_into(
     });
 }
 
-/// Per-round counters a shard accumulates locally; summed at the merge
-/// barrier (integer sums, so the total is independent of merge order —
-/// though the order is fixed anyway).
+/// Event counters: a shard accumulates one round's worth locally, the
+/// merge barrier sums the shards into the round's, and the round loop
+/// sums the rounds into the run's (integer sums, so every total is
+/// independent of merge order — though the order is fixed anyway).
 #[derive(Debug, Default, Clone, Copy)]
-struct ShardCounters {
+struct Counters {
     requests: u64,
     denials: u64,
     interactions: u64,
     messages: u64,
-    round_ok: u64,
-    round_tried: u64,
-    round_reports: u64,
-    round_isolated: u64,
+    /// Granted interactions that succeeded.
+    ok: u64,
+    /// Attempted interactions, granted or denied.
+    tried: u64,
+    reports: u64,
+    isolated: u64,
     honest_ok: u64,
     honest_tried: u64,
+    /// Whitewashes (counted by the pre-round step, not by shards).
+    whitewashes: u64,
+}
+
+impl Counters {
+    fn add(&mut self, other: Counters) {
+        self.requests += other.requests;
+        self.denials += other.denials;
+        self.interactions += other.interactions;
+        self.messages += other.messages;
+        self.ok += other.ok;
+        self.tried += other.tried;
+        self.reports += other.reports;
+        self.isolated += other.isolated;
+        self.honest_ok += other.honest_ok;
+        self.honest_tried += other.honest_tried;
+        self.whitewashes += other.whitewashes;
+    }
 }
 
 /// A deferred disclosure-ledger entry. Shards cannot touch the shared
@@ -368,7 +398,7 @@ struct ShardOutbox {
     /// One provider per *granted* interaction: the merge credits one
     /// served interaction and one unit of round load each.
     touches: Vec<NodeId>,
-    counters: ShardCounters,
+    counters: Counters,
 }
 
 impl ShardOutbox {
@@ -376,7 +406,7 @@ impl ShardOutbox {
         self.views.clear();
         self.ledger.clear();
         self.touches.clear();
-        self.counters = ShardCounters::default();
+        self.counters = Counters::default();
     }
 }
 
@@ -408,7 +438,6 @@ struct ShardCtx<'a> {
     population: &'a Population,
     mechanism: &'a dyn ReputationMechanism,
     enforcer: &'a Enforcer,
-    adequacy: &'a AdequacyModel,
     offline: &'a [bool],
     /// Slot-indexed selection weights, frozen for the phase (see
     /// `ScenarioScratch::weights`).
@@ -504,7 +533,7 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
                 // the round (offline flags, partition and view all
                 // are), so count the consumer isolated once and skip
                 // its remaining attempts; no randomness is consumed.
-                outbox.counters.round_isolated += 1;
+                outbox.counters.isolated += 1;
                 break;
             };
             outbox.counters.requests += 1;
@@ -536,10 +565,10 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
                 outbox.touches.push(provider);
                 outbox.counters.interactions += 1;
                 outbox.counters.messages += 1; // content response
-                outbox.counters.round_tried += 1;
+                outbox.counters.tried += 1;
                 outbox.counters.honest_tried += honest as u64;
                 if outcome.is_success() {
-                    outbox.counters.round_ok += 1;
+                    outbox.counters.ok += 1;
                     outbox.counters.honest_ok += honest as u64;
                 }
                 outcome_quality = outcome.value();
@@ -584,13 +613,13 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
                     };
                     let view = ctx.system_policy.view(&report);
                     outbox.views.extend(std::iter::repeat_n(view, copies));
-                    outbox.counters.round_reports += copies as u64;
+                    outbox.counters.reports += copies as u64;
                     outbox.counters.messages +=
                         (ctx.mechanism.overhead_per_report() * copies) as u64;
                 }
             } else {
                 outbox.counters.denials += 1;
-                outbox.counters.round_tried += 1;
+                outbox.counters.tried += 1;
                 outbox.counters.honest_tried += honest as u64;
                 outcome_quality = 0.0; // the consumer got nothing
             }
@@ -621,8 +650,8 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
                 outcome_quality,
                 privacy_respected: !user.breached_this_round,
             };
-            let adequacy = ctx.adequacy.adequacy(&user.intentions, &aspects);
-            user.satisfaction.observe(adequacy);
+            user.satisfaction
+                .observe(adequacy(&user.intentions, &aspects));
         }
     }
 }
@@ -636,7 +665,6 @@ pub struct Scenario {
     users: Vec<UserState>,
     ledger: DisclosureLedger,
     enforcer: Enforcer,
-    adequacy: AdequacyModel,
     metric: TrustMetric,
     /// Exposure of each disclosure-ladder level, precomputed once (the
     /// round loop looks these up per user per round).
@@ -834,7 +862,6 @@ impl Scenario {
             mechanism,
             users,
             enforcer: Enforcer::new(),
-            adequacy: AdequacyModel::default(),
             metric: TrustMetric::default(),
             ladder_exposure,
             scratch: ScenarioScratch::default(),
@@ -896,8 +923,7 @@ impl Scenario {
             let facets = FacetScores {
                 privacy: inputs.facet().facet,
                 reputation: reputation_facet,
-                satisfaction: w_c * u.satisfaction.satisfaction()
-                    + (1.0 - w_c) * u.provider_satisfaction.satisfaction(),
+                satisfaction: u.blended_satisfaction(w_c),
             };
             metric.trust(&facets)
         });
@@ -1041,7 +1067,7 @@ impl Scenario {
     fn finish_round(
         &mut self,
         round: usize,
-        tally: RoundTally,
+        tally: Counters,
         refresh_iterations: &mut usize,
         observers: &mut [&mut dyn Observer],
         samples: &mut Vec<RoundSample>,
@@ -1096,8 +1122,14 @@ impl Scenario {
                 tally.ok as f64 / tally.tried as f64
             },
             reports_filed: tally.reports,
-            availability: tally.availability,
-            partition_health: tally.partition_health,
+            // The offline flags and the group map are the pre-round
+            // step's; nothing since has moved them.
+            availability: 1.0
+                - self.scratch.offline.iter().filter(|&&o| o).count() as f64 / n as f64,
+            partition_health: self
+                .net_dynamics
+                .as_ref()
+                .map_or(1.0, |d| d.partition_health()),
             isolated: tally.isolated,
         };
         for observer in observers.iter_mut() {
@@ -1110,12 +1142,13 @@ impl Scenario {
     /// measurement, global facets and the per-user vectors.
     fn assemble_outcome(
         &mut self,
-        totals: RunTotals,
+        totals: Counters,
+        refresh_iterations: usize,
         samples: Vec<RoundSample>,
         observers: &mut [&mut dyn Observer],
     ) -> ScenarioOutcome {
         let n = self.config.nodes;
-        let refresh_iterations = totals.refresh_iterations + self.mechanism.refresh();
+        let refresh_iterations = refresh_iterations + self.mechanism.refresh();
         let power = self.measure_power(refresh_iterations);
         let oecd = OecdAudit::evaluate(&self.oecd_profile()).overall();
 
@@ -1123,10 +1156,7 @@ impl Scenario {
         let satisfaction_values: Vec<f64> = self
             .users
             .iter()
-            .map(|u| {
-                w_c * u.satisfaction.satisfaction()
-                    + (1.0 - w_c) * u.provider_satisfaction.satisfaction()
-            })
+            .map(|u| u.blended_satisfaction(w_c))
             .collect();
         let satisfaction =
             // tsn-lint: allow(no-unwrap, "the population is non-empty (config validation rejects n == 0), so the aggregate exists")
@@ -1186,30 +1216,6 @@ impl Scenario {
     }
 }
 
-/// Per-round measurement inputs [`Scenario::finish_round`] folds into a
-/// [`RoundSample`].
-struct RoundTally {
-    ok: u64,
-    tried: u64,
-    reports: u64,
-    availability: f64,
-    partition_health: f64,
-    isolated: u64,
-}
-
-/// Whole-run accumulators the round loop hands to
-/// [`Scenario::assemble_outcome`].
-struct RunTotals {
-    interactions: u64,
-    messages: u64,
-    denials: u64,
-    requests: u64,
-    honest_ok: u64,
-    honest_tried: u64,
-    refresh_iterations: usize,
-    whitewashes: u64,
-}
-
 // ---------------------------------------------------------------------
 // The round engine (DESIGN.md §10).
 //
@@ -1257,23 +1263,14 @@ impl Scenario {
     /// each round and at completion. Observers only watch: the outcome
     /// is identical to [`Scenario::run`].
     pub fn run_observed(&mut self, observers: &mut [&mut dyn Observer]) -> ScenarioOutcome {
-        let n = self.config.nodes;
         let shards = self.shard_count();
         self.init_shard_state(shards);
         for observer in observers.iter_mut() {
             observer.on_start(&self.config);
         }
         let mut samples = Vec::with_capacity(self.config.rounds);
-        let mut totals = RunTotals {
-            interactions: 0,
-            messages: 0,
-            denials: 0,
-            requests: 0,
-            honest_ok: 0,
-            honest_tried: 0,
-            refresh_iterations: 0,
-            whitewashes: 0,
-        };
+        let mut totals = Counters::default();
+        let mut refresh_iterations = 0;
         let mut now = SimTime::ZERO;
         let system_policy = self.config.disclosure_policy();
         let system_exposure = self.ladder_exposure[self.config.disclosure_level];
@@ -1286,12 +1283,6 @@ impl Scenario {
         for round in 0..self.config.rounds {
             self.population.advance_clock(now);
             self.pre_round(now, &mut totals.whitewashes);
-            let round_availability =
-                1.0 - self.scratch.offline.iter().filter(|&&o| o).count() as f64 / n as f64;
-            let round_partition_health = self
-                .net_dynamics
-                .as_ref()
-                .map_or(1.0, |d| d.partition_health());
             // View shuffle before the phase snapshot freezes — shards
             // then read identical views for any shard count.
             self.membership_pre_round();
@@ -1305,7 +1296,6 @@ impl Scenario {
                     population: &self.population,
                     mechanism: self.mechanism.as_ref(),
                     enforcer: &self.enforcer,
-                    adequacy: &self.adequacy,
                     offline: &self.scratch.offline,
                     weights: &self.scratch.weights,
                     strict: &self.strict,
@@ -1339,23 +1329,19 @@ impl Scenario {
             }
 
             // --- Merge barrier, in ascending shard order.
-            let tally = self.merge_shards(&mut totals);
-            let tally = RoundTally {
-                availability: round_availability,
-                partition_health: round_partition_health,
-                ..tally
-            };
+            let tally = self.merge_shards();
+            totals.add(tally);
             self.finish_round(
                 round,
                 tally,
-                &mut totals.refresh_iterations,
+                &mut refresh_iterations,
                 observers,
                 &mut samples,
             );
             now += ROUND_DURATION;
         }
 
-        self.assemble_outcome(totals, samples, observers)
+        self.assemble_outcome(totals, refresh_iterations, samples, observers)
     }
 
     /// Drains every shard outbox into the shared state, in shard order,
@@ -1368,7 +1354,7 @@ impl Scenario {
     /// grows would otherwise be allocated from a helper thread's heap
     /// arena, which holds on to its pages and inflates the peak
     /// resident set.
-    fn merge_shards(&mut self, totals: &mut RunTotals) -> RoundTally {
+    fn merge_shards(&mut self) -> Counters {
         let Scenario {
             shard_state,
             ledger,
@@ -1379,22 +1365,9 @@ impl Scenario {
             ..
         } = self;
         let shards: &[ShardState] = shard_state;
-        let mut ok = 0u64;
-        let mut tried = 0u64;
-        let mut reports_filed = 0u64;
-        let mut isolated = 0u64;
+        let mut tally = Counters::default();
         for state in shards {
-            let c = state.outbox.counters;
-            totals.requests += c.requests;
-            totals.denials += c.denials;
-            totals.interactions += c.interactions;
-            totals.messages += c.messages;
-            totals.honest_ok += c.honest_ok;
-            totals.honest_tried += c.honest_tried;
-            ok += c.round_ok;
-            tried += c.round_tried;
-            reports_filed += c.round_reports;
-            isolated += c.round_isolated;
+            tally.add(state.outbox.counters);
         }
         join(
             *workers,
@@ -1426,14 +1399,7 @@ impl Scenario {
                 }
             },
         );
-        RoundTally {
-            ok,
-            tried,
-            reports: reports_filed,
-            availability: 1.0,
-            partition_health: 1.0,
-            isolated,
-        }
+        tally
     }
 }
 

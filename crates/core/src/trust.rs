@@ -139,43 +139,6 @@ impl TrustMetric {
     }
 }
 
-/// Per-user and global trust, as produced by a scenario run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrustReport {
-    /// Facets measured globally.
-    pub facets: FacetScores,
-    /// Global trust toward the system.
-    pub global_trust: f64,
-    /// Per-user trust (indexed by node), combining each user's own
-    /// privacy/satisfaction experience with the shared reputation facet.
-    pub per_user_trust: Vec<f64>,
-}
-
-impl TrustReport {
-    /// Mean of per-user trust (may differ from `global_trust`, which
-    /// aggregates global facets — the paper distinguishes each user's
-    /// "own perception" from the system being "considered globally as
-    /// trusted or not").
-    pub fn mean_user_trust(&self) -> f64 {
-        if self.per_user_trust.is_empty() {
-            return self.global_trust;
-        }
-        self.per_user_trust.iter().sum::<f64>() / self.per_user_trust.len() as f64
-    }
-
-    /// Fraction of users whose trust clears `threshold`.
-    pub fn trusting_fraction(&self, threshold: f64) -> f64 {
-        if self.per_user_trust.is_empty() {
-            return 0.0;
-        }
-        self.per_user_trust
-            .iter()
-            .filter(|&&t| t >= threshold)
-            .count() as f64
-            / self.per_user_trust.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,18 +254,6 @@ mod tests {
             Aggregator::Geometric
         )
         .is_err());
-    }
-
-    #[test]
-    fn trust_report_aggregates() {
-        let report = TrustReport {
-            facets: f(0.8, 0.8, 0.8),
-            global_trust: 0.8,
-            per_user_trust: vec![0.9, 0.7, 0.5, 0.1],
-        };
-        assert!((report.mean_user_trust() - 0.55).abs() < 1e-12);
-        assert_eq!(report.trusting_fraction(0.6), 0.5);
-        assert_eq!(report.trusting_fraction(0.0), 1.0);
     }
 
     #[test]

@@ -23,27 +23,6 @@ fn err(msg: impl Into<String>) -> GeneratorError {
     GeneratorError(msg.into())
 }
 
-/// Erdős–Rényi `G(n, p)`: every pair is an edge independently with
-/// probability `p`.
-///
-/// # Errors
-///
-/// Returns an error if `p` is not in `[0, 1]`.
-pub fn erdos_renyi(n: usize, p: f64, rng: &mut SimRng) -> Result<Graph, GeneratorError> {
-    if !(0.0..=1.0).contains(&p) {
-        return Err(err(format!("edge probability {p} not in [0,1]")));
-    }
-    let mut g = Graph::with_nodes(n);
-    for a in 0..n {
-        for b in (a + 1)..n {
-            if rng.gen_bool(p) {
-                g.add_edge(NodeId::from_index(a), NodeId::from_index(b));
-            }
-        }
-    }
-    Ok(g)
-}
-
 /// Watts–Strogatz small-world graph: a ring lattice where each node links
 /// to its `k` nearest neighbours (`k` even), each edge rewired with
 /// probability `beta`.
@@ -152,51 +131,6 @@ pub fn barabasi_albert(n: usize, m: usize, rng: &mut SimRng) -> Result<Graph, Ge
     Ok(g)
 }
 
-/// Planted-partition graph: `communities` equal-sized groups; edges inside
-/// a group with probability `p_in`, across groups with probability `p_out`.
-///
-/// # Errors
-///
-/// Returns an error if `communities == 0`, `n` is not divisible by
-/// `communities`, or probabilities are out of `[0, 1]`.
-pub fn planted_communities(
-    n: usize,
-    communities: usize,
-    p_in: f64,
-    p_out: f64,
-    rng: &mut SimRng,
-) -> Result<(Graph, Vec<u32>), GeneratorError> {
-    if communities == 0 {
-        return Err(err("communities must be positive"));
-    }
-    if !n.is_multiple_of(communities) {
-        return Err(err(format!(
-            "n = {n} not divisible by {communities} communities"
-        )));
-    }
-    for p in [p_in, p_out] {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(err(format!("probability {p} not in [0,1]")));
-        }
-    }
-    let size = n / communities;
-    let membership: Vec<u32> = (0..n).map(|i| (i / size) as u32).collect();
-    let mut g = Graph::with_nodes(n);
-    for a in 0..n {
-        for b in (a + 1)..n {
-            let p = if membership[a] == membership[b] {
-                p_in
-            } else {
-                p_out
-            };
-            if rng.gen_bool(p) {
-                g.add_edge(NodeId::from_index(a), NodeId::from_index(b));
-            }
-        }
-    }
-    Ok((g, membership))
-}
-
 /// Complete graph `K_n` (every pair connected). Useful as a degenerate
 /// baseline where reputation gossip has full visibility.
 pub fn complete(n: usize) -> Graph {
@@ -228,24 +162,6 @@ pub fn ring(n: usize) -> Result<Graph, GeneratorError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn erdos_renyi_edge_density_matches_p() {
-        let mut rng = SimRng::seed_from_u64(0);
-        let n = 200;
-        let g = erdos_renyi(n, 0.1, &mut rng).unwrap();
-        let possible = n * (n - 1) / 2;
-        let density = g.edge_count() as f64 / possible as f64;
-        assert!((density - 0.1).abs() < 0.01, "density {density}");
-    }
-
-    #[test]
-    fn erdos_renyi_extremes() {
-        let mut rng = SimRng::seed_from_u64(1);
-        assert_eq!(erdos_renyi(10, 0.0, &mut rng).unwrap().edge_count(), 0);
-        assert_eq!(erdos_renyi(10, 1.0, &mut rng).unwrap().edge_count(), 45);
-        assert!(erdos_renyi(10, 1.5, &mut rng).is_err());
-    }
 
     #[test]
     fn watts_strogatz_preserves_edge_count() {
@@ -307,33 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn planted_communities_are_denser_inside() {
-        let mut rng = SimRng::seed_from_u64(8);
-        let (g, membership) = planted_communities(120, 4, 0.3, 0.01, &mut rng).unwrap();
-        let (mut inside, mut across) = (0usize, 0usize);
-        for (a, b) in g.edges() {
-            if membership[a.index()] == membership[b.index()] {
-                inside += 1;
-            } else {
-                across += 1;
-            }
-        }
-        assert!(inside > 5 * across, "inside {inside} across {across}");
-        assert_eq!(membership.iter().filter(|&&m| m == 0).count(), 30);
-    }
-
-    #[test]
-    fn planted_communities_validates() {
-        let mut rng = SimRng::seed_from_u64(9);
-        assert!(
-            planted_communities(10, 3, 0.5, 0.1, &mut rng).is_err(),
-            "not divisible"
-        );
-        assert!(planted_communities(10, 0, 0.5, 0.1, &mut rng).is_err());
-        assert!(planted_communities(10, 2, 1.5, 0.1, &mut rng).is_err());
-    }
-
-    #[test]
     fn complete_and_ring_shapes() {
         let g = complete(6);
         assert_eq!(g.edge_count(), 15);
@@ -353,7 +242,7 @@ mod tests {
 
     #[test]
     fn error_display_is_informative() {
-        let e = erdos_renyi(5, 2.0, &mut SimRng::seed_from_u64(0)).unwrap_err();
+        let e = watts_strogatz(10, 4, 2.0, &mut SimRng::seed_from_u64(0)).unwrap_err();
         assert!(e.to_string().contains("invalid generator parameters"));
     }
 }

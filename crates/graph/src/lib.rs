@@ -6,13 +6,10 @@
 //! graphs whose structural properties (degree skew, clustering, short
 //! paths) match what the cited reputation literature assumes:
 //!
-//! * [`generators::erdos_renyi`] — baseline random graph;
 //! * [`generators::watts_strogatz`] — small-world (high clustering, short
 //!   paths), the classic social-network shape;
 //! * [`generators::barabasi_albert`] — scale-free (power-law degrees),
-//!   matching the hub structure PowerTrust exploits;
-//! * [`generators::planted_communities`] — dense communities with sparse
-//!   bridges, for privacy-disclosure locality experiments.
+//!   matching the hub structure PowerTrust exploits.
 //!
 //! [`Graph`] is a compact undirected adjacency structure indexed by
 //! [`NodeId`]; [`metrics`] provides the structural measurements used by

@@ -8,26 +8,6 @@ pub fn degree_sequence(g: &Graph) -> Vec<usize> {
     g.nodes().map(|v| g.degree(v)).collect()
 }
 
-/// Degree histogram: `hist[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let degrees = degree_sequence(g);
-    let max = degrees.iter().copied().max().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for d in degrees {
-        hist[d] += 1;
-    }
-    hist
-}
-
-/// Mean degree (0 for the empty graph).
-pub fn mean_degree(g: &Graph) -> f64 {
-    if g.node_count() == 0 {
-        0.0
-    } else {
-        2.0 * g.edge_count() as f64 / g.node_count() as f64
-    }
-}
-
 /// Local clustering coefficient of one node: fraction of neighbour pairs
 /// that are themselves connected. Zero for degree < 2.
 pub fn local_clustering(g: &Graph, node: NodeId) -> f64 {
@@ -115,26 +95,6 @@ pub fn diameter(g: &Graph, samples: usize, rng: &mut SimRng) -> Option<u32> {
     best.filter(|&d| d > 0)
 }
 
-/// Degree assortativity (Pearson correlation of degrees across edges).
-/// `None` when the graph has no edges or degrees are constant.
-pub fn degree_assortativity(g: &Graph) -> Option<f64> {
-    if g.edge_count() == 0 {
-        return None;
-    }
-    let mut xs = Vec::with_capacity(g.edge_count() * 2);
-    let mut ys = Vec::with_capacity(g.edge_count() * 2);
-    for (a, b) in g.edges() {
-        let da = g.degree(a) as f64;
-        let db = g.degree(b) as f64;
-        // Count each edge in both orientations to symmetrize.
-        xs.push(da);
-        ys.push(db);
-        xs.push(db);
-        ys.push(da);
-    }
-    pearson(&xs, &ys)
-}
-
 /// Pearson correlation of two equally long samples; `None` when undefined
 /// (length < 2 or zero variance).
 pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
@@ -212,8 +172,6 @@ mod tests {
             g.add_edge(NodeId(0), NodeId::from_index(i));
         }
         assert_eq!(degree_sequence(&g), vec![4, 1, 1, 1, 1]);
-        assert_eq!(degree_histogram(&g), vec![0, 4, 0, 0, 1]);
-        assert!((mean_degree(&g) - 1.6).abs() < 1e-12);
     }
 
     #[test]
@@ -303,16 +261,5 @@ mod tests {
             spearman(&[-0.0, 0.0, 1.0], &[5.0, 5.0, 6.0]),
             spearman(&[0.0, 0.0, 1.0], &[5.0, 5.0, 6.0])
         );
-    }
-
-    #[test]
-    fn assortativity_of_star_is_negative() {
-        let mut g = Graph::with_nodes(5);
-        for i in 1..5 {
-            g.add_edge(NodeId(0), NodeId::from_index(i));
-        }
-        let r = degree_assortativity(&g).unwrap();
-        assert!(r < -0.9, "stars are disassortative, got {r}");
-        assert_eq!(degree_assortativity(&Graph::with_nodes(3)), None);
     }
 }

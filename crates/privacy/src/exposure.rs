@@ -19,28 +19,14 @@ pub struct PrivacyFacetInputs {
     pub oecd_score: f64,
 }
 
-/// Weights for the three inputs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExposureWeights {
-    /// Weight of (1 − exposure) — "information not shared".
-    pub non_disclosure: f64,
-    /// Weight of the PP-respect rate.
-    pub respect: f64,
-    /// Weight of the OECD audit.
-    pub audit: f64,
-}
-
-impl Default for ExposureWeights {
-    fn default() -> Self {
-        // The paper names non-disclosure and PP respect as the two primary
-        // readings; the audit is a structural backstop.
-        ExposureWeights {
-            non_disclosure: 0.4,
-            respect: 0.4,
-            audit: 0.2,
-        }
-    }
-}
+// The paper names non-disclosure and PP respect as the two primary
+// readings; the audit is a structural backstop.
+/// Weight of (1 − exposure) — "information not shared".
+const NON_DISCLOSURE_WEIGHT: f64 = 0.4;
+/// Weight of the PP-respect rate.
+const RESPECT_WEIGHT: f64 = 0.4;
+/// Weight of the OECD audit.
+const AUDIT_WEIGHT: f64 = 0.2;
 
 /// The privacy facet and its decomposition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,31 +56,26 @@ impl PrivacyFacetInputs {
         Ok(())
     }
 
-    /// Computes the facet under `weights`.
+    /// Computes the facet: the 0.4 / 0.4 / 0.2 weighted mean of
+    /// non-disclosure (1 − exposure), PP respect and the OECD audit.
     ///
     /// # Panics
     ///
-    /// Panics if inputs are invalid or weights are all zero.
-    pub fn facet_with(&self, weights: &ExposureWeights) -> ExposureReport {
+    /// Panics if inputs are invalid.
+    pub fn facet(&self) -> ExposureReport {
         if let Err(e) = self.validate() {
-            // tsn-lint: allow(no-unwrap, "documented contract: new() panics on inputs that validate() rejects; fallible callers validate first")
+            // tsn-lint: allow(no-unwrap, "documented contract: facet() panics on inputs that validate() rejects; fallible callers validate first")
             panic!("invalid privacy facet inputs: {e}");
         }
-        let total = weights.non_disclosure + weights.respect + weights.audit;
-        assert!(total > 0.0, "weights must not all be zero");
-        let facet = (weights.non_disclosure * (1.0 - self.exposure)
-            + weights.respect * self.respect_rate
-            + weights.audit * self.oecd_score)
+        let total = NON_DISCLOSURE_WEIGHT + RESPECT_WEIGHT + AUDIT_WEIGHT;
+        let facet = (NON_DISCLOSURE_WEIGHT * (1.0 - self.exposure)
+            + RESPECT_WEIGHT * self.respect_rate
+            + AUDIT_WEIGHT * self.oecd_score)
             / total;
         ExposureReport {
             inputs: *self,
             facet,
         }
-    }
-
-    /// Computes the facet under default weights.
-    pub fn facet(&self) -> ExposureReport {
-        self.facet_with(&ExposureWeights::default())
     }
 }
 
@@ -154,24 +135,19 @@ mod tests {
     }
 
     #[test]
-    fn custom_weights_reweight() {
-        let inputs = PrivacyFacetInputs {
-            exposure: 1.0,
-            respect_rate: 1.0,
-            oecd_score: 0.0,
+    fn audit_weighs_half_as_much_as_respect() {
+        let only = |exposure: f64, respect_rate: f64, oecd_score: f64| {
+            PrivacyFacetInputs {
+                exposure,
+                respect_rate,
+                oecd_score,
+            }
+            .facet()
+            .facet
         };
-        let only_respect = ExposureWeights {
-            non_disclosure: 0.0,
-            respect: 1.0,
-            audit: 0.0,
-        };
-        assert_eq!(inputs.facet_with(&only_respect).facet, 1.0);
-        let only_disclosure = ExposureWeights {
-            non_disclosure: 1.0,
-            respect: 0.0,
-            audit: 0.0,
-        };
-        assert_eq!(inputs.facet_with(&only_disclosure).facet, 0.0);
+        assert!((only(1.0, 1.0, 0.0) - 0.4).abs() < 1e-12);
+        assert!((only(0.0, 0.0, 0.0) - 0.4).abs() < 1e-12);
+        assert!((only(1.0, 0.0, 1.0) - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -545,7 +545,7 @@ mod tests {
             }
             g.run(20);
             (
-                g.driver.network().stats().dead_letter.value(),
+                g.driver.network().stats().dead_letter,
                 g.report().mean_error,
             )
         };

@@ -221,8 +221,8 @@ impl RoundDriver {
     pub fn costs(&self) -> ProtocolCosts {
         let stats = self.network.stats();
         ProtocolCosts {
-            messages: stats.sent.value(),
-            bytes: stats.bytes_sent.value(),
+            messages: stats.sent,
+            bytes: stats.bytes_sent,
             rounds: self.rounds_run,
             malformed: self.malformed,
         }

@@ -37,36 +37,19 @@ pub struct BetaReputation {
     pos: Vec<f64>,
     /// Negative pseudo-counts per node (prior adds 1).
     neg: Vec<f64>,
-    /// Exponential aging factor applied on [`ReputationMechanism::refresh`];
-    /// 1.0 disables aging.
-    aging: f64,
     /// Whether to weight reports by rater credibility when identities are
     /// available.
     credibility_weighting: bool,
 }
 
 impl BetaReputation {
-    /// Creates an instance for `n` nodes with credibility weighting on and
-    /// no aging.
+    /// Creates an instance for `n` nodes with credibility weighting on.
     pub fn new(n: usize) -> Self {
         BetaReputation {
             pos: vec![0.0; n],
             neg: vec![0.0; n],
-            aging: 1.0,
             credibility_weighting: true,
         }
-    }
-
-    /// Sets the aging factor in `(0, 1]`; each `refresh` multiplies all
-    /// counts by it, fading old evidence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `aging` is not in `(0, 1]`.
-    pub fn with_aging(mut self, aging: f64) -> Self {
-        assert!(aging > 0.0 && aging <= 1.0, "aging must be in (0,1]");
-        self.aging = aging;
-        self
     }
 
     /// Disables rater-credibility weighting (used by ablations).
@@ -114,14 +97,8 @@ impl ReputationMechanism for BetaReputation {
     }
 
     fn refresh(&mut self) -> usize {
-        if self.aging < 1.0 {
-            for x in self.pos.iter_mut().chain(self.neg.iter_mut()) {
-                *x *= self.aging;
-            }
-            1
-        } else {
-            0
-        }
+        // Scores are the posterior means of the counts, always current.
+        0
     }
 
     fn score(&self, node: NodeId) -> f64 {
@@ -143,9 +120,9 @@ impl ReputationMechanism for BetaReputation {
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        // Evolving state is exactly the two pseudo-count vectors; aging
-        // and credibility weighting are construction-time configuration
-        // (see the trait's restore contract).
+        // Evolving state is exactly the two pseudo-count vectors;
+        // credibility weighting is construction-time configuration (see
+        // the trait's restore contract).
         let mut w = tsn_simnet::ByteWriter::new();
         w.put_u64(self.pos.len() as u64);
         for &x in self.pos.iter().chain(self.neg.iter()) {
@@ -292,53 +269,15 @@ mod tests {
     }
 
     #[test]
-    fn aging_fades_evidence() {
+    fn refresh_is_free_and_keeps_scores() {
         let full = DisclosurePolicy::full();
-        let mut m = BetaReputation::new(2)
-            .with_aging(0.5)
-            .without_credibility_weighting();
+        let mut m = BetaReputation::new(2);
         for _ in 0..8 {
             m.record(&view(0, 1, true, &full));
         }
         let before = m.score(NodeId(1));
-        for _ in 0..10 {
-            m.refresh();
-        }
-        let after = m.score(NodeId(1));
-        assert!(
-            after < before,
-            "aged score {after} should drop from {before}"
-        );
-        assert!(
-            (after - 0.5).abs() < 0.01,
-            "evidence fades back toward the prior"
-        );
-    }
-
-    #[test]
-    fn aging_decays_on_every_refresh_even_without_reports() {
-        // Unlike the walk mechanisms, an aging Beta has work to do on a
-        // refresh with no report since the last one.
-        let full = DisclosurePolicy::full();
-        let mut m = BetaReputation::new(2)
-            .with_aging(0.5)
-            .without_credibility_weighting();
-        for _ in 0..8 {
-            m.record(&view(0, 1, true, &full));
-        }
-        let mut last = m.score(NodeId(1));
-        for _ in 0..3 {
-            assert_eq!(m.refresh(), 1);
-            let now = m.score(NodeId(1));
-            assert!(now < last, "{now} must decay below {last}");
-            last = now;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "aging must be in (0,1]")]
-    fn invalid_aging_panics() {
-        let _ = BetaReputation::new(1).with_aging(0.0);
+        assert_eq!(m.refresh(), 0);
+        assert_eq!(m.score(NodeId(1)).to_bits(), before.to_bits());
     }
 
     #[test]

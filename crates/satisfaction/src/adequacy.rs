@@ -20,85 +20,41 @@ pub struct InteractionAspects {
     pub privacy_respected: bool,
 }
 
-/// Weights for combining the aspects into adequacy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdequacyModel {
-    /// Weight of outcome quality relative to expectation.
-    pub outcome_weight: f64,
-    /// Weight of the allocation matching preferred providers.
-    pub preference_weight: f64,
-    /// Base weight of privacy respect (scaled further by the consumer's
-    /// own `privacy_concern`).
-    pub privacy_weight: f64,
-}
+/// Weight of outcome quality relative to expectation.
+const OUTCOME_WEIGHT: f64 = 0.5;
+/// Weight of the allocation matching preferred providers.
+const PREFERENCE_WEIGHT: f64 = 0.25;
+/// Base weight of privacy respect (scaled further by the consumer's own
+/// `privacy_concern`).
+const PRIVACY_WEIGHT: f64 = 0.25;
 
-impl Default for AdequacyModel {
-    fn default() -> Self {
-        AdequacyModel {
-            outcome_weight: 0.5,
-            preference_weight: 0.25,
-            privacy_weight: 0.25,
-        }
-    }
-}
-
-impl AdequacyModel {
-    /// Validates weights.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when weights are negative or all zero.
-    pub fn validate(&self) -> Result<(), String> {
-        for (name, w) in [
-            ("outcome_weight", self.outcome_weight),
-            ("preference_weight", self.preference_weight),
-            ("privacy_weight", self.privacy_weight),
-        ] {
-            if !(w.is_finite() && w >= 0.0) {
-                return Err(format!("{name} must be finite and non-negative"));
-            }
-        }
-        if self.outcome_weight + self.preference_weight + self.privacy_weight <= 0.0 {
-            return Err("at least one weight must be positive".into());
-        }
-        Ok(())
-    }
-
-    /// Adequacy of one interaction to `intentions`, in `\[0, 1\]`.
-    ///
-    /// * Outcome: quality relative to the consumer's expectation (meeting
-    ///   the expectation scores 1; a shortfall scores proportionally).
-    /// * Preference: 1 if the provider was intended, a small floor if
-    ///   imposed.
-    /// * Privacy: 1 if respected, else 0 — weighted by how much this
-    ///   consumer cares (`privacy_concern`): an indifferent user loses
-    ///   nothing, a concerned user loses the full privacy share. This is
-    ///   the paper's point that privacy preferences are individual.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model is invalid; call [`AdequacyModel::validate`]
-    /// first to handle errors.
-    pub fn adequacy(&self, intentions: &ConsumerIntentions, aspects: &InteractionAspects) -> f64 {
-        if let Err(e) = self.validate() {
-            // tsn-lint: allow(no-unwrap, "documented contract: new() panics on a model that validate() rejects; fallible callers validate first")
-            panic!("invalid adequacy model: {e}");
-        }
-        let outcome_term = if intentions.quality_expectation <= 0.0 {
-            1.0
-        } else {
-            (aspects.outcome_quality / intentions.quality_expectation).clamp(0.0, 1.0)
-        };
-        let preference_term = if aspects.intended { 1.0 } else { 0.2 };
-        // Concern scales the *effective weight* of privacy, not its value:
-        let effective_privacy_weight = self.privacy_weight * intentions.privacy_concern;
-        let privacy_term = if aspects.privacy_respected { 1.0 } else { 0.0 };
-        let total = self.outcome_weight + self.preference_weight + effective_privacy_weight;
-        (self.outcome_weight * outcome_term
-            + self.preference_weight * preference_term
-            + effective_privacy_weight * privacy_term)
-            / total
-    }
+/// Adequacy of one interaction to `intentions`, in `\[0, 1\]`: a
+/// weighted mean of three terms.
+///
+/// * Outcome (weight 0.5): quality relative to the consumer's
+///   expectation (meeting the expectation scores 1; a shortfall scores
+///   proportionally).
+/// * Preference (weight 0.25): 1 if the provider was intended, a small
+///   floor if imposed.
+/// * Privacy (weight 0.25 × `privacy_concern`): 1 if respected, else 0.
+///   An indifferent user loses nothing, a concerned user loses the full
+///   privacy share. This is the paper's point that privacy preferences
+///   are individual.
+pub fn adequacy(intentions: &ConsumerIntentions, aspects: &InteractionAspects) -> f64 {
+    let outcome_term = if intentions.quality_expectation <= 0.0 {
+        1.0
+    } else {
+        (aspects.outcome_quality / intentions.quality_expectation).clamp(0.0, 1.0)
+    };
+    let preference_term = if aspects.intended { 1.0 } else { 0.2 };
+    // Concern scales the *effective weight* of privacy, not its value:
+    let effective_privacy_weight = PRIVACY_WEIGHT * intentions.privacy_concern;
+    let privacy_term = if aspects.privacy_respected { 1.0 } else { 0.0 };
+    let total = OUTCOME_WEIGHT + PREFERENCE_WEIGHT + effective_privacy_weight;
+    (OUTCOME_WEIGHT * outcome_term
+        + PREFERENCE_WEIGHT * preference_term
+        + effective_privacy_weight * privacy_term)
+        / total
 }
 
 #[cfg(test)]
@@ -115,63 +71,55 @@ mod tests {
 
     #[test]
     fn perfect_interaction_scores_one() {
-        let model = AdequacyModel::default();
         let intentions = ConsumerIntentions::default();
-        let a = model.adequacy(&intentions, &aspects(1.0, true));
+        let a = adequacy(&intentions, &aspects(1.0, true));
         assert!((a - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn failure_scores_low() {
-        let model = AdequacyModel::default();
         let intentions = ConsumerIntentions::default();
-        let a = model.adequacy(&intentions, &aspects(0.0, true));
+        let a = adequacy(&intentions, &aspects(0.0, true));
         assert!(a < 0.6, "failed outcome should hurt, got {a}");
     }
 
     #[test]
     fn meeting_expectation_is_enough() {
-        let model = AdequacyModel::default();
         let demanding = ConsumerIntentions::new(0.9, 0.5).unwrap();
         let modest = ConsumerIntentions::new(0.3, 0.5).unwrap();
         // Quality 0.5 fully satisfies the modest consumer's outcome term,
         // only partially the demanding one's.
-        let a_demanding = model.adequacy(&demanding, &aspects(0.5, true));
-        let a_modest = model.adequacy(&modest, &aspects(0.5, true));
+        let a_demanding = adequacy(&demanding, &aspects(0.5, true));
+        let a_modest = adequacy(&modest, &aspects(0.5, true));
         assert!(a_modest > a_demanding);
         assert!((a_modest - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn unintended_provider_reduces_adequacy() {
-        let model = AdequacyModel::default();
         let intentions = ConsumerIntentions::default();
         let intended = aspects(0.8, true);
         let imposed = InteractionAspects {
             intended: false,
             ..intended
         };
-        let full = model.adequacy(&intentions, &intended);
-        let reduced = model.adequacy(&intentions, &imposed);
+        let full = adequacy(&intentions, &intended);
+        let reduced = adequacy(&intentions, &imposed);
         // Only the preference term moves: from 1 to the 0.2 floor.
-        let total = model.outcome_weight
-            + model.preference_weight
-            + model.privacy_weight * intentions.privacy_concern;
+        let total =
+            OUTCOME_WEIGHT + PREFERENCE_WEIGHT + PRIVACY_WEIGHT * intentions.privacy_concern;
         assert!(full > reduced);
-        assert!((full - reduced - model.preference_weight * 0.8 / total).abs() < 1e-12);
+        assert!((full - reduced - PREFERENCE_WEIGHT * 0.8 / total).abs() < 1e-12);
     }
 
     #[test]
     fn privacy_violation_hurts_concerned_users_more() {
-        let model = AdequacyModel::default();
         let concerned = ConsumerIntentions::new(0.5, 1.0).unwrap();
         let indifferent = ConsumerIntentions::new(0.5, 0.0).unwrap();
         let ok = aspects(0.8, true);
         let violated = aspects(0.8, false);
-        let concerned_drop =
-            model.adequacy(&concerned, &ok) - model.adequacy(&concerned, &violated);
-        let indifferent_drop =
-            model.adequacy(&indifferent, &ok) - model.adequacy(&indifferent, &violated);
+        let concerned_drop = adequacy(&concerned, &ok) - adequacy(&concerned, &violated);
+        let indifferent_drop = adequacy(&indifferent, &ok) - adequacy(&indifferent, &violated);
         assert!(concerned_drop > 0.2, "drop {concerned_drop}");
         assert!(
             indifferent_drop.abs() < 1e-12,
@@ -181,37 +129,19 @@ mod tests {
 
     #[test]
     fn zero_expectation_outcome_term_is_one() {
-        let model = AdequacyModel::default();
         let easy = ConsumerIntentions::new(0.0, 0.5).unwrap();
-        let a = model.adequacy(&easy, &aspects(0.0, true));
+        let a = adequacy(&easy, &aspects(0.0, true));
         assert!(a > 0.9, "nothing expected, nothing lost: {a}");
     }
 
     #[test]
     fn adequacy_is_bounded() {
-        let model = AdequacyModel::default();
         let intentions = ConsumerIntentions::new(0.7, 0.8).unwrap();
         for q in [0.0, 0.3, 0.9, 1.0] {
             for p in [true, false] {
-                let a = model.adequacy(&intentions, &aspects(q, p));
+                let a = adequacy(&intentions, &aspects(q, p));
                 assert!((0.0..=1.0).contains(&a), "adequacy {a} out of range");
             }
         }
-    }
-
-    #[test]
-    fn validation_catches_bad_weights() {
-        let zero = AdequacyModel {
-            outcome_weight: 0.0,
-            preference_weight: 0.0,
-            privacy_weight: 0.0,
-        };
-        assert!(zero.validate().is_err());
-        let neg = AdequacyModel {
-            outcome_weight: -1.0,
-            ..Default::default()
-        };
-        assert!(neg.validate().is_err());
-        assert!(AdequacyModel::default().validate().is_ok());
     }
 }

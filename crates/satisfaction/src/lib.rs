@@ -37,7 +37,7 @@ pub mod aggregate;
 pub mod intention;
 pub mod satisfaction;
 
-pub use adequacy::{AdequacyModel, InteractionAspects};
+pub use adequacy::InteractionAspects;
 pub use aggregate::GlobalSatisfaction;
 pub use intention::{ConsumerIntentions, ProviderIntentions};
 pub use satisfaction::SatisfactionTracker;

@@ -62,14 +62,6 @@ impl SatisfactionTracker {
     pub fn observations(&self) -> u64 {
         self.observations
     }
-
-    /// Whether the participant would plausibly *leave* the system:
-    /// satisfied participants stay ("they may decide whether to stay or to
-    /// leave the system based on it"). The threshold is the caller's
-    /// churn model; this is a convenience comparator.
-    pub fn would_leave(&self, threshold: f64) -> bool {
-        self.observations > 0 && self.value < threshold
-    }
 }
 
 impl Default for SatisfactionTracker {
@@ -135,16 +127,6 @@ mod tests {
             fast.observe(1.0);
         }
         assert!(fast.satisfaction() > slow.satisfaction());
-    }
-
-    #[test]
-    fn would_leave_requires_observations() {
-        let t = SatisfactionTracker::default();
-        assert!(!t.would_leave(0.9), "no experience yet → no churn decision");
-        let mut t = SatisfactionTracker::new(0.5);
-        t.observe(0.0);
-        assert!(t.would_leave(0.4));
-        assert!(!t.would_leave(0.1));
     }
 
     #[test]

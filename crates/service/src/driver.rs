@@ -74,20 +74,6 @@ impl Default for DriverConfig {
     }
 }
 
-/// Reads `var` from the environment through `parse`, leaving the
-/// default when unset. An unparsable value is an error naming both the
-/// variable and the offending value.
-fn env_override<T>(
-    var: &str,
-    slot: &mut T,
-    parse: impl Fn(&str) -> Option<T>,
-) -> Result<(), String> {
-    if let Ok(raw) = std::env::var(var) {
-        *slot = parse(&raw).ok_or_else(|| format!("invalid value for {var}: {raw:?}"))?;
-    }
-    Ok(())
-}
-
 impl DriverConfig {
     /// Validates the configuration.
     ///
@@ -117,33 +103,6 @@ impl DriverConfig {
             m.validate_for(self.nodes)?;
         }
         Ok(())
-    }
-
-    /// Builds a configuration from the defaults overridden by the
-    /// `SERVICE_NODES`, `SERVICE_ARRIVALS`, `SERVICE_DISCLOSURES`,
-    /// `SERVICE_QUERIES`, `SERVICE_MALICIOUS` and `SERVICE_SEED`
-    /// environment variables.
-    ///
-    /// # Errors
-    ///
-    /// An unset variable falls back to the default; a set-but-invalid
-    /// one is an error naming the variable and the value.
-    pub fn from_env() -> Result<Self, String> {
-        let mut cfg = DriverConfig::default();
-        env_override("SERVICE_NODES", &mut cfg.nodes, |s| s.parse().ok())?;
-        env_override("SERVICE_ARRIVALS", &mut cfg.arrival_rate, |s| {
-            s.parse().ok()
-        })?;
-        env_override("SERVICE_DISCLOSURES", &mut cfg.disclosure_rate, |s| {
-            s.parse().ok()
-        })?;
-        env_override("SERVICE_QUERIES", &mut cfg.query_rate, |s| s.parse().ok())?;
-        env_override("SERVICE_MALICIOUS", &mut cfg.malicious_fraction, |s| {
-            s.parse().ok()
-        })?;
-        env_override("SERVICE_SEED", &mut cfg.seed, |s| s.parse().ok())?;
-        cfg.validate()?;
-        Ok(cfg)
     }
 
     /// Whether `node` is in the malicious tail of the id space.

@@ -650,7 +650,11 @@ impl EventJournal {
         let gc_segments = r.take_u64()?;
         let gc_records = r.take_u64()?;
         let gc_bytes = r.take_u64()?;
-        let count = r.take_u64()? as usize;
+        // Each entry is index, base record and records (3 × u64), the
+        // sealed flag (u8) and the CRC (u32): 29 bytes.
+        let count = r
+            .take_seq_len(29)
+            .map_err(|e| format!("journal manifest segment count: {e}"))?;
         let mut journal = EventJournal {
             segment_bytes: segment_bytes.max(16),
             segments: Vec::with_capacity(count),
@@ -1017,5 +1021,26 @@ mod tests {
             "only the surviving prefix remains"
         );
         assert!(EventJournal::from_storage(b"junk", |_| Err("no".into())).is_err());
+    }
+
+    #[test]
+    fn hostile_manifest_segment_count_is_a_named_error() {
+        let (journal, _) = segmented_journal(8, 128);
+        let manifest = journal.manifest_bytes();
+        // Magic (8-byte length + 8 bytes) and four u64 header fields
+        // put the segment count at bytes 48..56.
+        assert_eq!(
+            manifest[48..56],
+            (journal.segments().len() as u64).to_le_bytes()
+        );
+        for count in [u64::MAX, 1 << 40, journal.segments().len() as u64 + 1] {
+            let mut hostile = manifest.clone();
+            hostile[48..56].copy_from_slice(&count.to_le_bytes());
+            let err = EventJournal::from_storage(&hostile, |_| Err("unread".into())).unwrap_err();
+            assert!(
+                err.contains("journal manifest segment count"),
+                "count {count}: {err}"
+            );
+        }
     }
 }

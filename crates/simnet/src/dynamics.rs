@@ -295,15 +295,6 @@ impl DynamicsPlan {
         }
     }
 
-    /// Preset: a bootstrap storm — 95 % of the population starts
-    /// offline and floods back in as the (short) downtimes elapse, so
-    /// nearly everyone hits the bootstrap relays at once. Harsher than
-    /// [`DynamicsPlan::flash_crowd`] and aimed squarely at the
-    /// membership overlay's join path.
-    pub fn bootstrap_storm(mean_session: SimDuration, mean_downtime: SimDuration) -> Self {
-        Self::churning(0.95, mean_session, mean_downtime, 0.0, 0.3)
-    }
-
     /// Preset: a whitewash economy — sessions end often and 80 % of
     /// re-joins come back under a fresh identity, shedding history.
     pub fn whitewash_attack(mean_session: SimDuration, mean_downtime: SimDuration) -> Self {
@@ -1349,8 +1340,14 @@ mod tests {
 
     #[test]
     fn bootstrap_storm_floods_in_through_short_downtimes() {
-        let plan =
-            DynamicsPlan::bootstrap_storm(SimDuration::from_secs(3600), SimDuration::from_secs(1));
+        // 95 % start offline and flood back in at once.
+        let plan = DynamicsPlan::churning(
+            0.95,
+            SimDuration::from_secs(3600),
+            SimDuration::from_secs(1),
+            0.0,
+            0.3,
+        );
         assert!(plan.validate().is_ok());
         assert!(!plan.is_static());
         let mut runtime = DynamicsRuntime::new(plan, 200, SimRng::seed_from_u64(22)).unwrap();

@@ -59,7 +59,6 @@ pub mod faults;
 pub mod latency;
 pub mod membership;
 pub mod message;
-pub mod metrics;
 pub mod network;
 pub mod partition;
 pub mod pool;
@@ -82,7 +81,6 @@ pub use membership::{
     MembershipConfig, MembershipRuntime, PartialView, ShuffleStats, ViewEntry, MEMBERSHIP_SEED_SALT,
 };
 pub use message::{Envelope, MessageId, Payload, Tag};
-pub use metrics::Counter;
 pub use network::{DeliveryOutcome, Network, NetworkConfig, NetworkStats};
 pub use partition::{GroupMap, PartitionedLoss, RegionalLatency};
 pub use pool::BufferPool;

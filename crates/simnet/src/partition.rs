@@ -336,7 +336,7 @@ mod tests {
         net.advance_to(SimTime::from_secs(1));
         assert_eq!(net.inbox_len(NodeId(1)), 1);
         assert_eq!(net.inbox_len(NodeId(3)), 0);
-        assert_eq!(net.stats().dropped.value(), 1);
+        assert_eq!(net.stats().dropped, 1);
     }
 
     #[test]

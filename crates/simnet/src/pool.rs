@@ -44,9 +44,8 @@ impl BufferPool {
     }
 
     /// Pre-sizes the freelist: parks `count` buffers of `capacity`
-    /// floats each, so a run whose working set is known up front (the
-    /// scenario engine's `2n + 2` bound, a mega-scale protocol run)
-    /// never pays a pool miss mid-round. Counts toward
+    /// floats each, so a run whose working set is known up front (say,
+    /// a mega-scale protocol run) never pays a pool miss mid-round. Counts toward
     /// [`BufferPool::fresh_allocations`] now — at a chosen moment —
     /// instead of during the measured loop.
     pub fn prewarm(&mut self, count: usize, capacity: usize) {

@@ -222,21 +222,6 @@ impl SimRng {
         -u.ln() / rate
     }
 
-    /// Pareto sample (heavy-tailed; used for power-law session lengths and
-    /// content popularity). `shape > 0`, `scale > 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shape` or `scale` is not strictly positive.
-    pub fn gen_pareto(&mut self, scale: f64, shape: f64) -> f64 {
-        assert!(
-            shape > 0.0 && scale > 0.0,
-            "pareto parameters must be positive"
-        );
-        let u = 1.0 - self.gen_f64();
-        scale / u.powf(1.0 / shape)
-    }
-
     /// Chooses one element of a non-empty slice uniformly.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
         if items.is_empty() {
@@ -441,14 +426,6 @@ mod tests {
             (mean - 0.5).abs() < 0.05,
             "sample mean {mean} too far from 0.5"
         );
-    }
-
-    #[test]
-    fn pareto_respects_scale_floor() {
-        let mut rng = SimRng::seed_from_u64(7);
-        for _ in 0..1000 {
-            assert!(rng.gen_pareto(1.5, 2.0) >= 1.5);
-        }
     }
 
     #[test]

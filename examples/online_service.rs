@@ -3,9 +3,11 @@
 //!
 //! ```text
 //! cargo run --release --example online_service
-//! SERVICE_NODES=10000 SERVICE_ARRIVALS=4 \
-//!     cargo run --release --example online_service
 //! ```
+//!
+//! It runs the default `DriverConfig` workload. To vary the workload,
+//! use `tsn-cli serve` (`--nodes`, `--arrivals`, `--disclosures`,
+//! `--queries`, `--malicious`, `--seed`).
 //!
 //! The batch layers answer "what happens over N rounds"; this example
 //! shows the deployed shape of the same system: events and queries
@@ -15,12 +17,8 @@
 use tsn::prelude::*;
 
 fn main() {
-    // Workload knobs come from SERVICE_* env vars (invalid values fail
-    // naming the variable); the service itself mirrors the population.
-    let workload = DriverConfig::from_env().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    // The default workload; the service itself mirrors the population.
+    let workload = DriverConfig::default();
     let config = ServiceConfig {
         nodes: workload.nodes,
         epoch: SimDuration::from_secs(60),

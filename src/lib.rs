@@ -45,7 +45,6 @@ pub mod prelude {
     };
     pub use tsn_core::{
         FacetScores, FacetWeights, Scenario, ScenarioConfig, ScenarioOutcome, TrustMetric,
-        TrustReport,
     };
     pub use tsn_reputation::MechanismKind;
     pub use tsn_service::{

@@ -286,7 +286,11 @@ fn scenario_with_noop_plan_is_bit_identical_to_no_plan() {
     };
     let baseline = fingerprint(ScenarioBuilder::small());
     let static_plan = fingerprint(ScenarioBuilder::small().dynamics(DynamicsPlan::default()));
-    let regions_only = fingerprint(ScenarioBuilder::small().wan_regions(2));
+    let regions_only = fingerprint(ScenarioBuilder::small().dynamics(DynamicsPlan::wan_regions(
+        2,
+        SimDuration::from_millis(10),
+        SimDuration::from_millis(150),
+    )));
     assert_eq!(baseline, static_plan, "static plan must be a no-op");
     assert_eq!(baseline, regions_only, "regions-only plan must be a no-op");
 }
