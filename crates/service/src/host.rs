@@ -274,6 +274,10 @@ pub struct ServiceHost {
     writes: u64,
     /// Epoch index at the last automatic checkpoint.
     last_checkpoint_epoch: u64,
+    /// Whether the newest stored generation is this process's own
+    /// write with no storage fault applied (see
+    /// [`ServiceHost::current_checkpoint`]).
+    newest_is_clean: bool,
     stats: HostStats,
     last_recovery: Option<RecoveryReport>,
 }
@@ -299,6 +303,7 @@ impl ServiceHost {
             crash_cursor: SimTime::ZERO,
             writes: 0,
             last_checkpoint_epoch: 0,
+            newest_is_clean: false,
             stats: HostStats::default(),
             last_recovery: None,
             config,
@@ -345,6 +350,7 @@ impl ServiceHost {
             crash_cursor: SimTime::ZERO,
             writes: 0,
             last_checkpoint_epoch: 0,
+            newest_is_clean: false,
             stats: HostStats::default(),
             last_recovery: None,
             config,
@@ -415,7 +421,28 @@ impl ServiceHost {
         let (cursor, intact) = grade_checkpoint(&stored.bytes);
         stored.cursor = cursor;
         stored.intact = intact;
+        self.newest_is_clean = false;
         true
+    }
+
+    /// The newest stored generation, when it encodes the running state
+    /// exactly as [`TrustService::checkpoint_with_cursor`] at the
+    /// journal's record count would now: the host is up, this process
+    /// wrote the generation with no storage fault applied, and its
+    /// cursor equals the journal's record count — every later op, query
+    /// or advance is journaled, so any of them moves the count past it.
+    /// Without a journal nothing moves the count, so a journal-less host
+    /// never qualifies; nor does a generation loaded by
+    /// [`ServiceHost::from_storage`], torn by
+    /// [`ServiceHost::tear_newest_checkpoint`] or written before a
+    /// crash.
+    pub fn current_checkpoint(&self) -> Option<&[u8]> {
+        let newest = self.checkpoints.last()?;
+        let current = self.state == HostState::Up
+            && self.config.journal
+            && self.newest_is_clean
+            && newest.cursor == self.journal.records();
+        current.then_some(newest.bytes.as_slice())
     }
 
     /// The write-ahead journal (diagnostics and tests).
@@ -484,6 +511,7 @@ impl ServiceHost {
 
     fn crash_at(&mut self, at: SimTime, restart_at: SimTime) {
         self.service = None;
+        self.newest_is_clean = false;
         self.state = HostState::Down;
         self.down_until = restart_at;
         self.stats.crashes += 1;
@@ -589,11 +617,15 @@ impl ServiceHost {
         // tsn-lint: allow(no-unwrap, "state-machine invariant: Up is only entered with a resident service (boot/recover set both)")
         let service = self.service.as_ref().expect("up implies a service");
         let mut bytes = service.checkpoint_with_cursor(self.journal.records())?;
+        let mut faults = 0;
         if let Some(injector) = &self.injector {
             let previous = self.checkpoints.last().map(|c| c.bytes.as_slice());
-            let applied = injector.corrupt_checkpoint(&mut bytes, previous, at, self.writes);
-            self.stats.storage_faults += applied.len() as u64;
+            faults = injector
+                .corrupt_checkpoint(&mut bytes, previous, at, self.writes)
+                .len() as u64;
+            self.stats.storage_faults += faults;
         }
+        self.newest_is_clean = faults == 0;
         self.writes += 1;
         let (cursor, intact) = grade_checkpoint(&bytes);
         self.checkpoints.push(StoredCheckpoint {
@@ -1107,6 +1139,92 @@ mod tests {
             h.journal().segments_created()
         );
         assert_eq!(h.service().unwrap().stats().ingested, 180);
+    }
+
+    #[test]
+    fn current_checkpoint_is_the_clean_boundary_write_until_anything_moves() {
+        let mut h = host();
+        h.apply(&ingest(0, 1, 1)).unwrap();
+        assert!(h.current_checkpoint().is_none(), "nothing stored yet");
+        h.apply(&ingest(1, 2, 12)).unwrap(); // auto-checkpoint at epoch 1
+        let fresh = h
+            .service()
+            .unwrap()
+            .checkpoint_with_cursor(h.journal().records())
+            .unwrap();
+        assert_eq!(h.current_checkpoint(), Some(fresh.as_slice()));
+        assert_eq!(
+            h.current_checkpoint(),
+            Some(h.stored_checkpoints().last().unwrap().bytes.as_slice())
+        );
+        // Any journaled op moves the cursor past the stored generation.
+        h.apply(&query(1, 13)).unwrap();
+        assert!(h.current_checkpoint().is_none(), "a query followed");
+        h.checkpoint_now(SimTime::from_secs(13)).unwrap();
+        assert!(h.current_checkpoint().is_some());
+        h.advance_to(SimTime::from_secs(14)).unwrap();
+        assert!(h.current_checkpoint().is_none(), "an advance followed");
+        // A torn write never qualifies, not even one whose unreadable
+        // cursor grades as 0 on an empty journal.
+        h.checkpoint_now(SimTime::from_secs(14)).unwrap();
+        assert!(h.tear_newest_checkpoint(100));
+        assert!(h.current_checkpoint().is_none(), "torn");
+        let mut empty = host();
+        empty.checkpoint_now(SimTime::ZERO).unwrap();
+        assert!(empty.current_checkpoint().is_some());
+        assert!(empty.tear_newest_checkpoint(100));
+        assert_eq!(empty.stored_checkpoints()[0].cursor, 0);
+        assert!(empty.current_checkpoint().is_none(), "torn, cursor 0");
+        // Nor does a generation written before a crash, even though the
+        // recovered state and cursor match it.
+        h.checkpoint_now(SimTime::from_secs(14)).unwrap();
+        h.crash(SimTime::from_secs(15));
+        assert!(h.current_checkpoint().is_none(), "down");
+        h.restart(SimTime::from_secs(15)).unwrap();
+        assert_eq!(
+            h.stored_checkpoints().last().unwrap().cursor,
+            h.journal().records()
+        );
+        assert!(h.current_checkpoint().is_none(), "written before the crash");
+
+        // A generation loaded from storage never qualifies.
+        let stored = h
+            .stored_checkpoints()
+            .iter()
+            .map(|c| c.bytes.clone())
+            .collect();
+        let mut loaded =
+            ServiceHost::from_storage(h.config().clone(), stored, h.journal().clone()).unwrap();
+        loaded.restart(SimTime::from_secs(16)).unwrap();
+        assert!(loaded.current_checkpoint().is_none(), "from storage");
+    }
+
+    #[test]
+    fn faulted_or_unjournaled_checkpoint_writes_are_never_current() {
+        let mut h = host();
+        h.attach_faults(
+            FaultInjector::new(FaultPlan::bit_rot(SimTime::ZERO, SimTime::MAX), 3).unwrap(),
+        );
+        h.apply(&ingest(0, 1, 1)).unwrap();
+        h.apply(&ingest(1, 2, 12)).unwrap(); // auto-checkpoint (bit-rotted)
+        assert_eq!(h.stats().storage_faults, 1);
+        assert_eq!(
+            h.stored_checkpoints().last().unwrap().cursor,
+            h.journal().records(),
+            "the flip left the cursor readable"
+        );
+        assert!(h.current_checkpoint().is_none(), "storage-faulted");
+
+        // Without a journal nothing moves the cursor, so nothing proves
+        // a stored generation still matches the state.
+        let mut bare = ServiceHost::new(HostConfig {
+            journal: false,
+            ..host().config().clone()
+        })
+        .unwrap();
+        bare.apply(&ingest(1, 2, 12)).unwrap();
+        assert_eq!(bare.stored_checkpoints().len(), 1);
+        assert!(bare.current_checkpoint().is_none(), "no journal");
     }
 
     #[test]

@@ -433,17 +433,20 @@ impl EventJournal {
             };
             self.segments.push(JournalSegment::open(index, base));
         }
-        let mut w = ByteWriter::new();
-        encode_record(&mut w, record);
-        let payload = w.finish();
-        let mut frame = ByteWriter::new();
-        frame.put_u32(payload.len() as u32);
-        frame.put_u32(crc32(&payload));
-        let header = frame.finish();
+        // The frame is encoded in place: reserve its 8-byte header,
+        // encode the payload behind it, then patch in length and CRC.
         let open = self.open_segment_mut();
-        open.last_start = open.bytes.len();
-        open.bytes.extend_from_slice(&header);
-        open.bytes.extend_from_slice(&payload);
+        let start = open.bytes.len();
+        let mut w = ByteWriter::from_vec(std::mem::take(&mut open.bytes));
+        w.put_u64(0);
+        encode_record(&mut w, record);
+        open.bytes = w.finish();
+        let payload = start + 8;
+        let len = (open.bytes.len() - payload) as u32;
+        let crc = crc32(&open.bytes[payload..]);
+        open.bytes[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        open.bytes[start + 4..payload].copy_from_slice(&crc.to_le_bytes());
+        open.last_start = start;
         open.records += 1;
         self.records()
     }
@@ -652,9 +655,7 @@ impl EventJournal {
         let gc_bytes = r.take_u64()?;
         // Each entry is index, base record and records (3 × u64), the
         // sealed flag (u8) and the CRC (u32): 29 bytes.
-        let count = r
-            .take_seq_len(29)
-            .map_err(|e| format!("journal manifest segment count: {e}"))?;
+        let count = r.take_seq_len(29)?;
         let mut journal = EventJournal {
             segment_bytes: segment_bytes.max(16),
             segments: Vec::with_capacity(count),
@@ -1038,7 +1039,8 @@ mod tests {
             hostile[48..56].copy_from_slice(&count.to_le_bytes());
             let err = EventJournal::from_storage(&hostile, |_| Err("unread".into())).unwrap_err();
             assert!(
-                err.contains("journal manifest segment count"),
+                err.contains("corrupt sequence length")
+                    && err.contains("in section 'journal manifest' at offset 48"),
                 "count {count}: {err}"
             );
         }

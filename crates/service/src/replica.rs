@@ -43,12 +43,23 @@
 //! checkpoint section, and it surfaces as a hard
 //! [`HostError::Rejected`] because retrying cannot help a state split.
 //!
+//! The checkpoint bytes compared are each member's own boundary
+//! generation when it still encodes the running state
+//! ([`ServiceHost::current_checkpoint`]): the auto-checkpoint a member
+//! just stored is not encoded a second time. Otherwise — no checkpoint
+//! at this boundary, a storage-faulted write, or anything journaled
+//! since — the member's state is encoded afresh at its journal's record
+//! count, which yields the same bytes for the same state. In-sync
+//! members have journaled the same entries, so the embedded cursors
+//! agree too.
+//!
 //! [`RetryPolicy`]: crate::RetryPolicy
 
 use crate::event::ServiceOp;
 use crate::host::{ApplyOutcome, HostConfig, HostError, HostState, ServiceHost};
 use crate::journal::JournalRecord;
 use crate::service::{checkpoint_sections, TrustService};
+use std::borrow::Cow;
 use tsn_simnet::{FaultInjector, FaultTarget, SimDuration, SimTime};
 
 /// Configuration of a [`ReplicaSet`].
@@ -118,13 +129,14 @@ pub struct FailoverReport {
 
 /// A follower-to-primary state comparison (see the module docs).
 #[derive(PartialEq)]
-struct Fingerprint {
+struct Fingerprint<'a> {
     scores: Vec<u64>,
-    samples: Vec<crate::EpochSample>,
+    samples: &'a [crate::EpochSample],
     stats: crate::ServiceStats,
-    /// `None` when the mechanism cannot snapshot — the other three
-    /// fields still pin the comparison bit-for-bit.
-    checkpoint: Option<Vec<u8>>,
+    /// The stored boundary generation, or a fresh encode when none is
+    /// current; `None` when the mechanism cannot snapshot — the other
+    /// three fields still pin the comparison bit-for-bit.
+    checkpoint: Option<Cow<'a, [u8]>>,
 }
 
 /// N replicated [`ServiceHost`]s behind one deterministic sequencer
@@ -460,14 +472,22 @@ impl ReplicaSet {
     }
 
     /// Replica `i`'s bit-exact state fingerprint (`i` must be up).
-    fn fingerprint(&self, i: usize) -> Fingerprint {
+    fn fingerprint(&self, i: usize) -> Fingerprint<'_> {
+        let host = &self.hosts[i];
         // tsn-lint: allow(no-unwrap, "the sequencer only marks a member in-sync after it served an all-up epoch, which requires Up")
-        let service = self.hosts[i].service().expect("in-sync member is up");
+        let service = host.service().expect("in-sync member is up");
+        let checkpoint = match host.current_checkpoint() {
+            Some(stored) => Some(Cow::Borrowed(stored)),
+            None => service
+                .checkpoint_with_cursor(host.journal().records())
+                .ok()
+                .map(Cow::Owned),
+        };
         Fingerprint {
             scores: service.scores().iter().map(|s| s.to_bits()).collect(),
-            samples: service.samples().to_vec(),
+            samples: service.samples(),
             stats: service.stats(),
-            checkpoint: service.checkpoint().ok(),
+            checkpoint,
         }
     }
 
@@ -632,6 +652,84 @@ mod tests {
         assert!(err.contains("replica 1 diverged from primary 0"), "{err}");
         assert!(err.contains("at epoch 1"), "{err}");
         assert!(err.contains("first divergent section '"), "{err}");
+    }
+
+    #[test]
+    fn boundary_check_reads_each_members_stored_generation() {
+        let mut set = set(3);
+        set.apply(&ingest(0, 1, 1)).unwrap();
+        set.advance_to(SimTime::from_secs(10)).unwrap();
+        assert_eq!(set.converged_epoch, 1);
+        let reference = set.hosts[0].current_checkpoint().unwrap();
+        for i in 0..3 {
+            assert_eq!(set.hosts[i].current_checkpoint(), Some(reference));
+            assert!(matches!(
+                set.fingerprint(i).checkpoint,
+                Some(Cow::Borrowed(_))
+            ));
+        }
+        // The next op leaves no current generation: the fingerprint
+        // encodes afresh, to the same bytes the stored write would hold.
+        set.apply(&ingest(1, 2, 11)).unwrap();
+        assert!(set.hosts[0].current_checkpoint().is_none());
+        let fresh = set.fingerprint(0).checkpoint.unwrap();
+        assert!(matches!(fresh, Cow::Owned(_)));
+        let fresh = fresh.into_owned();
+        set.hosts[0].checkpoint_now(SimTime::from_secs(11)).unwrap();
+        assert_eq!(set.hosts[0].current_checkpoint(), Some(&fresh[..]));
+    }
+
+    #[test]
+    fn follower_mutated_after_its_boundary_write_is_still_diverged() {
+        let mut set = set(2);
+        set.apply(&ingest(0, 1, 1)).unwrap();
+        // Follower 1 closes epoch 1 on its own (storing its boundary
+        // generation), then takes an op the primary never saw.
+        set.hosts[1].advance_to(SimTime::from_secs(10)).unwrap();
+        assert!(set.hosts[1].current_checkpoint().is_some());
+        set.hosts[1].apply(&ingest(2, 3, 10)).unwrap();
+        assert!(set.hosts[1].current_checkpoint().is_none());
+        // The sequenced advance is a no-op on the follower's clock, so
+        // its stored generation predates the stray op.
+        let err = set.advance_to(SimTime::from_secs(10)).unwrap_err();
+        assert!(err.contains("replica 1 diverged from primary 0"), "{err}");
+        assert!(err.contains("at epoch 1"), "{err}");
+        assert!(err.contains("first divergent section '"), "{err}");
+    }
+
+    #[test]
+    fn faulted_and_sparse_checkpoints_converge_without_false_divergence() {
+        let run = |mut set: ReplicaSet| {
+            for e in 0..4u64 {
+                for i in 0..5u64 {
+                    set.apply(&ingest((i % 4) as u32, ((i + 1) % 4) as u32, e * 10 + i))
+                        .unwrap();
+                }
+                set.advance_to(SimTime::from_secs((e + 1) * 10)).unwrap();
+                assert_eq!(set.converged_epoch, e + 1);
+            }
+            set
+        };
+        // Every checkpoint write is bit-rotted: no generation is current,
+        // so every member's fingerprint encodes afresh.
+        let mut faulted = set(3);
+        faulted.attach_faults(
+            FaultInjector::new(FaultPlan::bit_rot(SimTime::ZERO, SimTime::MAX), 9).unwrap(),
+        );
+        let faulted = run(faulted);
+        for host in faulted.hosts() {
+            assert_eq!(host.stats().storage_faults, 4);
+            assert!(host.current_checkpoint().is_none());
+        }
+        // A checkpoint every other epoch: odd boundaries have no current
+        // generation, even ones do.
+        let mut config = set(3).config().clone();
+        config.host.checkpoint_every_epochs = 2;
+        let sparse = run(ReplicaSet::new(config).unwrap());
+        for host in sparse.hosts() {
+            assert_eq!(host.stats().checkpoints_written, 2);
+            assert!(host.current_checkpoint().is_some());
+        }
     }
 
     #[test]

@@ -132,6 +132,12 @@ impl ByteWriter {
         Self::default()
     }
 
+    /// Creates a writer that appends to the end of `buf`, reusing its
+    /// allocation; [`ByteWriter::finish`] hands the grown buffer back.
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        ByteWriter { buf }
+    }
+
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -219,18 +225,21 @@ impl<'a> ByteReader<'a> {
                 self.pos = end;
                 Ok(slice)
             }
-            None => {
-                let section = if self.context.is_empty() {
-                    String::new()
-                } else {
-                    format!(" in section '{}'", self.context)
-                };
-                Err(format!(
-                    "truncated input: wanted {n} bytes for {what}{section} at offset {}, have {}",
-                    self.pos,
-                    self.buf.len() - self.pos
-                ))
-            }
+            None => Err(format!(
+                "truncated input: wanted {n} bytes for {what}{}, have {}",
+                self.site(self.pos),
+                self.remaining()
+            )),
+        }
+    }
+
+    /// Where an error happened: the section (when one is set) and the
+    /// byte offset, as `" in section '…' at offset …"`.
+    fn site(&self, offset: usize) -> String {
+        if self.context.is_empty() {
+            format!(" at offset {offset}")
+        } else {
+            format!(" in section '{}' at offset {offset}", self.context)
         }
     }
 
@@ -268,13 +277,17 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a `u64` sequence length, validating it against a per-element
     /// minimum size so corrupt headers cannot trigger huge allocations.
+    /// Errors name the section and the offset of the length field.
     pub fn take_seq_len(&mut self, min_element_bytes: usize) -> Result<usize, String> {
+        let at = self.pos;
         let len = self.take_u64()?;
-        let len = usize::try_from(len).map_err(|_| format!("sequence length {len} overflows"))?;
+        let len = usize::try_from(len)
+            .map_err(|_| format!("sequence length {len}{} overflows", self.site(at)))?;
         let need = len.saturating_mul(min_element_bytes.max(1));
         if need > self.remaining() {
             return Err(format!(
-                "corrupt sequence length {len}: needs at least {need} bytes, {} remain",
+                "corrupt sequence length {len}{}: needs at least {need} bytes, {} remain",
+                self.site(at),
                 self.remaining()
             ));
         }
@@ -427,6 +440,25 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         let err = r.take_seq_len(8).unwrap_err();
         assert!(err.contains("corrupt sequence length"), "{err}");
+    }
+
+    #[test]
+    fn hostile_sequence_length_names_its_section_and_offset() {
+        let mut w = ByteWriter::new();
+        w.put_u32(7);
+        w.put_u64(u64::MAX);
+        let bytes = w.finish();
+        let mut r = ByteReader::new(&bytes);
+        r.set_context("mechanism");
+        assert_eq!(r.take_u32().unwrap(), 7);
+        let err = r.take_seq_len(8).unwrap_err();
+        assert!(err.contains("corrupt sequence length"), "{err}");
+        assert!(err.contains("in section 'mechanism' at offset 4"), "{err}");
+        // Without a section the offset is still named.
+        let mut r = ByteReader::new(&bytes[4..]);
+        let err = r.take_seq_len(8).unwrap_err();
+        assert!(err.contains("at offset 0"), "{err}");
+        assert!(!err.contains("section"), "{err}");
     }
 
     #[test]

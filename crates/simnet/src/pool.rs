@@ -43,19 +43,6 @@ impl BufferPool {
         Self::default()
     }
 
-    /// Pre-sizes the freelist: parks `count` buffers of `capacity`
-    /// floats each, so a run whose working set is known up front (say,
-    /// a mega-scale protocol run) never pays a pool miss mid-round. Counts toward
-    /// [`BufferPool::fresh_allocations`] now — at a chosen moment —
-    /// instead of during the measured loop.
-    pub fn prewarm(&mut self, count: usize, capacity: usize) {
-        self.free.reserve(count);
-        for _ in 0..count {
-            self.fresh += 1;
-            self.free.push(Vec::with_capacity(capacity.max(1)));
-        }
-    }
-
     /// Hands out an empty buffer, reusing a freed allocation when one
     /// is available.
     pub fn acquire(&mut self) -> Vec<f64> {
@@ -153,18 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn prewarm_parks_sized_buffers_up_front() {
-        let mut pool = BufferPool::new();
-        pool.prewarm(4, 128);
-        assert_eq!(pool.free_len(), 4);
-        assert_eq!(pool.fresh_allocations(), 4);
-        let buf = pool.acquire();
-        assert!(buf.capacity() >= 128);
-        assert_eq!(pool.reuses(), 1);
-        assert_eq!(pool.fresh_allocations(), 4, "no miss after prewarm");
-    }
-
-    #[test]
     fn zero_capacity_buffers_are_not_hoarded() {
         let mut pool = BufferPool::new();
         pool.release(Vec::new());
@@ -194,26 +169,8 @@ mod tests {
     }
 
     #[test]
-    fn prewarm_does_not_count_as_outstanding() {
-        let mut pool = BufferPool::new();
-        pool.prewarm(8, 16);
-        assert_eq!(pool.outstanding(), 0);
-        assert_eq!(
-            pool.high_water_mark(),
-            0,
-            "parked buffers are not in flight"
-        );
-        let buf = pool.acquire();
-        assert_eq!(pool.outstanding(), 1);
-        pool.release(buf);
-        assert_eq!(pool.outstanding(), 0);
-        assert_eq!(pool.high_water_mark(), 1);
-    }
-
-    #[test]
     fn steady_state_loop_keeps_outstanding_flat() {
         let mut pool = BufferPool::new();
-        pool.prewarm(2, 8);
         for _ in 0..1000 {
             let mut buf = pool.acquire();
             buf.push(1.0);
@@ -221,7 +178,8 @@ mod tests {
         }
         assert_eq!(pool.outstanding(), 0);
         assert_eq!(pool.high_water_mark(), 1, "one buffer in flight at a time");
-        assert_eq!(pool.fresh_allocations(), 2, "prewarm only");
+        assert_eq!(pool.fresh_allocations(), 1, "the first miss only");
+        assert_eq!(pool.reuses(), 999);
     }
 
     #[test]
