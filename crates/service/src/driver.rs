@@ -328,8 +328,9 @@ impl ServiceDriver {
         // scratch: `epoch + 1` shuffles over a fully-live population is
         // a pure function of `(seed, epoch)`, which keeps the whole
         // timeline one too — checkpoint/restore and re-generation
-        // cannot drift. (Relay *faults* live at the host layer: ops
-        // addressed at a downed node bounce and retry there.)
+        // cannot drift. The driver's overlay is always healthy: no
+        // layer tracks per-node liveness on the online path, and the
+        // host's faults crash the service process, not overlay nodes.
         let membership = self.membership_at(epoch);
         // Keyed ops: (at_us, node, seq) is the merge key.
         let mut keyed: Vec<(u64, u32, u32, ServiceOp)> = Vec::new();

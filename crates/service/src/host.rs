@@ -358,9 +358,7 @@ impl ServiceHost {
     }
 
     /// Attaches a fault injector: its process faults crash this host on
-    /// schedule, its storage faults corrupt checkpoint writes. (Message
-    /// faults are the network's job —
-    /// [`Network::attach_faults`](tsn_simnet::Network::attach_faults).)
+    /// schedule, its storage faults corrupt checkpoint writes.
     pub fn attach_faults(&mut self, injector: FaultInjector) {
         self.attach_faults_for(injector, FaultTarget::Service);
     }
@@ -616,7 +614,8 @@ impl ServiceHost {
         }
         // tsn-lint: allow(no-unwrap, "state-machine invariant: Up is only entered with a resident service (boot/recover set both)")
         let service = self.service.as_ref().expect("up implies a service");
-        let mut bytes = service.checkpoint_with_cursor(self.journal.records())?;
+        let encoded_cursor = self.journal.records();
+        let mut bytes = service.checkpoint_with_cursor(encoded_cursor)?;
         let mut faults = 0;
         if let Some(injector) = &self.injector {
             let previous = self.checkpoints.last().map(|c| c.bytes.as_slice());
@@ -627,7 +626,15 @@ impl ServiceHost {
         }
         self.newest_is_clean = faults == 0;
         self.writes += 1;
-        let (cursor, intact) = grade_checkpoint(&bytes);
+        // Untouched bytes are exactly what the encoder produced: every
+        // section CRC holds and the cursor is the one just encoded, so
+        // only a faulted write pays for the grading walk.
+        let (cursor, intact) = if faults == 0 {
+            debug_assert_eq!(grade_checkpoint(&bytes), (encoded_cursor, true));
+            (encoded_cursor, true)
+        } else {
+            grade_checkpoint(&bytes)
+        };
         self.checkpoints.push(StoredCheckpoint {
             cursor,
             intact,
@@ -828,7 +835,7 @@ mod tests {
     use super::*;
     use crate::event::ServiceEvent;
     use tsn_reputation::InteractionOutcome;
-    use tsn_simnet::FaultPlan;
+    use tsn_simnet::{FaultPlan, StorageFault, StorageFaultKind};
 
     fn host() -> ServiceHost {
         ServiceHost::new(HostConfig {
@@ -1098,25 +1105,131 @@ mod tests {
         assert_eq!(h.service().unwrap().stats().ingested, 2);
     }
 
-    #[test]
-    fn journal_gc_keeps_disk_bounded_and_recovery_opens_only_the_suffix() {
-        let mut h = ServiceHost::new(HostConfig {
-            service: ServiceConfig {
-                nodes: 4,
-                epoch: SimDuration::from_secs(10),
-                ..ServiceConfig::default()
-            },
-            journal_segment_bytes: 256, // tiny: force frequent seals
-            ..HostConfig::default()
+    /// A host whose tiny journal segments seal every few records, so
+    /// GC fires within a dozen epochs.
+    fn gc_host() -> ServiceHost {
+        ServiceHost::new(HostConfig {
+            journal_segment_bytes: 256,
+            ..host().config().clone()
         })
-        .unwrap();
-        for e in 0..30u64 {
+        .unwrap()
+    }
+
+    /// Six ingests per epoch, then the epoch boundary.
+    fn drive(h: &mut ServiceHost, epochs: u64) {
+        for e in 0..epochs {
             for i in 0..6u64 {
                 h.apply(&ingest((i % 4) as u32, ((i + 1) % 4) as u32, e * 10 + i))
                     .unwrap();
             }
             h.finish_epoch().unwrap();
         }
+    }
+
+    /// Whole-state equality: both services encode the same checkpoint.
+    fn assert_same_state(a: &ServiceHost, b: &ServiceHost) {
+        let encode = |h: &ServiceHost| h.service().unwrap().checkpoint_with_cursor(0).unwrap();
+        assert_eq!(encode(a), encode(b), "services diverged");
+    }
+
+    #[test]
+    fn torn_checkpoint_writes_grade_damaged_pause_gc_and_still_recover() {
+        let mut reference = gc_host();
+        let mut torn = gc_host();
+        torn.attach_faults(
+            FaultInjector::new(FaultPlan::torn_checkpoints(SimTime::ZERO, SimTime::MAX), 5)
+                .unwrap(),
+        );
+        drive(&mut reference, 12);
+        drive(&mut torn, 12);
+        let written = torn.stats().checkpoints_written;
+        assert_eq!(written, reference.stats().checkpoints_written);
+        assert_eq!(torn.stats().storage_faults, written, "every write is torn");
+        assert!(torn.current_checkpoint().is_none(), "storage-faulted");
+        assert!(torn.stored_checkpoints().iter().all(|c| !c.intact));
+        assert!(
+            reference.stats().journal_segments_gced > 0,
+            "a clean ring GCs"
+        );
+        assert_eq!(
+            torn.stats().journal_segments_gced,
+            0,
+            "a torn ring pauses GC"
+        );
+
+        // Every generation is unusable, and the whole journal survived
+        // to cover a from-scratch replay.
+        torn.crash(SimTime::from_secs(121));
+        let report = torn.restart(SimTime::from_secs(121)).unwrap().clone();
+        assert_eq!(report.fallbacks, torn.stored_checkpoints().len() as u64);
+        assert!(report.from_scratch);
+        assert_eq!(report.replayed, torn.journal().records());
+        assert_same_state(&reference, &torn);
+    }
+
+    #[test]
+    fn stale_checkpoint_writes_keep_the_older_generation_intact() {
+        let stale_from = |start| {
+            let plan = FaultPlan {
+                storage: vec![StorageFault {
+                    start,
+                    end: SimTime::MAX,
+                    kind: StorageFaultKind::StaleVersion,
+                }],
+                ..FaultPlan::default()
+            };
+            FaultInjector::new(plan, 5).unwrap()
+        };
+        let mut reference = host();
+        let mut stale = host();
+        stale.attach_faults(stale_from(SimTime::from_secs(15)));
+        // Auto-checkpoints at t=12 (clean) and t=22 (stale).
+        for op in [ingest(0, 1, 1), ingest(1, 2, 12), ingest(2, 3, 22)] {
+            reference.apply(&op).unwrap();
+            stale.apply(&op).unwrap();
+        }
+        assert_eq!(stale.stats().checkpoints_written, 2);
+        assert_eq!(stale.stats().storage_faults, 1, "only the t=22 write");
+        let ring = stale.stored_checkpoints();
+        assert_eq!(ring[1].bytes, ring[0].bytes, "the old file stayed");
+        assert!(ring[1].intact, "a stale generation is a valid checkpoint");
+        let older = ring[0].cursor;
+        assert_eq!(ring[1].cursor, older);
+        assert!(older < reference.stored_checkpoints()[1].cursor);
+        assert!(stale.current_checkpoint().is_none(), "storage-faulted");
+
+        // Recovery restores the stale generation without a fallback and
+        // replays the longer suffix from its older cursor.
+        stale.crash(SimTime::from_secs(23));
+        let report = stale.restart(SimTime::from_secs(23)).unwrap().clone();
+        assert_eq!(report.fallbacks, 0);
+        assert!(!report.from_scratch);
+        assert_eq!(report.replayed, stale.journal().records() - older);
+        assert_same_state(&reference, &stale);
+
+        // The first write has nothing older to substitute: it lands
+        // intact, though it still counts as a faulted write.
+        let mut first = host();
+        first.attach_faults(stale_from(SimTime::ZERO));
+        first.apply(&ingest(0, 1, 1)).unwrap();
+        first.apply(&ingest(1, 2, 12)).unwrap();
+        assert_eq!(first.stats().storage_faults, 1);
+        let fresh = first
+            .service()
+            .unwrap()
+            .checkpoint_with_cursor(first.journal().records())
+            .unwrap();
+        let only = &first.stored_checkpoints()[0];
+        assert_eq!(only.bytes, fresh);
+        assert!(only.intact);
+        assert_eq!(only.cursor, first.journal().records());
+        assert!(first.current_checkpoint().is_none(), "storage-faulted");
+    }
+
+    #[test]
+    fn journal_gc_keeps_disk_bounded_and_recovery_opens_only_the_suffix() {
+        let mut h = gc_host();
+        drive(&mut h, 30);
         assert!(h.stats().journal_segments_gced > 0, "GC must have fired");
         assert_eq!(h.journal().gc_segments(), h.stats().journal_segments_gced);
         // The live footprint stays far below what was ever written.

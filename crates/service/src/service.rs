@@ -529,88 +529,74 @@ impl TrustService {
     /// Commits the open epoch at boundary `end`: applies the staged
     /// batch to the mechanism in arrival order, refreshes, samples.
     fn commit_epoch(&mut self, end: SimTime) {
-        let mut views = std::mem::take(&mut self.views);
-        views.clear();
-        let shards = self.effective_commit_shards();
-        if shards > 1 && self.staged.len() >= shards * 2 {
-            // Per-shard staging: workers claim contiguous chunks through
-            // the shared work-stealing helper and build each chunk's
-            // report views and disclosure deltas independently
-            // (`DisclosurePolicy::view` is pure). The merge below
-            // re-applies them in ascending shard order, so the final
-            // view order is exactly the serial arrival order and the
-            // commit is shard-count-invariant down to the bits.
-            let chunk = self.staged.len().div_ceil(shards);
-            let policy = self.policy;
-            // One part per chunk: its events, their views, their
-            // (node, respected) disclosure deltas.
-            let mut parts: Vec<_> = self
-                .staged
-                .chunks(chunk)
-                .map(|slice| (slice, Vec::with_capacity(slice.len()), Vec::new()))
-                .collect();
-            for_each_chunk_mut(&mut parts, 1, shards, |_, claimed| {
-                for (slice, shard_views, disclosures) in claimed {
-                    for event in slice.iter() {
-                        match *event {
-                            ServiceEvent::Interaction {
-                                rater,
-                                ratee,
-                                outcome,
-                                at,
-                            } => {
-                                shard_views.push(policy.view(&FeedbackReport {
-                                    rater,
-                                    ratee,
-                                    outcome,
-                                    topic: None,
-                                    at,
-                                }));
-                            }
-                            ServiceEvent::Disclosure {
-                                node, respected, ..
-                            } => disclosures.push((node.index(), respected)),
-                        }
-                    }
-                }
-            });
-            // Merge barrier, in ascending shard order.
-            for (_, shard_views, disclosures) in parts {
-                views.extend(shard_views);
-                for (index, respected) in disclosures {
-                    let cell = &mut self.exposure[index];
-                    cell.disclosures += 1;
-                    if !respected {
-                        cell.breaches += 1;
-                    }
-                }
-            }
-        } else {
-            for event in &self.staged {
-                match *event {
-                    ServiceEvent::Interaction {
-                        rater,
-                        ratee,
-                        outcome,
-                        at,
-                    } => {
-                        views.push(self.policy.view(&FeedbackReport {
+        // Staging: workers claim contiguous parts through the shared
+        // work-stealing helper and build each part's report views and
+        // disclosure deltas independently (`DisclosurePolicy::view` is
+        // pure). The merge below re-applies them in ascending part
+        // order, so the final view order is exactly the arrival order
+        // and the commit is shard-count-invariant down to the bits. One
+        // shard, or a batch too small to split, is one part run inline.
+        let shards = match self.effective_commit_shards() {
+            n if n > 1 && self.staged.len() >= n * 2 => n,
+            _ => 1,
+        };
+        // `max(1)`: an empty epoch still commits, as zero parts.
+        let chunk = self.staged.len().div_ceil(shards).max(1);
+        let policy = self.policy;
+        // One part per chunk: its events, their views, their
+        // (node, respected) disclosure deltas. The first part stages
+        // into the reused view scratch.
+        let mut scratch = std::mem::take(&mut self.views);
+        scratch.clear();
+        let mut scratch = Some(scratch);
+        let mut parts: Vec<_> = self
+            .staged
+            .chunks(chunk)
+            .map(|slice| {
+                let mut views = scratch.take().unwrap_or_default();
+                views.reserve(slice.len());
+                (slice, views, Vec::new())
+            })
+            .collect();
+        for_each_chunk_mut(&mut parts, 1, shards, |_, claimed| {
+            for (slice, part_views, disclosures) in claimed {
+                for event in slice.iter() {
+                    match *event {
+                        ServiceEvent::Interaction {
                             rater,
                             ratee,
                             outcome,
-                            topic: None,
                             at,
-                        }));
-                    }
-                    ServiceEvent::Disclosure {
-                        node, respected, ..
-                    } => {
-                        let cell = &mut self.exposure[node.index()];
-                        cell.disclosures += 1;
-                        if !respected {
-                            cell.breaches += 1;
+                        } => {
+                            part_views.push(policy.view(&FeedbackReport {
+                                rater,
+                                ratee,
+                                outcome,
+                                topic: None,
+                                at,
+                            }));
                         }
+                        ServiceEvent::Disclosure {
+                            node, respected, ..
+                        } => disclosures.push((node.index(), respected)),
                     }
+                }
+            }
+        });
+        // Merge barrier, in ascending part order. With no parts (an
+        // empty epoch) the scratch was never handed out.
+        let mut views = scratch.unwrap_or_default();
+        for (part, (_, part_views, disclosures)) in parts.into_iter().enumerate() {
+            if part == 0 {
+                views = part_views;
+            } else {
+                views.extend(part_views);
+            }
+            for (index, respected) in disclosures {
+                let cell = &mut self.exposure[index];
+                cell.disclosures += 1;
+                if !respected {
+                    cell.breaches += 1;
                 }
             }
         }

@@ -1,105 +1,43 @@
-//! Deterministic fault injection: message, process and storage faults.
+//! Deterministic fault injection: process and storage faults.
 //!
 //! The dynamics layer (churn, partitions, latency — see [`dynamics`])
 //! models the *environment* degrading; this module models the system
-//! itself failing: messages duplicated, reordered or corrupted on the
-//! wire, processes crashing mid-epoch and restarting after a delay,
-//! checkpoints torn or bit-flipped on storage. A [`FaultPlan`] schedules
-//! all three families on the same sim clock as a
+//! itself failing: processes crashing mid-epoch and restarting after a
+//! delay, checkpoints torn, bit-flipped or left stale on storage. A
+//! [`FaultPlan`] schedules both families on the same sim clock as a
 //! [`DynamicsPlan`](crate::DynamicsPlan), so the two compose: a run can
 //! partition *and* crash *and* corrupt, each on its own schedule.
 //!
 //! # Determinism
 //!
-//! Every fault decision is drawn from [`SimRng::stream`] keyed by
-//! `(seed, fault domain, subject)` — the message id for wire faults, a
-//! caller-chosen label for storage faults. No draw consumes from any
-//! shared generator, so the fault schedule is a pure function of
-//! `(seed, plan, workload)`: replaying a run replays its faults
-//! bit-for-bit, which is what makes crash-torture sweeps pinnable
-//! (see `tests/faults.rs`).
+//! Every storage-fault draw comes from [`SimRng::stream`] keyed by
+//! `(seed, fault domain, label)`, the label being a caller-chosen
+//! write index. No draw consumes from any shared generator, so the
+//! fault schedule is a pure function of `(seed, plan, workload)`:
+//! replaying a run replays its faults bit-for-bit, which is what makes
+//! crash-torture sweeps pinnable (see `tests/faults.rs`).
 //!
 //! # Consumers
 //!
-//! * [`Network::attach_faults`](crate::Network::attach_faults) applies
-//!   message faults at send time (duplicate / reorder-within-bound /
-//!   payload corruption / dead-letter bursts).
-//! * `tsn_service::ServiceHost` consumes process faults (crash at a
-//!   sim time, restart after a delay) and storage faults (checkpoint
-//!   truncation, bit flips, stale-version substitution).
+//! `tsn_service::ServiceHost` consumes process faults (crash at a sim
+//! time, restart after a delay) and storage faults (checkpoint
+//! truncation, bit flips, stale-version substitution); a replica set
+//! scopes each member's crashes to its own [`FaultTarget::Replica`].
 //!
 //! [`dynamics`]: crate::dynamics
 
-use crate::message::{MessageId, Payload};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::NodeId;
 
-/// Stream-label domain for per-message wire-fault draws (registered
-/// as [`StreamDomain::FaultMessage`](crate::StreamDomain)).
-const MESSAGE_DOMAIN: u64 = crate::StreamDomain::FaultMessage.tag();
 /// Stream-label domain for storage-fault draws (registered as
 /// [`StreamDomain::FaultStorage`](crate::StreamDomain)).
 const STORAGE_DOMAIN: u64 = crate::StreamDomain::FaultStorage.tag();
-
-/// A wire fault active over `[start, end)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MessageFault {
-    /// When the fault becomes active.
-    pub start: SimTime,
-    /// When it stops ([`SimTime::MAX`] = never).
-    pub end: SimTime,
-    /// What it does to affected messages.
-    pub kind: MessageFaultKind,
-}
-
-/// The wire-fault vocabulary.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MessageFaultKind {
-    /// Deliver the message twice (same id — a true duplicate, the kind
-    /// retry-happy transports produce).
-    Duplicate {
-        /// Per-message probability.
-        probability: f64,
-    },
-    /// Delay the message by up to `bound` beyond its modeled latency,
-    /// letting later sends overtake it — reordering within a bound.
-    Reorder {
-        /// Per-message probability.
-        probability: f64,
-        /// Maximum extra delay (must be positive).
-        bound: SimDuration,
-    },
-    /// Flip one deterministic bit of the payload.
-    Corrupt {
-        /// Per-message probability.
-        probability: f64,
-    },
-    /// Silently drop the message — a dead-letter burst while active.
-    DeadLetterBurst {
-        /// Per-message probability.
-        probability: f64,
-    },
-}
-
-impl MessageFaultKind {
-    fn probability(&self) -> f64 {
-        match *self {
-            MessageFaultKind::Duplicate { probability }
-            | MessageFaultKind::Reorder { probability, .. }
-            | MessageFaultKind::Corrupt { probability }
-            | MessageFaultKind::DeadLetterBurst { probability } => probability,
-        }
-    }
-}
 
 /// Who a process fault hits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTarget {
     /// The online `TrustService` process.
     Service,
-    /// One protocol node.
-    Node(NodeId),
     /// One member of a replicated service, by replica index (a replica
     /// set scopes each member's crash schedule to its own target out of
     /// one shared plan).
@@ -165,8 +103,6 @@ pub struct StorageFault {
 /// sim clock and touch disjoint machinery.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Wire faults.
-    pub message: Vec<MessageFault>,
     /// Process crashes.
     pub process: Vec<ProcessFault>,
     /// Checkpoint-storage faults.
@@ -174,36 +110,14 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Whether the plan injects nothing.
-    pub fn is_quiet(&self) -> bool {
-        self.message.is_empty() && self.process.is_empty() && self.storage.is_empty()
-    }
-
     /// Validates the plan.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first invalid entry: probabilities
-    /// outside `[0, 1]`, empty windows, a zero reorder bound, a
-    /// truncation keeping everything, zero bit flips, or per-target
-    /// crashes that overlap a previous downtime.
+    /// Returns a description of the first invalid entry: an empty
+    /// storage window, a truncation keeping everything, zero bit flips,
+    /// or per-target crashes that overlap a previous downtime.
     pub fn validate(&self) -> Result<(), String> {
-        for (i, f) in self.message.iter().enumerate() {
-            if f.end <= f.start {
-                return Err(format!("message fault {i} must end after it starts"));
-            }
-            let p = f.kind.probability();
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!(
-                    "message fault {i} probability must be in [0, 1], got {p}"
-                ));
-            }
-            if let MessageFaultKind::Reorder { bound, .. } = f.kind {
-                if bound == SimDuration::ZERO {
-                    return Err(format!("message fault {i} reorder bound must be positive"));
-                }
-            }
-        }
         for (i, f) in self.process.iter().enumerate() {
             for (j, g) in self.process.iter().enumerate().take(i) {
                 if f.target == g.target && f.at < g.restart_at() && g.at < f.restart_at() {
@@ -234,53 +148,6 @@ impl FaultPlan {
             }
         }
         Ok(())
-    }
-
-    /// Preset: a degraded wire over `[start, end)` — 2 % duplicates,
-    /// 5 % reorders within 50 ms, 1 % corruption, 2 % dead-letter.
-    pub fn lossy_wire(start: SimTime, end: SimTime) -> Self {
-        let window = |kind| MessageFault { start, end, kind };
-        FaultPlan {
-            message: vec![
-                window(MessageFaultKind::Duplicate { probability: 0.02 }),
-                window(MessageFaultKind::Reorder {
-                    probability: 0.05,
-                    bound: SimDuration::from_millis(50),
-                }),
-                window(MessageFaultKind::Corrupt { probability: 0.01 }),
-                window(MessageFaultKind::DeadLetterBurst { probability: 0.02 }),
-            ],
-            ..FaultPlan::default()
-        }
-    }
-
-    /// Preset: a relay outage for the online path — the first `relays`
-    /// node slots (the membership overlay's bootstrap/relay nodes, see
-    /// [`membership`](crate::membership)) crash at `start` and restart
-    /// at `end`. The service-side twin of
-    /// [`DynamicsPlan::relay_outage`](crate::DynamicsPlan::relay_outage):
-    /// while the relays are down, driver nodes whose views decay
-    /// cannot re-bootstrap and skip their ops as isolated.
-    pub fn relay_outage(relays: u32, start: SimTime, end: SimTime) -> Self {
-        FaultPlan {
-            process: (0..relays)
-                .map(|i| ProcessFault {
-                    target: FaultTarget::Node(NodeId(i)),
-                    at: start,
-                    restart_after: end.duration_since(start),
-                })
-                .collect(),
-            ..FaultPlan::default()
-        }
-    }
-
-    /// Whether a [`FaultTarget::Node`] crash window covers `at` for
-    /// this node — the membership overlay's liveness probe for relays
-    /// and shuffle partners on the online path.
-    pub fn node_down(&self, node: NodeId, at: SimTime) -> bool {
-        self.process
-            .iter()
-            .any(|f| f.target == FaultTarget::Node(node) && at >= f.at && at < f.restart_at())
     }
 
     /// Preset: the service crashes at `at` and restarts `downtime`
@@ -338,27 +205,6 @@ impl FaultPlan {
     }
 }
 
-/// What the injector decided for one message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MessageVerdict {
-    /// Drop the message (dead-letter burst). Overrides everything else.
-    pub dropped: bool,
-    /// Deliver it twice.
-    pub duplicated: bool,
-    /// Extra delay beyond the latency model ([`SimDuration::ZERO`] =
-    /// none).
-    pub extra_delay: SimDuration,
-    /// Flip one payload bit before delivery.
-    pub corrupted: bool,
-}
-
-impl MessageVerdict {
-    /// Whether the message passes through untouched.
-    pub fn is_clean(&self) -> bool {
-        *self == MessageVerdict::default()
-    }
-}
-
 /// Executes a [`FaultPlan`] deterministically (see the module docs).
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
@@ -375,87 +221,6 @@ impl FaultInjector {
     pub fn new(plan: FaultPlan, seed: u64) -> Result<Self, String> {
         plan.validate()?;
         Ok(FaultInjector { plan, seed })
-    }
-
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// The seed the fault schedule replays from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Decides the fate of message `id` sent at `at` — a pure function
-    /// of `(seed, plan, id, at)`, so the same send sequence replays the
-    /// same faults. Active faults draw in plan order from the message's
-    /// own stream.
-    pub fn message_verdict(&self, id: MessageId, at: SimTime) -> MessageVerdict {
-        let mut verdict = MessageVerdict::default();
-        if self.plan.message.is_empty() {
-            return verdict;
-        }
-        let mut rng = SimRng::stream(self.seed, MESSAGE_DOMAIN ^ id.0);
-        for fault in &self.plan.message {
-            if at < fault.start || at >= fault.end {
-                continue;
-            }
-            // Every active fault consumes its draw even when an earlier
-            // one already decided to drop: the draw sequence stays a
-            // function of the *window*, not of other faults' outcomes.
-            let hit = rng.gen_bool(fault.kind.probability());
-            if !hit {
-                continue;
-            }
-            match fault.kind {
-                MessageFaultKind::Duplicate { .. } => verdict.duplicated = true,
-                MessageFaultKind::Reorder { bound, .. } => {
-                    let us = rng.gen_range(1..=bound.as_micros().max(1));
-                    verdict.extra_delay = SimDuration::from_micros(us);
-                }
-                MessageFaultKind::Corrupt { .. } => verdict.corrupted = true,
-                MessageFaultKind::DeadLetterBurst { .. } => verdict.dropped = true,
-            }
-        }
-        verdict
-    }
-
-    /// Flips one deterministic bit of `payload` (keyed by the message
-    /// id). Text payloads blank one character instead — flipping an
-    /// arbitrary bit could produce invalid UTF-8.
-    pub fn corrupt_payload(&self, id: MessageId, payload: &mut Payload) {
-        let mut rng = SimRng::stream(self.seed, MESSAGE_DOMAIN ^ !id.0);
-        match payload {
-            Payload::Record { fields, .. } => {
-                if fields.is_empty() {
-                    return;
-                }
-                let i = rng.gen_range(0..fields.len());
-                let bit = rng.gen_range(0..64u32);
-                fields[i] = f64::from_bits(fields[i].to_bits() ^ (1u64 << bit));
-            }
-            Payload::Bytes(bytes) => {
-                if bytes.is_empty() {
-                    return;
-                }
-                let i = rng.gen_range(0..bytes.len());
-                let bit = rng.gen_range(0..8u32);
-                bytes[i] ^= 1 << bit;
-            }
-            Payload::Text(text) => {
-                if text.is_empty() {
-                    return;
-                }
-                let chars: Vec<char> = text.chars().collect();
-                let i = rng.gen_range(0..chars.len());
-                *text = chars
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &c)| if j == i { '?' } else { c })
-                    .collect();
-            }
-        }
     }
 
     /// The crash scheduled for `target` at or after `after`, if any.
@@ -525,35 +290,14 @@ mod tests {
     #[test]
     fn validation_names_the_offending_entry() {
         let bad = FaultPlan {
-            message: vec![MessageFault {
+            storage: vec![StorageFault {
                 start: secs(5),
                 end: secs(5),
-                kind: MessageFaultKind::Duplicate { probability: 0.5 },
+                kind: StorageFaultKind::StaleVersion,
             }],
             ..FaultPlan::default()
         };
-        assert!(bad.validate().unwrap_err().contains("message fault 0"));
-        let bad = FaultPlan {
-            message: vec![MessageFault {
-                start: secs(0),
-                end: secs(5),
-                kind: MessageFaultKind::Corrupt { probability: 1.5 },
-            }],
-            ..FaultPlan::default()
-        };
-        assert!(bad.validate().unwrap_err().contains("probability"));
-        let bad = FaultPlan {
-            message: vec![MessageFault {
-                start: secs(0),
-                end: secs(5),
-                kind: MessageFaultKind::Reorder {
-                    probability: 0.5,
-                    bound: SimDuration::ZERO,
-                },
-            }],
-            ..FaultPlan::default()
-        };
-        assert!(bad.validate().unwrap_err().contains("reorder bound"));
+        assert!(bad.validate().unwrap_err().contains("storage fault 0"));
         let bad = FaultPlan {
             storage: vec![StorageFault {
                 start: secs(0),
@@ -597,7 +341,7 @@ mod tests {
                     restart_after: SimDuration::from_secs(20),
                 },
                 ProcessFault {
-                    target: FaultTarget::Node(NodeId(3)),
+                    target: FaultTarget::Replica(3),
                     at: secs(15),
                     restart_after: SimDuration::from_secs(1),
                 },
@@ -606,129 +350,13 @@ mod tests {
         };
         assert!(ok.validate().is_ok());
         assert!(FaultPlan::default().validate().is_ok());
-        assert!(FaultPlan::default().is_quiet());
         for preset in [
-            FaultPlan::lossy_wire(secs(0), secs(100)),
             FaultPlan::service_crash(secs(5), SimDuration::from_secs(2)),
             FaultPlan::torn_checkpoints(secs(0), SimTime::MAX),
             FaultPlan::bit_rot(secs(0), SimTime::MAX),
         ] {
             preset.validate().expect("presets validate");
-            assert!(!preset.is_quiet());
         }
-    }
-
-    #[test]
-    fn verdicts_replay_bit_for_bit_and_respect_windows() {
-        let plan = FaultPlan::lossy_wire(secs(10), secs(20));
-        let a = FaultInjector::new(plan.clone(), 7).unwrap();
-        let b = FaultInjector::new(plan, 7).unwrap();
-        let mut touched = 0;
-        for id in 0..2000u64 {
-            let v1 = a.message_verdict(MessageId(id), secs(15));
-            let v2 = b.message_verdict(MessageId(id), secs(15));
-            assert_eq!(v1, v2, "message {id}: verdict must replay");
-            if !v1.is_clean() {
-                touched += 1;
-            }
-            // Outside the window: always clean.
-            assert!(a.message_verdict(MessageId(id), secs(5)).is_clean());
-            assert!(a.message_verdict(MessageId(id), secs(20)).is_clean());
-        }
-        assert!(
-            touched > 50,
-            "a 10% combined fault rate must touch messages, got {touched}/2000"
-        );
-        // A different seed gives a different schedule.
-        let c = FaultInjector::new(FaultPlan::lossy_wire(secs(10), secs(20)), 8).unwrap();
-        let differs = (0..2000u64).any(|id| {
-            c.message_verdict(MessageId(id), secs(15)) != a.message_verdict(MessageId(id), secs(15))
-        });
-        assert!(differs, "seed must matter");
-    }
-
-    #[test]
-    fn reorder_delay_stays_within_the_bound() {
-        let bound = SimDuration::from_millis(50);
-        let plan = FaultPlan {
-            message: vec![MessageFault {
-                start: SimTime::ZERO,
-                end: SimTime::MAX,
-                kind: MessageFaultKind::Reorder {
-                    probability: 1.0,
-                    bound,
-                },
-            }],
-            ..FaultPlan::default()
-        };
-        let injector = FaultInjector::new(plan, 1).unwrap();
-        for id in 0..500u64 {
-            let v = injector.message_verdict(MessageId(id), secs(1));
-            assert!(
-                v.extra_delay > SimDuration::ZERO,
-                "probability 1.0 always hits"
-            );
-            assert!(
-                v.extra_delay.as_micros() <= bound.as_micros(),
-                "delay {} exceeds bound",
-                v.extra_delay.as_micros()
-            );
-        }
-    }
-
-    #[test]
-    fn payload_corruption_flips_exactly_one_bit_deterministically() {
-        let plan = FaultPlan {
-            message: vec![MessageFault {
-                start: SimTime::ZERO,
-                end: SimTime::MAX,
-                kind: MessageFaultKind::Corrupt { probability: 1.0 },
-            }],
-            ..FaultPlan::default()
-        };
-        let injector = FaultInjector::new(plan, 3).unwrap();
-        let clean = vec![1.0f64, 2.0, 3.0];
-        let mut a = Payload::record("t", clean.clone());
-        let mut b = Payload::record("t", clean.clone());
-        injector.corrupt_payload(MessageId(9), &mut a);
-        injector.corrupt_payload(MessageId(9), &mut b);
-        assert_eq!(a, b, "corruption must be deterministic");
-        let Payload::Record { fields, .. } = &a else {
-            panic!("record stays a record");
-        };
-        let flipped_bits: u32 = fields
-            .iter()
-            .zip(&clean)
-            .map(|(x, y)| (x.to_bits() ^ y.to_bits()).count_ones())
-            .sum();
-        assert_eq!(flipped_bits, 1, "exactly one bit flips");
-        // Bytes payloads flip one bit too; text degrades readably.
-        let mut bytes = Payload::Bytes(vec![0u8; 16]);
-        injector.corrupt_payload(MessageId(10), &mut bytes);
-        let Payload::Bytes(b) = &bytes else { panic!() };
-        assert_eq!(b.iter().map(|x| x.count_ones()).sum::<u32>(), 1);
-        let mut text = Payload::Text("hello".into());
-        injector.corrupt_payload(MessageId(11), &mut text);
-        let Payload::Text(t) = &text else { panic!() };
-        assert!(t.contains('?') && t.len() == 5, "{t}");
-    }
-
-    #[test]
-    fn relay_outage_preset_downs_exactly_the_relay_window() {
-        let plan = FaultPlan::relay_outage(2, secs(10), secs(20));
-        assert!(plan.validate().is_ok());
-        assert_eq!(plan.process.len(), 2);
-        for relay in 0..2u32 {
-            let id = NodeId(relay);
-            assert!(!plan.node_down(id, secs(9)));
-            assert!(plan.node_down(id, secs(10)));
-            assert!(plan.node_down(id, secs(19)));
-            assert!(!plan.node_down(id, secs(20)));
-        }
-        assert!(!plan.node_down(NodeId(2), secs(15)), "only relays crash");
-        // A MAX end never restarts.
-        let forever = FaultPlan::relay_outage(1, secs(5), SimTime::MAX);
-        assert!(forever.node_down(NodeId(0), SimTime::from_secs(1_000_000)));
     }
 
     #[test]
@@ -746,7 +374,7 @@ mod tests {
                     restart_after: SimDuration::from_secs(5),
                 },
                 ProcessFault {
-                    target: FaultTarget::Node(NodeId(2)),
+                    target: FaultTarget::Replica(2),
                     at: secs(1),
                     restart_after: SimDuration::MAX,
                 },
@@ -764,11 +392,11 @@ mod tests {
         assert!(injector
             .next_crash(FaultTarget::Service, secs(31))
             .is_none());
-        // A never-restarting node fault saturates at the horizon.
-        let node = injector
-            .next_crash(FaultTarget::Node(NodeId(2)), SimTime::ZERO)
+        // A never-restarting replica fault saturates at the horizon.
+        let replica = injector
+            .next_crash(FaultTarget::Replica(2), SimTime::ZERO)
             .unwrap();
-        assert_eq!(node.restart_at(), SimTime::MAX);
+        assert_eq!(replica.restart_at(), SimTime::MAX);
     }
 
     #[test]

@@ -28,34 +28,6 @@ impl LatencyModel for ConstantLatency {
     }
 }
 
-/// Uniformly distributed delay in `[min, max]`.
-#[derive(Debug, Clone, Copy)]
-pub struct UniformLatency {
-    /// Lower bound (inclusive).
-    pub min: SimDuration,
-    /// Upper bound (inclusive).
-    pub max: SimDuration,
-}
-
-impl UniformLatency {
-    /// Creates the model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min > max`.
-    pub fn new(min: SimDuration, max: SimDuration) -> Self {
-        assert!(min <= max, "min latency must not exceed max");
-        UniformLatency { min, max }
-    }
-}
-
-impl LatencyModel for UniformLatency {
-    fn delay(&self, _from: NodeId, _to: NodeId, rng: &mut SimRng) -> SimDuration {
-        let us = rng.gen_range(self.min.as_micros()..=self.max.as_micros());
-        SimDuration::from_micros(us)
-    }
-}
-
 /// Log-normal-ish WAN latency: a base plus an exponential tail, the classic
 /// shape of internet RTT distributions. Keeps everything integer-safe.
 #[derive(Debug, Clone, Copy)]
@@ -127,22 +99,6 @@ mod tests {
                 SimDuration::from_millis(10)
             );
         }
-    }
-
-    #[test]
-    fn uniform_latency_stays_in_bounds() {
-        let m = UniformLatency::new(SimDuration::from_millis(5), SimDuration::from_millis(15));
-        let mut rng = SimRng::seed_from_u64(1);
-        for _ in 0..1000 {
-            let d = m.delay(NodeId(0), NodeId(1), &mut rng);
-            assert!(d >= SimDuration::from_millis(5) && d <= SimDuration::from_millis(15));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "min latency")]
-    fn uniform_latency_rejects_inverted_bounds() {
-        let _ = UniformLatency::new(SimDuration::from_millis(2), SimDuration::from_millis(1));
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //!   partitions and regional latency into one schedule that a
 //!   [`DynamicsRuntime`] samples and executes against the network on
 //!   the sim clock (see the [`dynamics`] module);
-//! * **fault-injectable** — a [`FaultPlan`] schedules message, process
-//!   and storage faults deterministically from the seed, executed by a
-//!   [`FaultInjector`] attached to the network and to the service's
-//!   storage layer (see the [`faults`] module);
+//! * **fault-injectable** — a [`FaultPlan`] schedules process crashes
+//!   and checkpoint-storage faults deterministically from the seed,
+//!   executed by a [`FaultInjector`] that the service's hosts consume
+//!   (see the [`faults`] module); the transport itself fails only
+//!   through the dynamics layer's loss, latency and liveness;
 //! * **partially visible** — the [`membership`] module provides the
 //!   peer-sampling overlay of the source paper: bounded
 //!   [`PartialView`]s per node, refreshed by deterministic view
@@ -71,12 +72,9 @@ pub use churn::ChurnConfig;
 pub use codec::{ByteReader, ByteWriter};
 pub use dynamics::{DynamicsEvent, DynamicsPlan, DynamicsRuntime, PartitionWindow, RegionPlan};
 pub use faults::{
-    FaultInjector, FaultPlan, FaultTarget, MessageFault, MessageFaultKind, MessageVerdict,
-    ProcessFault, StorageFault, StorageFaultKind,
+    FaultInjector, FaultPlan, FaultTarget, ProcessFault, StorageFault, StorageFaultKind,
 };
-pub use latency::{
-    BernoulliLoss, ConstantLatency, LatencyModel, LossModel, NoLoss, UniformLatency, WanLatency,
-};
+pub use latency::{BernoulliLoss, ConstantLatency, LatencyModel, LossModel, NoLoss, WanLatency};
 pub use membership::{
     MembershipConfig, MembershipRuntime, PartialView, ShuffleStats, ViewEntry, MEMBERSHIP_SEED_SALT,
 };

@@ -37,13 +37,13 @@
 //!
 //! The first [`MembershipConfig::relays`] slots of the population are
 //! *relay* (bootstrap) nodes: real entities that churn, crash and die
-//! like everyone else (a [`DynamicsPlan`](crate::DynamicsPlan) or
-//! [`FaultPlan`](crate::FaultPlan) can target them — see the
-//! `relay_outage` presets). Initial views are handed out by a relay:
+//! like everyone else (a [`DynamicsPlan`](crate::DynamicsPlan) can
+//! target them — see [`DynamicsPlan::relay_outage`](crate::DynamicsPlan::relay_outage)).
+//! Initial views are handed out by a relay:
 //! each node starts with its relay plus a sample of previously joined
 //! peers. A node whose view decays to nothing re-bootstraps through a
 //! live relay; with every relay down it stays *isolated* until a relay
-//! recovers — which is exactly the failure mode the `relay_outage`
+//! recovers — which is exactly the failure mode the relay-outage
 //! scenarios measure.
 //!
 //! ## Determinism

@@ -98,8 +98,6 @@ pub enum Payload {
         /// Numeric fields keyed positionally by the protocol.
         fields: Vec<f64>,
     },
-    /// Opaque bytes (e.g. simulated ciphertext / blinded certificates).
-    Bytes(Vec<u8>),
 }
 
 impl Payload {
@@ -109,7 +107,6 @@ impl Payload {
         match self {
             Payload::Text(s) => s.len(),
             Payload::Record { tag, fields } => tag.wire_len() + fields.len() * 8,
-            Payload::Bytes(b) => b.len(),
         }
     }
 
@@ -165,7 +162,6 @@ mod tests {
     fn payload_wire_sizes() {
         assert_eq!(Payload::from("abcd").wire_size(), 4);
         assert_eq!(Payload::record("t", vec![1.0, 2.0]).wire_size(), 1 + 16);
-        assert_eq!(Payload::Bytes(vec![0; 10]).wire_size(), 10);
     }
 
     #[test]

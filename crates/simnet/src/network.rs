@@ -5,7 +5,6 @@
 //! enqueues the envelope on an internal in-flight heap; the simulation
 //! driver moves messages into mailboxes as virtual time advances.
 
-use crate::faults::{FaultInjector, MessageVerdict};
 use crate::latency::{ConstantLatency, LatencyModel, LossModel, NoLoss};
 use crate::message::{Envelope, MessageId, Payload};
 use crate::pool::BufferPool;
@@ -47,21 +46,6 @@ pub struct NetworkStats {
     pub dead_letter: u64,
     /// Total bytes handed to the network.
     pub bytes_sent: u64,
-    /// Messages dropped by an injected dead-letter burst.
-    pub fault_dropped: u64,
-    /// Messages delivered twice by an injected duplicate.
-    pub fault_duplicated: u64,
-    /// Payloads bit-flipped in flight by an injected corruption.
-    pub fault_corrupted: u64,
-    /// Messages given extra delay by an injected reorder.
-    pub fault_delayed: u64,
-}
-
-impl NetworkStats {
-    /// Total injected wire faults of any kind.
-    pub fn faults_injected(&self) -> u64 {
-        self.fault_dropped + self.fault_duplicated + self.fault_corrupted + self.fault_delayed
-    }
 }
 
 /// What happened to a message at send time.
@@ -112,7 +96,6 @@ pub struct Network {
     next_msg: u64,
     next_seq: u64,
     pool: BufferPool,
-    faults: Option<FaultInjector>,
 }
 
 impl std::fmt::Debug for Network {
@@ -139,22 +122,7 @@ impl Network {
             next_msg: 0,
             next_seq: 0,
             pool: BufferPool::new(),
-            faults: None,
         }
-    }
-
-    /// Attaches a wire-fault injector; sends from now on are subject to
-    /// its message faults (duplicate / reorder / corrupt / dead-letter).
-    /// Verdicts are pure functions of `(injector seed, message id,
-    /// clock)`, so the fault schedule replays with the traffic. Returns
-    /// the previously attached injector, if any.
-    pub fn attach_faults(&mut self, injector: FaultInjector) -> Option<FaultInjector> {
-        self.faults.replace(injector)
-    }
-
-    /// The attached wire-fault injector, if any.
-    pub fn faults(&self) -> Option<&FaultInjector> {
-        self.faults.as_ref()
     }
 
     /// The network-owned field-buffer pool. Protocols acquire outgoing
@@ -244,7 +212,7 @@ impl Network {
         );
         let id = MessageId(self.next_msg);
         self.next_msg += 1;
-        let mut envelope = Envelope {
+        let envelope = Envelope {
             id,
             from,
             to,
@@ -258,44 +226,7 @@ impl Network {
             self.pool.recycle(envelope.payload);
             return (id, DeliveryOutcome::Lost);
         }
-        // Wire faults apply after the loss model: the injector sees only
-        // traffic the environment would have delivered, and its verdicts
-        // never consume from the transport RNG, so attaching faults
-        // leaves the underlying delivery schedule untouched.
-        let verdict = match &self.faults {
-            Some(injector) => injector.message_verdict(id, self.now),
-            None => MessageVerdict::default(),
-        };
-        if verdict.dropped {
-            self.stats.fault_dropped += 1;
-            self.pool.recycle(envelope.payload);
-            return (id, DeliveryOutcome::Lost);
-        }
-        if verdict.corrupted {
-            if let Some(injector) = &self.faults {
-                injector.corrupt_payload(id, &mut envelope.payload);
-            }
-            self.stats.fault_corrupted += 1;
-        }
-        let delay = self.config.latency.delay(from, to, &mut self.rng);
-        let mut deliver_at = self.now + delay;
-        if verdict.extra_delay > SimDuration::ZERO {
-            deliver_at = deliver_at.saturating_add(verdict.extra_delay);
-            self.stats.fault_delayed += 1;
-        }
-        if verdict.duplicated {
-            // A true duplicate: same id, same payload, same instant —
-            // the receiver sees the message twice.
-            let copy = envelope.clone();
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.in_flight.push(InFlight {
-                deliver_at,
-                seq,
-                envelope: copy,
-            });
-            self.stats.fault_duplicated += 1;
-        }
+        let deliver_at = self.now + self.config.latency.delay(from, to, &mut self.rng);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.in_flight.push(InFlight {
@@ -548,127 +479,6 @@ mod tests {
         assert_eq!(net.advance_to(SimTime::from_millis(10)), 1);
         assert_eq!(net.inbox_len(b), 1);
         assert_eq!(net.stats().dead_letter, 0);
-    }
-
-    #[test]
-    fn attached_faults_duplicate_drop_delay_and_corrupt_deterministically() {
-        use crate::faults::{FaultPlan, MessageFault, MessageFaultKind};
-
-        let certain = |kind| FaultPlan {
-            message: vec![MessageFault {
-                start: SimTime::ZERO,
-                end: SimTime::MAX,
-                kind,
-            }],
-            ..FaultPlan::default()
-        };
-
-        // Duplicate: one send, two deliveries of the same id.
-        let mut net = lan();
-        let a = net.add_node();
-        let b = net.add_node();
-        net.attach_faults(
-            FaultInjector::new(certain(MessageFaultKind::Duplicate { probability: 1.0 }), 9)
-                .unwrap(),
-        );
-        let (id, _) = net.send(a, b, "twice".into());
-        assert_eq!(net.advance_to(SimTime::from_secs(1)), 2);
-        let inbox = net.take_inbox(b);
-        assert_eq!(inbox.len(), 2);
-        assert!(inbox.iter().all(|e| e.id == id));
-        assert_eq!(net.stats().fault_duplicated, 1);
-        assert_eq!(net.stats().sent, 1, "a duplicate is not a send");
-
-        // Dead-letter burst: dropped at send time, distinct from the
-        // loss model's counter.
-        let mut net = lan();
-        let a = net.add_node();
-        let b = net.add_node();
-        net.attach_faults(
-            FaultInjector::new(
-                certain(MessageFaultKind::DeadLetterBurst { probability: 1.0 }),
-                9,
-            )
-            .unwrap(),
-        );
-        let (_, outcome) = net.send(a, b, "gone".into());
-        assert_eq!(outcome, DeliveryOutcome::Lost);
-        assert_eq!(net.stats().fault_dropped, 1);
-        assert_eq!(net.stats().dropped, 0);
-        assert_eq!(net.stats().faults_injected(), 1);
-
-        // Reorder: extra delay within the bound lets a later send
-        // overtake an earlier one.
-        let mut net = lan();
-        let a = net.add_node();
-        let b = net.add_node();
-        net.attach_faults(
-            FaultInjector::new(
-                certain(MessageFaultKind::Reorder {
-                    probability: 1.0,
-                    bound: SimDuration::from_secs(5),
-                }),
-                9,
-            )
-            .unwrap(),
-        );
-        let (_, DeliveryOutcome::Scheduled(at)) = net.send(a, b, "late".into()) else {
-            panic!("reorder never drops");
-        };
-        assert!(at > SimTime::from_millis(10), "extra delay applied");
-        assert!(at <= SimTime::from_millis(10).saturating_add(SimDuration::from_secs(5)));
-        assert_eq!(net.stats().fault_delayed, 1);
-
-        // Corrupt: the delivered record differs from the sent one by
-        // exactly one bit, identically across same-seed runs.
-        let run = |seed: u64| {
-            let mut net = lan();
-            let a = net.add_node();
-            let b = net.add_node();
-            net.attach_faults(
-                FaultInjector::new(
-                    certain(MessageFaultKind::Corrupt { probability: 1.0 }),
-                    seed,
-                )
-                .unwrap(),
-            );
-            net.send(a, b, Payload::record("r", vec![1.0, 2.0, 3.0]));
-            net.advance_to(SimTime::from_secs(1));
-            net.take_inbox(b).remove(0).payload
-        };
-        let first = run(9);
-        assert_eq!(first, run(9), "same seed, same corruption");
-        assert_ne!(
-            first,
-            Payload::record("r", vec![1.0, 2.0, 3.0]),
-            "payload actually corrupted"
-        );
-    }
-
-    #[test]
-    fn fault_free_injector_leaves_the_delivery_schedule_untouched() {
-        use crate::faults::FaultPlan;
-        // Attaching a quiet plan must not perturb latency/loss draws:
-        // verdicts never consume from the transport RNG.
-        let drive = |attach: bool| {
-            let config = NetworkConfig {
-                latency: Box::new(crate::latency::UniformLatency::new(
-                    SimDuration::from_millis(1),
-                    SimDuration::from_millis(100),
-                )),
-                loss: Box::new(BernoulliLoss::new(0.2)),
-            };
-            let mut net = Network::new(config, SimRng::seed_from_u64(7));
-            let a = net.add_node();
-            let b = net.add_node();
-            if attach {
-                net.attach_faults(FaultInjector::new(FaultPlan::default(), 99).unwrap());
-            }
-            (0..200)
-                .map(|i| net.send(a, b, Payload::record("m", vec![i as f64])).1)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(drive(false), drive(true));
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //! domain takes a fresh value and an existing one never changes — not
 //! even when its only user is gone ([`StreamDomain::ServiceRetry`]
 //! keeps `1 << 62`, which it once shared with a retired scenario
-//! domain).
+//! domain). Retired tags are never handed out again: `0x7A00…` (in the
+//! fault family) belonged to the wire-fault verdict streams, deleted
+//! with the message-fault family.
 
 /// The seed namespace a stream label lives in. Labels are unique per
 /// family; see the [module docs](self).
@@ -67,12 +69,9 @@ pub enum StreamDomain {
     /// Per-(op, attempt) retry-backoff jitter of the service client.
     /// Low bits: `(op_id << 8) | (attempt & 0xff)`.
     ServiceRetry,
-    /// Per-subject message-fault verdict streams of the fault
-    /// injector. Low bits: XORed subject id (historical layout: the
-    /// tag is XORed, not ORed, with the id).
-    FaultMessage,
-    /// Per-subject storage-fault streams of the fault injector. Low
-    /// bits: XORed subject id.
+    /// Per-write storage-fault streams of the fault injector. Low
+    /// bits: XORed write label (historical layout: the tag is XORed,
+    /// not ORed, with the label).
     FaultStorage,
     /// Per-round view-shuffle streams of the membership overlay. Low
     /// bits: `round`.
@@ -84,12 +83,11 @@ pub enum StreamDomain {
 
 impl StreamDomain {
     /// Every registered domain, for exhaustive collision checks.
-    pub const ALL: [StreamDomain; 8] = [
+    pub const ALL: [StreamDomain; 7] = [
         StreamDomain::Interaction,
         StreamDomain::ServiceOp,
         StreamDomain::ServiceQuality,
         StreamDomain::ServiceRetry,
-        StreamDomain::FaultMessage,
         StreamDomain::FaultStorage,
         StreamDomain::MembershipShuffle,
         StreamDomain::MembershipBootstrap,
@@ -102,7 +100,7 @@ impl StreamDomain {
             StreamDomain::ServiceOp | StreamDomain::ServiceQuality | StreamDomain::ServiceRetry => {
                 StreamFamily::Service
             }
-            StreamDomain::FaultMessage | StreamDomain::FaultStorage => StreamFamily::Fault,
+            StreamDomain::FaultStorage => StreamFamily::Fault,
             StreamDomain::MembershipShuffle | StreamDomain::MembershipBootstrap => {
                 StreamFamily::Membership
             }
@@ -118,7 +116,6 @@ impl StreamDomain {
             StreamDomain::Interaction | StreamDomain::ServiceOp => 0,
             StreamDomain::ServiceQuality => 1 << 61,
             StreamDomain::ServiceRetry => 1 << 62,
-            StreamDomain::FaultMessage => 0x7A00_0000_0000_0000,
             StreamDomain::FaultStorage => 0x7B00_0000_0000_0000,
             StreamDomain::MembershipShuffle => 0x7C00_0000_0000_0000,
             StreamDomain::MembershipBootstrap => 0x7D00_0000_0000_0000,
@@ -177,7 +174,6 @@ mod tests {
         assert_eq!(StreamDomain::Interaction.tag(), 0);
         assert_eq!(StreamDomain::ServiceQuality.tag(), 1 << 61);
         assert_eq!(StreamDomain::ServiceRetry.tag(), 1 << 62);
-        assert_eq!(StreamDomain::FaultMessage.tag(), 0x7A00_0000_0000_0000);
         assert_eq!(StreamDomain::FaultStorage.tag(), 0x7B00_0000_0000_0000);
     }
 
