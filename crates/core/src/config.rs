@@ -95,10 +95,7 @@ pub struct ScenarioConfig {
     /// with reset reputation), and scheduled partitions that confine
     /// partner selection to a user's own group while active. Plain
     /// availability churn is the [`DynamicsPlan::steady_offline`]
-    /// preset. Regional latency in the plan is accepted but has no
-    /// effect here — the abstract scenario engine has no transport (the
-    /// protocol crate's round driver executes it for real). `None`
-    /// leaves every user online every round.
+    /// preset. `None` leaves every user online every round.
     pub dynamics: Option<DynamicsPlan>,
     /// Peer-sampling membership overlay (the paper's view-shuffling
     /// model): each node keeps a bounded [`PartialView`] refreshed by
@@ -109,16 +106,6 @@ pub struct ScenarioConfig {
     ///
     /// [`PartialView`]: tsn_simnet::PartialView
     pub membership: Option<MembershipConfig>,
-    /// Weight of the *consumer-role* satisfaction in a user's overall
-    /// satisfaction; the rest is the provider-role satisfaction (ref \[17\]
-    /// models participants in both roles). Must be in `[0, 1]`.
-    pub consumer_role_weight: f64,
-    /// Ballot-stuffing amplification: when the rater identity is *not*
-    /// disclosed, nothing ties reports to a rater, so a lying rater can
-    /// submit this many copies of each false report (the classic
-    /// ballot-stuffing / badmouthing attack that anonymity enables and
-    /// identity-based rate limiting prevents). 1 disables the attack.
-    pub ballot_stuffing_factor: usize,
     /// Contiguous node shards the round engine splits each round's
     /// interaction phase into (see `DESIGN.md` §10). This is an
     /// execution knob, never an outcome knob: any shard count gives
@@ -157,8 +144,6 @@ impl Default for ScenarioConfig {
             leak_probability: 0.3,
             dynamics: None,
             membership: None,
-            consumer_role_weight: 0.75,
-            ballot_stuffing_factor: 4,
             shards: 1,
             seed: 42,
         }
@@ -207,12 +192,6 @@ impl ScenarioConfig {
         if self.refresh_every == 0 {
             return Err(ValidationError::new("refresh_every", "must be positive"));
         }
-        if self.ballot_stuffing_factor == 0 {
-            return Err(ValidationError::new(
-                "ballot_stuffing_factor",
-                "must be at least 1",
-            ));
-        }
         if let Some(plan) = &self.dynamics {
             plan.validate()
                 .map_err(|m| ValidationError::new("dynamics", m))?;
@@ -220,12 +199,6 @@ impl ScenarioConfig {
         if let Some(m) = &self.membership {
             m.validate_for(self.nodes)
                 .map_err(|msg| ValidationError::new("membership", msg))?;
-        }
-        if !(0.0..=1.0).contains(&self.consumer_role_weight) {
-            return Err(ValidationError::new(
-                "consumer_role_weight",
-                "must be in [0,1]",
-            ));
         }
         if !self.graph_degree.is_multiple_of(2)
             || self.graph_degree == 0

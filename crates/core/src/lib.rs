@@ -61,4 +61,4 @@ pub use runner::{
 };
 pub use scenario::{RoundSample, Scenario, ScenarioOutcome, ROUND_DURATION};
 pub use trust::{Aggregator, TrustMetric};
-pub use tsn_simnet::{DynamicsPlan, NodeId, PartitionWindow, RegionPlan};
+pub use tsn_simnet::{DynamicsPlan, NodeId, PartitionWindow};

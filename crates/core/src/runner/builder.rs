@@ -296,18 +296,6 @@ impl ScenarioBuilder {
         ))
     }
 
-    /// Weight of the consumer role in overall satisfaction.
-    pub fn consumer_role_weight(mut self, weight: f64) -> Self {
-        self.config.consumer_role_weight = weight;
-        self
-    }
-
-    /// Ballot-stuffing amplification factor (1 disables the attack).
-    pub fn ballot_stuffing(mut self, factor: usize) -> Self {
-        self.config.ballot_stuffing_factor = factor;
-        self
-    }
-
     /// Round-engine shard count: `1` (default) runs one shard on the
     /// calling thread, `0` auto-shards at large node counts, `k ≥ 2`
     /// runs `k` contiguous shards across threads. An execution knob
@@ -389,7 +377,6 @@ impl ScenarioBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsn_simnet::SimDuration;
 
     #[test]
     fn levels_map_to_ladder_indices() {
@@ -472,11 +459,6 @@ mod tests {
         for builder in [
             ScenarioBuilder::small().flash_crowd(),
             ScenarioBuilder::small().split_then_heal(2, 6),
-            ScenarioBuilder::small().dynamics(DynamicsPlan::wan_regions(
-                3,
-                SimDuration::from_millis(10),
-                SimDuration::from_millis(150),
-            )),
             ScenarioBuilder::small().whitewash_attack(),
         ] {
             let config = builder.build().expect("preset is valid");

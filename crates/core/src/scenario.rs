@@ -31,11 +31,10 @@ use crate::runner::{Observer, ValidationError};
 use crate::trust::TrustMetric;
 use tsn_graph::{generators, Graph, InterestProfile, InterestSpace};
 use tsn_privacy::enforcement::RequestContext;
-use tsn_privacy::oecd::OecdAudit;
 use tsn_privacy::policy::DataCategory;
 use tsn_privacy::{
     AccessDecision, AccessRequest, BreachCause, DisclosureLedger, Enforcer, Operation,
-    PrivacyFacetInputs, PrivacyPolicy, Purpose, SystemPrivacyProfile,
+    PrivacyFacetInputs, PrivacyPolicy, Purpose,
 };
 use tsn_reputation::{
     accuracy, Anonymized, BehaviorClass, DisclosurePolicy, MechanismKind, Population, PowerReport,
@@ -61,6 +60,18 @@ pub const ROUND_DURATION: SimDuration = SimDuration::from_secs(3600);
 /// changes the outcome, so auto runs are deterministic across hardware;
 /// only wall-clock time varies with the core count.
 pub const SHARD_AUTO_NODES: usize = 10_000;
+
+/// Weight of the *consumer-role* satisfaction in a user's overall
+/// satisfaction; the rest is the provider-role satisfaction (ref \[17\]
+/// models participants in both roles).
+const CONSUMER_ROLE_WEIGHT: f64 = 0.75;
+
+/// Ballot-stuffing amplification: when the rater identity is *not*
+/// disclosed, nothing ties reports to a rater, so a lying rater can
+/// submit up to this many copies of each false report (the classic
+/// ballot-stuffing / badmouthing attack that anonymity enables and
+/// identity-based rate limiting prevents).
+const BALLOT_STUFFING_FACTOR: usize = 4;
 
 /// The RNG stream a consumer's interactions draw from: one
 /// independent stream per `(round, node)`, derived
@@ -214,10 +225,10 @@ struct UserState {
 
 impl UserState {
     /// Overall satisfaction: the consumer and provider roles blended
-    /// with consumer weight `w_c`.
-    fn blended_satisfaction(&self, w_c: f64) -> f64 {
-        w_c * self.satisfaction.satisfaction()
-            + (1.0 - w_c) * self.provider_satisfaction.satisfaction()
+    /// with consumer weight [`CONSUMER_ROLE_WEIGHT`].
+    fn blended_satisfaction(&self) -> f64 {
+        CONSUMER_ROLE_WEIGHT * self.satisfaction.satisfaction()
+            + (1.0 - CONSUMER_ROLE_WEIGHT) * self.provider_satisfaction.satisfaction()
     }
 }
 
@@ -604,8 +615,7 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
                     // disclosed field improves duplicate detection, and
                     // identity eliminates the attack entirely.
                     let copies = if !ctx.system_policy.rater_identity && !honest {
-                        ctx.config
-                            .ballot_stuffing_factor
+                        BALLOT_STUFFING_FACTOR
                             .saturating_sub(ctx.config.disclosure_level)
                             .max(1)
                     } else {
@@ -749,10 +759,7 @@ impl Scenario {
                     .collect();
                 Box::new(tsn_reputation::EigenTrust::new(
                     config.nodes,
-                    tsn_reputation::EigenTrustConfig {
-                        pretrusted,
-                        ..Default::default()
-                    },
+                    tsn_reputation::EigenTrustConfig { pretrusted },
                 ))
             } else {
                 tsn_reputation::mechanism::build_mechanism(config.mechanism, config.nodes)
@@ -881,18 +888,14 @@ impl Scenario {
         &self.config
     }
 
-    fn oecd_profile(&self) -> SystemPrivacyProfile {
-        SystemPrivacyProfile {
-            collection_fraction: self.config.disclosure_policy().exposure(),
-            purposes_declared: true,
-            purpose_respect_rate: self.ledger.respect_rate(),
-            data_quality_controls: true,
-            safeguards_active: self.config.anonymization.is_some()
-                || self.config.disclosure_level <= 1,
-            policies_published: true,
-            user_controls: true,
-            breaches_attributed: true,
-        }
+    /// The OECD audit score of this configuration (see
+    /// [`tsn_privacy::oecd`]).
+    fn oecd_score(&self) -> f64 {
+        tsn_privacy::oecd::audit_score(
+            self.config.disclosure_policy().exposure(),
+            self.ledger.respect_rate(),
+            self.config.anonymization.is_some() || self.config.disclosure_level <= 1,
+        )
     }
 
     fn mean_willingness(&self) -> f64 {
@@ -912,7 +915,6 @@ impl Scenario {
         let ledger = &self.ledger;
         let metric = &self.metric;
         let ladder_exposure = &self.ladder_exposure;
-        let w_c = self.config.consumer_role_weight;
         fill_slots(&mut self.scratch.trust, users.len(), self.workers, |i| {
             let u = &users[i];
             let inputs = PrivacyFacetInputs {
@@ -923,7 +925,7 @@ impl Scenario {
             let facets = FacetScores {
                 privacy: inputs.facet().facet,
                 reputation: reputation_facet,
-                satisfaction: u.blended_satisfaction(w_c),
+                satisfaction: u.blended_satisfaction(),
             };
             metric.trust(&facets)
         });
@@ -1091,8 +1093,8 @@ impl Scenario {
 
         // --- Round sample + adaptive disclosure (the Section-3 loop).
         let power_now = self.measure_power(*refresh_iterations);
-        let oecd = OecdAudit::evaluate(&self.oecd_profile()).overall();
-        self.per_user_trust_into(power_now.power(&Default::default()), oecd);
+        let oecd = self.oecd_score();
+        self.per_user_trust_into(power_now.power(), oecd);
         let trust_now = &self.scratch.trust;
         let mean_trust = trust_now.iter().sum::<f64>() / trust_now.len() as f64;
         if self.config.adaptive_disclosure {
@@ -1150,13 +1152,12 @@ impl Scenario {
         let n = self.config.nodes;
         let refresh_iterations = refresh_iterations + self.mechanism.refresh();
         let power = self.measure_power(refresh_iterations);
-        let oecd = OecdAudit::evaluate(&self.oecd_profile()).overall();
+        let oecd = self.oecd_score();
 
-        let w_c = self.config.consumer_role_weight;
         let satisfaction_values: Vec<f64> = self
             .users
             .iter()
-            .map(|u| u.blended_satisfaction(w_c))
+            .map(UserState::blended_satisfaction)
             .collect();
         let satisfaction =
             // tsn-lint: allow(no-unwrap, "the population is non-empty (config validation rejects n == 0), so the aggregate exists")
@@ -1171,7 +1172,7 @@ impl Scenario {
         };
         let facets = FacetScores {
             privacy: privacy_inputs.facet().facet,
-            reputation: power.power(&Default::default()),
+            reputation: power.power(),
             satisfaction: satisfaction.fairness_discounted(),
         };
         let global_trust = self.metric.trust(&facets);
@@ -1646,10 +1647,6 @@ mod tests {
                 dynamics: Some(DynamicsPlan::steady_offline(1.5, ROUND_DURATION)),
                 ..Default::default()
             },
-            ScenarioConfig {
-                consumer_role_weight: -0.1,
-                ..Default::default()
-            },
         ];
         for c in cases {
             assert!(Scenario::new(c).is_err());
@@ -1809,9 +1806,18 @@ mod tests {
             let mut c = small(seed);
             c.rounds = 15;
             c.interactions_per_node = 4;
-            c.consumer_role_weight = 0.0; // isolate the provider role
             c.selection = selection;
-            run_scenario(c).unwrap().facets.satisfaction
+            let mut scenario = Scenario::new(c).unwrap();
+            scenario.run();
+            // The provider role alone, aggregated as the facet is.
+            let provider: Vec<f64> = scenario
+                .users
+                .iter()
+                .map(|u| u.provider_satisfaction.satisfaction())
+                .collect();
+            GlobalSatisfaction::from_values(&provider)
+                .unwrap()
+                .fairness_discounted()
         };
         let spread = (0..3)
             .map(|s| provider_side(tsn_reputation::SelectionPolicy::Random, 60 + s))

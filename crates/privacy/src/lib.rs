@@ -7,11 +7,10 @@
 //!   PriServ (ref \[12\]): authorized users, allowed operations, access
 //!   purposes, access conditions, retention time, obligations and the
 //!   *minimal trust level* required for access;
-//! * **The OECD guidelines** (ref \[16\]; [`oecd`]): an auditable checklist
-//!   of the eight principles (collection limitation, purpose
-//!   specification, use limitation, data quality, security safeguards,
-//!   openness, individual participation, accountability) evaluated
-//!   against a system configuration;
+//! * **The OECD guidelines** (ref \[16\]; [`oecd`]): the eight principles
+//!   (collection limitation, purpose specification, use limitation, data
+//!   quality, security safeguards, openness, individual participation,
+//!   accountability) scored against a system configuration;
 //! * **Disclosure accounting** ([`ledger`]): every flow of personal data
 //!   is counted — whose data, which category, anonymized or not, and
 //!   whether it respected the owner's policy — so "privacy respect" is a
@@ -33,14 +32,11 @@ pub mod exposure;
 pub mod ledger;
 pub mod oecd;
 pub mod policy;
-pub mod retention;
 
 pub use enforcement::{AccessDecision, AccessRequest, DenialReason, Enforcer};
 pub use exposure::{ExposureReport, PrivacyFacetInputs};
 pub use ledger::{BreachCause, DisclosureLedger};
-pub use oecd::{OecdAudit, OecdPrinciple, SystemPrivacyProfile};
 pub use policy::{
     AccessCondition, DataCategory, Obligation, Operation, PolicyError, PrivacyPolicy, Purpose,
 };
-pub use retention::{HeldCopy, RetentionTracker};
 pub use tsn_simnet::NodeId;

@@ -38,14 +38,6 @@ pub struct GossipConfig {
     pub subjects: usize,
     /// Length of one gossip round.
     pub round_length: SimDuration,
-    /// When `true`, the random push target is drawn only from *alive*
-    /// neighbours, so no mass is pushed at crashed peers. Default
-    /// `false`: nodes do not know who crashed, the draw covers every
-    /// neighbour and a push to a dead peer dead-letters — a bounded
-    /// mass leak that the crash tests quantify. (The default also
-    /// preserves the pre-flag RNG draw sequence, keeping the golden
-    /// fixtures bit-identical.)
-    pub skip_dead_neighbors: bool,
 }
 
 impl Default for GossipConfig {
@@ -53,7 +45,6 @@ impl Default for GossipConfig {
         GossipConfig {
             subjects: 0,
             round_length: SimDuration::from_millis(100),
-            skip_dead_neighbors: false,
         }
     }
 }
@@ -85,9 +76,6 @@ pub struct GossipNetwork {
     state: Vec<f64>,
     /// Ground-truth totals (for oracle comparison): (sum, count).
     truth: Vec<(f64, f64)>,
-    /// Scratch for the alive-neighbour filter (only used when
-    /// `skip_dead_neighbors` is on).
-    alive_scratch: Vec<NodeId>,
     /// Peer-sampling overlay; when attached, push targets come from
     /// each node's bounded partial view instead of the graph
     /// neighborhood.
@@ -115,7 +103,6 @@ impl GossipNetwork {
             weight: vec![1.0; n],
             state: vec![0.0; n * 2 * config.subjects],
             truth: vec![(0.0, 0.0); config.subjects],
-            alive_scratch: Vec::new(),
             membership: None,
             config,
         }
@@ -196,13 +183,11 @@ impl GossipNetwork {
             weight,
             state,
             config,
-            alive_scratch,
             membership,
             ..
         } = self;
         let subjects = config.subjects;
         let stride = 2 * subjects;
-        let skip_dead = config.skip_dead_neighbors;
         // One view shuffle per gossip round, against current liveness
         // (no partition model at this layer — the network's loss model
         // handles partitions in transit).
@@ -211,7 +196,7 @@ impl GossipNetwork {
             m.shuffle_round(|p| network.is_alive(p), |_, _| true);
         }
         let membership = membership.as_ref();
-        driver.round(|node, inbox, network, out| {
+        driver.round(|node, inbox, _network, out| {
             let i = node.index();
             let row = &mut state[i * stride..(i + 1) * stride];
             // Absorb incoming halves straight from the borrowed fields:
@@ -227,32 +212,15 @@ impl GossipNetwork {
                     *dst += *src;
                 }
             }
-            // Halve and push to one random neighbour (all of them by
-            // default — dead targets dead-letter; see `GossipConfig`).
-            // With the membership overlay attached the draw covers the
-            // node's bounded partial view instead of the graph.
+            // Halve and push to one random neighbour. Nodes do not know
+            // who crashed: the draw covers every neighbour, and a push
+            // to a dead peer dead-letters — a bounded mass leak that the
+            // crash tests quantify. With the membership overlay attached
+            // the draw covers the node's bounded partial view instead of
+            // the graph.
             let target = match membership {
-                Some(m) => {
-                    let view = m.view(node);
-                    if skip_dead {
-                        alive_scratch.clear();
-                        alive_scratch.extend(view.peers().filter(|&p| network.is_alive(p)));
-                        rng.choose(alive_scratch).copied()
-                    } else {
-                        view.sample(rng)
-                    }
-                }
-                None => {
-                    let neighbors = graph.neighbors(node);
-                    if skip_dead {
-                        alive_scratch.clear();
-                        alive_scratch
-                            .extend(neighbors.iter().copied().filter(|&p| network.is_alive(p)));
-                        rng.choose(alive_scratch).copied()
-                    } else {
-                        rng.choose(neighbors).copied()
-                    }
-                }
+                Some(m) => m.view(node).sample(rng),
+                None => rng.choose(graph.neighbors(node)).copied(),
             };
             let Some(target) = target else {
                 return;
@@ -370,10 +338,6 @@ mod tests {
     use tsn_simnet::{latency::ConstantLatency, BernoulliLoss, NetworkConfig, NoLoss};
 
     fn build(n: usize, loss: f64, seed: u64) -> GossipNetwork {
-        build_with(n, loss, seed, GossipConfig::default())
-    }
-
-    fn build_with(n: usize, loss: f64, seed: u64, template: GossipConfig) -> GossipNetwork {
         let mut rng = SimRng::seed_from_u64(seed);
         let graph = generators::watts_strogatz(n, 6, 0.1, &mut rng).unwrap();
         let config = NetworkConfig {
@@ -390,7 +354,7 @@ mod tests {
         }
         let gossip_config = GossipConfig {
             subjects: n,
-            ..template
+            ..GossipConfig::default()
         };
         GossipNetwork::new(graph, network, gossip_config, rng.fork(2))
     }
@@ -522,44 +486,6 @@ mod tests {
         // Alive nodes still converge reasonably (mass sent to dead nodes
         // dead-letters, a bounded leak).
         assert!(report.mean_error < 0.15, "error {:.4}", report.mean_error);
-    }
-
-    #[test]
-    fn skipping_dead_neighbors_avoids_dead_letters() {
-        let n = 30;
-        let run = |skip: bool| {
-            let mut g = build_with(
-                n,
-                0.0,
-                21,
-                GossipConfig {
-                    skip_dead_neighbors: skip,
-                    ..Default::default()
-                },
-            );
-            seed_observations(&mut g, n, 22);
-            // Crash a fifth of the network before any traffic flows, so
-            // every dead-letter is attributable to target selection.
-            for dead in 0..6u32 {
-                g.network_mut().set_alive(NodeId(dead), false);
-            }
-            g.run(20);
-            (
-                g.driver.network().stats().dead_letter,
-                g.report().mean_error,
-            )
-        };
-        let (dead_letters_default, _) = run(false);
-        let (dead_letters_skipping, error_skipping) = run(true);
-        assert!(
-            dead_letters_default > 0,
-            "the default draw hits crashed peers"
-        );
-        assert_eq!(
-            dead_letters_skipping, 0,
-            "liveness-filtered draws never dead-letter"
-        );
-        assert!(error_skipping < 0.15, "still converges: {error_skipping}");
     }
 
     #[test]

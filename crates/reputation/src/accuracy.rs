@@ -15,27 +15,15 @@
 use crate::mechanism::ReputationMechanism;
 use tsn_simnet::NodeId;
 
-/// Weights for combining the three power components.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MechanismPower {
-    /// Weight of consistency-with-reality (the paper: "most of all").
-    pub consistency_weight: f64,
-    /// Weight of reliability (adversary detection).
-    pub reliability_weight: f64,
-    /// Weight of efficiency (message/iteration cost).
-    pub efficiency_weight: f64,
-}
+/// Weight of consistency-with-reality in the power score (the paper:
+/// "most of all").
+const CONSISTENCY_WEIGHT: f64 = 0.5;
 
-impl Default for MechanismPower {
-    fn default() -> Self {
-        // "most of all, consistency with the reality"
-        MechanismPower {
-            consistency_weight: 0.5,
-            reliability_weight: 0.3,
-            efficiency_weight: 0.2,
-        }
-    }
-}
+/// Weight of reliability (adversary detection) in the power score.
+const RELIABILITY_WEIGHT: f64 = 0.3;
+
+/// Weight of efficiency (message/iteration cost) in the power score.
+const EFFICIENCY_WEIGHT: f64 = 0.2;
 
 /// The measured power of a mechanism against a ground truth.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,15 +43,12 @@ pub struct PowerReport {
 }
 
 impl PowerReport {
-    /// The combined power score in `[0, 1]` under `weights`.
-    pub fn power(&self, weights: &MechanismPower) -> f64 {
-        let total =
-            weights.consistency_weight + weights.reliability_weight + weights.efficiency_weight;
-        assert!(total > 0.0, "power weights must not all be zero");
-        (weights.consistency_weight * self.consistency
-            + weights.reliability_weight * self.reliability
-            + weights.efficiency_weight * self.efficiency)
-            / total
+    /// The combined power score in `[0, 1]`: the weighted sum of
+    /// consistency, reliability and efficiency (the weights sum to 1).
+    pub fn power(&self) -> f64 {
+        CONSISTENCY_WEIGHT * self.consistency
+            + RELIABILITY_WEIGHT * self.reliability
+            + EFFICIENCY_WEIGHT * self.efficiency
     }
 }
 
@@ -271,7 +256,7 @@ mod tests {
         );
         assert_eq!(report.reliability, 1.0);
         assert!(report.rmse < 0.2, "rmse {}", report.rmse);
-        assert!(report.power(&MechanismPower::default()) > 0.8);
+        assert!(report.power() > 0.8);
     }
 
     #[test]
@@ -358,14 +343,12 @@ mod tests {
             iterations: 0,
             overhead_per_report: 0,
         };
-        let only_consistency = MechanismPower {
-            consistency_weight: 2.0,
-            reliability_weight: 0.0,
-            efficiency_weight: 0.0,
-        };
-        assert_eq!(report.power(&only_consistency), 1.0);
-        let balanced = MechanismPower::default();
-        assert!((report.power(&balanced) - 0.5).abs() < 1e-12);
+        // Exactly 1 in f64, so the weighted sum needs no division.
+        assert_eq!(
+            CONSISTENCY_WEIGHT + RELIABILITY_WEIGHT + EFFICIENCY_WEIGHT,
+            1.0
+        );
+        assert_eq!(report.power(), CONSISTENCY_WEIGHT);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! trust `c_ij = max(s_ij, 0) / Σ_j max(s_ij, 0)` forms a stochastic
 //! matrix; the global trust vector is the stationary distribution of a
 //! random walk that teleports to *pre-trusted peers* with probability
-//! `alpha`:
+//! `α` = 0.15:
 //!
 //! ```text
 //! t ← (1 − α) Cᵀ t + α p
@@ -33,49 +33,21 @@ use crate::mechanism::{MechanismKind, ReputationMechanism};
 use crate::walk::WalkMatrix;
 use tsn_simnet::NodeId;
 
+/// Teleport probability toward pre-trusted peers (the paper's `a`).
+const ALPHA: f64 = 0.15;
+
+/// Convergence threshold on the L1 change between iterations.
+const EPSILON: f64 = 1e-9;
+
+/// Iteration cap per [`ReputationMechanism::refresh`].
+const MAX_ITERATIONS: usize = 200;
+
 /// EigenTrust parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EigenTrustConfig {
-    /// Teleport probability toward pre-trusted peers (the paper's `a`).
-    pub alpha: f64,
-    /// Convergence threshold on the L1 change between iterations.
-    pub epsilon: f64,
-    /// Iteration cap per [`ReputationMechanism::refresh`].
-    pub max_iterations: usize,
     /// Pre-trusted peers. Empty means "uniform prior over all peers",
     /// which is the paper's fallback when no pre-trust exists.
     pub pretrusted: Vec<NodeId>,
-}
-
-impl Default for EigenTrustConfig {
-    fn default() -> Self {
-        EigenTrustConfig {
-            alpha: 0.15,
-            epsilon: 1e-9,
-            max_iterations: 200,
-            pretrusted: Vec::new(),
-        }
-    }
-}
-
-impl EigenTrustConfig {
-    /// Validates parameter ranges.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..=1.0).contains(&self.alpha) {
-            return Err("alpha must be in [0,1]".into());
-        }
-        if self.epsilon <= 0.0 {
-            return Err("epsilon must be positive".into());
-        }
-        if self.max_iterations == 0 {
-            return Err("max_iterations must be positive".into());
-        }
-        Ok(())
-    }
 }
 
 /// One (rater, ratee) cell: `s_ij` (satisfactory − unsatisfactory) feeds
@@ -118,15 +90,7 @@ pub struct EigenTrust {
 
 impl EigenTrust {
     /// Creates an instance for `n` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
     pub fn new(n: usize, config: EigenTrustConfig) -> Self {
-        if let Err(e) = config.validate() {
-            // tsn-lint: allow(no-unwrap, "documented contract: new() panics on a config that validate() rejects; fallible callers validate first")
-            panic!("invalid EigenTrust config: {e}");
-        }
         let prior = Self::compute_prior(&config.pretrusted, n);
         EigenTrust {
             config,
@@ -203,12 +167,9 @@ impl EigenTrust {
                 }
             },
         );
-        let iterations = self.walk.stationary(
-            &self.prior,
-            self.config.alpha,
-            self.config.epsilon,
-            self.config.max_iterations,
-        );
+        let iterations = self
+            .walk
+            .stationary(&self.prior, ALPHA, EPSILON, MAX_ITERATIONS);
         self.global.clear();
         self.global.extend_from_slice(self.walk.solution());
         // Cache the trust-weighted opinion aggregation for O(1) scoring,
@@ -472,7 +433,6 @@ mod tests {
     fn pretrusted_peers_get_teleport_mass() {
         let config = EigenTrustConfig {
             pretrusted: vec![NodeId(0)],
-            ..Default::default()
         };
         let mut m = EigenTrust::new(3, config);
         // No reports at all: stationary distribution = prior = all mass on 0.
@@ -491,7 +451,6 @@ mod tests {
         // 1 must outrank 3 despite 3 receiving more praise volume.
         let config = EigenTrustConfig {
             pretrusted: vec![NodeId(0)],
-            ..Default::default()
         };
         let mut m = EigenTrust::new(4, config);
         let full = DisclosurePolicy::full();
@@ -600,30 +559,6 @@ mod tests {
         assert!(m.score(NodeId(3)) > 0.0);
     }
 
-    #[test]
-    fn config_validation() {
-        assert!(EigenTrustConfig {
-            alpha: 1.5,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(EigenTrustConfig {
-            epsilon: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(EigenTrustConfig {
-            max_iterations: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(EigenTrustConfig::default().validate().is_ok());
-    }
-
-    /// Random but seed-reproducible report stream over `n` nodes.
     fn random_feed(m: &mut EigenTrust, n: u32, count: usize, seed: u64) {
         let mut rng = SimRng::seed_from_u64(seed);
         let full = DisclosurePolicy::full();

@@ -41,14 +41,14 @@ pub mod response;
 pub mod trustme;
 mod walk;
 
-pub use accuracy::{MechanismPower, PowerReport};
+pub use accuracy::PowerReport;
 pub use anonymous::{AnonymizationConfig, Anonymized};
 pub use attack::{BehaviorClass, Population, PopulationConfig};
 pub use beta::BetaReputation;
 pub use eigentrust::{EigenTrust, EigenTrustConfig};
 pub use gathering::{DisclosureField, DisclosurePolicy, FeedbackReport, ReportView};
 pub use mechanism::{build_mechanism, InteractionOutcome, MechanismKind, ReputationMechanism};
-pub use powertrust::{PowerTrust, PowerTrustConfig};
+pub use powertrust::PowerTrust;
 pub use response::{SelectionPolicy, SelectionScratch};
-pub use trustme::{TrustMe, TrustMeConfig};
+pub use trustme::TrustMe;
 pub use tsn_simnet::NodeId;

@@ -314,14 +314,8 @@ pub fn build_mechanism(kind: MechanismKind, n: usize) -> Box<dyn ReputationMecha
             n,
             crate::eigentrust::EigenTrustConfig::default(),
         )),
-        MechanismKind::PowerTrust => Box::new(crate::powertrust::PowerTrust::new(
-            n,
-            crate::powertrust::PowerTrustConfig::default(),
-        )),
-        MechanismKind::TrustMe => Box::new(crate::trustme::TrustMe::new(
-            n,
-            crate::trustme::TrustMeConfig::default(),
-        )),
+        MechanismKind::PowerTrust => Box::new(crate::powertrust::PowerTrust::new(n)),
+        MechanismKind::TrustMe => Box::new(crate::trustme::TrustMe::new(n)),
     }
 }
 

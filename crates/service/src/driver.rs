@@ -113,73 +113,36 @@ impl DriverConfig {
 }
 
 /// Client-side retry discipline for operations a [`ServiceHost`]
-/// bounces with [`HostError::Unavailable`]: bounded attempts,
-/// exponential backoff, deterministic jitter.
+/// bounces with [`HostError::Unavailable`]: total attempts per operation,
+/// first try included.
+const RETRY_MAX_ATTEMPTS: u32 = 5;
+
+/// Backoff before the first retry; doubles per attempt.
+const RETRY_BASE_BACKOFF: SimDuration = SimDuration::from_millis(100);
+
+/// Backoff ceiling.
+const RETRY_MAX_BACKOFF: SimDuration = SimDuration::from_secs(10);
+
+/// Jitter fraction: each backoff is scaled by a deterministic draw from
+/// `[1 - RETRY_JITTER, 1]`.
+const RETRY_JITTER: f64 = 0.5;
+
+/// The backoff before retry number `attempt + 1` of operation `op_id`:
+/// `base * 2^attempt`, capped at the ceiling, scaled by the jitter draw.
 ///
 /// The jitter draw comes from its own [`SimRng::stream`] keyed by
 /// `(seed, op id, attempt)`, so a retried timeline replays bit-for-bit
 /// — the point of jitter (decorrelating retry storms) survives without
 /// giving up determinism.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts per operation (first try included; at least 1).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles per attempt.
-    pub base_backoff: SimDuration,
-    /// Backoff ceiling.
-    pub max_backoff: SimDuration,
-    /// Jitter fraction in `[0, 1]`: each backoff is scaled by a
-    /// deterministic draw from `[1 - jitter, 1]`.
-    pub jitter: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            base_backoff: SimDuration::from_millis(100),
-            max_backoff: SimDuration::from_secs(10),
-            jitter: 0.5,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Validates the policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.max_attempts == 0 {
-            return Err("max_attempts must be at least 1".into());
-        }
-        if self.base_backoff == SimDuration::ZERO {
-            return Err("base_backoff must be positive".into());
-        }
-        if self.max_backoff < self.base_backoff {
-            return Err("max_backoff must be at least base_backoff".into());
-        }
-        if !(0.0..=1.0).contains(&self.jitter) {
-            return Err(format!("jitter must be in [0, 1], got {}", self.jitter));
-        }
-        Ok(())
-    }
-
-    /// The backoff before retry number `attempt + 1` of operation
-    /// `op_id`: `base * 2^attempt`, capped at `max_backoff`, scaled by
-    /// the deterministic jitter draw.
-    pub fn backoff(&self, seed: u64, op_id: u64, attempt: u32) -> SimDuration {
-        let doubled = self
-            .base_backoff
-            .as_micros()
-            .saturating_mul(1u64 << attempt.min(20));
-        let capped = doubled.min(self.max_backoff.as_micros());
-        let label = RETRY_STREAM_DOMAIN | (op_id << 8) | u64::from(attempt & 0xff);
-        let mut rng = SimRng::stream(seed, label);
-        let scale = 1.0 - self.jitter + self.jitter * rng.gen_f64();
-        SimDuration::from_micros((capped as f64 * scale) as u64)
-    }
+fn retry_backoff(seed: u64, op_id: u64, attempt: u32) -> SimDuration {
+    let doubled = RETRY_BASE_BACKOFF
+        .as_micros()
+        .saturating_mul(1u64 << attempt.min(20));
+    let capped = doubled.min(RETRY_MAX_BACKOFF.as_micros());
+    let label = RETRY_STREAM_DOMAIN | (op_id << 8) | u64::from(attempt & 0xff);
+    let mut rng = SimRng::stream(seed, label);
+    let scale = 1.0 - RETRY_JITTER + RETRY_JITTER * rng.gen_f64();
+    SimDuration::from_micros((capped as f64 * scale) as u64)
 }
 
 /// What came out of one [`ServiceDriver::drive_host`] run.
@@ -456,9 +419,8 @@ impl ServiceDriver {
 
     /// Drives a [`ServiceHost`] for `epochs` epochs with the client
     /// half of fault tolerance: fresh ops that bounce with
-    /// [`HostError::Unavailable`] are re-stamped and retried under
-    /// `policy` (bounded attempts, exponential backoff, deterministic
-    /// jitter). Retries due at or before a fresh op's time are flushed
+    /// [`HostError::Unavailable`] are re-stamped and retried (bounded
+    /// attempts, exponential backoff, deterministic jitter). Retries due at or before a fresh op's time are flushed
     /// first, so the applied order is a pure function of the
     /// configuration — a faulted run replays bit-for-bit. Retries still
     /// pending when the run ends are abandoned (and counted).
@@ -478,9 +440,8 @@ impl ServiceDriver {
         &self,
         host: &mut ServiceHost,
         epochs: u64,
-        policy: &RetryPolicy,
     ) -> Result<HostDriveReport, String> {
-        self.drive_target(host, epochs, policy)
+        self.drive_target(host, epochs)
     }
 
     /// [`ServiceDriver::drive_host`] against a whole [`ReplicaSet`]:
@@ -500,9 +461,8 @@ impl ServiceDriver {
         &self,
         set: &mut ReplicaSet,
         epochs: u64,
-        policy: &RetryPolicy,
     ) -> Result<HostDriveReport, String> {
-        self.drive_target(set, epochs, policy)
+        self.drive_target(set, epochs)
     }
 
     /// The shared fault-tolerant drive loop (see [`drive_host`]).
@@ -512,9 +472,7 @@ impl ServiceDriver {
         &self,
         host: &mut T,
         epochs: u64,
-        policy: &RetryPolicy,
     ) -> Result<HostDriveReport, String> {
-        policy.validate()?;
         let host_nodes = host.nodes();
         if self.config.nodes != host_nodes {
             return Err(format!(
@@ -532,16 +490,16 @@ impl ServiceDriver {
         for e in 0..epochs {
             let epoch = start_epoch + e;
             for op in self.ops_for_epoch_len(epoch_len, epoch) {
-                self.flush_due_retries(host, policy, &mut pending, &mut report, op.at())?;
+                self.flush_due_retries(host, &mut pending, &mut report, op.at())?;
                 let id = next_id;
                 next_id += 1;
-                self.submit(host, policy, &mut pending, &mut report, (id, 0, op))?;
+                self.submit(host, &mut pending, &mut report, (id, 0, op))?;
             }
             let Some(end_us) = epoch_len.as_micros().checked_mul(epoch + 1) else {
                 break; // at the horizon: nothing left to drive
             };
             let end = SimTime::from_micros(end_us);
-            self.flush_due_retries(host, policy, &mut pending, &mut report, end)?;
+            self.flush_due_retries(host, &mut pending, &mut report, end)?;
             host.advance(end)?;
         }
         // Whatever is still queued never got acknowledged in-run.
@@ -556,7 +514,6 @@ impl ServiceDriver {
     fn flush_due_retries<T: OpSink>(
         &self,
         host: &mut T,
-        policy: &RetryPolicy,
         pending: &mut Vec<(SimTime, u64, u32, ServiceOp)>,
         report: &mut HostDriveReport,
         cutoff: SimTime,
@@ -567,7 +524,7 @@ impl ServiceDriver {
             }
             let (due, id, attempt, op) = pending.remove(0);
             let restamped = op.with_time(due);
-            self.submit(host, policy, pending, report, (id, attempt, restamped))?;
+            self.submit(host, pending, report, (id, attempt, restamped))?;
         }
         Ok(())
     }
@@ -577,7 +534,6 @@ impl ServiceDriver {
     fn submit<T: OpSink>(
         &self,
         host: &mut T,
-        policy: &RetryPolicy,
         pending: &mut Vec<(SimTime, u64, u32, ServiceOp)>,
         report: &mut HostDriveReport,
         attempt: (u64, u32, ServiceOp),
@@ -599,11 +555,11 @@ impl ServiceDriver {
                 Ok(())
             }
             Err(HostError::Unavailable { retry_at, .. }) => {
-                if attempt + 1 >= policy.max_attempts {
+                if attempt + 1 >= RETRY_MAX_ATTEMPTS {
                     report.abandoned += 1;
                     return Ok(());
                 }
-                let backoff = policy.backoff(self.config.seed, id, attempt);
+                let backoff = retry_backoff(self.config.seed, id, attempt);
                 let due = retry_at.max(op.at()).saturating_add(backoff);
                 let key = (due, id);
                 let pos = pending
@@ -817,44 +773,24 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_bounded_and_growing() {
-        let policy = RetryPolicy::default();
         assert_eq!(
-            policy.backoff(42, 7, 0),
-            policy.backoff(42, 7, 0),
+            retry_backoff(42, 7, 0),
+            retry_backoff(42, 7, 0),
             "same (seed, op, attempt) must draw the same jitter"
         );
         assert_ne!(
-            policy.backoff(42, 7, 0),
-            policy.backoff(42, 8, 0),
+            retry_backoff(42, 7, 0),
+            retry_backoff(42, 8, 0),
             "different ops must decorrelate"
         );
-        let base = policy.base_backoff.as_micros();
-        let b0 = policy.backoff(42, 7, 0).as_micros();
+        let base = RETRY_BASE_BACKOFF.as_micros();
+        let b0 = retry_backoff(42, 7, 0).as_micros();
         assert!(b0 >= base / 2 && b0 <= base, "jitter scales into [0.5, 1]");
         for attempt in 0..12 {
-            assert!(policy.backoff(42, 7, attempt) <= policy.max_backoff);
+            assert!(retry_backoff(42, 7, attempt) <= RETRY_MAX_BACKOFF);
         }
         // Deep attempts sit at the (jittered) ceiling, not overflow.
-        assert!(policy.backoff(42, 7, 63).as_micros() >= policy.max_backoff.as_micros() / 2);
-    }
-
-    #[test]
-    fn retry_policy_validation_names_the_field() {
-        let bad = RetryPolicy {
-            max_attempts: 0,
-            ..RetryPolicy::default()
-        };
-        assert!(bad.validate().unwrap_err().contains("max_attempts"));
-        let bad = RetryPolicy {
-            jitter: 1.5,
-            ..RetryPolicy::default()
-        };
-        assert!(bad.validate().unwrap_err().contains("jitter"));
-        let bad = RetryPolicy {
-            max_backoff: SimDuration::ZERO,
-            ..RetryPolicy::default()
-        };
-        assert!(bad.validate().unwrap_err().contains("max_backoff"));
+        assert!(retry_backoff(42, 7, 63).as_micros() >= RETRY_MAX_BACKOFF.as_micros() / 2);
     }
 
     #[test]
@@ -872,9 +808,7 @@ mod tests {
             ..crate::HostConfig::default()
         })
         .unwrap();
-        let report = driver
-            .drive_host(&mut host, 4, &RetryPolicy::default())
-            .unwrap();
+        let report = driver.drive_host(&mut host, 4).unwrap();
         assert_eq!(report.retries, 0);
         assert_eq!(report.abandoned, 0);
         assert_eq!(report.degraded_answers, 0);
@@ -934,14 +868,10 @@ mod tests {
                 )
                 .unwrap(),
             );
-            let report = rerun_driver
-                .drive_host(&mut h, 3, &RetryPolicy::default())
-                .unwrap();
+            let report = rerun_driver.drive_host(&mut h, 3).unwrap();
             (report, h)
         };
-        let report = driver
-            .drive_host(&mut host, 3, &RetryPolicy::default())
-            .unwrap();
+        let report = driver.drive_host(&mut host, 3).unwrap();
         assert_eq!(host.stats().crashes, 1);
         assert_eq!(host.stats().recoveries, 1);
         assert!(report.retries > 0, "downtime ops must be retried");

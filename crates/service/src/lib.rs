@@ -51,7 +51,7 @@ pub mod journal;
 pub mod replica;
 pub mod service;
 
-pub use driver::{DriverConfig, HostDriveReport, RetryPolicy, ServiceDriver};
+pub use driver::{DriverConfig, HostDriveReport, ServiceDriver};
 pub use event::{ServiceEvent, ServiceOp};
 pub use host::{
     ApplyOutcome, HostConfig, HostError, HostState, HostStats, RecoveryReport, ServiceHost,

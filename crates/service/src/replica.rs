@@ -30,7 +30,7 @@
 //! index — a deterministic rule, so a re-run fails over identically.
 //! The promoted member is caught up from the log before it serves. With
 //! no member up, the set answers [`HostError::Unavailable`] with the
-//! earliest scheduled restart, and the driver's [`RetryPolicy`] does
+//! earliest scheduled restart, and the driver's retry discipline does
 //! what it does for a single host: re-route and re-send.
 //!
 //! # Divergence diagnostics
@@ -52,8 +52,6 @@
 //! count, which yields the same bytes for the same state. In-sync
 //! members have journaled the same entries, so the embedded cursors
 //! agree too.
-//!
-//! [`RetryPolicy`]: crate::RetryPolicy
 
 use crate::event::ServiceOp;
 use crate::host::{ApplyOutcome, HostConfig, HostError, HostState, ServiceHost};

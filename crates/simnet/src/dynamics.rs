@@ -1,21 +1,26 @@
-//! The dynamics layer: churn, partitions and regional latency as one
-//! executable plan.
+//! The dynamics layer: churn, partitions and outages as one executable
+//! plan.
 //!
 //! The [`churn`](crate::churn) and [`partition`](crate::partition)
 //! modules define the *parameters* of a realistic decentralized
 //! substrate — session-based joins/leaves/crashes, whitewashing
-//! re-joins, clean splits, slow WAN borders. A [`DynamicsPlan`] composes
-//! them into a declarative schedule and a [`DynamicsRuntime`] — the one
+//! re-joins, clean splits. A [`DynamicsPlan`] composes them into a
+//! declarative schedule and a [`DynamicsRuntime`] — the one
 //! churn executor of the workspace — samples and *executes* it against
 //! a [`Network`] on the simulation clock: churn transitions interleave
 //! with message delivery at their exact event times, whitewash
 //! re-joins allocate fresh identities, and loss models swap at
-//! partition/heal boundaries.
+//! partition/heal boundaries. Regional latency is not part of the plan:
+//! it is a transport setting, a [`RegionalLatency`] in the
+//! [`NetworkConfig`] the network is built with.
+//!
+//! [`RegionalLatency`]: crate::RegionalLatency
+//! [`NetworkConfig`]: crate::NetworkConfig
 //!
 //! Two execution modes share the same schedule:
 //!
 //! * [`DynamicsRuntime::advance`] drives a real [`Network`]
-//!   (`set_alive`, loss/latency swaps) — the protocol round driver uses
+//!   (`set_alive`, loss swaps) — the protocol round driver uses
 //!   this;
 //! * [`DynamicsRuntime::advance_detached`] updates only the abstract
 //!   state (online flags, identities, active partition) — the scenario
@@ -27,7 +32,7 @@
 
 use crate::churn::ChurnConfig;
 use crate::network::Network;
-use crate::partition::{GroupMap, PartitionedLoss, RegionalLatency, MAX_GROUPS};
+use crate::partition::{GroupMap, PartitionedLoss, MAX_GROUPS};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::NodeId;
@@ -134,34 +139,9 @@ impl OutageWindow {
     }
 }
 
-/// A static regional topology: `groups` contiguous regions with
-/// constant intra/inter-region one-way delay, installed once when the
-/// runtime attaches to a network.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegionPlan {
-    /// Number of contiguous regions.
-    pub groups: usize,
-    /// Delay within a region.
-    pub intra: SimDuration,
-    /// Delay across regions.
-    pub inter: SimDuration,
-}
-
-impl RegionPlan {
-    fn validate(&self) -> Result<(), String> {
-        if !(1..=MAX_GROUPS).contains(&self.groups) {
-            return Err(format!(
-                "regions need at least one group and at most {MAX_GROUPS} groups, got {}",
-                self.groups
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// The full dynamics schedule of one experiment.
 ///
-/// The default plan is *static* (no churn, no partitions, no regions):
+/// The default plan is *static* (no churn, no partitions, no outages):
 /// attaching it is a no-op, and every layer above guarantees that a
 /// static plan leaves outcomes bit-identical to running with no plan at
 /// all.
@@ -175,22 +155,11 @@ pub struct DynamicsPlan {
     pub initial_offline: f64,
     /// Scheduled partitions, in chronological, non-overlapping order.
     pub partitions: Vec<PartitionWindow>,
-    /// Static regional latency, if any.
-    pub regions: Option<RegionPlan>,
     /// Targeted downtime windows (non-overlapping per node).
     pub outages: Vec<OutageWindow>,
 }
 
 impl DynamicsPlan {
-    /// Whether this plan changes anything at all.
-    pub fn is_static(&self) -> bool {
-        self.churn.is_none()
-            && self.initial_offline == 0.0
-            && self.partitions.is_empty()
-            && self.regions.is_none()
-            && self.outages.is_empty()
-    }
-
     /// Validates the plan.
     ///
     /// # Errors
@@ -207,9 +176,6 @@ impl DynamicsPlan {
             return Err("initial_offline requires churn (offline nodes could never join)".into());
         }
         PartitionWindow::validate_schedule(&self.partitions)?;
-        if let Some(regions) = &self.regions {
-            regions.validate()?;
-        }
         for (i, outage) in self.outages.iter().enumerate() {
             outage.validate().map_err(|e| format!("outage {i}: {e}"))?;
             for (j, other) in self.outages.iter().enumerate().take(i) {
@@ -259,19 +225,6 @@ impl DynamicsPlan {
     pub fn split_then_heal(start: SimTime, end: SimTime) -> Self {
         DynamicsPlan {
             partitions: vec![PartitionWindow::full_split(start, end, 2)],
-            ..Default::default()
-        }
-    }
-
-    /// Preset: `groups` WAN regions — fast local links, slow
-    /// cross-region links, no loss.
-    pub fn wan_regions(groups: usize, intra: SimDuration, inter: SimDuration) -> Self {
-        DynamicsPlan {
-            regions: Some(RegionPlan {
-                groups,
-                intra,
-                inter,
-            }),
             ..Default::default()
         }
     }
@@ -488,7 +441,7 @@ impl DynamicsRuntime {
     }
 
     /// Applies the *current* abstract state to a network: kills the
-    /// offline slots, installs the regional latency model, and — if a
+    /// offline slots and — if a
     /// partition window is already active (the runtime may have run
     /// detached before attaching) — swaps its loss model in. The round
     /// driver calls this once when the runtime is attached.
@@ -506,14 +459,6 @@ impl DynamicsRuntime {
             if !self.online[slot] {
                 network.set_alive(NodeId::from_index(slot), false);
             }
-        }
-        if let Some(regions) = &self.plan.regions {
-            let map = GroupMap::contiguous(self.n, regions.groups);
-            network.set_latency(Box::new(RegionalLatency::new(
-                map,
-                regions.intra,
-                regions.inter,
-            )));
         }
         if self.in_window && self.displaced_loss.is_none() {
             let spec = &self.plan.partitions[self.window_cursor];
@@ -853,7 +798,6 @@ mod tests {
     #[test]
     fn static_plan_is_a_no_op() {
         let plan = DynamicsPlan::default();
-        assert!(plan.is_static());
         let mut runtime = DynamicsRuntime::new(plan, 8, SimRng::seed_from_u64(1)).unwrap();
         let mut net = network(8);
         runtime.install(&mut net);
@@ -906,13 +850,8 @@ mod tests {
             )],
             ..Default::default()
         };
-        let regions =
-            |groups| DynamicsPlan::wan_regions(groups, SimDuration::ZERO, SimDuration::ZERO);
         assert!(split(MAX_GROUPS).validate().is_ok());
-        assert!(regions(MAX_GROUPS).validate().is_ok());
         let err = split(MAX_GROUPS + 1).validate().unwrap_err();
-        assert!(err.contains("at most 65536 groups"), "{err}");
-        let err = regions(MAX_GROUPS + 1).validate().unwrap_err();
         assert!(err.contains("at most 65536 groups"), "{err}");
         // Nor can a runtime be built over a plan that would alias.
         assert!(
@@ -1084,7 +1023,10 @@ mod tests {
     #[test]
     fn steady_offline_edge_probabilities() {
         let round = SimDuration::from_secs(3600);
-        assert!(DynamicsPlan::steady_offline(0.0, round).is_static());
+        assert_eq!(
+            DynamicsPlan::steady_offline(0.0, round),
+            DynamicsPlan::default()
+        );
         for (p, valid) in [
             (1.0, true),
             (1e-300, true),
@@ -1185,26 +1127,6 @@ mod tests {
         detached.install(&mut late_net);
         detached.advance(&mut late_net, SimTime::from_secs(10));
         assert!(!detached.partition_active());
-    }
-
-    #[test]
-    fn regions_install_regional_latency() {
-        let n = 4;
-        let plan =
-            DynamicsPlan::wan_regions(2, SimDuration::from_millis(5), SimDuration::from_millis(80));
-        let mut runtime = DynamicsRuntime::new(plan, n, SimRng::seed_from_u64(6)).unwrap();
-        let mut net = network(n);
-        runtime.install(&mut net);
-        let (_, local) = net.send(NodeId(0), NodeId(1), "local".into());
-        let (_, remote) = net.send(NodeId(0), NodeId(3), "remote".into());
-        assert_eq!(
-            local,
-            crate::network::DeliveryOutcome::Scheduled(SimTime::from_millis(5))
-        );
-        assert_eq!(
-            remote,
-            crate::network::DeliveryOutcome::Scheduled(SimTime::from_millis(80))
-        );
     }
 
     #[test]
@@ -1349,7 +1271,6 @@ mod tests {
             0.3,
         );
         assert!(plan.validate().is_ok());
-        assert!(!plan.is_static());
         let mut runtime = DynamicsRuntime::new(plan, 200, SimRng::seed_from_u64(22)).unwrap();
         assert!(runtime.availability() < 0.2, "95% start offline");
         runtime.advance_detached(SimTime::from_secs(10));

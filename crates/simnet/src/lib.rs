@@ -21,7 +21,7 @@
 //!   the lifecycle vocabulary of the reputation literature the paper
 //!   builds on;
 //! * **dynamic** — a [`DynamicsPlan`] composes churn, scheduled
-//!   partitions and regional latency into one schedule that a
+//!   partitions and targeted outages into one schedule that a
 //!   [`DynamicsRuntime`] samples and executes against the network on
 //!   the sim clock (see the [`dynamics`] module);
 //! * **fault-injectable** — a [`FaultPlan`] schedules process crashes
@@ -70,7 +70,7 @@ pub mod time;
 
 pub use churn::ChurnConfig;
 pub use codec::{ByteReader, ByteWriter};
-pub use dynamics::{DynamicsEvent, DynamicsPlan, DynamicsRuntime, PartitionWindow, RegionPlan};
+pub use dynamics::{DynamicsEvent, DynamicsPlan, DynamicsRuntime, PartitionWindow};
 pub use faults::{
     FaultInjector, FaultPlan, FaultTarget, ProcessFault, StorageFault, StorageFaultKind,
 };

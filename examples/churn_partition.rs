@@ -1,11 +1,13 @@
 //! A realistic substrate: churn, a partition that heals, and WAN
-//! regions — the dynamics layer end-to-end.
+//! regions — the dynamics layer end-to-end over a regional transport.
 //!
 //! Three gossip runs over the same overlay and evidence:
 //!
 //! 1. a **stable LAN** baseline;
 //! 2. a **churny WAN** (session-based joins/leaves/crashes over two
-//!    slow-linked regions, with whitewashing re-joins);
+//!    slow-linked regions, with whitewashing re-joins) — the regions are
+//!    a [`RegionalLatency`] in the network's configuration, the churn a
+//!    [`DynamicsPlan`];
 //! 3. a **split-then-heal** schedule: a clean two-way partition for the
 //!    first 20 rounds, healed mid-run by the dynamics runtime.
 //!
@@ -17,17 +19,21 @@
 use tsn::graph::generators;
 use tsn::protocol::{GossipConfig, GossipNetwork};
 use tsn::simnet::{
-    dynamics::DynamicsPlan, latency::ConstantLatency, ChurnConfig, Network, NetworkConfig, NoLoss,
-    NodeId, SimDuration, SimRng, SimTime,
+    dynamics::DynamicsPlan, latency::ConstantLatency, ChurnConfig, GroupMap, LatencyModel, Network,
+    NetworkConfig, NoLoss, NodeId, RegionalLatency, SimDuration, SimRng, SimTime,
 };
 
 const N: usize = 60;
 
-fn fresh_gossip(seed: u64) -> GossipNetwork {
+fn lan() -> Box<dyn LatencyModel> {
+    Box::new(ConstantLatency(SimDuration::from_millis(10)))
+}
+
+fn fresh_gossip(seed: u64, latency: Box<dyn LatencyModel>) -> GossipNetwork {
     let mut rng = SimRng::seed_from_u64(seed);
     let graph = generators::watts_strogatz(N, 6, 0.1, &mut rng).expect("valid overlay");
     let config = NetworkConfig {
-        latency: Box::new(ConstantLatency(SimDuration::from_millis(10))),
+        latency,
         loss: Box::new(NoLoss),
     };
     let mut network = Network::new(config, rng.fork(1));
@@ -59,21 +65,27 @@ fn main() {
     println!("gossip over {N} nodes, 40 rounds each\n");
 
     // 1. Stable LAN baseline.
-    let mut stable = fresh_gossip(7);
+    let mut stable = fresh_gossip(7, lan());
     stable.run(40);
     print_summary("stable-lan", &stable);
 
     // 2. Churny WAN: two slow-linked regions, session churn with
     //    whitewashing.
-    let mut churny = fresh_gossip(7);
-    let mut plan =
-        DynamicsPlan::wan_regions(2, SimDuration::from_millis(5), SimDuration::from_millis(80));
-    plan.churn = Some(ChurnConfig {
-        mean_session: SimDuration::from_millis(1_200), // ~12 rounds
-        mean_downtime: SimDuration::from_millis(400),
-        whitewash_probability: 0.2,
-        crash_fraction: 0.5,
-    });
+    let wan = RegionalLatency::new(
+        GroupMap::contiguous(N, 2),
+        SimDuration::from_millis(5),
+        SimDuration::from_millis(80),
+    );
+    let mut churny = fresh_gossip(7, Box::new(wan));
+    let plan = DynamicsPlan {
+        churn: Some(ChurnConfig {
+            mean_session: SimDuration::from_millis(1_200), // ~12 rounds
+            mean_downtime: SimDuration::from_millis(400),
+            whitewash_probability: 0.2,
+            crash_fraction: 0.5,
+        }),
+        ..Default::default()
+    };
     churny
         .attach_dynamics(plan, SimRng::seed_from_u64(8))
         .expect("valid plan");
@@ -81,7 +93,7 @@ fn main() {
     print_summary("churny-wan", &churny);
 
     // 3. Split for 20 rounds, then heal mid-run.
-    let mut split = fresh_gossip(7);
+    let mut split = fresh_gossip(7, lan());
     split
         .attach_dynamics(
             DynamicsPlan::split_then_heal(SimTime::ZERO, SimTime::from_millis(2_050)),

@@ -40,7 +40,6 @@ fn main() {
         GossipConfig {
             subjects: n,
             round_length: SimDuration::from_millis(150),
-            ..Default::default()
         },
         rng.fork(2),
     );

@@ -30,7 +30,7 @@ use tsn::core::{FacetScores, PolicyProfile};
 use tsn::reputation::MechanismKind;
 use tsn::service::{
     checkpoint_sections, DriverConfig, EventJournal, HostConfig, ReplicaConfig, ReplicaSet,
-    RetryPolicy, ServiceConfig, ServiceDriver, ServiceHost, TrustService,
+    ServiceConfig, ServiceDriver, ServiceHost, TrustService,
 };
 use tsn::simnet::{FaultInjector, FaultPlan, MembershipConfig, SimDuration, SimTime};
 
@@ -486,7 +486,7 @@ fn serve_hosted(
         host.attach_faults(FaultInjector::new(plan, driver.config().seed)?);
         eprintln!("fault plan: crash at {crash_at}s, restart after {down}s");
     }
-    let report = driver.drive_host(&mut host, epochs, &RetryPolicy::default())?;
+    let report = driver.drive_host(&mut host, epochs)?;
     let stats = host.stats();
     eprintln!(
         "host: {} crashes, {} recoveries, {} checkpoints written, {} journal records \
@@ -497,7 +497,7 @@ fn serve_hosted(
         host.journal().records(),
         host.journal().byte_len(),
         host.journal().segments().len(),
-        stats.journal_segments_gced,
+        host.journal().gc_segments(),
     );
     eprintln!(
         "client: {} ops applied, {} retried, {} degraded answers, {} abandoned",
@@ -557,7 +557,7 @@ fn serve_replicated(
         set.attach_faults(FaultInjector::new(plan, driver.config().seed)?);
         eprintln!("fault plan: kill primary (replica 0) at {kill_at}s, restart after {down}s");
     }
-    let report = driver.drive_replicas(&mut set, epochs, &RetryPolicy::default())?;
+    let report = driver.drive_replicas(&mut set, epochs)?;
     for f in set.failovers() {
         eprintln!(
             "failover: replica {} -> {} at {:.0}s (epoch {}, {} log entries caught up)",
@@ -784,7 +784,7 @@ fn replay_from_storage(flags: &Flags) -> Result<(), String> {
     let extra: u64 = flags.parse("--epochs", 0)?;
     let driver = ServiceDriver::new(driver_config(flags, host.config().service.nodes)?)?;
     if extra > 0 {
-        driver.drive_host(&mut host, extra, &RetryPolicy::default())?;
+        driver.drive_host(&mut host, extra)?;
     }
     let service = host.service().ok_or("the service ended the run down")?;
     if flags.has("--verify") {

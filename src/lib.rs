@@ -48,8 +48,8 @@ pub mod prelude {
     };
     pub use tsn_reputation::MechanismKind;
     pub use tsn_service::{
-        DriverConfig, HostConfig, RetryPolicy, ServiceConfig, ServiceDriver, ServiceEvent,
-        ServiceHost, ServiceOp, Staleness, TrustService,
+        DriverConfig, HostConfig, ServiceConfig, ServiceDriver, ServiceEvent, ServiceHost,
+        ServiceOp, Staleness, TrustService,
     };
     pub use tsn_simnet::{
         DynamicsPlan, DynamicsRuntime, FaultInjector, FaultPlan, NodeId, PartitionWindow,

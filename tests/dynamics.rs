@@ -18,7 +18,8 @@ use tsn::protocol::{GossipConfig, GossipNetwork};
 use tsn::simnet::{
     dynamics::{DynamicsPlan, DynamicsRuntime, PartitionWindow},
     latency::ConstantLatency,
-    ChurnConfig, Network, NetworkConfig, NoLoss, NodeId, SimDuration, SimRng, SimTime,
+    ChurnConfig, GroupMap, Network, NetworkConfig, NoLoss, NodeId, RegionalLatency, SimDuration,
+    SimRng, SimTime,
 };
 
 /// A clean-network gossip instance over a two-community-friendly
@@ -114,14 +115,15 @@ fn static_plan_is_bit_identical_to_no_plan() {
 fn wan_regions_slow_but_do_not_prevent_convergence() {
     let n = 20;
     let mut gossip = gossip_with_lower_half_evidence(n, 300);
-    let plan = DynamicsPlan::wan_regions(
-        2,
-        SimDuration::from_millis(5),
-        SimDuration::from_millis(450),
-    );
+    // Regional latency is a transport setting, installed before the
+    // first round.
     gossip
-        .attach_dynamics(plan, SimRng::seed_from_u64(301))
-        .expect("valid plan");
+        .network_mut()
+        .set_latency(Box::new(RegionalLatency::new(
+            GroupMap::contiguous(n, 2),
+            SimDuration::from_millis(5),
+            SimDuration::from_millis(450),
+        )));
     gossip.run(80);
     let report = gossip.report();
     assert!(
@@ -269,8 +271,7 @@ fn scenario_whitewash_attack_erodes_reputation_power() {
 
 #[test]
 fn scenario_with_noop_plan_is_bit_identical_to_no_plan() {
-    // Attaching a plan that does nothing — the static default, or a
-    // regions-only plan (the abstract engine feels no latency) — must
+    // Attaching a plan that does nothing — the static default — must
     // not shift a single RNG draw: outcomes stay bit-identical.
     let fingerprint = |builder: ScenarioBuilder| {
         let o = builder.seed(540).run().expect("valid configuration");
@@ -286,13 +287,7 @@ fn scenario_with_noop_plan_is_bit_identical_to_no_plan() {
     };
     let baseline = fingerprint(ScenarioBuilder::small());
     let static_plan = fingerprint(ScenarioBuilder::small().dynamics(DynamicsPlan::default()));
-    let regions_only = fingerprint(ScenarioBuilder::small().dynamics(DynamicsPlan::wan_regions(
-        2,
-        SimDuration::from_millis(10),
-        SimDuration::from_millis(150),
-    )));
     assert_eq!(baseline, static_plan, "static plan must be a no-op");
-    assert_eq!(baseline, regions_only, "regions-only plan must be a no-op");
 }
 
 #[test]

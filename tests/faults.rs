@@ -283,9 +283,7 @@ fn faulted_runs_replay_bit_for_bit() {
         let mut plan = FaultPlan::service_crash(SimTime::from_secs(80), SimDuration::from_secs(15));
         plan.storage = FaultPlan::bit_rot(SimTime::from_secs(55), SimTime::from_secs(65)).storage;
         host.attach_faults(FaultInjector::new(plan, 21).expect("valid plan"));
-        let report = driver
-            .drive_host(&mut host, 3, &RetryPolicy::default())
-            .expect("drive succeeds");
+        let report = driver.drive_host(&mut host, 3).expect("drive succeeds");
         (
             report,
             host.stats(),

@@ -429,46 +429,6 @@ fn group_map_partitions_everything() {
     }
 }
 
-/// Retention compliance rate is always in [0, 1] and total resolved
-/// copies are conserved.
-#[test]
-fn retention_accounting_conserves() {
-    use tsn::privacy::RetentionTracker;
-    use tsn::simnet::SimDuration;
-    let mut rng = rng_for(14);
-    for case in 0..CASES {
-        let grants = rng.gen_range(1..30usize);
-        let delete_at = rng.gen_range(0..200u64);
-        let retention_secs = rng.gen_range(1..100u64);
-        let policy = PrivacyPolicy::builder(DataCategory::Content)
-            .retention(SimDuration::from_secs(retention_secs))
-            .build()
-            .unwrap();
-        let mut tracker = RetentionTracker::new();
-        for holder in 0..grants {
-            tracker.grant(
-                NodeId(0),
-                NodeId::from_index(holder + 1),
-                &policy,
-                SimTime::ZERO,
-            );
-        }
-        assert_eq!(tracker.live_copies(), grants, "case {case}");
-        // Half the holders delete; the rest are swept.
-        for holder in 0..grants / 2 {
-            tracker.delete(
-                NodeId::from_index(holder + 1),
-                NodeId(0),
-                SimTime::from_secs(delete_at),
-            );
-        }
-        tracker.sweep_expired(SimTime::from_secs(500), |_| false);
-        assert_eq!(tracker.live_copies(), 0, "case {case}");
-        let rate = tracker.compliance_rate();
-        assert!((0.0..=1.0).contains(&rate), "case {case}: rate {rate}");
-    }
-}
-
 /// The O(n log n) balanced-detection-accuracy sweep is bit-identical to
 /// a naive O(n²) per-threshold rescan — on random inputs with heavy
 /// ties, signed zeros, infinities and NaN scores. (A NaN score can

@@ -187,7 +187,6 @@ fn regional_latency_slows_cross_region_gossip() {
         GossipConfig {
             subjects: n,
             round_length: SimDuration::from_millis(100),
-            ..Default::default()
         },
         rng.fork(1),
     );

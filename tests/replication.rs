@@ -289,9 +289,7 @@ fn recovery_opens_a_bounded_segment_suffix_regardless_of_age() {
     let mut created = Vec::new();
     for epochs in [4u64, 12] {
         let mut host = ServiceHost::new(config.clone()).expect("valid host");
-        driver
-            .drive_host(&mut host, epochs, &RetryPolicy::default())
-            .expect("clean run");
+        driver.drive_host(&mut host, epochs).expect("clean run");
         let crash_at = host.service().expect("up").now();
         host.crash(crash_at);
         host.restart(crash_at).expect("recovery succeeds");

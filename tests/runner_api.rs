@@ -25,15 +25,7 @@ fn builder_rejects_bad_knobs_with_field_names() {
         ),
         (ScenarioBuilder::new().graph(5, 0.1), "graph_degree"),
         (ScenarioBuilder::new().graph(8, 1.5), "graph_beta"),
-        (
-            ScenarioBuilder::new().consumer_role_weight(7.0),
-            "consumer_role_weight",
-        ),
         (ScenarioBuilder::new().refresh_every(0), "refresh_every"),
-        (
-            ScenarioBuilder::new().ballot_stuffing(0),
-            "ballot_stuffing_factor",
-        ),
         (ScenarioBuilder::new().malicious_fraction(1.1), "population"),
     ] {
         let err = builder.build().expect_err("knob must be rejected");
