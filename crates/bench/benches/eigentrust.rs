@@ -8,8 +8,8 @@
 use tsn_bench::harness::{Bench, BenchSuite};
 use tsn_reputation::mechanism::build_mechanism;
 use tsn_reputation::{
-    DisclosurePolicy, EigenTrust, EigenTrustConfig, FeedbackReport, InteractionOutcome,
-    MechanismKind, ReputationMechanism,
+    DisclosurePolicy, EigenTrust, FeedbackReport, InteractionOutcome, MechanismKind,
+    ReputationMechanism,
 };
 use tsn_simnet::{NodeId, SimRng, SimTime};
 
@@ -56,7 +56,7 @@ fn main() {
     let bench = Bench::new("eigentrust_refresh").samples(10);
     for n in [100usize, 500, 1000] {
         let reports = random_reports(n, n * 20, 7);
-        let mut m = EigenTrust::new(n, EigenTrustConfig::default());
+        let mut m = EigenTrust::new(n, Vec::new());
         for r in &reports {
             m.record(&policy.view(r));
         }

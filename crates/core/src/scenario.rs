@@ -757,10 +757,7 @@ impl Scenario {
                     .filter(|&n| !population.is_adversarial(n))
                     .take(config.pretrusted)
                     .collect();
-                Box::new(tsn_reputation::EigenTrust::new(
-                    config.nodes,
-                    tsn_reputation::EigenTrustConfig { pretrusted },
-                ))
+                Box::new(tsn_reputation::EigenTrust::new(config.nodes, pretrusted))
             } else {
                 tsn_reputation::mechanism::build_mechanism(config.mechanism, config.nodes)
             };

@@ -8,7 +8,7 @@
 //! lost under anonymization, again exactly the trade-off the paper plots.
 
 use crate::gathering::ReportView;
-use crate::mechanism::{MechanismKind, ReputationMechanism};
+use crate::mechanism::{drained, MechanismKind, ReputationMechanism};
 use tsn_simnet::NodeId;
 
 /// The Beta reputation mechanism.
@@ -143,7 +143,7 @@ impl ReputationMechanism for BetaReputation {
         for x in self.pos.iter_mut().chain(self.neg.iter_mut()) {
             *x = r.take_f64()?;
         }
-        Ok(())
+        drained(&r, "Beta")
     }
 }
 

@@ -19,18 +19,15 @@
 //! identities therefore smoothly reduces EigenTrust toward a plain mean —
 //! precisely the reputation-power loss the paper's Figure 2 plots.
 //!
-//! **Performance.** The local-trust matrix is a `LocalMatrix`: a
-//! CSR-style adjacency `record()` updates in place, iterated in
-//! deterministic (rater, ratee) order. `power_iterate` reuses the row
-//! storage and ping-pongs two resident `t`/`next` buffers, so a refresh
-//! allocates nothing — the former `HashMap` version rebuilt row storage
-//! and allocated a fresh `next` vector per iteration, and its random
-//! iteration order made low-order float bits vary between runs.
+//! **Shared evidence.** The cells, the anonymous pools, the opinion cache
+//! and the walk live in the crate's `EvidenceStore`, which PowerTrust
+//! shares. This module adds the `s_ij` cell, the pre-trusted prior the
+//! walk teleports to, and the snapshot codec of the checkpoint's
+//! mechanism section.
 
 use crate::gathering::ReportView;
-use crate::local_matrix::{LocalMatrix, UpsertMemo};
 use crate::mechanism::{MechanismKind, ReputationMechanism};
-use crate::walk::WalkMatrix;
+use crate::walk::{EvidenceCell, EvidenceStore};
 use tsn_simnet::NodeId;
 
 /// Teleport probability toward pre-trusted peers (the paper's `a`).
@@ -42,17 +39,8 @@ const EPSILON: f64 = 1e-9;
 /// Iteration cap per [`ReputationMechanism::refresh`].
 const MAX_ITERATIONS: usize = 200;
 
-/// EigenTrust parameters.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EigenTrustConfig {
-    /// Pre-trusted peers. Empty means "uniform prior over all peers",
-    /// which is the paper's fallback when no pre-trust exists.
-    pub pretrusted: Vec<NodeId>,
-}
-
 /// One (rater, ratee) cell: `s_ij` (satisfactory − unsatisfactory) feeds
-/// the C matrix; the value mean feeds the trust-weighted opinion
-/// aggregation.
+/// the C matrix, the value mean the trust-weighted opinion.
 #[derive(Debug, Clone, Copy, Default)]
 struct LocalCell {
     s: f64,
@@ -60,165 +48,64 @@ struct LocalCell {
     count: u64,
 }
 
+impl EvidenceCell for LocalCell {
+    fn add(&mut self, report: &ReportView) {
+        // s_ij += value for success, −1 for failure (paper: sat − unsat).
+        self.s += if report.success { report.value() } else { -1.0 };
+        self.value_sum += report.value();
+        self.count += 1;
+    }
+
+    fn weight(&self) -> f64 {
+        self.s
+    }
+
+    fn value_mean(&self) -> Option<f64> {
+        (self.count > 0).then(|| self.value_sum / self.count as f64)
+    }
+}
+
 /// The EigenTrust mechanism.
 #[derive(Debug, Clone)]
 pub struct EigenTrust {
-    config: EigenTrustConfig,
-    n: usize,
-    /// Sparse local trust, updated in place by `record`.
-    local: LocalMatrix<LocalCell>,
-    /// Per-ratee anonymous pool: (sum of values, count).
-    anon: Vec<(f64, u64)>,
-    /// Count of identified vs anonymous reports, for blending.
-    identified_reports: u64,
-    anonymous_reports: u64,
-    /// Cached global trust vector (a distribution over nodes).
-    global: Vec<f64>,
-    /// Cached trust-weighted opinion per node: (weighted value sum, weight).
-    opinion: Vec<(f64, f64)>,
-    dirty: bool,
-    last_iterations: usize,
+    /// Pre-trusted peers. Empty means "uniform prior over all peers",
+    /// which is the paper's fallback when no pre-trust exists.
+    pretrusted: Vec<NodeId>,
+    store: EvidenceStore<LocalCell>,
     /// Teleport distribution (recomputed only when the population grows).
     prior: Vec<f64>,
-    /// The shared power-iteration engine (flat normalized matrix +
-    /// ping-pong buffers, all resident across refreshes).
-    walk: WalkMatrix,
-    /// Flat (rater, ratee, value mean) image of the rated cells,
-    /// captured during the walk rebuild for the opinion pass.
-    opinion_src: Vec<(u32, u32, f64)>,
 }
 
 impl EigenTrust {
-    /// Creates an instance for `n` nodes.
-    pub fn new(n: usize, config: EigenTrustConfig) -> Self {
-        let prior = Self::compute_prior(&config.pretrusted, n);
+    /// Creates an instance for `n` nodes whose walk teleports to
+    /// `pretrusted` (uniformly to everyone when empty).
+    pub fn new(n: usize, pretrusted: Vec<NodeId>) -> Self {
+        let prior = compute_prior(&pretrusted, n);
         EigenTrust {
-            config,
-            n,
-            local: LocalMatrix::new(n),
-            anon: vec![(0.0, 0); n],
-            identified_reports: 0,
-            anonymous_reports: 0,
-            global: vec![1.0 / n.max(1) as f64; n],
-            opinion: vec![(0.0, 0.0); n],
-            dirty: true,
-            last_iterations: 0,
+            pretrusted,
+            store: EvidenceStore::new(n),
             prior,
-            walk: WalkMatrix::default(),
-            opinion_src: Vec::new(),
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &EigenTrustConfig {
-        &self.config
     }
 
     /// The raw global trust distribution (sums to 1). Prefer
     /// [`ReputationMechanism::score`] for `\[0, 1\]`-comparable values.
     pub fn global_trust(&mut self) -> &[f64] {
-        if self.dirty {
-            self.power_iterate();
-        }
-        &self.global
+        self.refresh();
+        self.store.global()
     }
+}
 
-    /// Iterations used by the most recent refresh.
-    pub fn last_iterations(&self) -> usize {
-        self.last_iterations
+fn compute_prior(pretrusted: &[NodeId], n: usize) -> Vec<f64> {
+    if pretrusted.is_empty() {
+        return vec![1.0 / n.max(1) as f64; n];
     }
-
-    fn compute_prior(pretrusted: &[NodeId], n: usize) -> Vec<f64> {
-        if pretrusted.is_empty() {
-            vec![1.0 / n.max(1) as f64; n]
-        } else {
-            let mut p = vec![0.0; n];
-            let share = 1.0 / pretrusted.len() as f64;
-            for &node in pretrusted {
-                if node.index() < n {
-                    p[node.index()] += share;
-                }
-            }
-            p
-        }
+    let mut p = vec![0.0; n];
+    let share = 1.0 / pretrusted.len() as f64;
+    for node in pretrusted.iter().filter(|node| node.index() < n) {
+        p[node.index()] += share;
     }
-
-    fn power_iterate(&mut self) {
-        let n = self.n;
-        if n == 0 {
-            self.dirty = false;
-            self.last_iterations = 0;
-            return;
-        }
-        // Row-normalize the positive local trust (`c_ij = max(s,0) /
-        // Σ max(s,0)`) into the walk engine; raters with no positive
-        // trust are dangling — their mass teleports to the prior. The
-        // same traversal flattens each rated cell's value mean for the
-        // opinion pass below.
-        let opinion_src = &mut self.opinion_src;
-        opinion_src.clear();
-        self.walk.rebuild(
-            n,
-            &self.local,
-            |cell| cell.s,
-            |i, j, cell| {
-                if cell.count > 0 {
-                    opinion_src.push((i, j, cell.value_sum / cell.count as f64));
-                }
-            },
-        );
-        let iterations = self
-            .walk
-            .stationary(&self.prior, ALPHA, EPSILON, MAX_ITERATIONS);
-        self.global.clear();
-        self.global.extend_from_slice(self.walk.solution());
-        // Cache the trust-weighted opinion aggregation for O(1) scoring,
-        // over the flat (rater, ratee) image in deterministic order.
-        self.opinion.clear();
-        self.opinion.resize(n, (0.0, 0.0));
-        for &(i, j, mean) in &self.opinion_src {
-            // Floor on rater weight so fresh raters are heard faintly.
-            let w = self.global[i as usize].max(1e-6);
-            let slot = &mut self.opinion[j as usize];
-            slot.0 += w * mean;
-            slot.1 += w;
-        }
-        self.dirty = false;
-        self.last_iterations = iterations;
-    }
-
-    fn blend_weight(&self) -> f64 {
-        let total = self.identified_reports + self.anonymous_reports;
-        if total == 0 {
-            1.0
-        } else {
-            self.identified_reports as f64 / total as f64
-        }
-    }
-
-    fn record_memo(&mut self, report: &ReportView, memo: &mut UpsertMemo) {
-        let ratee = report.ratee.0;
-        debug_assert!((ratee as usize) < self.n, "ratee out of range");
-        match report.rater {
-            Some(rater) if rater != report.ratee => {
-                // s_ij += value for success, −1 for failure (paper: sat − unsat).
-                let delta = if report.success { report.value() } else { -1.0 };
-                let cell = self.local.upsert_memo(rater.0, ratee, memo);
-                cell.s += delta;
-                cell.value_sum += report.value();
-                cell.count += 1;
-                self.identified_reports += 1;
-            }
-            Some(_) => { /* self-rating is ignored */ }
-            None => {
-                let entry = &mut self.anon[ratee as usize];
-                entry.0 += report.value();
-                entry.1 += 1;
-                self.anonymous_reports += 1;
-            }
-        }
-        self.dirty = true;
-    }
+    p
 }
 
 impl ReputationMechanism for EigenTrust {
@@ -227,61 +114,31 @@ impl ReputationMechanism for EigenTrust {
     }
 
     fn resize(&mut self, n: usize) {
-        if n > self.n {
-            self.n = n;
-            self.local.resize(n);
-            self.anon.resize(n, (0.0, 0));
-            self.opinion.resize(n, (0.0, 0.0));
-            self.global = vec![1.0 / n as f64; n];
-            self.prior = Self::compute_prior(&self.config.pretrusted, n);
-            self.dirty = true;
+        if self.store.resize(n) {
+            self.prior = compute_prior(&self.pretrusted, n);
         }
     }
 
     fn record(&mut self, report: &ReportView) {
-        self.record_memo(report, &mut UpsertMemo::default());
+        self.store.record(report);
     }
 
     fn record_batch(&mut self, reports: &[ReportView]) {
-        // One memo across the batch: runs of identical (rater, ratee)
-        // keys — ballot-stuffed copies, shard outboxes in rater order —
-        // reuse the found cell instead of re-searching the row. The
-        // per-cell float adds are issued in the same order as looped
-        // `record` calls, so scores stay bit-identical.
-        let mut memo = UpsertMemo::default();
-        for report in reports {
-            self.record_memo(report, &mut memo);
-        }
+        self.store.record_batch(reports);
     }
 
     fn refresh(&mut self) -> usize {
-        // A walk restarts from the teleport vector and reads only state
-        // that sets `dirty` when it moves, so a clean instance's caches
-        // already hold exactly what a new walk would compute.
-        if self.dirty {
-            self.power_iterate();
-        }
-        self.last_iterations
+        // One walk, teleporting to the pre-trusted prior.
+        self.store
+            .refresh(|walk, _| walk.stationary(&self.prior, ALPHA, EPSILON, MAX_ITERATIONS))
     }
 
     fn score(&self, node: NodeId) -> f64 {
-        if node.index() >= self.n {
-            return 0.5;
-        }
-        // EigenTrust aggregation step: the system's opinion about j is the
-        // global-trust-weighted mean of local opinions — colluders with no
-        // trust mass cannot move the score, while the value stays a
-        // `[0, 1]` quality estimate. (Cached by `power_iterate`.)
-        let (weighted, weight) = self.opinion[node.index()];
-        let identified = if weight > 0.0 { weighted / weight } else { 0.5 };
-        let w = self.blend_weight();
-        let (sum, count) = self.anon[node.index()];
-        let anon_mean = if count > 0 { sum / count as f64 } else { 0.5 };
-        w * identified + (1.0 - w) * anon_mean
+        self.store.score(node)
     }
 
     fn len(&self) -> usize {
-        self.n
+        self.store.len()
     }
 
     fn overhead_per_report(&self) -> usize {
@@ -291,84 +148,22 @@ impl ReputationMechanism for EigenTrust {
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        // Layout: n, then the sparse local rows (len + ratee/s/value_sum/
-        // count per cell, ascending ratee), the anonymous pools, the
-        // identified/anonymous counters, and the score caches (`global`,
-        // `opinion`, `dirty`, `last_iterations`). The caches matter:
-        // `score` reads them without refreshing, so a restore that
-        // dropped them would answer queries differently than the
-        // snapshotted instance until the next refresh. `prior` is
-        // derived from configuration and `walk`/`opinion_src` are
-        // rebuilt wholesale by `power_iterate`, so none of them travel.
-        let mut w = tsn_simnet::ByteWriter::new();
-        w.put_u64(self.n as u64);
-        for i in 0..self.n {
-            let row = self.local.row(i);
-            w.put_u64(row.len() as u64);
-            for &(j, cell) in row {
-                w.put_u32(j);
-                w.put_f64(cell.s);
-                w.put_f64(cell.value_sum);
-                w.put_u64(cell.count);
-            }
-        }
-        for &(sum, count) in &self.anon {
-            w.put_f64(sum);
-            w.put_u64(count);
-        }
-        w.put_u64(self.identified_reports);
-        w.put_u64(self.anonymous_reports);
-        for &g in &self.global {
-            w.put_f64(g);
-        }
-        for &(weighted, weight) in &self.opinion {
-            w.put_f64(weighted);
-            w.put_f64(weight);
-        }
-        w.put_u8(self.dirty as u8);
-        w.put_u64(self.last_iterations as u64);
-        Some(w.finish())
+        // Per cell: s, value_sum, count. `prior` is configuration.
+        Some(self.store.snapshot(|w, cell| {
+            w.put_f64(cell.s);
+            w.put_f64(cell.value_sum);
+            w.put_u64(cell.count);
+        }))
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = tsn_simnet::ByteReader::new(bytes);
-        let n = r.take_u64()? as usize;
-        if n != self.n {
-            return Err(format!(
-                "EigenTrust snapshot is for {n} nodes, instance has {}",
-                self.n
-            ));
-        }
-        let mut local: LocalMatrix<LocalCell> = LocalMatrix::new(n);
-        let mut memo = UpsertMemo::default();
-        for i in 0..n {
-            let len = r.take_seq_len(28)?;
-            for _ in 0..len {
-                let j = r.take_u32()?;
-                if j as usize >= n {
-                    return Err(format!("snapshot cell ratee {j} out of range (n = {n})"));
-                }
-                let cell = local.upsert_memo(i as u32, j, &mut memo);
-                cell.s = r.take_f64()?;
-                cell.value_sum = r.take_f64()?;
-                cell.count = r.take_u64()?;
-            }
-        }
-        for slot in self.anon.iter_mut() {
-            *slot = (r.take_f64()?, r.take_u64()?);
-        }
-        self.identified_reports = r.take_u64()?;
-        self.anonymous_reports = r.take_u64()?;
-        for g in self.global.iter_mut() {
-            *g = r.take_f64()?;
-        }
-        for slot in self.opinion.iter_mut() {
-            *slot = (r.take_f64()?, r.take_f64()?);
-        }
-        self.dirty = r.take_u8()? != 0;
-        self.last_iterations = r.take_u64()? as usize;
-        self.local = local;
-        Ok(())
+        self.store.restore(bytes, "EigenTrust", 24, |r| {
+            Ok(LocalCell {
+                s: r.take_f64()?,
+                value_sum: r.take_f64()?,
+                count: r.take_u64()?,
+            })
+        })
     }
 }
 
@@ -396,7 +191,7 @@ mod tests {
 
     #[test]
     fn good_nodes_outrank_bad_nodes() {
-        let mut m = EigenTrust::new(4, EigenTrustConfig::default());
+        let mut m = EigenTrust::new(4, Vec::new());
         let full = DisclosurePolicy::full();
         // 0 and 1 praise each other and node 2; everyone reports node 3 bad.
         for _ in 0..5 {
@@ -414,7 +209,7 @@ mod tests {
 
     #[test]
     fn global_trust_is_a_distribution() {
-        let mut m = EigenTrust::new(5, EigenTrustConfig::default());
+        let mut m = EigenTrust::new(5, Vec::new());
         let full = DisclosurePolicy::full();
         for r in 0..5u32 {
             for e in 0..5u32 {
@@ -431,10 +226,7 @@ mod tests {
 
     #[test]
     fn pretrusted_peers_get_teleport_mass() {
-        let config = EigenTrustConfig {
-            pretrusted: vec![NodeId(0)],
-        };
-        let mut m = EigenTrust::new(3, config);
+        let mut m = EigenTrust::new(3, vec![NodeId(0)]);
         // No reports at all: stationary distribution = prior = all mass on 0.
         m.refresh();
         let t = m.global_trust();
@@ -449,10 +241,7 @@ mod tests {
         // Colluders 2 and 3 praise each other massively; the pretrusted
         // seed 0 rates 1 well and 3 badly. With identity-aware weighting,
         // 1 must outrank 3 despite 3 receiving more praise volume.
-        let config = EigenTrustConfig {
-            pretrusted: vec![NodeId(0)],
-        };
-        let mut m = EigenTrust::new(4, config);
+        let mut m = EigenTrust::new(4, vec![NodeId(0)]);
         let full = DisclosurePolicy::full();
         for _ in 0..3 {
             feed(&mut m, 0, 1, true, &full);
@@ -473,7 +262,7 @@ mod tests {
 
     #[test]
     fn self_ratings_are_ignored() {
-        let mut m = EigenTrust::new(3, EigenTrustConfig::default());
+        let mut m = EigenTrust::new(3, Vec::new());
         let full = DisclosurePolicy::full();
         for _ in 0..10 {
             feed(&mut m, 2, 2, true, &full);
@@ -489,7 +278,7 @@ mod tests {
 
     #[test]
     fn anonymous_reports_still_inform_scores() {
-        let mut m = EigenTrust::new(3, EigenTrustConfig::default());
+        let mut m = EigenTrust::new(3, Vec::new());
         let anon = DisclosurePolicy::minimal();
         for _ in 0..10 {
             feed(&mut m, 0, 1, true, &anon);
@@ -507,7 +296,7 @@ mod tests {
         // With identities, collusion-resistant eigenvector scoring gives a
         // crisper separation than the anonymous mean under mixed feedback.
         let run = |policy: DisclosurePolicy| {
-            let mut m = EigenTrust::new(4, EigenTrustConfig::default());
+            let mut m = EigenTrust::new(4, Vec::new());
             for _ in 0..10 {
                 feed(&mut m, 0, 1, true, &policy);
                 feed(&mut m, 1, 0, true, &policy);
@@ -528,19 +317,19 @@ mod tests {
 
     #[test]
     fn refresh_reports_iterations_and_converges() {
-        let mut m = EigenTrust::new(10, EigenTrustConfig::default());
+        let mut m = EigenTrust::new(10, Vec::new());
         let full = DisclosurePolicy::full();
         for r in 0..10u32 {
             feed(&mut m, r, (r + 1) % 10, true, &full);
         }
         let iters = m.refresh();
         assert!(iters > 0 && iters <= 200);
-        assert_eq!(iters, m.last_iterations());
+        assert_eq!(m.refresh(), iters, "a clean refresh reports the last walk");
     }
 
     #[test]
     fn empty_mechanism_scores_prior() {
-        let mut m = EigenTrust::new(3, EigenTrustConfig::default());
+        let mut m = EigenTrust::new(3, Vec::new());
         m.refresh();
         // Uniform eigenvector: max-normalized score = 1 for everyone.
         let s = m.score(NodeId(0));
@@ -550,7 +339,7 @@ mod tests {
 
     #[test]
     fn resize_grows_tracking() {
-        let mut m = EigenTrust::new(2, EigenTrustConfig::default());
+        let mut m = EigenTrust::new(2, Vec::new());
         m.resize(5);
         assert_eq!(m.len(), 5);
         let full = DisclosurePolicy::full();
@@ -577,8 +366,8 @@ mod tests {
         // The HashMap-backed implementation could differ in low-order
         // float bits between instances (random iteration order); the CSR
         // storage accumulates in a fixed order, so equality is exact.
-        let mut a = EigenTrust::new(30, EigenTrustConfig::default());
-        let mut b = EigenTrust::new(30, EigenTrustConfig::default());
+        let mut a = EigenTrust::new(30, Vec::new());
+        let mut b = EigenTrust::new(30, Vec::new());
         random_feed(&mut a, 30, 600, 9);
         random_feed(&mut b, 30, 600, 9);
         a.refresh();
@@ -595,7 +384,7 @@ mod tests {
 
     #[test]
     fn snapshot_restore_round_trip_is_bit_identical() {
-        let mut a = EigenTrust::new(25, EigenTrustConfig::default());
+        let mut a = EigenTrust::new(25, Vec::new());
         random_feed(&mut a, 25, 500, 3);
         a.refresh();
         // Leave the instance mid-stream (dirty, unrefreshed tail) so the
@@ -603,7 +392,7 @@ mod tests {
         random_feed(&mut a, 25, 100, 4);
         let snap = a.snapshot_state().expect("eigentrust supports snapshots");
 
-        let mut b = EigenTrust::new(25, EigenTrustConfig::default());
+        let mut b = EigenTrust::new(25, Vec::new());
         b.restore_state(&snap).expect("round trip");
         for i in 0..25 {
             assert_eq!(
@@ -636,7 +425,7 @@ mod tests {
 
     #[test]
     fn refresh_of_a_clean_instance_changes_nothing() {
-        let mut m = EigenTrust::new(25, EigenTrustConfig::default());
+        let mut m = EigenTrust::new(25, Vec::new());
         random_feed(&mut m, 25, 400, 8);
         let iterations = m.refresh();
         assert!(iterations > 0);
@@ -644,12 +433,11 @@ mod tests {
         // No report since the walk: the second refresh reports the same
         // iterations and leaves every cached bit in place.
         assert_eq!(m.refresh(), iterations);
-        assert_eq!(m.last_iterations(), iterations);
         assert_eq!(refreshed_bits(&mut m), walked);
 
         // A restored clean snapshot behaves the same way.
         let snap = m.snapshot_state().expect("eigentrust supports snapshots");
-        let mut restored = EigenTrust::new(25, EigenTrustConfig::default());
+        let mut restored = EigenTrust::new(25, Vec::new());
         restored.restore_state(&snap).expect("round trip");
         assert_eq!(restored.refresh(), iterations);
         assert_eq!(refreshed_bits(&mut restored), walked);
@@ -663,20 +451,62 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_bytes_are_pinned() {
+        // The byte layout of a checkpoint's mechanism section: refreshed
+        // caches, anonymous pools and an unrefreshed (dirty) tail.
+        let mut m = EigenTrust::new(12, Vec::new());
+        random_feed(&mut m, 12, 150, 41);
+        m.refresh();
+        let anon = DisclosurePolicy::minimal();
+        for ratee in 0..4 {
+            feed(&mut m, 11, ratee, ratee % 2 == 0, &anon);
+        }
+        random_feed(&mut m, 12, 10, 42);
+        let snap = m.snapshot_state().expect("eigentrust supports snapshots");
+        assert_eq!(
+            (snap.len(), tsn_simnet::codec::crc32(&snap)),
+            (2989, 3_111_907_748),
+            "snapshot layout moved"
+        );
+    }
+
+    #[test]
     fn snapshot_restore_rejects_bad_input() {
-        let mut a = EigenTrust::new(8, EigenTrustConfig::default());
+        let mut a = EigenTrust::new(8, Vec::new());
         random_feed(&mut a, 8, 50, 6);
         let snap = a.snapshot_state().unwrap();
-        let mut wrong_size = EigenTrust::new(4, EigenTrustConfig::default());
+        let mut wrong_size = EigenTrust::new(4, Vec::new());
         assert!(
             wrong_size.restore_state(&snap).is_err(),
             "population mismatch"
         );
-        let mut same = EigenTrust::new(8, EigenTrustConfig::default());
+        let mut same = EigenTrust::new(8, Vec::new());
         assert!(
             same.restore_state(&snap[..snap.len() / 2]).is_err(),
             "truncated"
         );
+    }
+
+    #[test]
+    fn restore_rejects_misplaced_ratees() {
+        let mut a = EigenTrust::new(8, Vec::new());
+        random_feed(&mut a, 8, 50, 6);
+        let snap = a.snapshot_state().unwrap();
+        let mut b = EigenTrust::new(8, Vec::new());
+        // Row 0 starts after n (8 bytes) and its length (8 bytes); each
+        // cell is a u32 ratee and 24 bytes of state. Repeat the first
+        // ratee in the second cell, then point the first past n.
+        assert!(u64::from_le_bytes(snap[8..16].try_into().unwrap()) >= 2);
+        let mut repeated = snap.clone();
+        repeated.copy_within(16..20, 44);
+        let err = b.restore_state(&repeated).unwrap_err();
+        assert!(err.contains("strictly ascending"), "{err}");
+        let mut out_of_range = snap.clone();
+        out_of_range[16..20].copy_from_slice(&8u32.to_le_bytes());
+        let err = b.restore_state(&out_of_range).unwrap_err();
+        assert!(err.contains("ratee 8 out of range"), "{err}");
+        b.restore_state(&snap)
+            .expect("the encoder's own bytes restore");
     }
 
     #[test]
@@ -685,7 +515,7 @@ mod tests {
         // the state a single batch ingest would produce: the in-place row
         // updates and resident scratch buffers carry no state between
         // refreshes.
-        let mut incremental = EigenTrust::new(20, EigenTrustConfig::default());
+        let mut incremental = EigenTrust::new(20, Vec::new());
         let mut rng = SimRng::seed_from_u64(17);
         let full = DisclosurePolicy::full();
         let mut log: Vec<(u32, u32, bool)> = Vec::new();
@@ -704,7 +534,7 @@ mod tests {
         }
         incremental.refresh();
 
-        let mut scratch = EigenTrust::new(20, EigenTrustConfig::default());
+        let mut scratch = EigenTrust::new(20, Vec::new());
         for &(rater, ratee, good) in &log {
             feed(&mut scratch, rater, ratee, good, &full);
         }

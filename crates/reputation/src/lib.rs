@@ -45,7 +45,7 @@ pub use accuracy::PowerReport;
 pub use anonymous::{AnonymizationConfig, Anonymized};
 pub use attack::{BehaviorClass, Population, PopulationConfig};
 pub use beta::BetaReputation;
-pub use eigentrust::{EigenTrust, EigenTrustConfig};
+pub use eigentrust::EigenTrust;
 pub use gathering::{DisclosureField, DisclosurePolicy, FeedbackReport, ReportView};
 pub use mechanism::{build_mechanism, InteractionOutcome, MechanismKind, ReputationMechanism};
 pub use powertrust::PowerTrust;

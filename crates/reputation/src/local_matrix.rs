@@ -1,7 +1,7 @@
-//! Incrementally maintained sparse local-trust storage.
+//! Incrementally maintained sparse local-trust storage: the cell store
+//! of the `EvidenceStore` that EigenTrust and PowerTrust share (`walk.rs`),
+//! which runs a power iteration over the row-normalized matrix.
 //!
-//! EigenTrust and PowerTrust both aggregate per-(rater, ratee) local
-//! trust and then run a power iteration over the row-normalized matrix.
 //! The original implementation kept the cells in a
 //! `HashMap<(u32, u32), _>` and rebuilt row storage from scratch on
 //! every refresh — and, worse, `HashMap`'s per-instance random iteration
@@ -51,6 +51,28 @@ impl<C> LocalMatrix<C> {
     /// The cells of one row, in ascending ratee order.
     pub fn row(&self, rater: usize) -> &[(u32, C)] {
         &self.rows[rater]
+    }
+
+    /// Appends `cell` at the end of `rater`'s row — the decode path for
+    /// untrusted snapshots. A `ratee` out of range, or at or below the
+    /// row's last one, is rejected, so every row stays strictly
+    /// ascending.
+    pub fn push(&mut self, rater: usize, ratee: u32, cell: C) -> Result<(), String> {
+        let n = self.rows.len();
+        if ratee as usize >= n {
+            return Err(format!("cell ratee {ratee} out of range (n = {n})"));
+        }
+        let row = &mut self.rows[rater];
+        if let Some(&(last, _)) = row.last() {
+            if ratee <= last {
+                return Err(format!(
+                    "row {rater} lists ratee {ratee} after ratee {last}: \
+                     ratees must be strictly ascending"
+                ));
+            }
+        }
+        row.push((ratee, cell));
+        Ok(())
     }
 
     /// Iterates `(rater, ratee, cell)` in ascending (rater, ratee) order —

@@ -68,24 +68,15 @@ impl MechanismKind {
         }
     }
 
-    /// Whether this kind implements state snapshots
+    /// The kind names whose mechanisms implement state snapshots
     /// ([`ReputationMechanism::snapshot_state`] /
     /// [`ReputationMechanism::restore_state`]), i.e. can live inside a
-    /// service checkpoint. Kept in sync with the implementations by a
-    /// test in `builder.rs`.
-    pub fn supports_snapshots(self) -> bool {
-        matches!(
-            self,
-            MechanismKind::None | MechanismKind::Beta | MechanismKind::EigenTrust
-        )
-    }
-
-    /// The snapshot-capable kind names, comma-separated — for error
-    /// messages that should tell the caller their options.
+    /// service checkpoint, comma-separated — for error messages that
+    /// should tell the caller their options.
     pub fn snapshot_capable_names() -> String {
         let names: Vec<&str> = MechanismKind::ALL
             .iter()
-            .filter(|k| k.supports_snapshots())
+            .filter(|&&k| build_mechanism(k, 1).snapshot_state().is_some())
             .map(|k| k.name())
             .collect();
         names.join(", ")
@@ -300,7 +291,20 @@ impl ReputationMechanism for NoReputation {
                 self.n
             ));
         }
+        drained(&r, "NoReputation")
+    }
+}
+
+/// Rejects bytes left over after a snapshot's last field, naming the
+/// mechanism: a snapshot is exactly what its encoder wrote.
+pub(crate) fn drained(r: &tsn_simnet::ByteReader, mechanism: &str) -> Result<(), String> {
+    if r.is_empty() {
         Ok(())
+    } else {
+        Err(format!(
+            "{mechanism} snapshot has {} trailing bytes",
+            r.remaining()
+        ))
     }
 }
 
@@ -310,10 +314,7 @@ pub fn build_mechanism(kind: MechanismKind, n: usize) -> Box<dyn ReputationMecha
     match kind {
         MechanismKind::None => Box::new(NoReputation::new(n)),
         MechanismKind::Beta => Box::new(crate::beta::BetaReputation::new(n)),
-        MechanismKind::EigenTrust => Box::new(crate::eigentrust::EigenTrust::new(
-            n,
-            crate::eigentrust::EigenTrustConfig::default(),
-        )),
+        MechanismKind::EigenTrust => Box::new(crate::eigentrust::EigenTrust::new(n, Vec::new())),
         MechanismKind::PowerTrust => Box::new(crate::powertrust::PowerTrust::new(n)),
         MechanismKind::TrustMe => Box::new(crate::trustme::TrustMe::new(n)),
     }
@@ -326,17 +327,27 @@ mod tests {
     use tsn_simnet::SimTime;
 
     #[test]
-    fn supports_snapshots_matches_the_implementations() {
-        for kind in MechanismKind::ALL {
-            let mechanism = build_mechanism(kind, 8);
-            assert_eq!(
-                mechanism.snapshot_state().is_some(),
-                kind.supports_snapshots(),
-                "MechanismKind::supports_snapshots out of sync for {kind}"
-            );
+    fn snapshot_capable_names_lists_the_implementations() {
+        assert_eq!(
+            MechanismKind::snapshot_capable_names(),
+            "none, beta, eigentrust"
+        );
+    }
+
+    #[test]
+    fn restores_reject_trailing_bytes() {
+        for kind in [
+            MechanismKind::None,
+            MechanismKind::Beta,
+            MechanismKind::EigenTrust,
+        ] {
+            let mut m = build_mechanism(kind, 4);
+            let mut snap = m.snapshot_state().expect("snapshot-capable");
+            m.restore_state(&snap).expect("round trip");
+            snap.push(0);
+            let err = m.restore_state(&snap).unwrap_err();
+            assert!(err.contains("1 trailing bytes"), "{kind}: {err}");
         }
-        let names = MechanismKind::snapshot_capable_names();
-        assert_eq!(names, "none, beta, eigentrust");
     }
 
     #[test]

@@ -13,20 +13,15 @@
 //!    a teleport that lands on power nodes with probability `θ` = 0.15,
 //!    boosting the influence of their (presumably reliable) opinions.
 //!
-//! Anonymized reports (no rater id) fall into a per-ratee pool blended in
-//! the same way as [`crate::eigentrust`].
-//!
-//! **Performance.** Like EigenTrust, the local-trust matrix is a
-//! `LocalMatrix` updated in place by `record`; both walk passes run on
-//! the shared `WalkMatrix` engine (flat normalized matrix rebuilt once
-//! per refresh, resident `t`/`next` ping-pong buffers), so a refresh
-//! performs no steady-state allocation and accumulates floats in a
-//! deterministic (rater, ratee) order.
+//! **Shared evidence.** The cells, the anonymous pools (blended as in
+//! [`crate::eigentrust`]), the opinion cache and the walk live in the
+//! crate's `EvidenceStore`, which EigenTrust shares. This module adds the
+//! `r_ij` cell and the two-walk solve step; both walks run on the one
+//! matrix the store rebuilds per refresh.
 
 use crate::gathering::ReportView;
-use crate::local_matrix::{LocalMatrix, UpsertMemo};
 use crate::mechanism::{descending_nan_last, MechanismKind, ReputationMechanism};
-use crate::walk::WalkMatrix;
+use crate::walk::{EvidenceCell, EvidenceStore};
 use tsn_simnet::NodeId;
 
 /// Number of power nodes (the paper's `m`); clamped to the population.
@@ -50,14 +45,18 @@ struct PtCell {
     count: u64,
 }
 
-impl PtCell {
-    /// The local-trust mean, or 0 when no reports arrived.
-    fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
+impl EvidenceCell for PtCell {
+    fn add(&mut self, report: &ReportView) {
+        self.sum += report.value();
+        self.count += 1;
+    }
+
+    fn weight(&self) -> f64 {
+        self.value_mean().unwrap_or(0.0)
+    }
+
+    fn value_mean(&self) -> Option<f64> {
+        (self.count > 0).then(|| self.sum / self.count as f64)
     }
 }
 
@@ -72,146 +71,28 @@ fn rank_descending(order: &mut Vec<usize>, mass: &[f64]) {
 /// The PowerTrust mechanism.
 #[derive(Debug, Clone)]
 pub struct PowerTrust {
-    n: usize,
-    /// Sparse local trust, updated in place by `record`.
-    local: LocalMatrix<PtCell>,
-    anon: Vec<(f64, u64)>,
-    identified_reports: u64,
-    anonymous_reports: u64,
-    global: Vec<f64>,
-    /// Cached walk-weighted opinion per node: (weighted value sum, weight).
-    opinion: Vec<(f64, f64)>,
+    store: EvidenceStore<PtCell>,
     power_set: Vec<NodeId>,
-    dirty: bool,
-    last_iterations: usize,
-    /// The shared power-iteration engine (both passes run on the same
-    /// rebuilt matrix), plus the teleport vector and election order
-    /// scratch.
-    walk: WalkMatrix,
+    /// Teleport vector and election order scratch of the solve step.
     teleport: Vec<f64>,
     order: Vec<usize>,
-    /// Flat (rater, ratee, local-trust mean) image of the rated cells,
-    /// captured during the walk rebuild for the opinion pass.
-    opinion_src: Vec<(u32, u32, f64)>,
 }
 
 impl PowerTrust {
     /// Creates an instance for `n` nodes.
     pub fn new(n: usize) -> Self {
         PowerTrust {
-            n,
-            local: LocalMatrix::new(n),
-            anon: vec![(0.0, 0); n],
-            identified_reports: 0,
-            anonymous_reports: 0,
-            global: vec![1.0 / n.max(1) as f64; n],
-            opinion: vec![(0.0, 0.0); n],
+            store: EvidenceStore::new(n),
             power_set: Vec::new(),
-            dirty: true,
-            last_iterations: 0,
-            walk: WalkMatrix::default(),
             teleport: Vec::new(),
             order: Vec::new(),
-            opinion_src: Vec::new(),
         }
     }
 
     /// The power nodes elected by the latest refresh.
     pub fn power_nodes(&mut self) -> &[NodeId] {
-        if self.dirty {
-            self.recompute();
-        }
+        self.refresh();
         &self.power_set
-    }
-
-    /// Iterations used by the most recent refresh (both passes).
-    pub fn last_iterations(&self) -> usize {
-        self.last_iterations
-    }
-
-    fn recompute(&mut self) {
-        if self.n == 0 {
-            self.dirty = false;
-            self.last_iterations = 0;
-            return;
-        }
-        let n = self.n;
-        // Row-normalize the positive local-trust means into the walk
-        // engine; both passes share the rebuilt matrix, and the same
-        // traversal flattens each rated cell's mean for the opinion pass.
-        let opinion_src = &mut self.opinion_src;
-        opinion_src.clear();
-        self.walk
-            .rebuild(n, &self.local, PtCell::mean, |i, j, cell| {
-                if cell.count > 0 {
-                    opinion_src.push((i, j, cell.sum / cell.count as f64));
-                }
-            });
-        // Pass 1: plain random walk elects power nodes.
-        self.teleport.clear();
-        self.teleport.resize(n, 1.0 / n as f64);
-        let it1 = self
-            .walk
-            .stationary(&self.teleport, THETA, EPSILON, MAX_ITERATIONS);
-        let v1 = self.walk.solution();
-        rank_descending(&mut self.order, v1);
-        let m = POWER_NODES.min(n);
-        self.power_set.clear();
-        self.power_set
-            .extend(self.order[..m].iter().map(|&i| NodeId::from_index(i)));
-        // Pass 2: teleport lands on power nodes, boosting their influence.
-        self.teleport.clear();
-        self.teleport.resize(n, 0.0);
-        for p in &self.power_set {
-            self.teleport[p.index()] = 1.0 / m as f64;
-        }
-        let it2 = self
-            .walk
-            .stationary(&self.teleport, THETA, EPSILON, MAX_ITERATIONS);
-        self.global.clear();
-        self.global.extend_from_slice(self.walk.solution());
-        // Cache the walk-weighted opinion aggregation: power nodes carry
-        // the most weight when scoring others (the LRW aggregation).
-        self.opinion.clear();
-        self.opinion.resize(n, (0.0, 0.0));
-        for &(i, j, mean) in &self.opinion_src {
-            let w = self.global[i as usize].max(1e-6);
-            let slot = &mut self.opinion[j as usize];
-            slot.0 += w * mean;
-            slot.1 += w;
-        }
-        self.dirty = false;
-        self.last_iterations = it1 + it2;
-    }
-
-    fn blend_weight(&self) -> f64 {
-        let total = self.identified_reports + self.anonymous_reports;
-        if total == 0 {
-            1.0
-        } else {
-            self.identified_reports as f64 / total as f64
-        }
-    }
-
-    fn record_memo(&mut self, report: &ReportView, memo: &mut UpsertMemo) {
-        let ratee = report.ratee.0;
-        debug_assert!((ratee as usize) < self.n, "ratee out of range");
-        match report.rater {
-            Some(rater) if rater != report.ratee => {
-                let cell = self.local.upsert_memo(rater.0, ratee, memo);
-                cell.sum += report.value();
-                cell.count += 1;
-                self.identified_reports += 1;
-            }
-            Some(_) => {}
-            None => {
-                let entry = &mut self.anon[ratee as usize];
-                entry.0 += report.value();
-                entry.1 += 1;
-                self.anonymous_reports += 1;
-            }
-        }
-        self.dirty = true;
     }
 }
 
@@ -221,53 +102,45 @@ impl ReputationMechanism for PowerTrust {
     }
 
     fn resize(&mut self, n: usize) {
-        if n > self.n {
-            self.n = n;
-            self.local.resize(n);
-            self.anon.resize(n, (0.0, 0));
-            self.opinion.resize(n, (0.0, 0.0));
-            self.global = vec![1.0 / n as f64; n];
-            self.dirty = true;
-        }
+        self.store.resize(n);
     }
 
     fn record(&mut self, report: &ReportView) {
-        self.record_memo(report, &mut UpsertMemo::default());
+        self.store.record(report);
     }
 
     fn record_batch(&mut self, reports: &[ReportView]) {
-        // See EigenTrust::record_batch: one memo across the batch, same
-        // per-cell add order as looped `record`, bit-identical scores.
-        let mut memo = UpsertMemo::default();
-        for report in reports {
-            self.record_memo(report, &mut memo);
-        }
+        self.store.record_batch(reports);
     }
 
     fn refresh(&mut self) -> usize {
-        // Both passes restart from their teleport vectors, so a clean
-        // instance's caches already hold what a recompute would give
-        // (see `EigenTrust::refresh`).
-        if self.dirty {
-            self.recompute();
-        }
-        self.last_iterations
+        self.store.refresh(|walk, n| {
+            // Pass 1: plain random walk elects power nodes.
+            self.teleport.clear();
+            self.teleport.resize(n, 1.0 / n as f64);
+            let it1 = walk.stationary(&self.teleport, THETA, EPSILON, MAX_ITERATIONS);
+            rank_descending(&mut self.order, walk.solution());
+            let m = POWER_NODES.min(n);
+            self.power_set.clear();
+            self.power_set
+                .extend(self.order[..m].iter().map(|&i| NodeId::from_index(i)));
+            // Pass 2: teleport lands on power nodes; its solution weighs
+            // the opinions (the LRW aggregation).
+            self.teleport.clear();
+            self.teleport.resize(n, 0.0);
+            for p in &self.power_set {
+                self.teleport[p.index()] = 1.0 / m as f64;
+            }
+            it1 + walk.stationary(&self.teleport, THETA, EPSILON, MAX_ITERATIONS)
+        })
     }
 
     fn score(&self, node: NodeId) -> f64 {
-        if node.index() >= self.n {
-            return 0.5;
-        }
-        let (weighted, weight) = self.opinion[node.index()];
-        let identified = if weight > 0.0 { weighted / weight } else { 0.5 };
-        let w = self.blend_weight();
-        let (sum, count) = self.anon[node.index()];
-        let anon_mean = if count > 0 { sum / count as f64 } else { 0.5 };
-        w * identified + (1.0 - w) * anon_mean
+        self.store.score(node)
     }
 
     fn len(&self) -> usize {
-        self.n
+        self.store.len()
     }
 
     fn overhead_per_report(&self) -> usize {
@@ -406,7 +279,6 @@ mod tests {
         let iterations = m.refresh();
         let walked = bits(&mut m);
         assert_eq!(m.refresh(), iterations);
-        assert_eq!(m.last_iterations(), iterations);
         assert_eq!(bits(&mut m), walked);
     }
 

@@ -1,29 +1,29 @@
-//! The shared power-iteration engine behind EigenTrust and PowerTrust.
+//! The evidence store and power-iteration engine behind EigenTrust and
+//! PowerTrust.
 //!
-//! Both mechanisms compute the stationary distribution of a damped
-//! random walk over the row-normalized local-trust matrix. This module
-//! owns that computation: [`WalkMatrix::rebuild`] flattens a
-//! [`LocalMatrix`] into CSR form inside resident buffers, and
-//! [`WalkMatrix::stationary`] runs the iteration with ping-pong
-//! `t`/`next` buffers — no allocation per refresh or per iteration.
+//! Both mechanisms keep the same evidence: per-(rater, ratee) cells in a
+//! [`LocalMatrix`], per-ratee pools of anonymous reports blended in by
+//! the identified share, and an opinion cache that a walk refreshes only
+//! when the evidence moved. [`EvidenceStore`] owns all of it; a
+//! mechanism adds its [`EvidenceCell`] type and the solve step that
+//! plans its walks' teleports.
 //!
-//! The rebuild traverses the nested (pointer-chasing) rows exactly
-//! once: edges are pushed unnormalized and the freshly appended flat
-//! slice is divided by the row sum in place, which is bit-identical to
-//! normalizing before the push (`w / sum` either way) but touches the
-//! cold nested storage half as often. The iteration itself runs over
-//! the flat arrays in ascending (rater, ratee) order — the fixed
-//! accumulation order that makes every refresh reproducible
-//! bit-for-bit across runs, processes and thread counts.
+//! [`WalkMatrix`] is the walk: `rebuild` flattens the cells in one pass
+//! into a row-normalized CSR matrix in resident buffers, and `stationary`
+//! iterates it with ping-pong buffers, allocating nothing, in ascending
+//! (rater, ratee) order — the fixed accumulation order that makes every
+//! refresh reproducible bit-for-bit across runs, processes and threads.
 
-use crate::local_matrix::LocalMatrix;
+use crate::gathering::ReportView;
+use crate::local_matrix::{LocalMatrix, UpsertMemo};
+use crate::mechanism::drained;
+use tsn_simnet::{ByteReader, ByteWriter, NodeId};
 
 /// A row-normalized walk matrix in flat CSR form, plus the iteration
 /// buffers. Rebuilt in place from the mutable [`LocalMatrix`] on every
 /// refresh; cloneable (flat buffers) so mechanisms stay cloneable.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WalkMatrix {
-    n: usize,
     /// Row start offsets (`n + 1` entries). An empty row is a *dangling*
     /// rater (no positive outgoing trust): its walk mass teleports.
     row_ptr: Vec<u32>,
@@ -37,22 +37,18 @@ pub(crate) struct WalkMatrix {
 }
 
 impl WalkMatrix {
-    /// Rebuilds the CSR structure from `local`, taking each cell's raw
-    /// weight from `weight`. Cells with weight ≤ 0 carry no edge; each
-    /// edge is normalized by its row's positive-weight sum (accumulated
-    /// in ascending-ratee order); rows without any positive weight end
-    /// up empty (dangling). `visit` is called for *every* cell in
-    /// ascending (rater, ratee) order during the single traversal of
-    /// `local` — mechanisms use it to flatten whatever per-cell data
-    /// their own post-walk passes need, without re-chasing the rows.
-    pub fn rebuild<C>(
+    /// Rebuilds the CSR structure from the first `n` rows of `local`.
+    /// Cells with walk weight ≤ 0 carry no edge; each edge is normalized
+    /// by its row's positive-weight sum (accumulated in ascending-ratee
+    /// order); rows without any positive weight end up empty (dangling).
+    /// The same traversal appends each rated cell's (rater, ratee, value
+    /// mean) to `means` in ascending (rater, ratee) order.
+    pub fn rebuild<C: EvidenceCell>(
         &mut self,
         n: usize,
         local: &LocalMatrix<C>,
-        weight: impl Fn(&C) -> f64,
-        mut visit: impl FnMut(u32, u32, &C),
+        means: &mut Vec<(u32, u32, f64)>,
     ) {
-        self.n = n;
         self.row_ptr.clear();
         self.row_ptr.push(0);
         self.cols.clear();
@@ -61,8 +57,10 @@ impl WalkMatrix {
             let row_start = self.vals.len();
             let mut sum = 0.0;
             for (j, cell) in local.row(i) {
-                visit(i as u32, *j, cell);
-                let w = weight(cell);
+                if let Some(mean) = cell.value_mean() {
+                    means.push((i as u32, *j, mean));
+                }
+                let w = cell.weight();
                 if w > 0.0 {
                     sum += w;
                     self.cols.push(*j);
@@ -89,7 +87,7 @@ impl WalkMatrix {
         epsilon: f64,
         max_iterations: usize,
     ) -> usize {
-        let n = self.n;
+        let n = self.row_ptr.len() - 1;
         debug_assert_eq!(teleport.len(), n);
         self.t.clear();
         self.t.extend_from_slice(teleport);
@@ -105,13 +103,10 @@ impl WalkMatrix {
             let next = &mut self.next;
             next.fill(0.0);
             // tᵀ C  (walk forward along trust edges), rows ascending so
-            // every slot accumulates its contributions in ascending
-            // rater order. Dangling raters only contribute their summed
-            // mass: accumulating it per-rater (ascending, like the
-            // edges) and scattering once keeps the iteration O(n + nnz)
-            // — the per-dangling-rater teleport scatter it replaces was
-            // O(dangling · n), which made sparse mega-scale refreshes
-            // (most nodes not yet raters) quadratic in the node count.
+            // every slot accumulates in ascending rater order. Dangling
+            // raters' mass is summed (ascending, like the edges) and
+            // scattered once, keeping the iteration O(n + nnz) even when
+            // most nodes are not yet raters.
             let mut dangling = 0.0;
             for (i, window) in row_ptr.windows(2).enumerate() {
                 let (row_start, row_end) = (window[0] as usize, window[1] as usize);
@@ -152,9 +147,276 @@ impl WalkMatrix {
     }
 }
 
+/// One (rater, ratee) cell of a walk mechanism's evidence.
+pub(crate) trait EvidenceCell: Default {
+    /// Folds one identified report into the cell.
+    fn add(&mut self, report: &ReportView);
+
+    /// The raw walk weight; a cell weighing ≤ 0 carries no edge.
+    fn weight(&self) -> f64;
+
+    /// The mean reported value, `None` before the first report.
+    fn value_mean(&self) -> Option<f64>;
+}
+
+/// The evidence and score caches a walk mechanism keeps, generic over
+/// its cell type so the record and refresh loops stay monomorphised.
+#[derive(Debug, Clone)]
+pub(crate) struct EvidenceStore<C> {
+    n: usize,
+    /// Sparse local trust, updated in place by `record_batch`.
+    local: LocalMatrix<C>,
+    /// Per-ratee anonymous pool: (sum of values, count).
+    anon: Vec<(f64, u64)>,
+    /// Count of identified vs anonymous reports, for blending.
+    identified_reports: u64,
+    anonymous_reports: u64,
+    /// The last walk's solution (a distribution over nodes).
+    global: Vec<f64>,
+    /// Cached trust-weighted opinion per node: (weighted value sum, weight).
+    opinion: Vec<(f64, f64)>,
+    /// Set by a report or a growth since the last walk.
+    dirty: bool,
+    last_iterations: usize,
+    /// The power-iteration engine, resident across refreshes.
+    walk: WalkMatrix,
+    /// Flat (rater, ratee, value mean) image of the rated cells, taken
+    /// by the walk rebuild for the opinion pass.
+    opinion_src: Vec<(u32, u32, f64)>,
+}
+
+impl<C: EvidenceCell> EvidenceStore<C> {
+    /// An empty store for `n` nodes, dirty so the first refresh walks.
+    pub fn new(n: usize) -> Self {
+        EvidenceStore {
+            n,
+            local: LocalMatrix::new(n),
+            anon: vec![(0.0, 0); n],
+            identified_reports: 0,
+            anonymous_reports: 0,
+            global: vec![1.0 / n.max(1) as f64; n],
+            opinion: vec![(0.0, 0.0); n],
+            dirty: true,
+            last_iterations: 0,
+            walk: WalkMatrix::default(),
+            opinion_src: Vec::new(),
+        }
+    }
+
+    /// Number of tracked nodes.
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Grows to `n` nodes, returning whether it grew.
+    pub fn resize(&mut self, n: usize) -> bool {
+        if n <= self.n {
+            return false;
+        }
+        self.n = n;
+        self.local.resize(n);
+        self.anon.resize(n, (0.0, 0));
+        self.opinion.resize(n, (0.0, 0.0));
+        self.global = vec![1.0 / n as f64; n];
+        self.dirty = true;
+        true
+    }
+
+    /// Ingests one report view.
+    pub fn record(&mut self, report: &ReportView) {
+        self.record_memo(report, &mut UpsertMemo::default());
+    }
+
+    /// Ingests report views in order. One memo spans the batch: runs of
+    /// identical (rater, ratee) keys — ballot-stuffed copies, shard
+    /// outboxes in rater order — reuse the found cell instead of
+    /// re-searching the row. The per-cell float adds are issued in the
+    /// same order as one call per report, so scores stay bit-identical.
+    pub fn record_batch(&mut self, reports: &[ReportView]) {
+        let mut memo = UpsertMemo::default();
+        for report in reports {
+            self.record_memo(report, &mut memo);
+        }
+    }
+
+    fn record_memo(&mut self, report: &ReportView, memo: &mut UpsertMemo) {
+        let ratee = report.ratee.0;
+        debug_assert!((ratee as usize) < self.n, "ratee out of range");
+        match report.rater {
+            Some(rater) if rater != report.ratee => {
+                self.local.upsert_memo(rater.0, ratee, memo).add(report);
+                self.identified_reports += 1;
+            }
+            Some(_) => { /* self-rating is ignored */ }
+            None => {
+                let entry = &mut self.anon[ratee as usize];
+                entry.0 += report.value();
+                entry.1 += 1;
+                self.anonymous_reports += 1;
+            }
+        }
+        self.dirty = true;
+    }
+
+    /// Walks if dirty and returns the iterations of the latest walk: it
+    /// rebuilds the matrix, runs `solve` (the mechanism's walks over the
+    /// matrix and `n`, returning their iterations), caches the solution
+    /// and recomputes the opinion cache. A walk restarts from its
+    /// teleport vector and reads only state that sets `dirty` when it
+    /// moves, so a clean store's caches already hold what it would give.
+    pub fn refresh(&mut self, solve: impl FnOnce(&mut WalkMatrix, usize) -> usize) -> usize {
+        if !self.dirty {
+            return self.last_iterations;
+        }
+        self.dirty = false;
+        let n = self.n;
+        if n == 0 {
+            self.last_iterations = 0;
+            return 0;
+        }
+        self.opinion_src.clear();
+        self.walk.rebuild(n, &self.local, &mut self.opinion_src);
+        self.last_iterations = solve(&mut self.walk, n);
+        self.global.clear();
+        self.global.extend_from_slice(self.walk.solution());
+        // The opinion aggregation for O(1) scoring: each rater's mean,
+        // weighted by its walk mass, over the flat (rater, ratee) image
+        // in deterministic order.
+        self.opinion.clear();
+        self.opinion.resize(n, (0.0, 0.0));
+        for &(i, j, mean) in &self.opinion_src {
+            // Floor on rater weight so fresh raters are heard faintly.
+            let w = self.global[i as usize].max(1e-6);
+            let slot = &mut self.opinion[j as usize];
+            slot.0 += w * mean;
+            slot.1 += w;
+        }
+        self.last_iterations
+    }
+
+    /// The latest walk's solution (sums to 1).
+    pub fn global(&self) -> &[f64] {
+        &self.global
+    }
+
+    /// The system's opinion about `node`: the walk-weighted mean of the
+    /// identified reports (colluders with no walk mass cannot move it),
+    /// blended with the anonymous pool mean by the identified share of
+    /// all reports. Missing evidence and unknown nodes read 0.5.
+    pub fn score(&self, node: NodeId) -> f64 {
+        if node.index() >= self.n {
+            return 0.5;
+        }
+        let (weighted, weight) = self.opinion[node.index()];
+        let identified = if weight > 0.0 { weighted / weight } else { 0.5 };
+        let total = self.identified_reports + self.anonymous_reports;
+        let w = if total == 0 {
+            1.0
+        } else {
+            self.identified_reports as f64 / total as f64
+        };
+        let (sum, count) = self.anon[node.index()];
+        let anon_mean = if count > 0 { sum / count as f64 } else { 0.5 };
+        w * identified + (1.0 - w) * anon_mean
+    }
+
+    /// Encodes n, the rows (length, then ratee and `put_cell` per cell),
+    /// the anonymous pools, the two counters and the score caches
+    /// (`global`, `opinion`, `dirty`, `last_iterations`): `score` reads
+    /// the caches without refreshing, so a restore must carry them.
+    /// `walk` and `opinion_src` are rebuilt by every walk and stay home.
+    pub fn snapshot(&self, put_cell: impl Fn(&mut ByteWriter, &C)) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u64(self.n as u64);
+        for i in 0..self.n {
+            let row = self.local.row(i);
+            w.put_u64(row.len() as u64);
+            for (j, cell) in row {
+                w.put_u32(*j);
+                put_cell(&mut w, cell);
+            }
+        }
+        for &(sum, count) in &self.anon {
+            w.put_f64(sum);
+            w.put_u64(count);
+        }
+        w.put_u64(self.identified_reports);
+        w.put_u64(self.anonymous_reports);
+        for &g in &self.global {
+            w.put_f64(g);
+        }
+        for &(weighted, weight) in &self.opinion {
+            w.put_f64(weighted);
+            w.put_f64(weight);
+        }
+        w.put_u8(self.dirty as u8);
+        w.put_u64(self.last_iterations as u64);
+        w.finish()
+    }
+
+    /// Restores what [`EvidenceStore::snapshot`] wrote onto a store of
+    /// the same size, reading each cell (`cell_bytes` long) with
+    /// `take_cell`. Errors name `mechanism` and reject a size mismatch,
+    /// truncation, a misplaced ratee and trailing bytes.
+    pub fn restore(
+        &mut self,
+        bytes: &[u8],
+        mechanism: &str,
+        cell_bytes: usize,
+        take_cell: impl Fn(&mut ByteReader) -> Result<C, String>,
+    ) -> Result<(), String> {
+        let mut r = ByteReader::new(bytes);
+        let n = r.take_u64()? as usize;
+        if n != self.n {
+            return Err(format!(
+                "{mechanism} snapshot is for {n} nodes, instance has {}",
+                self.n
+            ));
+        }
+        let mut local = LocalMatrix::new(n);
+        for i in 0..n {
+            let len = r.take_seq_len(4 + cell_bytes)?;
+            for _ in 0..len {
+                let j = r.take_u32()?;
+                local
+                    .push(i, j, take_cell(&mut r)?)
+                    .map_err(|e| format!("{mechanism} snapshot {e}"))?;
+            }
+        }
+        for slot in self.anon.iter_mut() {
+            *slot = (r.take_f64()?, r.take_u64()?);
+        }
+        self.identified_reports = r.take_u64()?;
+        self.anonymous_reports = r.take_u64()?;
+        for g in self.global.iter_mut() {
+            *g = r.take_f64()?;
+        }
+        for slot in self.opinion.iter_mut() {
+            *slot = (r.take_f64()?, r.take_f64()?);
+        }
+        self.dirty = r.take_u8()? != 0;
+        self.last_iterations = r.take_u64()? as usize;
+        drained(&r, mechanism)?;
+        self.local = local;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EvidenceCell for f64 {
+        fn add(&mut self, report: &ReportView) {
+            *self += report.value();
+        }
+        fn weight(&self) -> f64 {
+            *self
+        }
+        fn value_mean(&self) -> Option<f64> {
+            Some(*self)
+        }
+    }
 
     fn matrix(n: usize, edges: &[(u32, u32, f64)]) -> LocalMatrix<f64> {
         let mut m = LocalMatrix::new(n);
@@ -229,9 +491,9 @@ mod tests {
             let (expected, expected_iters) =
                 reference_stationary(n, &local, &teleport, 0.15, 1e-9, 200);
             let mut walk = WalkMatrix::default();
-            let mut visited = 0usize;
-            walk.rebuild(n, &local, |&w| w, |_, _, _| visited += 1);
-            assert_eq!(visited, local.iter().count(), "visit sees every cell");
+            let mut means = Vec::new();
+            walk.rebuild(n, &local, &mut means);
+            assert_eq!(means.len(), local.iter().count(), "every cell is rated");
             let iters = walk.stationary(&teleport, 0.15, 1e-9, 200);
             assert_eq!(iters, expected_iters, "case {case}");
             assert_eq!(walk.solution(), &expected[..], "case {case}");
@@ -253,7 +515,7 @@ mod tests {
         //   damping:  next = 1/2·next + 1/2·teleport → [3/8, 7/16, 3/16]
         let local = matrix(3, &[(0, 1, 1.0)]);
         let mut walk = WalkMatrix::default();
-        walk.rebuild(3, &local, |&w| w, |_, _, _| {});
+        walk.rebuild(3, &local, &mut Vec::new());
         let teleport = [0.5, 0.25, 0.25];
         let iters = walk.stationary(&teleport, 0.5, 1e-300, 1);
         assert_eq!(iters, 1);
@@ -265,7 +527,7 @@ mod tests {
         let local = matrix(3, &[]);
         let teleport = [0.5, 0.25, 0.25];
         let mut walk = WalkMatrix::default();
-        walk.rebuild(3, &local, |&w| w, |_, _, _| {});
+        walk.rebuild(3, &local, &mut Vec::new());
         walk.stationary(&teleport, 0.15, 1e-9, 200);
         for (got, want) in walk.solution().iter().zip(&teleport) {
             assert!((got - want).abs() < 1e-9, "{got} vs {want}");
@@ -277,16 +539,16 @@ mod tests {
         let mut walk = WalkMatrix::default();
         let a = matrix(3, &[(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]);
         let teleport = vec![1.0 / 3.0; 3];
-        walk.rebuild(3, &a, |&w| w, |_, _, _| {});
+        walk.rebuild(3, &a, &mut Vec::new());
         walk.stationary(&teleport, 0.15, 1e-9, 200);
         let cycle = walk.solution().to_vec();
         // Rebuild over a different matrix reuses every buffer.
         let b = matrix(3, &[(0, 1, 1.0)]);
-        walk.rebuild(3, &b, |&w| w, |_, _, _| {});
+        walk.rebuild(3, &b, &mut Vec::new());
         walk.stationary(&teleport, 0.15, 1e-9, 200);
         assert_ne!(walk.solution(), &cycle[..]);
         // And back: identical to the first run.
-        walk.rebuild(3, &a, |&w| w, |_, _, _| {});
+        walk.rebuild(3, &a, &mut Vec::new());
         walk.stationary(&teleport, 0.15, 1e-9, 200);
         assert_eq!(walk.solution(), &cycle[..]);
     }

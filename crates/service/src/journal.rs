@@ -591,9 +591,9 @@ impl EventJournal {
 
     /// Garbage-collects sealed segments whose records all sit strictly
     /// below `cursor` — they can never be replayed once every retained
-    /// checkpoint's cursor is at or past it. Returns segments dropped.
-    pub fn gc_before(&mut self, cursor: u64) -> usize {
-        let mut dropped = 0;
+    /// checkpoint's cursor is at or past it. [`EventJournal::gc_segments`]
+    /// counts the segments dropped.
+    pub fn gc_before(&mut self, cursor: u64) {
         while let Some(first) = self.segments.first() {
             if !first.sealed || first.base_record + first.records > cursor {
                 break;
@@ -602,9 +602,7 @@ impl EventJournal {
             self.gc_segments += 1;
             self.gc_records += dead.records;
             self.gc_bytes += dead.byte_len() as u64;
-            dropped += 1;
         }
-        dropped
     }
 
     /// Serializes the journal's manifest: segment size, GC counters and
@@ -882,9 +880,9 @@ mod tests {
         let before_bytes = journal.byte_len();
         let segments_before = journal.segments().len();
         let cursor = 40u64;
-        let dropped = journal.gc_before(cursor);
+        journal.gc_before(cursor);
+        let dropped = journal.gc_segments() as usize;
         assert!(dropped > 0, "old sealed segments must go");
-        assert_eq!(journal.gc_segments(), dropped as u64);
         assert!(journal.byte_len() < before_bytes);
         assert_eq!(journal.segments().len(), segments_before - dropped);
         assert_eq!(journal.bytes_written(), before_bytes as u64);

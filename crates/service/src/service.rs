@@ -1391,6 +1391,33 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_with_trailing_bytes_in_its_mechanism_section_is_rejected() {
+        let mut service = small_service();
+        service.ingest(interaction(0, 1, true, 1)).unwrap();
+        let mut bytes = service.checkpoint().unwrap();
+        let mechanism = checkpoint_sections(&bytes).unwrap()[6];
+        assert_eq!(mechanism.name, "mechanism");
+        // Append one byte to the payload, re-encode the section's u64
+        // length prefix and re-seal its CRC (the u32 ahead of that
+        // prefix), so only the mechanism's decoder sees the extra byte.
+        let (start, end) = (mechanism.offset, mechanism.offset + mechanism.len);
+        bytes.insert(end, 0);
+        let len = mechanism.len as u64 + 1;
+        bytes[start - 8..start].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32(&bytes[start..end + 1]);
+        bytes[start - 12..start - 8].copy_from_slice(&crc.to_le_bytes());
+        assert!(checkpoint_sections(&bytes)
+            .unwrap()
+            .iter()
+            .all(|s| s.crc_ok));
+        let err = TrustService::restore(&bytes).unwrap_err();
+        assert!(
+            err.contains("'mechanism'") && err.contains("1 trailing bytes"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn checkpoint_with_overflowing_membership_healing_is_rejected() {
         let mut service = TrustService::new(ServiceConfig {
             nodes: 8,
