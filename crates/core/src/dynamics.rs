@@ -21,6 +21,17 @@
 //! power only builds trust to the extent the verdict about the population
 //! is positive.
 
+/// Base interaction quality delivered by honest partners.
+const BASE_QUALITY: f64 = 0.9;
+/// Weight of satisfaction in trust formation.
+const KAPPA_S: f64 = 0.6;
+/// Weight of the reputation verdict in trust formation.
+const KAPPA_R: f64 = 0.4;
+/// How strongly disclosure erodes privacy guarantees.
+const PRIVACY_EROSION: f64 = 0.5;
+/// Mechanism power at full disclosure (power scales with `D`).
+const MAX_POWER: f64 = 0.9;
+
 /// Parameters of the coupled system.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicsConfig {
@@ -29,16 +40,6 @@ pub struct DynamicsConfig {
     /// Ground-truth fraction of honest participants — the "reality" the
     /// reputation verdict reflects when the mechanism is efficient.
     pub honest_fraction: f64,
-    /// Base interaction quality delivered by honest partners.
-    pub base_quality: f64,
-    /// Weight of satisfaction vs reputation verdict in trust formation.
-    pub kappa_s: f64,
-    /// Weight of the reputation verdict in trust formation.
-    pub kappa_r: f64,
-    /// How strongly disclosure erodes privacy guarantees.
-    pub privacy_erosion: f64,
-    /// Mechanism power at full disclosure (power scales with `D`).
-    pub max_power: f64,
 }
 
 impl Default for DynamicsConfig {
@@ -46,11 +47,6 @@ impl Default for DynamicsConfig {
         DynamicsConfig {
             eta: 0.2,
             honest_fraction: 0.8,
-            base_quality: 0.9,
-            kappa_s: 0.6,
-            kappa_r: 0.4,
-            privacy_erosion: 0.5,
-            max_power: 0.9,
         }
     }
 }
@@ -65,18 +61,8 @@ impl DynamicsConfig {
         if !(self.eta > 0.0 && self.eta <= 1.0) {
             return Err("eta must be in (0,1]".into());
         }
-        for (name, v) in [
-            ("honest_fraction", self.honest_fraction),
-            ("base_quality", self.base_quality),
-            ("privacy_erosion", self.privacy_erosion),
-            ("max_power", self.max_power),
-        ] {
-            if !(0.0..=1.0).contains(&v) {
-                return Err(format!("{name} must be in [0,1]"));
-            }
-        }
-        if self.kappa_s < 0.0 || self.kappa_r < 0.0 || self.kappa_s + self.kappa_r <= 0.0 {
-            return Err("kappa weights must be non-negative and not both zero".into());
+        if !(0.0..=1.0).contains(&self.honest_fraction) {
+            return Err("honest_fraction must be in [0,1]".into());
         }
         Ok(())
     }
@@ -169,19 +155,17 @@ impl InteractionDynamics {
     /// One synchronous update step.
     pub fn step(&self, state: &DynamicsState) -> DynamicsState {
         let c = &self.config;
-        let power = c.max_power * state.disclosure;
-        let guarantees = 1.0 - c.privacy_erosion * state.disclosure;
+        let power = MAX_POWER * state.disclosure;
+        let guarantees = 1.0 - PRIVACY_EROSION * state.disclosure;
         // The verdict an efficient mechanism renders about the population:
         let verdict = state.reputation_efficiency * c.honest_fraction
             + (1.0 - state.reputation_efficiency) * 0.5;
         // Interaction quality improves with mechanism efficiency (better
         // partner selection): from 60 % of the honest ceiling (random
         // choice) to 100 % (perfect avoidance of bad partners).
-        let quality =
-            c.base_quality * c.honest_fraction * (0.6 + 0.4 * state.reputation_efficiency);
+        let quality = BASE_QUALITY * c.honest_fraction * (0.6 + 0.4 * state.reputation_efficiency);
         let target_satisfaction = 0.75 * quality + 0.25 * state.privacy;
-        let target_trust =
-            (c.kappa_s * state.satisfaction + c.kappa_r * verdict) / (c.kappa_s + c.kappa_r);
+        let target_trust = (KAPPA_S * state.satisfaction + KAPPA_R * verdict) / (KAPPA_S + KAPPA_R);
         let mut next = DynamicsState {
             satisfaction: state.satisfaction + c.eta * (target_satisfaction - state.satisfaction),
             trust: state.trust + c.eta * (target_trust - state.trust),
@@ -263,6 +247,34 @@ mod tests {
         // Verify it is a fixed point.
         let next = d.step(&state);
         assert!(next.distance(&state) < 1e-8);
+    }
+
+    #[test]
+    fn default_fixed_point_bits_are_pinned() {
+        let (s, steps) =
+            InteractionDynamics::default().fixed_point(DynamicsState::neutral(), 1e-9, 10_000);
+        let bits = [
+            s.trust,
+            s.satisfaction,
+            s.reputation_efficiency,
+            s.disclosure,
+            s.privacy,
+        ]
+        .map(f64::to_bits);
+        assert_eq!(
+            (bits, steps),
+            (
+                [
+                    4_603_941_623_477_472_936,
+                    4_603_745_540_340_642_233,
+                    4_603_364_983_024_824_683,
+                    4_603_941_623_453_600_941,
+                    4_604_299_216_866_935_038,
+                ],
+                193
+            ),
+            "fixed point moved"
+        );
     }
 
     #[test]
@@ -368,13 +380,6 @@ mod tests {
         .is_err());
         assert!(DynamicsConfig {
             honest_fraction: 1.5,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(DynamicsConfig {
-            kappa_s: 0.0,
-            kappa_r: 0.0,
             ..Default::default()
         }
         .validate()

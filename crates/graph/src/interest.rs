@@ -3,9 +3,9 @@
 //! The satisfaction model (ref \[17\] of the paper) needs each participant to
 //! have *intentions*: which content, services or partners they prefer.
 //! Interest profiles give those preferences a concrete, measurable form: a
-//! point on the simplex over `k` topics. Content items carry a topic
-//! vector too, so "the user got what she wanted" becomes a cosine
-//! similarity.
+//! point on the simplex over `k` topics. The scenario engine reads each
+//! profile's dominant topic to pick preferred providers among a user's
+//! friends.
 
 use tsn_simnet::SimRng;
 
@@ -67,18 +67,6 @@ impl InterestProfile {
         }
     }
 
-    /// A profile entirely focused on one topic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topic >= topics`.
-    pub fn single_topic(topics: usize, topic: usize) -> Self {
-        assert!(topic < topics, "topic out of range");
-        let mut w = vec![0.0; topics];
-        w[topic] = 1.0;
-        InterestProfile { weights: w }
-    }
-
     /// The uniform profile.
     pub fn uniform(topics: usize) -> Self {
         assert!(topics > 0);
@@ -97,33 +85,6 @@ impl InterestProfile {
         self.weights.len()
     }
 
-    /// Cosine similarity with another profile in the same space, in
-    /// `\[0, 1\]` because weights are non-negative.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spaces differ.
-    pub fn similarity(&self, other: &InterestProfile) -> f64 {
-        assert_eq!(
-            self.topics(),
-            other.topics(),
-            "profiles live in different spaces"
-        );
-        let dot: f64 = self
-            .weights
-            .iter()
-            .zip(&other.weights)
-            .map(|(a, b)| a * b)
-            .sum();
-        let na: f64 = self.weights.iter().map(|a| a * a).sum::<f64>().sqrt();
-        let nb: f64 = other.weights.iter().map(|b| b * b).sum::<f64>().sqrt();
-        if na == 0.0 || nb == 0.0 {
-            0.0
-        } else {
-            (dot / (na * nb)).clamp(0.0, 1.0)
-        }
-    }
-
     /// The dominant topic (lowest index wins ties).
     pub fn dominant_topic(&self) -> usize {
         let mut best = 0;
@@ -137,7 +98,8 @@ impl InterestProfile {
 
     /// Shannon entropy in nats; 0 for a single-topic profile, `ln(k)` for
     /// the uniform profile. Used as a "breadth of interest" measure.
-    pub fn entropy(&self) -> f64 {
+    #[cfg(test)]
+    fn entropy(&self) -> f64 {
         self.weights
             .iter()
             .filter(|&&w| w > 0.0)
@@ -170,25 +132,13 @@ mod tests {
     }
 
     #[test]
-    fn similarity_extremes() {
-        let a = InterestProfile::single_topic(3, 0);
-        let b = InterestProfile::single_topic(3, 1);
-        assert_eq!(a.similarity(&b), 0.0);
-        assert!((a.similarity(&a) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn similarity_is_symmetric() {
-        let a = InterestProfile::new(vec![1.0, 2.0, 3.0]);
-        let b = InterestProfile::new(vec![3.0, 1.0, 1.0]);
-        assert!((a.similarity(&b) - b.similarity(&a)).abs() < 1e-12);
-    }
-
-    #[test]
     fn dominant_topic_and_entropy() {
         let p = InterestProfile::new(vec![0.1, 0.7, 0.2]);
         assert_eq!(p.dominant_topic(), 1);
-        assert_eq!(InterestProfile::single_topic(4, 2).entropy(), 0.0);
+        assert_eq!(
+            InterestProfile::new(vec![0.0, 0.0, 1.0, 0.0]).entropy(),
+            0.0
+        );
         let u = InterestProfile::uniform(4);
         assert!((u.entropy() - 4.0f64.ln()).abs() < 1e-12);
     }
@@ -222,13 +172,5 @@ mod tests {
             sharp < diffuse,
             "higher concentration → lower entropy ({sharp} vs {diffuse})"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "different spaces")]
-    fn cross_space_similarity_panics() {
-        let a = InterestProfile::uniform(3);
-        let b = InterestProfile::uniform(4);
-        let _ = a.similarity(&b);
     }
 }

@@ -71,30 +71,6 @@ pub fn average_path_length(g: &Graph, samples: usize, rng: &mut SimRng) -> Optio
     }
 }
 
-/// Graph diameter (longest shortest path) over the sampled sources; exact
-/// when `samples >= n`. `None` for graphs with no reachable pair.
-pub fn diameter(g: &Graph, samples: usize, rng: &mut SimRng) -> Option<u32> {
-    let n = g.node_count();
-    if n < 2 {
-        return None;
-    }
-    let sources: Vec<NodeId> = if samples >= n {
-        g.nodes().collect()
-    } else {
-        let mut all: Vec<NodeId> = g.nodes().collect();
-        rng.shuffle(&mut all);
-        all.truncate(samples.max(1));
-        all
-    };
-    let mut best: Option<u32> = None;
-    for s in sources {
-        for d in g.bfs_distances(s).into_iter().flatten() {
-            best = Some(best.map_or(d, |b| b.max(d)));
-        }
-    }
-    best.filter(|&d| d > 0)
-}
-
 /// Pearson correlation of two equally long samples; `None` when undefined
 /// (length < 2 or zero variance).
 pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
@@ -192,7 +168,6 @@ mod tests {
         // Ring C6: distances 1,1,2,2,3 from each node → mean 1.8.
         let apl = average_path_length(&g, 100, &mut rng).unwrap();
         assert!((apl - 1.8).abs() < 1e-12);
-        assert_eq!(diameter(&g, 100, &mut rng), Some(3));
     }
 
     #[test]
@@ -200,7 +175,6 @@ mod tests {
         let g = Graph::with_nodes(3);
         let mut rng = SimRng::seed_from_u64(0);
         assert_eq!(average_path_length(&g, 10, &mut rng), None);
-        assert_eq!(diameter(&g, 10, &mut rng), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! The ledger keeps running counters, not a log of flows: every query
 //! ([`DisclosureLedger::respect_rate`],
 //! [`DisclosureLedger::respect_rate_for`], [`DisclosureLedger::breach_count`],
-//! [`DisclosureLedger::exposure_for`], [`DisclosureLedger::total_exposure`])
+//! [`DisclosureLedger::total_exposure`])
 //! is O(1), and memory grows with the number of owners, never with the
 //! number of flows. The counters are exact: integer counts, and exposure
 //! sums accumulated in record order, so each answer is bit-identical to
@@ -41,7 +41,6 @@ fn exposure(category: DataCategory, anonymized: bool) -> f64 {
 struct OwnerStats {
     total: u64,
     compliant: u64,
-    exposure: f64,
 }
 
 /// Counters over every recorded disclosure and breach, per owner and
@@ -84,7 +83,6 @@ impl DisclosureLedger {
         let stats = &mut self.owners[i];
         stats.total += 1;
         stats.compliant += u64::from(compliant);
-        stats.exposure += exposure;
     }
 
     /// Records a compliant disclosure of `owner`'s data.
@@ -138,15 +136,6 @@ impl DisclosureLedger {
         }
     }
 
-    /// Sensitivity-weighted exposure of one owner: Σ sensitivity(category)
-    /// over every flow of their data, breaches included (anonymized
-    /// disclosures count 25 %). Unnormalized; see [`crate::exposure`] for the facet mapping.
-    pub fn exposure_for(&self, owner: NodeId) -> f64 {
-        self.owners
-            .get(owner.index())
-            .map_or(0.0, |stats| stats.exposure)
-    }
-
     /// Total sensitivity-weighted exposure across all owners.
     pub fn total_exposure(&self) -> f64 {
         self.total_exposure
@@ -195,7 +184,6 @@ mod tests {
         l.record_disclosure(NodeId(0), DataCategory::Location, false);
         l.record_disclosure(NodeId(0), DataCategory::Location, true);
         let expected = 1.0 + 0.25;
-        assert!((l.exposure_for(NodeId(0)) - expected).abs() < 1e-12);
         assert!((l.total_exposure() - expected).abs() < 1e-12);
     }
 
@@ -246,15 +234,6 @@ mod tests {
             let mine: Vec<&Flow> = flows.iter().filter(|f| f.owner == owner).collect();
             let scan_rate = compliant(&mine) as f64 / mine.len() as f64;
             assert_eq!(l.respect_rate_for(owner), scan_rate, "owner {owner:?}");
-            let scan_exposure: f64 = mine
-                .iter()
-                .map(|f| exposure(f.category, f.anonymized))
-                .sum();
-            assert_eq!(
-                l.exposure_for(owner).to_bits(),
-                scan_exposure.to_bits(),
-                "owner {owner:?}"
-            );
         }
         for cause in [BreachCause::MaliciousUser, BreachCause::System] {
             let scan = flows.iter().filter(|f| f.breach == Some(cause)).count();

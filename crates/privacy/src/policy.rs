@@ -154,7 +154,7 @@ impl std::error::Error for PolicyError {}
 ///     .allow_purposes([Purpose::Social])
 ///     .min_trust_level(0.6)
 ///     .build()?;
-/// assert!(policy.strictness() > PrivacyPolicy::permissive(DataCategory::Content).strictness());
+/// assert!(policy.min_trust_level > PrivacyPolicy::permissive(DataCategory::Content).min_trust_level);
 /// # Ok::<(), tsn_privacy::PolicyError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -217,22 +217,6 @@ impl PrivacyPolicy {
             .build()
             // tsn-lint: allow(no-unwrap, "preset literal is valid by inspection and pinned by the policy unit tests")
             .expect("strict policy is valid")
-    }
-
-    /// Strictness score in `\[0, 1\]`: how much this policy restricts,
-    /// relative to the permissive baseline. Used by the exposure model.
-    pub fn strictness(&self) -> f64 {
-        let user_term = match &self.authorized_users {
-            None => 0.0,
-            Some(s) if s.is_empty() => 1.0,
-            Some(_) => 0.7,
-        };
-        let op_term = 1.0 - self.operations.len() as f64 / 4.0;
-        let purpose_term = 1.0 - self.purposes.len() as f64 / 5.0;
-        let condition_term = (self.conditions.len() as f64 / 3.0).min(1.0);
-        let trust_term = self.min_trust_level;
-        let obligation_term = self.obligations.len() as f64 / 3.0;
-        (user_term + op_term + purpose_term + condition_term + trust_term + obligation_term) / 6.0
     }
 }
 
@@ -380,30 +364,21 @@ mod tests {
     #[test]
     fn strict_is_stricter_than_permissive() {
         for category in DataCategory::ALL {
-            let strict = PrivacyPolicy::strict(category).strictness();
-            let permissive = PrivacyPolicy::permissive(category).strictness();
-            assert!(strict > permissive, "{category}: {strict} vs {permissive}");
+            let strict = PrivacyPolicy::strict(category);
+            let permissive = PrivacyPolicy::permissive(category);
+            assert!(
+                strict.operations.is_subset(&permissive.operations),
+                "{category}"
+            );
+            assert!(
+                strict.purposes.is_subset(&permissive.purposes),
+                "{category}"
+            );
+            assert!(strict.conditions.len() > permissive.conditions.len());
+            assert!(strict.retention < permissive.retention);
+            assert!(strict.obligations.len() > permissive.obligations.len());
+            assert!(strict.min_trust_level > permissive.min_trust_level);
         }
-    }
-
-    #[test]
-    fn strictness_is_bounded() {
-        let max = PrivacyPolicy::builder(DataCategory::Location)
-            .authorize_users([])
-            .condition(AccessCondition::FriendsOnly)
-            .condition(AccessCondition::AnonymizedOnly)
-            .condition(AccessCondition::WithinHops(1))
-            .obligations([
-                Obligation::DeleteAfterRetention,
-                Obligation::NotifyOwner,
-                Obligation::NoOnwardTransfer,
-            ])
-            .min_trust_level(1.0)
-            .build()
-            .unwrap();
-        let s = max.strictness();
-        assert!((0.0..=1.0).contains(&s));
-        assert!(s > 0.9, "maximal policy should be near 1, got {s}");
     }
 
     #[test]
@@ -430,6 +405,7 @@ mod tests {
         let anybody = PrivacyPolicy::builder(DataCategory::Profile)
             .build()
             .unwrap();
-        assert!(nobody.strictness() > anybody.strictness());
+        assert_eq!(nobody.authorized_users, Some(BTreeSet::new()));
+        assert_eq!(anybody.authorized_users, None);
     }
 }

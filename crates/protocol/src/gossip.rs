@@ -125,7 +125,7 @@ impl GossipNetwork {
     }
 
     /// Attaches a dynamics plan: churn transitions, partition swaps and
-    /// regional latency execute on the driver's clock between rounds.
+    /// outage windows execute on the driver's clock between rounds.
     ///
     /// The protocol tolerates every transition: crashed nodes freeze
     /// (their mass leaks only through pushes addressed at them), revived

@@ -14,8 +14,7 @@
 //! [`BufferPool`] for the next sender.
 
 use tsn_simnet::{
-    BufferPool, DynamicsEvent, DynamicsRuntime, Envelope, Network, NodeId, Payload, SimDuration,
-    SimTime, Tag,
+    BufferPool, DynamicsRuntime, Envelope, Network, NodeId, Payload, SimDuration, SimTime, Tag,
 };
 
 /// Aggregate protocol costs, reported by every experiment.
@@ -115,13 +114,13 @@ impl RoundDriver {
     }
 
     /// Attaches a dynamics runtime: its initial state (initially-offline
-    /// nodes, regional latency) is installed immediately, and every
-    /// subsequent [`RoundDriver::round`] executes the scheduled churn
-    /// transitions and partition swaps *before* delivering the round's
-    /// traffic — transitions interleave with deliveries at their exact
-    /// event times. Read the applied transitions after each round via
-    /// [`RoundDriver::dynamics`]`.events()` (borrowed) or
-    /// [`RoundDriver::take_dynamics_events`]; the next round clears
+    /// nodes, an already-active partition window) is installed
+    /// immediately, and every subsequent [`RoundDriver::round`] executes
+    /// the scheduled churn transitions and partition swaps *before*
+    /// delivering the round's traffic — transitions interleave with
+    /// deliveries at their exact event times. Read the applied
+    /// transitions after each round via
+    /// [`RoundDriver::dynamics`]`.events()`; the next round clears
     /// them, so the buffer never outgrows one round.
     ///
     /// # Panics
@@ -136,17 +135,6 @@ impl RoundDriver {
     /// health, identity mapping).
     pub fn dynamics(&self) -> Option<&DynamicsRuntime> {
         self.dynamics.as_ref()
-    }
-
-    /// Drains the dynamics events of the most recent round (empty when
-    /// no runtime is attached). The borrowed spelling —
-    /// `driver.dynamics().map(|d| d.events())` — avoids handing the
-    /// buffer away on hot paths.
-    pub fn take_dynamics_events(&mut self) -> Vec<(SimTime, DynamicsEvent)> {
-        self.dynamics
-            .as_mut()
-            .map(DynamicsRuntime::take_events)
-            .unwrap_or_default()
     }
 
     /// The simulated clock.
@@ -347,7 +335,7 @@ mod tests {
                     stepped_dead += 1;
                 }
             });
-            transitions += d.take_dynamics_events().len();
+            transitions += d.dynamics().map_or(0, |dynamics| dynamics.events().len());
         }
         assert_eq!(stepped_dead, 0);
         assert!(transitions > 0, "300ms sessions churn over 5s");

@@ -269,8 +269,8 @@ impl ManagerNetwork {
         }
     }
 
-    /// Attaches a dynamics plan (churn, partitions, regional latency)
-    /// executed on the driver's clock between rounds.
+    /// Attaches a dynamics plan (churn, partitions, outages) executed on
+    /// the driver's clock between rounds.
     ///
     /// Manager *state* survives crash/rejoin cycles (a real node keeps
     /// its disk across restarts); only traffic is affected while a
@@ -291,18 +291,6 @@ impl ManagerNetwork {
     /// The attached dynamics runtime, if any.
     pub fn dynamics(&self) -> Option<&DynamicsRuntime> {
         self.driver.dynamics()
-    }
-
-    /// Forgets every stored shard, collected answer and ground-truth
-    /// entry about `subject` — the whitewash semantics: a fresh identity
-    /// starts from the prior.
-    pub fn forget_subject(&mut self, subject: NodeId) {
-        forget_subject_in(
-            &mut self.stores,
-            &mut self.answers,
-            &mut self.truth,
-            subject,
-        );
     }
 
     /// Executes one protocol round: flushes queued application traffic,
@@ -457,9 +445,6 @@ impl ManagerNetwork {
     }
 }
 
-/// The single source of the whitewash-forget semantics, shared by the
-/// public [`ManagerNetwork::forget_subject`] and the dynamics-event
-/// path inside `round()` (which works over destructured fields).
 /// Owned replica-placement iterator (see [`ManagerNetwork::replica_ids`]):
 /// hashed offsets over the global id space, or a snapshot of hashed
 /// picks from the subject's partial view when the membership overlay is
@@ -500,6 +485,10 @@ impl Iterator for ReplicaIter {
     }
 }
 
+/// Forgets every stored shard, collected answer and ground-truth entry
+/// about `subject` — the whitewash semantics: a fresh identity starts
+/// from the prior. `round()` calls it on each drained whitewash event,
+/// over its destructured fields.
 fn forget_subject_in(
     stores: &mut SparseRows<Shard>,
     answers: &mut SparseRows<(f64, f64)>,
@@ -809,7 +798,7 @@ mod tests {
         m.submit_query(NodeId(2), NodeId(4));
         m.run(3);
         assert!(m.answer(NodeId(2), NodeId(4)).expect("answered") > 0.7);
-        m.forget_subject(NodeId(4));
+        forget_subject_in(&mut m.stores, &mut m.answers, &mut m.truth, NodeId(4));
         assert_eq!(m.answer(NodeId(2), NodeId(4)), None, "answers cleared");
         assert_eq!(m.oracle(NodeId(4)), 0.5, "truth reset to the prior");
         m.submit_query(NodeId(2), NodeId(4));

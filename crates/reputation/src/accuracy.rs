@@ -73,35 +73,13 @@ pub fn evaluate(
     evaluate_scores(mechanism, &scores, true_quality, adversarial, iterations)
 }
 
-/// Evaluates `mechanism` against ground truth through an *identity
-/// mapping*: behaviour slot `i` is currently known to the mechanism as
-/// `identity[i]` (whitewashed slots point at their fresh identity, which
-/// may lie beyond the slot range). Ground truth stays slot-indexed —
-/// reality knows a whitewashed adversary is the same adversary even
-/// though the mechanism sees a newcomer.
-///
-/// With the identity map `0..n` this is exactly [`evaluate`]
-/// (bit-identical floats).
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree.
-pub fn evaluate_identities(
-    mechanism: &dyn ReputationMechanism,
-    identity: &[NodeId],
-    true_quality: &[f64],
-    adversarial: &[bool],
-    iterations: usize,
-) -> PowerReport {
-    let scores: Vec<f64> = identity.iter().map(|&id| mechanism.score(id)).collect();
-    evaluate_scores(mechanism, &scores, true_quality, adversarial, iterations)
-}
-
 /// Evaluates caller-owned `scores` — `scores[i]` is what `mechanism`
 /// currently says about behaviour slot `i` — against ground truth.
-/// [`evaluate`] and [`evaluate_identities`] gather the scores and call
-/// this; a caller that already holds them (or wants to keep them, e.g.
-/// as a memo key) skips the copy. `mechanism` supplies only the
+/// [`evaluate`] gathers the scores and calls this. The scenario reads
+/// them through its *identity mapping*: a whitewashed slot is scored
+/// under its fresh identity while ground truth stays slot-indexed, so
+/// reality knows a whitewashed adversary is the same adversary even
+/// though the mechanism sees a newcomer. `mechanism` supplies only the
 /// per-report overhead.
 ///
 /// # Panics
@@ -275,17 +253,20 @@ mod tests {
         let truth = [0.9, 0.9, 0.1, 0.1];
         let adv = [false, false, true, true];
         // The dense identity map is bit-identical to plain evaluate().
+        let mapped = |m: &BetaReputation, identity: &[NodeId]| {
+            let scores: Vec<f64> = identity.iter().map(|&id| m.score(id)).collect();
+            evaluate_scores(m, &scores, &truth, &adv, 0)
+        };
         let dense: Vec<NodeId> = (0..4).map(NodeId::from_index).collect();
         let plain = evaluate(&m, &truth, &adv, 0);
-        let mapped = evaluate_identities(&m, &dense, &truth, &adv, 0);
-        assert_eq!(plain, mapped);
+        assert_eq!(plain, mapped(&m, &dense));
 
         // Adversary slot 3 whitewashes: the mechanism now knows it as a
         // fresh identity (4) at the prior. Reality still knows slot 3 is
         // the same low-quality adversary, so measured power drops.
         m.resize(5);
         let washed = [NodeId(0), NodeId(1), NodeId(2), NodeId(4)];
-        let after = evaluate_identities(&m, &washed, &truth, &adv, 0);
+        let after = mapped(&m, &washed);
         assert!(
             after.rmse > plain.rmse,
             "whitewashing hurts accuracy: {} vs {}",

@@ -11,9 +11,10 @@
 //!   `flip_probability`, giving plausible deniability for any individual
 //!   report (local differential privacy for one bit: ε = ln((1−p)/p)).
 //!
-//! The wrapper lets experiments quantify the privacy→power degradation on
-//! *every* mechanism uniformly, which is how the Figure-2 sweep treats
-//! anonymization strength as a continuous knob.
+//! The wrapper applies to *every* mechanism uniformly, so the
+//! privacy→power degradation can be measured the same way for each. The
+//! scenario engine wraps its mechanism when `ScenarioConfig::anonymization`
+//! is set (`ScenarioBuilder::anonymization`).
 
 use crate::gathering::ReportView;
 use crate::mechanism::{MechanismKind, ReputationMechanism};
@@ -108,7 +109,8 @@ impl<M: ReputationMechanism> Anonymized<M> {
     }
 
     /// Fraction of reports whose identity was stripped so far.
-    pub fn observed_strip_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn observed_strip_rate(&self) -> f64 {
         if self.total == 0 {
             0.0
         } else {
@@ -117,7 +119,8 @@ impl<M: ReputationMechanism> Anonymized<M> {
     }
 
     /// Fraction of reports whose outcome was flipped so far.
-    pub fn observed_flip_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn observed_flip_rate(&self) -> f64 {
         if self.total == 0 {
             0.0
         } else {

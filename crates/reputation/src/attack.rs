@@ -15,6 +15,10 @@ use crate::gathering::FeedbackReport;
 use crate::mechanism::InteractionOutcome;
 use tsn_simnet::{NodeId, SimRng, SimTime};
 
+/// Success probability of adversarial providers (and of traitors once
+/// turned).
+const ADVERSARIAL_QUALITY: f64 = 0.1;
+
 /// How a node behaves as a provider and as a rater.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BehaviorClass {
@@ -23,8 +27,6 @@ pub enum BehaviorClass {
     /// Serves badly; lies in feedback (inverts outcomes) and praises
     /// fellow malicious nodes.
     Malicious,
-    /// Free-rider: often refuses service, but reports truthfully.
-    Selfish,
     /// Behaves honestly for its first `switch_after` interactions as a
     /// provider, then turns malicious (the classic traitor / milker).
     Traitor {
@@ -56,7 +58,7 @@ impl BehaviorClass {
     /// stuck-traitor bug (never selected ⇒ never turns).
     pub fn is_adversarial_provider(self, served: u64) -> bool {
         match self {
-            BehaviorClass::Honest | BehaviorClass::Selfish => false,
+            BehaviorClass::Honest => false,
             BehaviorClass::Malicious
             | BehaviorClass::Whitewasher
             | BehaviorClass::Colluder { .. } => true,
@@ -69,7 +71,6 @@ impl BehaviorClass {
         match self {
             BehaviorClass::Honest => "honest",
             BehaviorClass::Malicious => "malicious",
-            BehaviorClass::Selfish => "selfish",
             BehaviorClass::Traitor { .. } => "traitor",
             BehaviorClass::Whitewasher => "whitewasher",
             BehaviorClass::Colluder { .. } => "colluder",
@@ -83,8 +84,6 @@ impl BehaviorClass {
 pub struct PopulationConfig {
     /// Fraction of plainly malicious nodes.
     pub malicious: f64,
-    /// Fraction of selfish (free-riding) nodes.
-    pub selfish: f64,
     /// Fraction of traitors.
     pub traitor: f64,
     /// Interactions a traitor serves honestly before switching.
@@ -105,17 +104,12 @@ pub struct PopulationConfig {
     pub ring_size: usize,
     /// Mean service quality of honest providers.
     pub honest_quality: f64,
-    /// Success probability of adversarial providers.
-    pub adversarial_quality: f64,
-    /// Probability a selfish node refuses service.
-    pub selfish_refusal: f64,
 }
 
 impl Default for PopulationConfig {
     fn default() -> Self {
         PopulationConfig {
             malicious: 0.0,
-            selfish: 0.0,
             traitor: 0.0,
             traitor_switch_after: 20,
             traitor_switch_deadline: None,
@@ -123,8 +117,6 @@ impl Default for PopulationConfig {
             colluder: 0.0,
             ring_size: 5,
             honest_quality: 0.9,
-            adversarial_quality: 0.1,
-            selfish_refusal: 0.6,
         }
     }
 }
@@ -147,7 +139,6 @@ impl PopulationConfig {
     pub fn validate(&self) -> Result<(), String> {
         let fractions = [
             self.malicious,
-            self.selfish,
             self.traitor,
             self.whitewasher,
             self.colluder,
@@ -161,25 +152,13 @@ impl PopulationConfig {
         if total > 1.0 + 1e-9 {
             return Err(format!("fractions sum to {total} > 1"));
         }
-        for q in [
-            self.honest_quality,
-            self.adversarial_quality,
-            self.selfish_refusal,
-        ] {
-            if !(0.0..=1.0).contains(&q) {
-                return Err(format!("probability {q} not in [0,1]"));
-            }
+        if !(0.0..=1.0).contains(&self.honest_quality) {
+            return Err(format!("probability {} not in [0,1]", self.honest_quality));
         }
         if self.ring_size == 0 {
             return Err("ring_size must be positive".into());
         }
         Ok(())
-    }
-
-    /// The total adversarial fraction (nodes that serve badly at some
-    /// point).
-    pub fn adversarial_fraction(&self) -> f64 {
-        self.malicious + self.traitor + self.whitewasher + self.colluder
     }
 }
 
@@ -187,11 +166,12 @@ impl PopulationConfig {
 ///
 /// ```
 /// use tsn_reputation::{Population, PopulationConfig};
-/// use tsn_simnet::SimRng;
+/// use tsn_simnet::{NodeId, SimRng};
 ///
 /// let mut rng = SimRng::seed_from_u64(7);
 /// let pop = Population::new(10, PopulationConfig::with_malicious(0.3), &mut rng);
-/// assert_eq!(pop.adversarial_nodes().len(), 3);
+/// let adversaries = (0..10).filter(|&i| pop.is_adversarial(NodeId(i))).count();
+/// assert_eq!(adversaries, 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Population {
@@ -229,9 +209,6 @@ impl Population {
         for _ in 0..count(config.malicious) {
             classes.push(BehaviorClass::Malicious);
         }
-        for _ in 0..count(config.selfish) {
-            classes.push(BehaviorClass::Selfish);
-        }
         for _ in 0..count(config.traitor) {
             classes.push(BehaviorClass::Traitor {
                 switch_after: config.traitor_switch_after,
@@ -252,8 +229,7 @@ impl Population {
                     // Per-node quality jitter around the honest mean.
                     (config.honest_quality + rng.gen_normal(0.0, 0.05)).clamp(0.0, 1.0)
                 }
-                BehaviorClass::Selfish => config.honest_quality * (1.0 - config.selfish_refusal),
-                _ => config.adversarial_quality,
+                _ => ADVERSARIAL_QUALITY,
             })
             .collect();
         Population {
@@ -312,7 +288,7 @@ impl Population {
         let i = node.index();
         match self.classes[i] {
             BehaviorClass::Traitor { switch_after } if self.traitor_turned(i, switch_after) => {
-                self.config.adversarial_quality
+                ADVERSARIAL_QUALITY
             }
             _ => self.base_quality[i],
         }
@@ -407,14 +383,6 @@ impl Population {
             .map(|i| self.true_quality(NodeId::from_index(i)))
             .collect()
     }
-
-    /// Indices of currently adversarial nodes.
-    pub fn adversarial_nodes(&self) -> Vec<NodeId> {
-        (0..self.len())
-            .map(NodeId::from_index)
-            .filter(|&n| self.is_adversarial(n))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -425,7 +393,7 @@ mod tests {
     fn class_counts_match_fractions() {
         let config = PopulationConfig {
             malicious: 0.2,
-            selfish: 0.1,
+            traitor: 0.1,
             colluder: 0.1,
             ring_size: 5,
             ..Default::default()
@@ -438,7 +406,7 @@ mod tests {
                 .count()
         };
         assert_eq!(count("malicious"), 20);
-        assert_eq!(count("selfish"), 10);
+        assert_eq!(count("traitor"), 10);
         assert_eq!(count("colluder"), 10);
         assert_eq!(count("honest"), 60);
     }
@@ -616,36 +584,14 @@ mod tests {
     }
 
     #[test]
-    fn selfish_nodes_report_truthfully_but_serve_poorly() {
-        let config = PopulationConfig {
-            selfish: 1.0,
-            ..Default::default()
-        };
-        let mut rng = SimRng::seed_from_u64(5);
-        let pop = Population::new(2, config, &mut rng);
-        let actual = InteractionOutcome::Success { quality: 0.9 };
-        let fb = pop.feedback(NodeId(0), NodeId(1), actual, SimTime::ZERO, None);
-        assert_eq!(fb.outcome, actual);
-        assert!(pop.true_quality(NodeId(0)) < 0.5);
-        assert!(
-            !pop.is_adversarial(NodeId(0)),
-            "selfish ≠ adversarial provider"
-        );
-    }
-
-    #[test]
     fn validation_rejects_oversubscription() {
         let config = PopulationConfig {
             malicious: 0.7,
-            selfish: 0.5,
+            traitor: 0.5,
             ..Default::default()
         };
         assert!(config.validate().is_err());
         assert!(PopulationConfig::default().validate().is_ok());
-        assert_eq!(
-            PopulationConfig::with_malicious(0.3).adversarial_fraction(),
-            0.3
-        );
     }
 
     #[test]
@@ -653,10 +599,69 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(6);
         let pop = Population::new(50, PopulationConfig::with_malicious(0.4), &mut rng);
         let qualities = pop.true_qualities();
-        for n in pop.adversarial_nodes() {
+        let adversarial: Vec<NodeId> = (0..50)
+            .map(NodeId)
+            .filter(|&n| pop.is_adversarial(n))
+            .collect();
+        for n in &adversarial {
             assert!(qualities[n.index()] <= 0.2);
         }
-        assert_eq!(pop.adversarial_nodes().len(), 20);
+        assert_eq!(adversarial.len(), 20);
+    }
+
+    #[test]
+    fn mixed_population_classes_and_qualities_are_pinned() {
+        let config = PopulationConfig {
+            malicious: 0.25,
+            traitor: 0.125,
+            whitewasher: 0.125,
+            colluder: 0.25,
+            ring_size: 2,
+            ..Default::default()
+        };
+        let mut rng = SimRng::seed_from_u64(13);
+        let pop = Population::new(16, config, &mut rng);
+        let classes: Vec<String> = (0..16)
+            .map(|i| format!("{:?}", pop.class(NodeId(i))))
+            .collect();
+        let qualities: Vec<u64> = pop.true_qualities().into_iter().map(f64::to_bits).collect();
+        assert_eq!(
+            classes.join(","),
+            "Colluder { ring: 1 },Traitor { switch_after: 20 },Colluder { ring: 0 },Malicious,\
+             Honest,Honest,Traitor { switch_after: 20 },Colluder { ring: 1 },Whitewasher,Honest,\
+             Malicious,Whitewasher,Colluder { ring: 0 },Malicious,Malicious,Honest",
+            "class order moved"
+        );
+        // Adversaries serve at 0.1; honest nodes and unturned traitors
+        // jitter around 0.9.
+        let adv = 0.1_f64.to_bits();
+        assert_eq!(
+            qualities,
+            [
+                adv,
+                4_606_276_387_531_379_177,
+                adv,
+                adv,
+                4_606_584_671_430_128_031,
+                4_606_359_190_324_101_385,
+                4_606_495_769_343_686_241,
+                adv,
+                adv,
+                4_607_182_418_800_017_408,
+                adv,
+                adv,
+                adv,
+                adv,
+                adv,
+                4_605_990_779_333_172_763,
+            ],
+            "base qualities moved"
+        );
+        assert_eq!(
+            rng.next_u64(),
+            5_888_685_637_898_182_984,
+            "draw count moved"
+        );
     }
 
     #[test]

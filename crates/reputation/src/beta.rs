@@ -140,10 +140,18 @@ impl ReputationMechanism for BetaReputation {
                 self.pos.len()
             ));
         }
-        for x in self.pos.iter_mut().chain(self.neg.iter_mut()) {
-            *x = r.take_f64()?;
+        let mut pos = Vec::with_capacity(n);
+        for _ in 0..n {
+            pos.push(r.take_f64()?);
         }
-        drained(&r, "Beta")
+        let mut neg = Vec::with_capacity(n);
+        for _ in 0..n {
+            neg.push(r.take_f64()?);
+        }
+        drained(&r, "Beta")?;
+        self.pos = pos;
+        self.neg = neg;
+        Ok(())
     }
 }
 

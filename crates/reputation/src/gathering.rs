@@ -191,15 +191,6 @@ impl ReportView {
     pub fn value(&self) -> f64 {
         self.quality.unwrap_or(if self.success { 1.0 } else { 0.0 })
     }
-
-    /// Count of populated optional fields (used in tests and exposure
-    /// accounting).
-    pub fn disclosed_fields(&self) -> usize {
-        usize::from(self.rater.is_some())
-            + usize::from(self.quality.is_some())
-            + usize::from(self.topic.is_some())
-            + usize::from(self.at.is_some())
-    }
 }
 
 #[cfg(test)]
@@ -223,7 +214,6 @@ mod tests {
         assert_eq!(v.quality, Some(0.8));
         assert_eq!(v.topic, Some(2));
         assert_eq!(v.at, Some(SimTime::from_secs(5)));
-        assert_eq!(v.disclosed_fields(), 4);
         assert!(v.success);
     }
 
@@ -234,7 +224,6 @@ mod tests {
         assert_eq!(v.quality, None);
         assert_eq!(v.topic, None);
         assert_eq!(v.at, None);
-        assert_eq!(v.disclosed_fields(), 0);
         assert!(v.success);
         assert_eq!(v.ratee, NodeId(7));
     }

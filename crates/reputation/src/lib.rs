@@ -18,8 +18,8 @@
 //! 3. **Response** — [`response`]: partner-selection policies that act on
 //!    scores.
 //!
-//! [`attack`] provides the adversary vocabulary (malicious, selfish,
-//! traitor, whitewasher, colluder) and [`accuracy`] measures mechanism
+//! [`attack`] provides the adversary vocabulary (malicious, traitor,
+//! whitewasher, colluder) and [`accuracy`] measures mechanism
 //! *power* — reliability, efficiency, consistency with reality — which is
 //! the paper's "Reputation" axis. The interaction loop that drives the
 //! mechanisms lives in `tsn-core`'s scenario engine, where the feedback

@@ -184,7 +184,9 @@ pub trait ReputationMechanism: std::fmt::Debug + Send + Sync {
     ///
     /// Returns a description of the mismatch for unsupported mechanisms,
     /// truncated/corrupt input, or a snapshot taken at a different
-    /// population size.
+    /// population size. An `Err` leaves the instance unchanged: the
+    /// whole snapshot is decoded and validated before anything is
+    /// written.
     fn restore_state(&mut self, _bytes: &[u8]) -> Result<(), String> {
         Err(format!(
             "mechanism '{}' does not support state restore",
@@ -334,6 +336,30 @@ mod tests {
         );
     }
 
+    /// A mechanism of `kind` over 4 nodes that has seen identified and
+    /// anonymous reports and one refresh, so every snapshot block holds
+    /// something other than the fresh state.
+    fn fed(kind: MechanismKind) -> Box<dyn ReputationMechanism> {
+        let mut m = build_mechanism(kind, 4);
+        for (rater, ratee, good) in [(0, 1, true), (1, 2, false), (2, 3, true), (3, 1, true)] {
+            let report = FeedbackReport {
+                rater: NodeId(rater),
+                ratee: NodeId(ratee),
+                outcome: if good {
+                    InteractionOutcome::Success { quality: 0.8 }
+                } else {
+                    InteractionOutcome::Failure
+                },
+                topic: None,
+                at: SimTime::ZERO,
+            };
+            m.record(&DisclosurePolicy::full().view(&report));
+            m.record(&DisclosurePolicy::minimal().view(&report));
+        }
+        m.refresh();
+        m
+    }
+
     #[test]
     fn restores_reject_trailing_bytes() {
         for kind in [
@@ -342,12 +368,27 @@ mod tests {
             MechanismKind::EigenTrust,
         ] {
             let mut m = build_mechanism(kind, 4);
-            let mut snap = m.snapshot_state().expect("snapshot-capable");
-            m.restore_state(&snap).expect("round trip");
+            let mut snap = fed(kind).snapshot_state().expect("snapshot-capable");
+            let before = m.snapshot_state();
             snap.push(0);
             let err = m.restore_state(&snap).unwrap_err();
             assert!(err.contains("1 trailing bytes"), "{kind}: {err}");
+            assert_eq!(m.snapshot_state(), before, "{kind}: a failed restore wrote");
+            snap.pop();
+            m.restore_state(&snap).expect("round trip");
+            assert_eq!(m.snapshot_state(), Some(snap), "{kind}");
         }
+        // EigenTrust's snapshot ends with the opinion block, the dirty
+        // flag (1 byte) and the iteration count (8 bytes): cut into the
+        // last opinion weight.
+        let mut m = build_mechanism(MechanismKind::EigenTrust, 4);
+        let snap = fed(MechanismKind::EigenTrust)
+            .snapshot_state()
+            .expect("snapshot-capable");
+        let before = m.snapshot_state();
+        let err = m.restore_state(&snap[..snap.len() - 9 - 4]).unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
+        assert_eq!(m.snapshot_state(), before, "a truncated restore wrote");
     }
 
     #[test]

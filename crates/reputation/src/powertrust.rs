@@ -88,12 +88,6 @@ impl PowerTrust {
             order: Vec::new(),
         }
     }
-
-    /// The power nodes elected by the latest refresh.
-    pub fn power_nodes(&mut self) -> &[NodeId] {
-        self.refresh();
-        &self.power_set
-    }
 }
 
 impl ReputationMechanism for PowerTrust {
@@ -220,7 +214,7 @@ mod tests {
         let mut m = PowerTrust::new(12);
         star_population(&mut m, 12, &GOOD);
         m.refresh();
-        let mut powers: Vec<u32> = m.power_nodes().iter().map(|p| p.0).collect();
+        let mut powers: Vec<u32> = m.power_set.iter().map(|p| p.0).collect();
         powers.sort_unstable();
         assert_eq!(powers, GOOD, "power nodes {powers:?}");
     }
@@ -230,7 +224,7 @@ mod tests {
         let mut m = PowerTrust::new(3);
         feed(&mut m, 0, 1, true);
         m.refresh();
-        assert_eq!(m.power_nodes().len(), 3);
+        assert_eq!(m.power_set.len(), 3);
     }
 
     #[test]
@@ -272,14 +266,14 @@ mod tests {
             feed(&mut m, r, (r * 5 + 1) % 12, r % 3 != 0);
             feed(&mut m, r, (r + 7) % 12, true);
         }
-        let bits = |m: &mut PowerTrust| {
+        let bits = |m: &PowerTrust| {
             let scores: Vec<u64> = (0..12).map(|i| m.score(NodeId(i)).to_bits()).collect();
-            (m.power_nodes().to_vec(), scores)
+            (m.power_set.clone(), scores)
         };
         let iterations = m.refresh();
-        let walked = bits(&mut m);
+        let walked = bits(&m);
         assert_eq!(m.refresh(), iterations);
-        assert_eq!(bits(&mut m), walked);
+        assert_eq!(bits(&m), walked);
     }
 
     #[test]
@@ -335,7 +329,7 @@ mod tests {
         }
         scratch.refresh();
 
-        assert_eq!(incremental.power_nodes(), scratch.power_nodes());
+        assert_eq!(incremental.power_set, scratch.power_set);
         for i in 0..15 {
             assert_eq!(
                 incremental.score(NodeId(i)).to_bits(),

@@ -53,11 +53,6 @@ impl TrustMe {
             cursor: vec![0; n],
         }
     }
-
-    /// Reports stored about `node` across all its holders.
-    pub fn report_count(&self, node: NodeId) -> u64 {
-        self.shards[node.index()].iter().map(|s| s.count).sum()
-    }
 }
 
 impl ReputationMechanism for TrustMe {
@@ -149,7 +144,6 @@ mod tests {
         }
         // (4 + 1) / (4 + 2) = 5/6
         assert!((m.score(NodeId(1)) - 5.0 / 6.0).abs() < 1e-12);
-        assert_eq!(m.report_count(NodeId(1)), 4);
     }
 
     #[test]

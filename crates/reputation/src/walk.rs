@@ -357,7 +357,9 @@ impl<C: EvidenceCell> EvidenceStore<C> {
     /// Restores what [`EvidenceStore::snapshot`] wrote onto a store of
     /// the same size, reading each cell (`cell_bytes` long) with
     /// `take_cell`. Errors name `mechanism` and reject a size mismatch,
-    /// truncation, a misplaced ratee and trailing bytes.
+    /// truncation, a misplaced ratee and trailing bytes; on an error the
+    /// store is unchanged, because every field is decoded before any is
+    /// committed.
     pub fn restore(
         &mut self,
         bytes: &[u8],
@@ -383,21 +385,31 @@ impl<C: EvidenceCell> EvidenceStore<C> {
                     .map_err(|e| format!("{mechanism} snapshot {e}"))?;
             }
         }
-        for slot in self.anon.iter_mut() {
-            *slot = (r.take_f64()?, r.take_u64()?);
+        let mut anon = Vec::with_capacity(n);
+        for _ in 0..n {
+            anon.push((r.take_f64()?, r.take_u64()?));
         }
-        self.identified_reports = r.take_u64()?;
-        self.anonymous_reports = r.take_u64()?;
-        for g in self.global.iter_mut() {
-            *g = r.take_f64()?;
+        let identified_reports = r.take_u64()?;
+        let anonymous_reports = r.take_u64()?;
+        let mut global = Vec::with_capacity(n);
+        for _ in 0..n {
+            global.push(r.take_f64()?);
         }
-        for slot in self.opinion.iter_mut() {
-            *slot = (r.take_f64()?, r.take_f64()?);
+        let mut opinion = Vec::with_capacity(n);
+        for _ in 0..n {
+            opinion.push((r.take_f64()?, r.take_f64()?));
         }
-        self.dirty = r.take_u8()? != 0;
-        self.last_iterations = r.take_u64()? as usize;
+        let dirty = r.take_u8()? != 0;
+        let last_iterations = r.take_u64()? as usize;
         drained(&r, mechanism)?;
         self.local = local;
+        self.anon = anon;
+        self.identified_reports = identified_reports;
+        self.anonymous_reports = anonymous_reports;
+        self.global = global;
+        self.opinion = opinion;
+        self.dirty = dirty;
+        self.last_iterations = last_iterations;
         Ok(())
     }
 }

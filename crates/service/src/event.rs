@@ -86,11 +86,6 @@ impl ServiceOp {
         }
     }
 
-    /// Whether this op ingests (vs reads).
-    pub fn is_ingest(&self) -> bool {
-        matches!(self, ServiceOp::Ingest(_))
-    }
-
     /// The same operation re-stamped to `at` — what a client does when
     /// it reissues an op after a retry backoff.
     pub fn with_time(self, at: SimTime) -> ServiceOp {
@@ -133,13 +128,11 @@ mod tests {
         };
         assert_eq!(event.at(), at);
         assert_eq!(ServiceOp::Ingest(event).at(), at);
-        assert!(ServiceOp::Ingest(event).is_ingest());
         let q = ServiceOp::QueryTrust {
             node: NodeId(0),
             at,
         };
         assert_eq!(q.at(), at);
-        assert!(!q.is_ingest());
     }
 
     #[test]

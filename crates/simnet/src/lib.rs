@@ -47,7 +47,7 @@
 //! net.send(a, b, "hello".into());
 //! // The default transport delivers after 10 ms of virtual time.
 //! assert_eq!(net.advance_to(SimTime::from_millis(10)), 1);
-//! assert_eq!(net.take_inbox(b).len(), 1);
+//! assert_eq!(net.inbox_len(b), 1);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -346,11 +346,6 @@ impl MembershipRuntime {
         (0..self.config.relays).map(NodeId::from_index)
     }
 
-    /// Whether `node` is a relay slot.
-    pub fn is_relay(&self, node: NodeId) -> bool {
-        node.index() < self.config.relays
-    }
-
     /// One node's view.
     pub fn view(&self, node: NodeId) -> &PartialView {
         &self.views[node.index()]
@@ -660,7 +655,7 @@ mod tests {
         assert_invariants(&runtime);
         for (slot, view) in runtime.views().iter().enumerate() {
             assert!(!view.is_empty(), "slot {slot} starts with an empty view");
-            if !runtime.is_relay(NodeId::from_index(slot)) {
+            if slot >= runtime.config().relays {
                 let relay = NodeId::from_index(slot % runtime.config().relays);
                 assert!(view.contains(relay), "slot {slot} misses its relay");
             }

@@ -7,17 +7,13 @@ use crate::NodeId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MessageId(pub u64);
 
-/// An interned protocol tag — the discriminant of a [`Payload::Record`].
+/// A protocol tag — the discriminant of a [`Payload::Record`].
 ///
 /// A `Tag` is a `Copy` handle to a `'static` string. Protocols name
 /// their message kinds as `const` tags (`Tag::new("pushsum")`), so the
 /// hot path never allocates, clones or hashes a `String`: comparison is
 /// a pointer check with a content fallback, and the wire size is the
-/// tag's byte length (identical to the pre-interning accounting).
-///
-/// Dynamically built tag names go through [`Tag::intern`], which leaks
-/// one copy per distinct name into a process-wide registry — bounded by
-/// the protocol vocabulary, not by traffic.
+/// tag's byte length.
 #[derive(Debug, Clone, Copy)]
 pub struct Tag(&'static str);
 
@@ -28,28 +24,12 @@ impl Tag {
         Tag(name)
     }
 
-    /// Interns a dynamically built tag name: one leak per distinct
-    /// name, the same handle ever after.
-    pub fn intern(name: &str) -> Self {
-        use std::sync::{Mutex, OnceLock};
-        static REGISTRY: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-        let registry = REGISTRY.get_or_init(|| Mutex::new(Vec::new()));
-        // tsn-lint: allow(no-unwrap, "registry poisoning implies a prior panic while interning; propagating the panic is the design")
-        let mut registry = registry.lock().expect("tag registry poisoned");
-        if let Some(existing) = registry.iter().find(|s| **s == name) {
-            return Tag(existing);
-        }
-        let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        registry.push(leaked);
-        Tag(leaked)
-    }
-
     /// The tag name.
     pub fn as_str(self) -> &'static str {
         self.0
     }
 
-    /// Byte length on the wire (the name's length, as before interning).
+    /// Byte length on the wire (the name's length).
     pub fn wire_len(self) -> usize {
         self.0.len()
     }
@@ -57,9 +37,9 @@ impl Tag {
 
 impl PartialEq for Tag {
     fn eq(&self, other: &Self) -> bool {
-        // Interned/const tags usually share the allocation: pointer
-        // equality is the fast path, content equality keeps mixed
-        // provenance (e.g. `intern` vs `new`) correct.
+        // Equal `const` tags usually share the allocation: pointer
+        // equality is the fast path, content equality keeps tags of
+        // different provenance (two copies of one name) correct.
         std::ptr::eq(self.0, other.0) || self.0 == other.0
     }
 }
@@ -93,7 +73,7 @@ pub enum Payload {
     /// The field buffer is typically drawn from the network's
     /// [`BufferPool`](crate::BufferPool) and recycled on consumption.
     Record {
-        /// Protocol message kind, e.g. `"feedback.report"`, interned.
+        /// Protocol message kind, e.g. `"feedback.report"`.
         tag: Tag,
         /// Numeric fields keyed positionally by the protocol.
         fields: Vec<f64>,
@@ -186,20 +166,10 @@ mod tests {
     fn tags_compare_by_content_across_provenance() {
         const PUSHSUM: Tag = Tag::new("pushsum");
         assert_eq!(PUSHSUM, Tag::new("pushsum"));
-        assert_eq!(PUSHSUM, Tag::intern(&String::from("pushsum")));
+        let leaked: &'static str = Box::leak(String::from("pushsum").into_boxed_str());
+        assert_eq!(PUSHSUM, Tag::new(leaked), "content fallback");
         assert_ne!(PUSHSUM, Tag::new("other"));
         assert_eq!(PUSHSUM.as_str(), "pushsum");
         assert_eq!(PUSHSUM.wire_len(), 7);
-    }
-
-    #[test]
-    fn interning_is_idempotent() {
-        let a = Tag::intern("dyn.tag");
-        let b = Tag::intern(&format!("dyn.{}", "tag"));
-        assert_eq!(a, b);
-        assert!(
-            std::ptr::eq(a.as_str(), b.as_str()),
-            "same registry entry is handed back"
-        );
     }
 }

@@ -268,15 +268,9 @@ impl Network {
         delivered
     }
 
-    /// Drains and returns the mailbox of `node`.
-    pub fn take_inbox(&mut self, node: NodeId) -> Vec<Envelope> {
-        std::mem::take(&mut self.mailboxes[node.index()])
-    }
-
     /// Swaps the mailbox of `node` with `scratch` (which must be empty):
     /// the caller gets the pending envelopes, the mailbox inherits the
-    /// scratch buffer's capacity. The allocation-free spelling of
-    /// [`Network::take_inbox`] for per-round loops.
+    /// scratch buffer's capacity, so per-round loops allocate nothing.
     pub fn swap_inbox(&mut self, node: NodeId, scratch: &mut Vec<Envelope>) {
         debug_assert!(scratch.is_empty(), "swap_inbox scratch must be drained");
         std::mem::swap(&mut self.mailboxes[node.index()], scratch);
@@ -319,7 +313,8 @@ mod tests {
         );
         assert_eq!(net.inbox_len(b), 0);
         assert_eq!(net.advance_to(SimTime::from_millis(10)), 1);
-        let inbox = net.take_inbox(b);
+        let mut inbox = Vec::new();
+        net.swap_inbox(b, &mut inbox);
         assert_eq!(inbox.len(), 1);
         assert_eq!(inbox[0].from, a);
         assert_eq!(inbox[0].payload, Payload::from("hi"));
@@ -347,7 +342,7 @@ mod tests {
         net.set_alive(b, false);
         assert_eq!(net.advance_to(SimTime::from_secs(1)), 0);
         assert_eq!(net.stats().dead_letter, 1);
-        assert_eq!(net.take_inbox(b).len(), 0);
+        assert_eq!(net.inbox_len(b), 0);
     }
 
     #[test]
@@ -395,7 +390,8 @@ mod tests {
         net.send(a, b, "first".into());
         net.send(a, b, "second".into());
         net.advance_to(SimTime::from_millis(10));
-        let inbox = net.take_inbox(b);
+        let mut inbox = Vec::new();
+        net.swap_inbox(b, &mut inbox);
         assert_eq!(inbox[0].payload, Payload::from("first"));
         assert_eq!(inbox[1].payload, Payload::from("second"));
     }

@@ -83,13 +83,6 @@ impl GroupMap {
         self.groups.is_empty()
     }
 
-    /// Number of distinct (non-empty) groups among the assigned nodes.
-    pub fn group_count(&self) -> usize {
-        let mut seen = std::collections::BTreeSet::new();
-        seen.extend(self.groups.iter().copied());
-        seen.len()
-    }
-
     /// Size of each group, indexed by group id (trailing empty groups
     /// are not represented).
     pub fn group_sizes(&self) -> Vec<usize> {
@@ -221,13 +214,13 @@ mod tests {
         // groups ([3,3,3]); the remainder must instead spread so exactly
         // k groups differ in size by at most one.
         let map = GroupMap::contiguous(9, 4);
-        assert_eq!(map.group_count(), 4);
         assert_eq!(map.group_sizes(), vec![3, 2, 2, 2]);
 
         for (n, k) in [(10, 3), (11, 4), (7, 2), (100, 7), (5, 5), (13, 6)] {
             let map = GroupMap::contiguous(n, k);
             let sizes = map.group_sizes();
-            assert_eq!(map.group_count(), k, "n={n} k={k}");
+            let groups = sizes.iter().filter(|&&size| size > 0).count();
+            assert_eq!(groups, k, "n={n} k={k}");
             assert_eq!(sizes.iter().sum::<usize>(), n, "n={n} k={k}");
             let min = *sizes.iter().min().unwrap();
             let max = *sizes.iter().max().unwrap();
@@ -245,7 +238,6 @@ mod tests {
     fn contiguous_with_more_groups_than_nodes_is_safe() {
         let map = GroupMap::contiguous(3, 5);
         assert_eq!(map.group_sizes(), vec![1, 1, 1]);
-        assert_eq!(map.group_count(), 3);
     }
 
     #[test]

@@ -424,14 +424,13 @@ fn service_summary(service: &TrustService, json: bool) {
     }
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    let nodes: usize = flags.parse("--nodes", 100)?;
-    let epochs: u64 = flags.parse("--epochs", 10)?;
-    let epoch_secs: u64 = flags.parse("--epoch-secs", 60)?;
+/// Shared by `serve` and `replay --from-checkpoint`: the service
+/// flags. The storage carries no service config, so a replay rebuilds
+/// it from the same flags the serve run used.
+fn service_config(flags: &Flags) -> Result<ServiceConfig, String> {
     let mut config = ServiceConfig {
-        nodes,
-        epoch: SimDuration::from_secs(epoch_secs),
+        nodes: flags.parse("--nodes", 100)?,
+        epoch: SimDuration::from_secs(flags.parse("--epoch-secs", 60u64)?),
         ..ServiceConfig::default()
     };
     if let Some(raw) = flags.get("--mechanism")? {
@@ -440,10 +439,56 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(raw) = flags.get("--disclosure")? {
         config.disclosure_level = parse_disclosure(raw)?.index();
     }
+    Ok(config)
+}
+
+/// `--verify` for both replay paths: recomputes the whole history from
+/// scratch and checks that `service` (`what`: "restored" or
+/// "recovered") matches it bit for bit, naming the reference run
+/// `against` in the error.
+fn verify_against_scratch(
+    service: &TrustService,
+    driver: &ServiceDriver,
+    epochs: u64,
+    what: &str,
+    against: &str,
+) -> Result<(), String> {
+    let mut fresh = TrustService::new(service.config().clone())?;
+    driver.drive(&mut fresh, epochs)?;
+    let a = service.scores();
+    let b = fresh.scores();
+    let scores_identical =
+        a.len() == b.len() && a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits());
+    if !scores_identical {
+        return Err(format!(
+            "verify FAILED: {what} run's scores diverged from {against}"
+        ));
+    }
+    // Scores could agree by luck; the committed sample series and
+    // lifetime counters pin the whole history.
+    if service.samples() != fresh.samples() {
+        return Err(format!(
+            "verify FAILED: {what} run's epoch samples diverged from {against}"
+        ));
+    }
+    if service.stats() != fresh.stats() {
+        return Err(format!(
+            "verify FAILED: {what} run's counters diverged: {:?} vs {:?}",
+            service.stats(),
+            fresh.stats()
+        ));
+    }
+    Ok(())
+}
+
+fn cmd_serve(args: &[String]) -> Result<(), String> {
+    let flags = Flags { args };
+    let mut config = service_config(&flags)?;
+    let epochs: u64 = flags.parse("--epochs", 10)?;
     // The overlay rides in the service config too, so checkpoints
     // written by this run carry it (checkpoint config section v3).
     config.membership = membership_flags(&flags)?;
-    let driver = ServiceDriver::new(driver_config(&flags, nodes)?)?;
+    let driver = ServiceDriver::new(driver_config(&flags, config.nodes)?)?;
     let replicas: usize = flags.parse("--replicas", 1usize)?;
     if replicas > 1 || flags.get("--kill-primary-at")?.is_some() {
         return serve_replicated(&flags, config, &driver, epochs, replicas.max(2));
@@ -675,34 +720,10 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     if flags.has("--verify") {
         // The checkpoint contract: restore + continue must equal an
         // uninterrupted run, bit for bit.
-        let mut fresh = TrustService::new(service.config().clone())?;
-        driver.drive(&mut fresh, restored_epochs + extra)?;
-        let a = service.scores();
-        let b = fresh.scores();
-        let scores_identical =
-            a.len() == b.len() && a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits());
-        if !scores_identical {
-            return Err(
-                "verify FAILED: restored run's scores diverged from the scratch run".into(),
-            );
-        }
-        // Scores could agree by luck; the committed sample series and
-        // lifetime counters pin the whole history.
-        if service.samples() != fresh.samples() {
-            return Err(
-                "verify FAILED: restored run's epoch samples diverged from the scratch run".into(),
-            );
-        }
-        if service.stats() != fresh.stats() {
-            return Err(format!(
-                "verify FAILED: restored run's counters diverged: {:?} vs {:?}",
-                service.stats(),
-                fresh.stats()
-            ));
-        }
+        let epochs = restored_epochs + extra;
+        verify_against_scratch(&service, &driver, epochs, "restored", "the scratch run")?;
         eprintln!(
-            "verify: restored+continued run is bit-identical to an uninterrupted {}-epoch run",
-            restored_epochs + extra
+            "verify: restored+continued run is bit-identical to an uninterrupted {epochs}-epoch run"
         );
     }
     service_summary(&service, flags.has("--json"));
@@ -735,22 +756,8 @@ fn replay_from_storage(flags: &Flags) -> Result<(), String> {
     if checkpoints.is_empty() {
         eprintln!("no stored checkpoints in {dir}: recovery will replay the whole journal");
     }
-    // The storage carries no service config; rebuild it from the same
-    // flags the serve run used.
-    let nodes: usize = flags.parse("--nodes", 100)?;
-    let mut config = ServiceConfig {
-        nodes,
-        epoch: SimDuration::from_secs(flags.parse("--epoch-secs", 60u64)?),
-        ..ServiceConfig::default()
-    };
-    if let Some(raw) = flags.get("--mechanism")? {
-        config.mechanism = parse_mechanism(raw)?;
-    }
-    if let Some(raw) = flags.get("--disclosure")? {
-        config.disclosure_level = parse_disclosure(raw)?.index();
-    }
     let host_config = HostConfig {
-        service: config,
+        service: service_config(flags)?,
         recovery_grace: SimDuration::ZERO,
         ..HostConfig::default()
     };
@@ -791,32 +798,12 @@ fn replay_from_storage(flags: &Flags) -> Result<(), String> {
         // The recovery contract, exercised end to end: checkpoint +
         // segment-suffix replay + continue must equal recomputing the
         // whole history from scratch, bit for bit.
-        let mut fresh = TrustService::new(service.config().clone())?;
-        driver.drive(&mut fresh, restored_epochs + extra)?;
-        let a = service.scores();
-        let b = fresh.scores();
-        let scores_identical =
-            a.len() == b.len() && a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits());
-        if !scores_identical {
-            return Err("verify FAILED: recovered run's scores diverged from full replay".into());
-        }
-        if service.samples() != fresh.samples() {
-            return Err(
-                "verify FAILED: recovered run's epoch samples diverged from full replay".into(),
-            );
-        }
-        if service.stats() != fresh.stats() {
-            return Err(format!(
-                "verify FAILED: recovered run's counters diverged: {:?} vs {:?}",
-                service.stats(),
-                fresh.stats()
-            ));
-        }
+        let epochs = restored_epochs + extra;
+        verify_against_scratch(service, &driver, epochs, "recovered", "full replay")?;
         eprintln!(
             "verify: recovery path ({} records replayed on a checkpoint) is bit-identical \
-             to a full {}-epoch replay",
+             to a full {epochs}-epoch replay",
             report.replayed,
-            restored_epochs + extra
         );
     }
     service_summary(service, flags.has("--json"));

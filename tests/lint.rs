@@ -1,6 +1,6 @@
 //! Tier-1 self-test for `tsn-lint` (DESIGN.md §14).
 //!
-//! Two obligations, both load-bearing:
+//! Three obligations, all load-bearing:
 //!
 //! 1. **The workspace is clean.** `lint_workspace` over this repository
 //!    must report zero findings and zero unjustified pragmas — the same
@@ -9,6 +9,10 @@
 //!    a planted violation must produce exactly the expected finding; a
 //!    rule that silently stops matching would otherwise rot unnoticed
 //!    behind obligation 1.
+//! 3. **The settable surface is inventoried.** Config fields, builder
+//!    methods, CLI flags and environment variables, read from the
+//!    sources with the lexer, must equal the committed
+//!    `tests/golden/settable_surface.txt`.
 
 use std::path::Path;
 
@@ -300,4 +304,195 @@ fn classify_maps_paths_to_scopes() {
     assert_eq!(classify("tests/lint.rs"), FileScope::Test);
     assert_eq!(classify("examples/mega_scale.rs"), FileScope::Example);
     assert_eq!(classify("src/bin/tsn.rs"), FileScope::Bin);
+}
+
+// ---------------------------------------------------------------------
+// The settable surface: every value a caller can set, committed as an
+// inventory so a change that adds or removes a knob shows it in its
+// diff. Regenerate with `GOLDEN_REGEN=1 cargo test --test lint`.
+// ---------------------------------------------------------------------
+
+/// The `.rs` files under `dir`, recursively, in path order.
+fn rust_files(dir: &Path) -> Vec<std::path::PathBuf> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(dir) = pending.pop() {
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
+        };
+        for entry in entries {
+            let path = entry.expect("readable directory entry").path();
+            if path.is_dir() {
+                pending.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// A file's raw and lexed lines before its first top-level
+/// `#[cfg(test)]` (the unit-test module).
+fn non_test_lines(path: &Path) -> (Vec<String>, Vec<String>) {
+    let source = std::fs::read_to_string(path).expect("readable source");
+    let mut code = lex(&source).code;
+    let mut raw: Vec<String> = source.lines().map(str::to_owned).collect();
+    if let Some(cut) = code.iter().position(|l| l.starts_with("#[cfg(test)]")) {
+        code.truncate(cut);
+    }
+    raw.truncate(code.len());
+    (raw, code)
+}
+
+/// The contents of the one-line string literals in `raw`, located
+/// through the lexed `code` channel (which keeps the quotes and blanks
+/// what lies between them character for character).
+fn string_literals(raw: &[String], code: &[String]) -> Vec<String> {
+    let mut literals = Vec::new();
+    for (raw, code) in raw.iter().zip(code) {
+        let raw: Vec<char> = raw.chars().collect();
+        let quotes: Vec<usize> = code
+            .chars()
+            .enumerate()
+            .filter(|&(_, c)| c == '"')
+            .map(|(i, _)| i)
+            .collect();
+        for pair in quotes.chunks_exact(2) {
+            if let Some(body) = raw.get(pair[0] + 1..pair[1]) {
+                literals.push(body.iter().collect());
+            }
+        }
+    }
+    literals
+}
+
+/// The identifier that starts `text`.
+fn leading_ident(text: &str) -> &str {
+    let end = text
+        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .unwrap_or(text.len());
+    &text[..end]
+}
+
+/// One line per settable value, sorted within each kind:
+/// * `config <Struct>.<field>` — the `pub` fields of every `*Config`
+///   struct in the library crates;
+/// * `builder ScenarioBuilder::<method>` — its `pub fn`s;
+/// * `cli <--flag>` — the flag literals of `tsn-cli`;
+/// * `env <NAME>` — every environment variable the tree reads.
+fn settable_surface(root: &Path) -> String {
+    let mut config = Vec::new();
+    for path in rust_files(&root.join("crates")) {
+        let rel = path.strip_prefix(root).expect("under the root");
+        if !rel.components().any(|c| c.as_os_str() == "src")
+            || rel.components().any(|c| c.as_os_str() == "bin")
+        {
+            continue;
+        }
+        let (_, code) = non_test_lines(&path);
+        let mut open: Option<(String, i32)> = None;
+        for line in &code {
+            let trimmed = line.trim();
+            if let Some((name, depth)) = open.as_mut() {
+                if *depth == 1 {
+                    if let Some(field) = trimmed.strip_prefix("pub ") {
+                        config.push(format!("config {name}.{}", leading_ident(field)));
+                    }
+                }
+                *depth += line.matches('{').count() as i32 - line.matches('}').count() as i32;
+                if *depth <= 0 {
+                    open = None;
+                }
+            } else if let Some(rest) = trimmed.strip_prefix("pub struct ") {
+                let name = leading_ident(rest);
+                if name.ends_with("Config") && trimmed.ends_with('{') {
+                    open = Some((name.to_owned(), 1));
+                }
+            }
+        }
+    }
+    let mut builder = Vec::new();
+    let (_, code) = non_test_lines(&root.join("crates/core/src/runner/builder.rs"));
+    let mut in_impl = false;
+    for line in &code {
+        if line.starts_with("impl ScenarioBuilder ") {
+            in_impl = true;
+        } else if line.starts_with('}') {
+            in_impl = false;
+        } else if let Some(rest) = line.trim().strip_prefix("pub fn ") {
+            if in_impl {
+                builder.push(format!("builder ScenarioBuilder::{}", leading_ident(rest)));
+            }
+        }
+    }
+    let (raw, code) = non_test_lines(&root.join("src/bin/tsn-cli.rs"));
+    let cli: Vec<String> = string_literals(&raw, &code)
+        .into_iter()
+        .filter(|s| {
+            let name = s.strip_prefix("--").unwrap_or_default();
+            !name.is_empty() && name.chars().all(|c| c.is_ascii_lowercase() || c == '-')
+        })
+        .map(|s| format!("cli {s}"))
+        .collect();
+    let mut env = Vec::new();
+    for dir in ["crates", "src", "examples", "tests", "perfbench/src"] {
+        for path in rust_files(&root.join(dir)) {
+            let (mut raw, mut code) = non_test_lines(&path);
+            if !code.iter().any(|l| l.contains("env::var")) {
+                continue;
+            }
+            // Names are SCREAMING_SNAKE literals, read directly or
+            // through a helper (`env_usize("MEGA_NODES", ..)`); a
+            // compile-time `env!` is not a setting.
+            for (raw, code) in raw.iter_mut().zip(code.iter_mut()) {
+                if code.contains("env!(") {
+                    raw.clear();
+                    code.clear();
+                }
+            }
+            env.extend(
+                string_literals(&raw, &code)
+                    .into_iter()
+                    .filter(|s| {
+                        s.starts_with(|c: char| c.is_ascii_uppercase())
+                            && s.contains('_')
+                            && s.chars()
+                                .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
+                    })
+                    .map(|s| format!("env {s}")),
+            );
+        }
+    }
+    let mut out = String::from(
+        "# Settable surface: config fields, ScenarioBuilder methods, tsn-cli flags,\n\
+         # environment variables. Regenerate: GOLDEN_REGEN=1 cargo test --test lint\n",
+    );
+    for mut kind in [config, builder, cli, env] {
+        kind.sort();
+        kind.dedup();
+        for line in kind {
+            out.push_str(&line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+#[test]
+fn settable_surface_matches_inventory() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let actual = settable_surface(root);
+    let path = root.join("tests/golden/settable_surface.txt");
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        std::fs::write(&path, &actual).expect("write inventory");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing {}: {e}; run with GOLDEN_REGEN=1", path.display()));
+    assert_eq!(
+        expected, actual,
+        "the settable surface changed; review the diff and regenerate the inventory"
+    );
 }
