@@ -1,24 +1,32 @@
-//! `tsn-cli` — run scenarios, sweeps and the analytic dynamics from the
-//! command line (plain `std::env` parsing; no extra dependencies).
+//! `tsn-cli` — run scenarios, sweeps, the analytic dynamics and the
+//! online trust service from the command line (plain `std::env`
+//! parsing; no extra dependencies). Every command rejects a flag it
+//! does not accept.
 //!
 //! ```text
 //! tsn-cli scenario [--nodes N] [--rounds R] [--seed S] [--mechanism M]
 //!                  [--disclosure 0..4] [--malicious F] [--policies P]
 //!                  [--churn F] [--adaptive] [--progress K] [--json]
+//!                  [--peer-sampling] [--view-size N] [--relays N]
 //! tsn-cli sweep    [--nodes N] [--rounds R] [--seed S] [--seeds K]
 //!                  [--threads T] [--json] [--csv]
 //! tsn-cli dynamics [--honest F] [--eta F]
 //! tsn-cli serve    [--nodes N] [--epochs E] [--epoch-secs S] [--seed S]
 //!                  [--mechanism M] [--disclosure 0..4] [--malicious F]
-//!                  [--arrivals F] [--queries F] [--checkpoint FILE]
-//!                  [--journal] [--crash-at SECS] [--down-secs SECS]
-//!                  [--grace SECS] [--replicas N] [--kill-primary-at SECS]
+//!                  [--arrivals F] [--disclosures F] [--queries F]
+//!                  [--peer-sampling] [--view-size N] [--relays N]
+//!                  [--crash-at SECS] [--down-secs SECS] [--grace SECS]
+//!                  [--replicas N] [--kill-primary-at SECS]
 //!                  [--journal-dir DIR] [--json]
-//! tsn-cli replay   --checkpoint FILE [--fallback FILE] [--epochs E]
-//!                  [--verify] [--json]
-//! tsn-cli replay   --from-checkpoint --journal-dir DIR [--epochs E]
-//!                  [--verify] [--json]
+//! tsn-cli replay   --journal-dir DIR [--epochs E] [--verify] [--json]
+//!                  [the serve run's workload and --crash-at flags]
 //! ```
+//!
+//! The service persists in one form: the segmented store `serve
+//! --journal-dir` writes (journal manifest, segments, checkpoint ring).
+//! `replay` re-hosts it through the recovery path, newest valid
+//! checkpoint plus journal suffix, and `--verify` checks the result
+//! against a fresh run of the serve flags, fault plan included.
 
 use std::process::ExitCode;
 use tsn::core::dynamics::{DynamicsConfig, DynamicsState, InteractionDynamics};
@@ -29,15 +37,15 @@ use tsn::core::runner::{
 use tsn::core::{FacetScores, PolicyProfile};
 use tsn::reputation::MechanismKind;
 use tsn::service::{
-    checkpoint_sections, DriverConfig, EventJournal, HostConfig, ReplicaConfig, ReplicaSet,
-    ServiceConfig, ServiceDriver, ServiceHost, TrustService,
+    DriverConfig, EventJournal, HostConfig, ReplicaConfig, ReplicaSet, ServiceConfig,
+    ServiceDriver, ServiceHost, TrustService,
 };
 use tsn::simnet::{FaultInjector, FaultPlan, MembershipConfig, SimDuration, SimTime};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        eprintln!("usage: tsn-cli <scenario|sweep|dynamics> [flags]  (see --help)");
+        eprintln!("usage: tsn-cli <scenario|sweep|dynamics|serve|replay> [flags]  (see --help)");
         return ExitCode::FAILURE;
     };
     let result = match command.as_str() {
@@ -71,9 +79,10 @@ commands:
              report every cell, the trust winner and Area A
   dynamics   iterate the Section-3 analytic dynamics to its fixed point
   serve      run the online TrustService under a generated workload
-  replay     restore a service checkpoint and (optionally) continue it
+  replay     recover a store written by serve --journal-dir, optionally
+             continue it and verify it
 
-common flags:
+common flags (a command rejects any flag it does not accept):
   --nodes N --rounds R --seed S --json
 scenario flags:
   --mechanism none|beta|eigentrust|powertrust|trustme
@@ -82,7 +91,7 @@ scenario flags:
   --churn 0.0..1.0  steady availability churn: that fraction of users
                     is offline each round (one-round mean sessions)
   --progress K   print a progress line every K rounds
-peer-sampling flags (scenario + serve):
+peer-sampling flags (scenario, serve, replay):
   --peer-sampling   draw partners from bounded partial views kept fresh
                     by view shuffling instead of the global population
   --view-size N     entries per partial view (default 16)
@@ -93,38 +102,39 @@ sweep flags:
   --csv        emit the full report as CSV
 dynamics flags:
   --honest 0.0..1.0   --eta 0.0..1.0
-serve flags:
+serve flags (also --mechanism, --disclosure, --malicious):
   --epochs E        epochs to drive (default 10)
   --epoch-secs S    epoch length / staleness bound (default 60)
   --arrivals F      interactions per node per epoch (default 2.0)
+  --disclosures F   disclosure probability per interaction (default 0.2)
   --queries F       query probability per interaction (default 0.5)
-  --checkpoint F    write a binary checkpoint to file F at the end
-  --journal         host the service behind a write-ahead journal +
-                    auto-checkpoints (crash-tolerant mode)
-  --crash-at S      crash the hosted service at sim-second S (implies
-                    --journal); clients retry with backoff
+  --crash-at S      host the service behind a write-ahead journal +
+                    auto-checkpoints and crash it at sim-second S;
+                    clients retry with backoff
   --down-secs S     downtime before the scheduled restart (default 5)
   --grace S         degraded-query window after recovery (default 2)
   --replicas N      run N replicated hosts behind the deterministic
-                    sequencer (implies --journal; failover on crash)
+                    sequencer (failover on crash)
   --kill-primary-at S  crash replica 0 (the initial primary) at
                     sim-second S; the healthiest follower is promoted
-  --journal-dir D   persist the (primary's) segmented journal +
-                    checkpoint ring to directory D at the end
-replay flags:
-  --checkpoint F    checkpoint file to restore (required)
-  --fallback F      previous checkpoint to fall back to when the newest
-                    one fails its section CRCs
-  --from-checkpoint restore through the real recovery path instead:
-                    newest valid checkpoint from --journal-dir +
-                    segment-suffix journal replay
-  --journal-dir D   storage directory written by serve --journal-dir
-  --epochs E        extra epochs to continue after restoring (default 0)
-  --verify          rerun from scratch and check the restored-and-
-                    continued run is bit-identical (works for fallback
-                    and --from-checkpoint restores too)"
+  --journal-dir D   host the service and persist the (primary's)
+                    segmented journal + checkpoint ring to directory D
+                    at the end: the store replay recovers
+replay flags (also the serve run's service, workload and fault flags):
+  --journal-dir D   store written by serve --journal-dir (required)
+  --epochs E        extra epochs to continue after recovering (default 0)
+  --verify          check the recovered-and-continued run bit for bit
+                    against a fresh run of the whole history from the
+                    same flags, its --crash-at fault plan included"
     );
 }
+
+/// The service, workload, overlay and fault flags that `serve` and
+/// `replay` share: a replay takes those of the serve run that wrote
+/// its store.
+const SERVICE_FLAGS: &str = "--nodes --epoch-secs --mechanism --disclosure --arrivals \
+    --disclosures --queries --malicious --seed --peer-sampling --view-size --relays \
+    --grace --crash-at --down-secs";
 
 /// Minimal flag parser: `--key value` pairs plus boolean `--flag`s.
 struct Flags<'a> {
@@ -132,6 +142,22 @@ struct Flags<'a> {
 }
 
 impl<'a> Flags<'a> {
+    /// Wraps `command`'s arguments, rejecting any `--flag` that is in
+    /// none of the whitespace-separated `accepted` lists: a typo or a
+    /// retired flag must not silently run with the defaults.
+    fn new(args: &'a [String], command: &str, accepted: &[&str]) -> Result<Self, String> {
+        let known = |arg: &str| {
+            accepted
+                .iter()
+                .flat_map(|l| l.split_whitespace())
+                .any(|f| f == arg)
+        };
+        match args.iter().find(|a| a.starts_with("--") && !known(a)) {
+            Some(unknown) => Err(format!("unknown flag '{unknown}' for {command}")),
+            None => Ok(Flags { args }),
+        }
+    }
+
     /// The value after `key`, or `None` when `key` is absent. A `key`
     /// that is last, or followed by another `--flag`, is an error: it
     /// must not silently fall back to the default.
@@ -150,12 +176,17 @@ impl<'a> Flags<'a> {
     }
 
     fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key)? {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("invalid value '{raw}' for {key}")),
-        }
+        Ok(self.parse_opt(key)?.unwrap_or(default))
+    }
+
+    /// The parsed value after `key`, or `None` when `key` is absent.
+    fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)?
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| format!("invalid value '{raw}' for {key}"))
+            })
+            .transpose()
     }
 }
 
@@ -230,11 +261,17 @@ fn membership_flags(flags: &Flags) -> Result<Option<MembershipConfig>, String> {
 }
 
 fn cmd_scenario(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new(
+        args,
+        "scenario",
+        &[
+            "--nodes --rounds --seed --churn --malicious --adaptive --disclosure --mechanism \
+           --policies --peer-sampling --view-size --relays --progress --json",
+        ],
+    )?;
     let builder = scenario_builder(&flags)?;
     let config = builder.clone().build().map_err(|e| e.to_string())?;
-    let outcome = if let Some(every) = flags.get("--progress")? {
-        let every: usize = every.parse().map_err(|_| "invalid value for --progress")?;
+    let outcome = if let Some(every) = flags.parse_opt("--progress")? {
         let mut progress = ProgressPrinter::every(every);
         builder.run_observed(&mut [&mut progress])
     } else {
@@ -295,7 +332,11 @@ fn cmd_scenario(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new(
+        args,
+        "sweep",
+        &["--nodes --rounds --seed --seeds --threads --csv --json"],
+    )?;
     let nodes: usize = flags.parse("--nodes", 48)?;
     let seed: u64 = flags.parse("--seed", 42)?;
     let seeds_per_point: u64 = flags.parse("--seeds", 1)?;
@@ -314,11 +355,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         .all_profiles()
         .seeds((0..seeds_per_point).map(|i| seed.wrapping_add(i * 7919)));
 
-    let runner = match flags.get("--threads")? {
-        Some(raw) => {
-            let t: usize = raw.parse().map_err(|_| "invalid value for --threads")?;
-            SweepRunner::with_threads(t)
-        }
+    let runner = match flags.parse_opt("--threads")? {
+        Some(threads) => SweepRunner::with_threads(threads),
         None => SweepRunner::parallel(),
     };
     eprintln!(
@@ -424,13 +462,15 @@ fn service_summary(service: &TrustService, json: bool) {
     }
 }
 
-/// Shared by `serve` and `replay --from-checkpoint`: the service
-/// flags. The storage carries no service config, so a replay rebuilds
-/// it from the same flags the serve run used.
+/// Shared by `serve` and `replay`: the service flags. The store
+/// carries no service config, so a replay rebuilds it from the same
+/// flags the serve run used. The overlay rides in the service config
+/// too, so checkpoints carry it (checkpoint config section v3).
 fn service_config(flags: &Flags) -> Result<ServiceConfig, String> {
     let mut config = ServiceConfig {
         nodes: flags.parse("--nodes", 100)?,
         epoch: SimDuration::from_secs(flags.parse("--epoch-secs", 60u64)?),
+        membership: membership_flags(flags)?,
         ..ServiceConfig::default()
     };
     if let Some(raw) = flags.get("--mechanism")? {
@@ -442,95 +482,86 @@ fn service_config(flags: &Flags) -> Result<ServiceConfig, String> {
     Ok(config)
 }
 
-/// `--verify` for both replay paths: recomputes the whole history from
-/// scratch and checks that `service` (`what`: "restored" or
-/// "recovered") matches it bit for bit, naming the reference run
-/// `against` in the error.
-fn verify_against_scratch(
-    service: &TrustService,
-    driver: &ServiceDriver,
-    epochs: u64,
-    what: &str,
-    against: &str,
-) -> Result<(), String> {
-    let mut fresh = TrustService::new(service.config().clone())?;
-    driver.drive(&mut fresh, epochs)?;
-    let a = service.scores();
-    let b = fresh.scores();
-    let scores_identical =
-        a.len() == b.len() && a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits());
-    if !scores_identical {
-        return Err(format!(
-            "verify FAILED: {what} run's scores diverged from {against}"
-        ));
+/// Shared by `serve` and `replay --verify`: a fresh [`ServiceHost`]
+/// with the `--grace` recovery window and, under `--crash-at S`, a
+/// crash at sim-second S restarted after `--down-secs`.
+fn host_from_flags(
+    flags: &Flags,
+    service: ServiceConfig,
+    seed: u64,
+) -> Result<ServiceHost, String> {
+    let mut host = ServiceHost::new(HostConfig {
+        service,
+        recovery_grace: SimDuration::from_secs(flags.parse("--grace", 2u64)?),
+        ..HostConfig::default()
+    })?;
+    if let Some(crash_at) = flags.parse_opt::<u64>("--crash-at")? {
+        let down: u64 = flags.parse("--down-secs", 5u64)?;
+        let plan =
+            FaultPlan::service_crash(SimTime::from_secs(crash_at), SimDuration::from_secs(down));
+        host.attach_faults(FaultInjector::new(plan, seed)?);
+        eprintln!("fault plan: crash at {crash_at}s, restart after {down}s");
     }
-    // Scores could agree by luck; the committed sample series and
-    // lifetime counters pin the whole history.
-    if service.samples() != fresh.samples() {
-        return Err(format!(
-            "verify FAILED: {what} run's epoch samples diverged from {against}"
-        ));
-    }
-    if service.stats() != fresh.stats() {
-        return Err(format!(
-            "verify FAILED: {what} run's counters diverged: {:?} vs {:?}",
-            service.stats(),
-            fresh.stats()
-        ));
-    }
-    Ok(())
+    Ok(host)
+}
+
+/// `replay --verify`'s check: the recovered-and-continued `service`
+/// must equal the `reference` run bit for bit. Scores could agree by
+/// luck; the committed sample series and lifetime counters pin the
+/// whole history.
+fn verify_against(service: &TrustService, reference: &TrustService) -> Result<(), String> {
+    let bits = |s: &TrustService| s.scores().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let diverged = if bits(service) != bits(reference) {
+        "scores"
+    } else if service.samples() != reference.samples() {
+        "epoch samples"
+    } else if service.stats() != reference.stats() {
+        "counters"
+    } else {
+        return Ok(());
+    };
+    Err(format!(
+        "verify FAILED: the recovered run's {diverged} diverged from the reference: {:?} vs {:?}",
+        service.stats(),
+        reference.stats()
+    ))
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    let mut config = service_config(&flags)?;
+    let flags = Flags::new(
+        args,
+        "serve",
+        &[
+            SERVICE_FLAGS,
+            "--epochs --replicas --kill-primary-at --journal-dir --json",
+        ],
+    )?;
+    let config = service_config(&flags)?;
     let epochs: u64 = flags.parse("--epochs", 10)?;
-    // The overlay rides in the service config too, so checkpoints
-    // written by this run carry it (checkpoint config section v3).
-    config.membership = membership_flags(&flags)?;
     let driver = ServiceDriver::new(driver_config(&flags, config.nodes)?)?;
     let replicas: usize = flags.parse("--replicas", 1usize)?;
     if replicas > 1 || flags.get("--kill-primary-at")?.is_some() {
         return serve_replicated(&flags, config, &driver, epochs, replicas.max(2));
     }
-    let hosted = flags.has("--journal")
-        || flags.get("--crash-at")?.is_some()
-        || flags.get("--journal-dir")?.is_some();
-    if hosted {
+    if flags.get("--crash-at")?.is_some() || flags.get("--journal-dir")?.is_some() {
         return serve_hosted(&flags, config, &driver, epochs);
     }
     let mut service = TrustService::new(config)?;
     driver.drive(&mut service, epochs)?;
     service_summary(&service, flags.has("--json"));
-    write_checkpoint_flag(&flags, &service)?;
     Ok(())
 }
 
-/// `serve --journal [--crash-at S]`: the crash-tolerant path — a
-/// [`ServiceHost`] (write-ahead journal + auto-checkpoints) driven with
-/// client-side retries, optionally crashed on schedule.
+/// `serve --crash-at S` or `--journal-dir D`: the crash-tolerant path —
+/// a [`ServiceHost`] (write-ahead journal + auto-checkpoints) driven
+/// with client-side retries, optionally crashed on schedule.
 fn serve_hosted(
     flags: &Flags,
     config: ServiceConfig,
     driver: &ServiceDriver,
     epochs: u64,
 ) -> Result<(), String> {
-    let host_config = HostConfig {
-        service: config,
-        recovery_grace: SimDuration::from_secs(flags.parse("--grace", 2u64)?),
-        ..HostConfig::default()
-    };
-    let mut host = ServiceHost::new(host_config)?;
-    if let Some(raw) = flags.get("--crash-at")? {
-        let crash_at: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value '{raw}' for --crash-at"))?;
-        let down: u64 = flags.parse("--down-secs", 5u64)?;
-        let plan =
-            FaultPlan::service_crash(SimTime::from_secs(crash_at), SimDuration::from_secs(down));
-        host.attach_faults(FaultInjector::new(plan, driver.config().seed)?);
-        eprintln!("fault plan: crash at {crash_at}s, restart after {down}s");
-    }
+    let mut host = host_from_flags(flags, config, driver.config().seed)?;
     let report = driver.drive_host(&mut host, epochs)?;
     let stats = host.stats();
     eprintln!(
@@ -569,7 +600,6 @@ fn serve_hosted(
         .service()
         .ok_or("the hosted service ended the run down")?;
     service_summary(service, flags.has("--json"));
-    write_checkpoint_flag(flags, service)?;
     Ok(())
 }
 
@@ -592,10 +622,7 @@ fn serve_replicated(
         ..HostConfig::default()
     };
     let mut set = ReplicaSet::new(ReplicaConfig { host, replicas })?;
-    if let Some(raw) = flags.get("--kill-primary-at")? {
-        let kill_at: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value '{raw}' for --kill-primary-at"))?;
+    if let Some(kill_at) = flags.parse_opt::<u64>("--kill-primary-at")? {
         let down: u64 = flags.parse("--down-secs", 5u64)?;
         let plan =
             FaultPlan::replica_crash(0, SimTime::from_secs(kill_at), SimDuration::from_secs(down));
@@ -629,13 +656,12 @@ fn serve_replicated(
         .primary_service()
         .ok_or("the replica set ended the run with no member up")?;
     service_summary(service, flags.has("--json"));
-    write_checkpoint_flag(flags, service)?;
     Ok(())
 }
 
 /// Honors `--journal-dir DIR` after a hosted serve run: writes the
 /// journal manifest, every live segment, and the checkpoint ring —
-/// the storage `replay --from-checkpoint` re-hosts.
+/// the store `replay` re-hosts.
 fn persist_storage_flag(flags: &Flags, host: &ServiceHost) -> Result<(), String> {
     let Some(dir) = flags.get("--journal-dir")? else {
         return Ok(());
@@ -660,84 +686,66 @@ fn persist_storage_flag(flags: &Flags, host: &ServiceHost) -> Result<(), String>
     Ok(())
 }
 
-/// Honors `--checkpoint FILE` after a serve run.
-fn write_checkpoint_flag(flags: &Flags, service: &TrustService) -> Result<(), String> {
-    if let Some(path) = flags.get("--checkpoint")? {
-        let bytes = service.checkpoint()?;
-        std::fs::write(path, &bytes)
-            .map_err(|e| format!("cannot write checkpoint to {path}: {e}"))?;
-        eprintln!("checkpoint: {} bytes -> {path}", bytes.len());
-    }
-    Ok(())
-}
-
+/// `replay --journal-dir DIR`: recovers the store through the real
+/// recovery path, continues it for `--epochs` more, and with
+/// `--verify` checks it against a reference run — a fresh host built
+/// from the serve run's flags, fault plan included, driven for the
+/// whole history. The fault flags describe the stored history: they
+/// feed only the reference run, never the recovered host.
 fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    if flags.has("--from-checkpoint") {
-        return replay_from_storage(&flags);
-    }
-    let path = flags
-        .get("--checkpoint")?
-        .ok_or("replay needs --checkpoint FILE (or --from-checkpoint --journal-dir DIR)")?;
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read checkpoint {path}: {e}"))?;
-    let (mut service, restored_path, restored_len) = match TrustService::restore(&bytes) {
-        Ok(service) => (service, path, bytes.len()),
-        Err(error) => {
-            // Per-section CRCs caught damage; name the bad sections and
-            // fall back to the previous checkpoint when one was given.
-            eprintln!("checkpoint {path} is unusable: {error}");
-            if let Ok(sections) = checkpoint_sections(&bytes) {
-                for section in sections.iter().filter(|s| !s.crc_ok) {
-                    eprintln!(
-                        "  section '{}' fails its CRC ({} bytes at offset {})",
-                        section.name, section.len, section.offset
-                    );
-                }
-            }
-            let Some(fallback) = flags.get("--fallback")? else {
-                return Err(format!(
-                    "cannot restore {path} and no --fallback checkpoint was given: {error}"
-                ));
-            };
-            eprintln!("falling back to {fallback}");
-            let previous = std::fs::read(fallback)
-                .map_err(|e| format!("cannot read fallback checkpoint {fallback}: {e}"))?;
-            let len = previous.len();
-            (TrustService::restore(&previous)?, fallback, len)
-        }
-    };
-    eprintln!(
-        "restored {} nodes at epoch {} from {restored_path} ({restored_len} bytes)",
-        service.config().nodes,
-        service.epoch_index(),
-    );
-    let extra: u64 = flags.parse("--epochs", 0)?;
-    let restored_epochs = service.epoch_index();
-    let driver = ServiceDriver::new(driver_config(&flags, service.config().nodes)?)?;
-    if extra > 0 {
-        driver.drive(&mut service, extra)?;
-    }
-    if flags.has("--verify") {
-        // The checkpoint contract: restore + continue must equal an
-        // uninterrupted run, bit for bit.
-        let epochs = restored_epochs + extra;
-        verify_against_scratch(&service, &driver, epochs, "restored", "the scratch run")?;
-        eprintln!(
-            "verify: restored+continued run is bit-identical to an uninterrupted {epochs}-epoch run"
-        );
-    }
-    service_summary(&service, flags.has("--json"));
-    Ok(())
-}
-
-/// `replay --from-checkpoint --journal-dir DIR`: restore through the
-/// **real recovery path** — newest CRC-valid checkpoint from the ring
-/// plus segment-suffix journal replay — instead of recomputing from
-/// scratch, then (with `--verify`) compare bits against a full replay.
-fn replay_from_storage(flags: &Flags) -> Result<(), String> {
+    let flags = Flags::new(
+        args,
+        "replay",
+        &[SERVICE_FLAGS, "--journal-dir --epochs --verify --json"],
+    )?;
     let dir = flags
         .get("--journal-dir")?
-        .ok_or("replay --from-checkpoint needs --journal-dir DIR")?;
+        .ok_or("replay needs --journal-dir DIR (a store written by serve --journal-dir)")?;
+    let mut host = recover_store(&flags, dir)?;
+    let restored = host.service().ok_or("recovery left no running service")?;
+    let (nodes, restored_epochs, clock) = (
+        restored.config().nodes,
+        restored.epoch_index(),
+        restored.now(),
+    );
+    eprintln!("restored {nodes} nodes at epoch {restored_epochs} from {dir}");
+    if let Some(crash_at) = flags.parse_opt::<u64>("--crash-at")? {
+        if SimTime::from_secs(crash_at) >= clock {
+            return Err(format!(
+                "--crash-at {crash_at} is at or after the restored clock ({:.0}s): \
+                 the stored history holds no such crash",
+                clock.as_secs_f64()
+            ));
+        }
+    }
+    let extra: u64 = flags.parse("--epochs", 0)?;
+    let driver = ServiceDriver::new(driver_config(&flags, nodes)?)?;
+    if extra > 0 {
+        driver.drive_host(&mut host, extra)?;
+    }
+    let service = host.service().ok_or("the service ended the run down")?;
+    if flags.has("--verify") {
+        let epochs = restored_epochs + extra;
+        let mut reference =
+            host_from_flags(&flags, service.config().clone(), driver.config().seed)?;
+        driver.drive_host(&mut reference, epochs)?;
+        let reference = reference.service().ok_or("the reference run ended down")?;
+        verify_against(service, reference)?;
+        eprintln!(
+            "verify: recovered+continued run is bit-identical to a fresh {epochs}-epoch run \
+             of the same flags"
+        );
+    }
+    service_summary(service, flags.has("--json"));
+    Ok(())
+}
+
+/// Reads the store in `dir` and recovers it with
+/// [`ServiceHost::from_storage`] + [`ServiceHost::restart`]: newest
+/// CRC-valid checkpoint of the ring, falling back to older ones, plus
+/// segment-suffix journal replay. Reports the recovery on stderr,
+/// naming each skipped checkpoint's corrupt section.
+fn recover_store(flags: &Flags, dir: &str) -> Result<ServiceHost, String> {
     let manifest_path = format!("{dir}/manifest.tsnm");
     let manifest = std::fs::read(&manifest_path)
         .map_err(|e| format!("cannot read journal manifest {manifest_path}: {e}"))?;
@@ -746,12 +754,8 @@ fn replay_from_storage(flags: &Flags) -> Result<(), String> {
         std::fs::read(&path).map_err(|e| format!("cannot read {path}: {e}"))
     })?;
     let mut checkpoints = Vec::new();
-    loop {
-        let path = format!("{dir}/ckpt-{}.tsnc", checkpoints.len());
-        match std::fs::read(&path) {
-            Ok(bytes) => checkpoints.push(bytes),
-            Err(_) => break,
-        }
+    while let Ok(bytes) = std::fs::read(format!("{dir}/ckpt-{}.tsnc", checkpoints.len())) {
+        checkpoints.push(bytes);
     }
     if checkpoints.is_empty() {
         eprintln!("no stored checkpoints in {dir}: recovery will replay the whole journal");
@@ -762,7 +766,7 @@ fn replay_from_storage(flags: &Flags) -> Result<(), String> {
         ..HostConfig::default()
     };
     let mut host = ServiceHost::from_storage(host_config, checkpoints, journal)?;
-    let report = host.restart(SimTime::ZERO)?.clone();
+    let report = host.restart(SimTime::ZERO)?;
     eprintln!(
         "recovered from {} ({} records replayed, {} segments opened, {} skipped, \
          fallbacks: {}, torn tail: {})",
@@ -780,38 +784,11 @@ fn replay_from_storage(flags: &Flags) -> Result<(), String> {
     for error in &report.corrupt {
         eprintln!("  skipped checkpoint: {error}");
     }
-    let restored_epochs = host
-        .service()
-        .ok_or("recovery left no running service")?
-        .epoch_index();
-    eprintln!(
-        "restored {} nodes at epoch {restored_epochs} from {dir}",
-        host.config().service.nodes
-    );
-    let extra: u64 = flags.parse("--epochs", 0)?;
-    let driver = ServiceDriver::new(driver_config(flags, host.config().service.nodes)?)?;
-    if extra > 0 {
-        driver.drive_host(&mut host, extra)?;
-    }
-    let service = host.service().ok_or("the service ended the run down")?;
-    if flags.has("--verify") {
-        // The recovery contract, exercised end to end: checkpoint +
-        // segment-suffix replay + continue must equal recomputing the
-        // whole history from scratch, bit for bit.
-        let epochs = restored_epochs + extra;
-        verify_against_scratch(service, &driver, epochs, "recovered", "full replay")?;
-        eprintln!(
-            "verify: recovery path ({} records replayed on a checkpoint) is bit-identical \
-             to a full {epochs}-epoch replay",
-            report.replayed,
-        );
-    }
-    service_summary(service, flags.has("--json"));
-    Ok(())
+    Ok(host)
 }
 
 fn cmd_dynamics(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args, "dynamics", &["--honest --eta"])?;
     let mut config = DynamicsConfig::default();
     config.honest_fraction = flags.parse("--honest", config.honest_fraction)?;
     config.eta = flags.parse("--eta", config.eta)?;
@@ -860,5 +837,136 @@ mod tests {
                 "{raw:?}"
             );
         }
+    }
+
+    fn owned(raw: &[&str]) -> Vec<String> {
+        raw.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_named_errors() {
+        type Command = fn(&[String]) -> Result<(), String>;
+        // The four retired persistence flags, a typo and a flag of
+        // another command.
+        let cases: [(Command, &str, &[&str], &str); 6] = [
+            (
+                cmd_serve,
+                "serve",
+                &["--checkpoint", "state.ckpt"],
+                "--checkpoint",
+            ),
+            (
+                cmd_replay,
+                "replay",
+                &["--fallback", "prev.ckpt"],
+                "--fallback",
+            ),
+            (
+                cmd_replay,
+                "replay",
+                &["--from-checkpoint"],
+                "--from-checkpoint",
+            ),
+            (cmd_serve, "serve", &["--journal"], "--journal"),
+            (
+                cmd_serve,
+                "serve",
+                &["--nodes", "30", "--epoch", "5"],
+                "--epoch",
+            ),
+            (cmd_dynamics, "dynamics", &["--nodes", "30"], "--nodes"),
+        ];
+        for (command, name, raw, flag) in cases {
+            assert_eq!(
+                command(&owned(raw)),
+                Err(format!("unknown flag '{flag}' for {name}")),
+                "{raw:?}"
+            );
+        }
+    }
+
+    /// A store directory of its own under the system temp dir, removed
+    /// on drop.
+    struct TempStore(std::path::PathBuf);
+
+    impl TempStore {
+        fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("tsn-cli-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            TempStore(dir)
+        }
+
+        /// `raw` plus `--journal-dir <this store>`.
+        fn args(&self, raw: &[&str]) -> Vec<String> {
+            let mut args = owned(raw);
+            args.push("--journal-dir".into());
+            args.push(self.0.to_str().expect("UTF-8 temp dir").into());
+            args
+        }
+
+        fn path(&self, file: &str) -> std::path::PathBuf {
+            self.0.join(file)
+        }
+    }
+
+    impl Drop for TempStore {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    const SERVE: [&str; 6] = ["--nodes", "30", "--epochs", "4", "--seed", "9"];
+    const WORKLOAD: [&str; 4] = ["--nodes", "30", "--seed", "9"];
+
+    #[test]
+    fn crashed_store_verifies_against_its_own_fault_plan() {
+        let store = TempStore::new("crashed");
+        let crash = ["--crash-at", "130", "--down-secs", "10"];
+        cmd_serve(&store.args(&[&SERVE[..], &crash].concat())).unwrap();
+        for extra in ["0", "2"] {
+            let replay = [&WORKLOAD[..], &crash, &["--epochs", extra, "--verify"]].concat();
+            assert_eq!(cmd_replay(&store.args(&replay)), Ok(()), "--epochs {extra}");
+        }
+        // The stored history ends at 240 s: a later crash is not in it.
+        let late = [&WORKLOAD[..], &["--crash-at", "240", "--verify"]].concat();
+        let error = cmd_replay(&store.args(&late)).unwrap_err();
+        assert!(error.contains("at or after the restored clock"), "{error}");
+    }
+
+    #[test]
+    fn rotted_newest_checkpoint_falls_back_and_verifies() {
+        let store = TempStore::new("rotted");
+        cmd_serve(&store.args(&SERVE)).unwrap();
+        let newest = store.path("ckpt-1.tsnc");
+        let mut bytes = std::fs::read(&newest).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 4;
+        std::fs::write(&newest, bytes).unwrap();
+        let args = store.args(&WORKLOAD);
+        let host = recover_store(&Flags { args: &args }, store.0.to_str().unwrap()).unwrap();
+        let report = host.last_recovery().unwrap();
+        assert_eq!(report.fallbacks, 1);
+        assert!(!report.from_scratch);
+        assert!(
+            report.corrupt[0].contains("is corrupt"),
+            "{:?}",
+            report.corrupt
+        );
+        let replay = [&WORKLOAD[..], &["--epochs", "1", "--verify"]].concat();
+        assert_eq!(cmd_replay(&store.args(&replay)), Ok(()));
+    }
+
+    #[test]
+    fn hostile_manifest_segment_count_is_a_named_error() {
+        let store = TempStore::new("hostile");
+        cmd_serve(&store.args(&SERVE)).unwrap();
+        let manifest = store.path("manifest.tsnm");
+        let mut bytes = std::fs::read(&manifest).unwrap();
+        // Bytes 48..56 of the manifest hold its segment count.
+        bytes[48..56].fill(0xff);
+        std::fs::write(&manifest, bytes).unwrap();
+        let replay = [&WORKLOAD[..], &["--verify"]].concat();
+        let error = cmd_replay(&store.args(&replay)).unwrap_err();
+        assert!(error.contains("manifest"), "{error}");
     }
 }
