@@ -6,7 +6,7 @@
 
 use tsn_bench::{emit, experiment_base, mean};
 use tsn_core::report::{ExperimentRow, ExperimentTable};
-use tsn_core::runner::{DisclosureLevel, SeriesRecorder};
+use tsn_core::runner::DisclosureLevel;
 use tsn_graph::metrics::spearman;
 use tsn_reputation::MechanismKind;
 
@@ -24,19 +24,17 @@ fn main() {
     // ------------------------------------------------------------------
     // E1: trust <-> satisfaction are mutually reinforcing.
     // Within-run evidence: the per-round series of mean trust and mean
-    // satisfaction co-move. An observer streams the series as the run
-    // progresses — no post-hoc sample mining.
+    // satisfaction co-move.
     let mut rhos = Vec::new();
     for seed in 0..5 {
-        let mut recorder = SeriesRecorder::new(["trust", "satisfaction"]);
-        experiment_base(1100 + seed)
+        let outcome = experiment_base(1100 + seed)
             .nodes(60)
             .rounds(20)
-            .run_observed(&mut [&mut recorder])
+            .run()
             .expect("valid config");
-        let trust = recorder.series("trust").expect("subscribed");
-        let satisfaction = recorder.series("satisfaction").expect("subscribed");
-        if let Some(r) = spearman(trust, satisfaction) {
+        let trust = outcome.series("trust").expect("known series");
+        let satisfaction = outcome.series("satisfaction").expect("known series");
+        if let Some(r) = spearman(&trust, &satisfaction) {
             rhos.push(r);
         }
     }

@@ -147,11 +147,6 @@ impl InteractionDynamics {
         InteractionDynamics { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &DynamicsConfig {
-        &self.config
-    }
-
     /// One synchronous update step.
     pub fn step(&self, state: &DynamicsState) -> DynamicsState {
         let c = &self.config;

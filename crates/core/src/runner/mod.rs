@@ -6,9 +6,9 @@
 //! * [`ScenarioBuilder`] — fluent, *validated* construction of a single
 //!   scenario, with typed knobs ([`DisclosureLevel`] instead of a raw
 //!   `usize`) and a [`ValidationError`] naming the offending field;
-//! * [`Observer`] — per-round subscription hooks
-//!   ([`SeriesRecorder`], [`ProgressPrinter`]),
-//!   replacing post-hoc mining of `ScenarioOutcome::samples`;
+//! * [`Observer`] — per-round subscription hooks for streaming
+//!   consumers such as [`ProgressPrinter`] (the recorded series are
+//!   read afterwards with `ScenarioOutcome::series`);
 //! * [`SweepGrid`] / [`SweepRunner`] — declarative mechanism ×
 //!   disclosure × profile × seed grids executed across threads with
 //!   per-cell deterministic seeding, yielding a [`SweepReport`] with
@@ -25,5 +25,5 @@ mod sweep;
 
 pub use builder::{DisclosureLevel, ScenarioBuilder};
 pub use error::ValidationError;
-pub use observer::{Observer, ProgressPrinter, SeriesRecorder};
+pub use observer::{Observer, ProgressPrinter};
 pub use sweep::{SweepCell, SweepCellResult, SweepGrid, SweepReport, SweepRunner};

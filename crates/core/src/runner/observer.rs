@@ -1,14 +1,12 @@
 //! Per-round subscription hooks.
 //!
-//! Callers that need the time series behind Figure 1 used to mine
-//! `ScenarioOutcome::samples` after the fact; an [`Observer`] instead
-//! receives each [`RoundSample`] as the scenario produces it, so
-//! streaming consumers (progress printers, live plots) need no post-hoc
-//! bookkeeping.
+//! The time series behind Figure 1 is read after the run with
+//! [`ScenarioOutcome::series`]; an [`Observer`] instead receives each
+//! [`RoundSample`] as the scenario produces it, for streaming consumers
+//! such as progress printers and live plots.
 
 use crate::config::ScenarioConfig;
 use crate::scenario::{RoundSample, ScenarioOutcome};
-use std::collections::BTreeMap;
 
 /// Subscriber to the lifecycle of one scenario run.
 ///
@@ -23,59 +21,6 @@ pub trait Observer {
 
     /// Called once with the final outcome.
     fn on_finish(&mut self, _outcome: &ScenarioOutcome) {}
-}
-
-/// Records named per-round series as the run progresses.
-///
-/// ```
-/// use tsn_core::runner::{ScenarioBuilder, SeriesRecorder};
-///
-/// let mut recorder = SeriesRecorder::new(["trust", "satisfaction"]);
-/// ScenarioBuilder::small()
-///     .run_observed(&mut [&mut recorder])
-///     .expect("valid configuration");
-/// assert_eq!(recorder.series("trust").expect("known name").len(), 10);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SeriesRecorder {
-    names: Vec<String>,
-    series: BTreeMap<String, Vec<f64>>,
-}
-
-impl SeriesRecorder {
-    /// Subscribes to the given series names (see
-    /// [`RoundSample::SERIES_NAMES`] for the recognized set; unknown
-    /// names record nothing).
-    pub fn new(names: impl IntoIterator<Item = impl Into<String>>) -> Self {
-        let names: Vec<String> = names.into_iter().map(Into::into).collect();
-        let series = names.iter().map(|n| (n.clone(), Vec::new())).collect();
-        SeriesRecorder { names, series }
-    }
-
-    /// Subscribes to every recognized series.
-    pub fn all() -> Self {
-        Self::new(RoundSample::SERIES_NAMES)
-    }
-
-    /// The recorded values of one subscribed series.
-    pub fn series(&self, name: &str) -> Option<&[f64]> {
-        self.series.get(name).map(Vec::as_slice)
-    }
-
-    /// Iterates `(name, values)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &[f64])> {
-        self.series.iter().map(|(n, v)| (n.as_str(), v.as_slice()))
-    }
-}
-
-impl Observer for SeriesRecorder {
-    fn on_round(&mut self, sample: &RoundSample) {
-        for name in &self.names {
-            if let (Some(value), Some(values)) = (sample.field(name), self.series.get_mut(name)) {
-                values.push(value);
-            }
-        }
-    }
 }
 
 /// Prints one progress line per `every` rounds to stderr — handy for
@@ -120,49 +65,43 @@ mod tests {
     use super::*;
     use crate::runner::ScenarioBuilder;
 
-    #[test]
-    fn recorder_matches_post_hoc_samples() {
-        let mut recorder = SeriesRecorder::new(["trust", "reports"]);
-        let outcome = ScenarioBuilder::small()
-            .seed(5)
-            .run_observed(&mut [&mut recorder])
-            .expect("valid");
-        assert_eq!(
-            recorder.series("trust").expect("subscribed"),
-            outcome.series("trust").expect("known").as_slice()
-        );
-        assert_eq!(
-            recorder.series("reports").expect("subscribed"),
-            outcome.series("reports").expect("known").as_slice()
-        );
-        assert!(recorder.series("nope").is_none());
+    /// Counts the hooks it receives.
+    #[derive(Default)]
+    struct Counter {
+        starts: usize,
+        rounds: usize,
+        finishes: usize,
     }
 
-    #[test]
-    fn recorder_all_covers_every_series() {
-        let mut recorder = SeriesRecorder::all();
-        ScenarioBuilder::small()
-            .seed(6)
-            .run_observed(&mut [&mut recorder])
-            .expect("valid");
-        assert_eq!(recorder.iter().count(), RoundSample::SERIES_NAMES.len());
-        for (_, values) in recorder.iter() {
-            assert_eq!(values.len(), 10);
+    impl Observer for Counter {
+        fn on_start(&mut self, _config: &ScenarioConfig) {
+            self.starts += 1;
+        }
+
+        fn on_round(&mut self, _sample: &RoundSample) {
+            self.rounds += 1;
+        }
+
+        fn on_finish(&mut self, _outcome: &ScenarioOutcome) {
+            self.finishes += 1;
         }
     }
 
     #[test]
     fn multiple_observers_all_fire() {
-        let mut a = SeriesRecorder::new(["trust"]);
-        let mut b = SeriesRecorder::new(["satisfaction"]);
-        let mut c = SeriesRecorder::new(["respect"]);
+        let mut a = Counter::default();
+        let mut b = Counter::default();
+        let mut c = Counter::default();
         ScenarioBuilder::small()
             .seed(7)
             .run_observed(&mut [&mut a, &mut b, &mut c])
             .expect("valid");
-        assert_eq!(a.series("trust").expect("subscribed").len(), 10);
-        assert_eq!(b.series("satisfaction").expect("subscribed").len(), 10);
-        assert_eq!(c.series("respect").expect("subscribed").len(), 10);
+        for counter in [a, b, c] {
+            assert_eq!(
+                (counter.starts, counter.rounds, counter.finishes),
+                (1, 10, 1)
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every node starts with only its *own* observations (value sum and
 //! count per subject) and a push-sum weight of 1. Each round every node
 //! halves its state, keeps one half and sends the other to a random
-//! neighbour. All three quantities are *mass-conserved* (absent
+//! graph neighbour. All three quantities are *mass-conserved* (absent
 //! message loss), so each node's ratio `state / weight` converges to the
 //! network-wide average — from which the global Beta-style score of every
 //! subject is computed locally, with no aggregator anywhere.
@@ -24,8 +24,8 @@
 use crate::host::{ProtocolCosts, RoundDriver};
 use tsn_graph::Graph;
 use tsn_simnet::{
-    DynamicsEvent, DynamicsPlan, DynamicsRuntime, Envelope, MembershipConfig, MembershipRuntime,
-    Network, NodeId, Payload, SimDuration, SimRng, Tag,
+    DynamicsEvent, DynamicsPlan, DynamicsRuntime, Envelope, Network, NodeId, Payload, SimDuration,
+    SimRng, Tag,
 };
 
 /// The push-sum message tag.
@@ -76,10 +76,6 @@ pub struct GossipNetwork {
     state: Vec<f64>,
     /// Ground-truth totals (for oracle comparison): (sum, count).
     truth: Vec<(f64, f64)>,
-    /// Peer-sampling overlay; when attached, push targets come from
-    /// each node's bounded partial view instead of the graph
-    /// neighborhood.
-    membership: Option<MembershipRuntime>,
 }
 
 impl GossipNetwork {
@@ -103,7 +99,6 @@ impl GossipNetwork {
             weight: vec![1.0; n],
             state: vec![0.0; n * 2 * config.subjects],
             truth: vec![(0.0, 0.0); config.subjects],
-            membership: None,
             config,
         }
     }
@@ -149,31 +144,6 @@ impl GossipNetwork {
         self.driver.dynamics()
     }
 
-    /// Attaches the peer-sampling membership overlay: each node keeps
-    /// a bounded partial view refreshed by one shuffle per gossip
-    /// round, and push targets are drawn from the view instead of the
-    /// full graph neighborhood. The overlay runs on its own RNG
-    /// stream (derived from `seed`), so attaching it never shifts the
-    /// push-target draw sequence of membership-off runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the config's validation error, or an error when the
-    /// population is too small for the relay count.
-    pub fn attach_membership(&mut self, config: MembershipConfig, seed: u64) -> Result<(), String> {
-        self.membership = Some(MembershipRuntime::new(
-            self.graph.node_count(),
-            config,
-            seed,
-        )?);
-        Ok(())
-    }
-
-    /// The attached membership overlay, if any.
-    pub fn membership(&self) -> Option<&MembershipRuntime> {
-        self.membership.as_ref()
-    }
-
     /// Executes one push-sum round.
     pub fn round(&mut self) {
         let GossipNetwork {
@@ -183,19 +153,10 @@ impl GossipNetwork {
             weight,
             state,
             config,
-            membership,
             ..
         } = self;
         let subjects = config.subjects;
         let stride = 2 * subjects;
-        // One view shuffle per gossip round, against current liveness
-        // (no partition model at this layer — the network's loss model
-        // handles partitions in transit).
-        if let Some(m) = membership.as_mut() {
-            let network = driver.network();
-            m.shuffle_round(|p| network.is_alive(p), |_, _| true);
-        }
-        let membership = membership.as_ref();
         driver.round(|node, inbox, _network, out| {
             let i = node.index();
             let row = &mut state[i * stride..(i + 1) * stride];
@@ -215,14 +176,8 @@ impl GossipNetwork {
             // Halve and push to one random neighbour. Nodes do not know
             // who crashed: the draw covers every neighbour, and a push
             // to a dead peer dead-letters — a bounded mass leak that the
-            // crash tests quantify. With the membership overlay attached
-            // the draw covers the node's bounded partial view instead of
-            // the graph.
-            let target = match membership {
-                Some(m) => m.view(node).sample(rng),
-                None => rng.choose(graph.neighbors(node)).copied(),
-            };
-            let Some(target) = target else {
+            // crash tests quantify.
+            let Some(&target) = rng.choose(graph.neighbors(node)) else {
                 return;
             };
             weight[i] /= 2.0;
@@ -368,40 +323,6 @@ mod tests {
             let value = if subject.is_multiple_of(2) { 0.9 } else { 0.2 };
             g.observe(observer, subject, value);
         }
-    }
-
-    #[test]
-    fn membership_overlay_still_converges() {
-        let n = 30;
-        let mut g = build(n, 0.0, 9);
-        g.attach_membership(MembershipConfig::default(), 0xFACE)
-            .expect("valid overlay");
-        seed_observations(&mut g, n, 2);
-        let before = g.report();
-        g.run(40);
-        let after = g.report();
-        // View-constrained targets reach the whole population through
-        // shuffling, so push-sum still converges.
-        assert!(
-            after.mean_error < before.mean_error / 3.0,
-            "{before:?} -> {after:?}"
-        );
-        assert!(g.membership().expect("attached").rounds() >= 40);
-    }
-
-    #[test]
-    fn membership_overlay_is_deterministic() {
-        let run = || {
-            let n = 20;
-            let mut g = build(n, 0.0, 11);
-            g.attach_membership(MembershipConfig::default(), 13)
-                .expect("valid overlay");
-            seed_observations(&mut g, n, 3);
-            g.run(15);
-            let report = g.report();
-            (report.mean_error, report.max_error, report.costs.messages)
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //!   replicas; queries fan out to the replicas and answers are averaged.
 //!   Managers can crash; replication covers the gap.
 //!
+//! Both protocols address peers from global knowledge: gossip pushes to
+//! a graph neighbour, and manager replicas sit at hashed offsets over
+//! the whole id space. The peer-sampling overlay
+//! (`tsn_simnet::membership`) shapes partner choice in the scenario
+//! engine and the online driver only.
+//!
 //! [`host`] provides the round-driver harness both protocols run on, and
 //! the `exp_decentralized` binary in `tsn-bench` compares either protocol
 //! against the centralized oracle on accuracy and message cost (the A4

@@ -2,7 +2,8 @@
 //! strategy as a protocol.
 //!
 //! Each subject's evidence lives at `k` deterministic *manager replicas*
-//! (in a real deployment, the k DHT nodes closest to `hash(subject)`).
+//! (in a real deployment, the k DHT nodes closest to `hash(subject)`),
+//! placed at hashed offsets over the global id space.
 //! Raters send reports to all replicas; a consumer queries the replicas
 //! and averages the answers it receives. Replication hides individual
 //! manager crashes; losing every replica of a subject loses its history.
@@ -18,8 +19,8 @@
 
 use crate::host::{ProtocolCosts, RoundDriver};
 use tsn_simnet::{
-    DynamicsEvent, DynamicsPlan, DynamicsRuntime, Envelope, MembershipConfig, MembershipRuntime,
-    Network, NodeId, Payload, SimDuration, SimRng, Tag,
+    DynamicsEvent, DynamicsPlan, DynamicsRuntime, Envelope, Network, NodeId, Payload, SimDuration,
+    SimRng, Tag,
 };
 
 /// Message tags of the manager protocol.
@@ -138,10 +139,6 @@ pub struct ManagerNetwork {
     queries_issued: u64,
     /// Ground truth totals per subject.
     truth: Vec<(f64, f64)>,
-    /// Peer-sampling overlay; when attached, a subject's replicas are
-    /// placed on peers of its bounded partial view (a node can only
-    /// address peers it knows about).
-    membership: Option<MembershipRuntime>,
 }
 
 impl ManagerNetwork {
@@ -163,65 +160,20 @@ impl ManagerNetwork {
             answers: SparseRows::new(n),
             queries_issued: 0,
             truth: vec![(0.0, 0.0); n],
-            membership: None,
         }
-    }
-
-    /// Attaches the peer-sampling membership overlay: replica
-    /// placement for a subject is then constrained to the subject's
-    /// bounded partial view (shuffled once per round) instead of the
-    /// global id space. An empty view degrades to self-management —
-    /// the subject stores its own evidence until the overlay heals.
-    /// Placement drift across shuffles is the measurable price of
-    /// partial knowledge; the report/answer statistics quantify it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the config's validation error, or an error when the
-    /// population is too small for the relay count.
-    pub fn attach_membership(&mut self, config: MembershipConfig, seed: u64) -> Result<(), String> {
-        self.membership = Some(MembershipRuntime::new(self.n, config, seed)?);
-        Ok(())
-    }
-
-    /// The attached membership overlay, if any.
-    pub fn membership(&self) -> Option<&MembershipRuntime> {
-        self.membership.as_ref()
     }
 
     /// The single source of replica placement: a splitmix-style hash
     /// spreads subjects across the id space, then the `k` replicas are
     /// consecutive offsets — matching "k closest nodes" in a real DHT.
-    /// With the membership overlay attached the hashed offsets index
-    /// into the subject's current partial view instead (consecutive
-    /// view entries are distinct, so replicas stay distinct); an empty
-    /// view degrades to self-management. Returns owned values so
-    /// callers may keep mutating `self` while iterating.
-    fn replica_ids(&self, subject: NodeId) -> ReplicaIter {
+    /// The iterator owns its values, so callers may keep mutating
+    /// `self` while iterating.
+    fn replica_ids(&self, subject: NodeId) -> impl Iterator<Item = NodeId> {
         let mut x = (u64::from(subject.0) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         x ^= x >> 31;
-        let base = (x % self.n as u64) as usize;
         let n = self.n;
-        let k = self.config.replicas;
-        match self.membership.as_ref().map(|m| m.view(subject)) {
-            Some(view) if view.is_empty() => ReplicaIter::View {
-                peers: vec![subject],
-                next: 0,
-            },
-            Some(view) => {
-                let len = view.len();
-                let peers = (0..k.min(len))
-                    .map(|i| view.entries()[(base + i) % len].peer)
-                    .collect();
-                ReplicaIter::View { peers, next: 0 }
-            }
-            None => ReplicaIter::Global {
-                base,
-                n,
-                k,
-                next: 0,
-            },
-        }
+        let base = (x % n as u64) as usize;
+        (0..self.config.replicas).map(move |j| NodeId::from_index((base + j * 7 + j) % n))
     }
 
     /// The deterministic manager replica set of `subject`.
@@ -303,18 +255,9 @@ impl ManagerNetwork {
             pending,
             answers,
             n,
-            membership,
             ..
         } = self;
         let n = *n;
-        // One view shuffle per protocol round, against current
-        // liveness (placement for traffic queued this round already
-        // used the pre-shuffle views — consistent with "the view the
-        // sender knew when it addressed the message").
-        if let Some(m) = membership.as_mut() {
-            let network = driver.network();
-            m.shuffle_round(|p| network.is_alive(p), |_, _| true);
-        }
         // Stable sort by sender: the driver steps nodes in index order,
         // so a moving cursor hands each node its queued traffic in
         // submission order — no per-round HashMap.
@@ -445,46 +388,6 @@ impl ManagerNetwork {
     }
 }
 
-/// Owned replica-placement iterator (see [`ManagerNetwork::replica_ids`]):
-/// hashed offsets over the global id space, or a snapshot of hashed
-/// picks from the subject's partial view when the membership overlay is
-/// attached. Owning the picks lets callers mutate the network while
-/// iterating.
-enum ReplicaIter {
-    Global {
-        base: usize,
-        n: usize,
-        k: usize,
-        next: usize,
-    },
-    View {
-        peers: Vec<NodeId>,
-        next: usize,
-    },
-}
-
-impl Iterator for ReplicaIter {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        match self {
-            ReplicaIter::Global { base, n, k, next } => {
-                if *next >= *k {
-                    return None;
-                }
-                let j = *next;
-                *next += 1;
-                Some(NodeId::from_index((*base + j * 7 + j) % *n))
-            }
-            ReplicaIter::View { peers, next } => {
-                let peer = peers.get(*next).copied();
-                *next += 1;
-                peer
-            }
-        }
-    }
-}
-
 /// Forgets every stored shard, collected answer and ground-truth entry
 /// about `subject` — the whitewash semantics: a fresh identity starts
 /// from the prior. `round()` calls it on each drained whitewash event,
@@ -579,50 +482,6 @@ mod tests {
             dedup.dedup();
             assert_eq!(dedup.len(), 3, "replicas must be distinct: {a:?}");
         }
-    }
-
-    #[test]
-    fn membership_constrains_managers_to_the_view() {
-        let mut m = build(20, 3, 0.0, 4);
-        m.attach_membership(MembershipConfig::default(), 0xBEEF)
-            .expect("valid overlay");
-        m.round(); // one shuffle populates post-bootstrap views
-        for subject in 0..20u32 {
-            let subject = NodeId(subject);
-            let managers = m.managers(subject);
-            assert!(!managers.is_empty());
-            assert!(managers.len() <= 3);
-            let view = m.membership().expect("attached").view(subject);
-            for manager in &managers {
-                assert!(
-                    view.contains(*manager),
-                    "manager {manager} of {subject} must come from its view"
-                );
-            }
-            let mut dedup = managers.clone();
-            dedup.sort();
-            dedup.dedup();
-            assert_eq!(dedup.len(), managers.len(), "replicas must be distinct");
-        }
-    }
-
-    #[test]
-    fn membership_answers_still_flow() {
-        let mut m = build(20, 3, 0.0, 5);
-        m.attach_membership(MembershipConfig::default(), 7)
-            .expect("valid overlay");
-        for _ in 0..5 {
-            m.submit_report(NodeId(1), NodeId(7), 0.8);
-        }
-        m.round();
-        m.round();
-        // Views may have drifted between store and query; with full
-        // liveness and no loss the view only grows fresher entries, so
-        // placement is stable and the answer matches the oracle.
-        m.submit_query(NodeId(2), NodeId(7));
-        m.run(3);
-        let answer = m.answer(NodeId(2), NodeId(7));
-        assert!(answer.is_some(), "view-placed replicas still answer");
     }
 
     #[test]

@@ -51,7 +51,7 @@ use tsn_reputation::{
 };
 use tsn_simnet::codec::{crc32, ByteReader, ByteWriter};
 use tsn_simnet::steal::for_each_chunk_mut;
-use tsn_simnet::{GroupMap, MembershipConfig, NodeId, PartitionWindow, SimDuration, SimTime};
+use tsn_simnet::{GroupMap, NodeId, PartitionWindow, SimDuration, SimTime};
 
 /// Magic bytes opening every checkpoint.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TSNSVCKP";
@@ -59,8 +59,10 @@ pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TSNSVCKP";
 /// Version of the checkpoint layout. Bumped on any layout change;
 /// restore refuses other versions rather than guessing. Version 2
 /// introduced per-section CRCs and the journal cursor; version 3
-/// added the membership-overlay configuration to the config section.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// added the membership-overlay configuration to the config section;
+/// version 4 dropped it again (the overlay shapes the workload driver,
+/// not the service).
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Names of the checkpoint's checksummed sections, in layout order.
 pub const CHECKPOINT_SECTIONS: [&str; 7] = [
@@ -195,15 +197,6 @@ pub struct ServiceConfig {
     /// [`TrustService::set_commit_shards`] is called (the host does
     /// this on recovery).
     pub commit_shards: usize,
-    /// Peer-sampling membership overlay of the deployment, if any.
-    /// The service core ingests whatever reaches it unchanged — the
-    /// overlay constrains *workload generation*: a
-    /// [`ServiceDriver`](crate::ServiceDriver) configured from a
-    /// service with an overlay samples interaction partners from each
-    /// node's bounded partial view instead of the global population.
-    /// Carried in checkpoints so a restored deployment keeps its
-    /// overlay shape.
-    pub membership: Option<MembershipConfig>,
 }
 
 impl Default for ServiceConfig {
@@ -215,7 +208,6 @@ impl Default for ServiceConfig {
             disclosure_level: 4,
             partitions: Vec::new(),
             commit_shards: 1,
-            membership: None,
         }
     }
 }
@@ -240,9 +232,6 @@ impl ServiceConfig {
             ));
         }
         PartitionWindow::validate_schedule(&self.partitions)?;
-        if let Some(m) = &self.membership {
-            m.validate_for(self.nodes)?;
-        }
         Ok(())
     }
 }
@@ -881,18 +870,6 @@ impl TrustService {
             config.put_f64(window.cross_loss);
             config.put_f64(window.intra_loss);
         }
-        match &self.config.membership {
-            Some(m) => {
-                config.put_u8(1);
-                config.put_u64(m.view_size as u64);
-                config.put_u64(m.shuffle_len as u64);
-                config.put_u64(m.healing as u64);
-                config.put_u64(m.swap as u64);
-                config.put_u64(m.relays as u64);
-                config.put_u64(m.relay_fanout as u64);
-            }
-            None => config.put_u8(0),
-        }
 
         let mut clock = ByteWriter::new();
         clock.put_u64(self.now.as_micros());
@@ -1003,23 +980,6 @@ impl TrustService {
                 intra_loss: c.take_f64()?,
             });
         }
-        let membership = match c.take_u8()? {
-            0 => None,
-            1 => Some(MembershipConfig {
-                view_size: c.take_u64()? as usize,
-                shuffle_len: c.take_u64()? as usize,
-                healing: c.take_u64()? as usize,
-                swap: c.take_u64()? as usize,
-                relays: c.take_u64()? as usize,
-                relay_fanout: c.take_u64()? as usize,
-            }),
-            other => {
-                return Err(format!(
-                    "checkpoint section 'config' is corrupt \
-                     (membership flag must be 0 or 1, got {other})"
-                ))
-            }
-        };
         section_drained(&c, "config")?;
         // The exposure section holds two u64 counters per node, so its
         // (CRC-checked, input-bounded) length pins the population. Check
@@ -1041,7 +1001,6 @@ impl TrustService {
             // Execution knob, deliberately not serialized: the restoring
             // host re-applies its own configured value.
             commit_shards: 1,
-            membership,
         };
         let mut service = TrustService::new(config)?;
 
@@ -1357,8 +1316,15 @@ mod tests {
         assert!(TrustService::restore(&wrong_magic)
             .unwrap_err()
             .contains("magic"),);
+        // A version-3 header (the layout that carried an overlay block)
+        // is refused by version, not misread as trailing bytes.
+        let mut previous_version = bytes.clone();
+        previous_version[16] = 3; // version u32, after prefix + magic
+        assert!(TrustService::restore(&previous_version)
+            .unwrap_err()
+            .contains("unsupported checkpoint version 3"),);
         let mut wrong_version = bytes;
-        wrong_version[16] = 99; // version u32, after prefix + magic
+        wrong_version[16] = 99;
         assert!(TrustService::restore(&wrong_version)
             .unwrap_err()
             .contains("version"),);
@@ -1415,63 +1381,6 @@ mod tests {
             err.contains("'mechanism'") && err.contains("1 trailing bytes"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn checkpoint_with_overflowing_membership_healing_is_rejected() {
-        let mut service = TrustService::new(ServiceConfig {
-            nodes: 8,
-            epoch: SimDuration::from_secs(10),
-            membership: Some(MembershipConfig::default()),
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        service.ingest(interaction(0, 1, true, 1)).unwrap();
-        let mut bytes = service.checkpoint().unwrap();
-        let config = checkpoint_sections(&bytes).unwrap()[0];
-        assert_eq!(config.name, "config");
-        // The payload ends with the six membership u64s; `healing` is
-        // the third. Set it to u64::MAX and re-seal the section's CRC, so
-        // only config validation stands between restore and a
-        // `healing + swap` that overflows.
-        let healing = config.offset + config.len - 4 * 8;
-        let default_healing = MembershipConfig::default().healing as u64;
-        assert_eq!(bytes[healing..healing + 8], default_healing.to_le_bytes());
-        bytes[healing..healing + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let crc = crc32(&bytes[config.offset..config.offset + config.len]);
-        bytes[config.offset - 12..config.offset - 8].copy_from_slice(&crc.to_le_bytes());
-        assert!(checkpoint_sections(&bytes)
-            .unwrap()
-            .iter()
-            .all(|s| s.crc_ok));
-        let err = TrustService::restore(&bytes).unwrap_err();
-        assert!(err.contains("healing + swap"), "{err}");
-    }
-
-    #[test]
-    fn checkpoint_carries_the_membership_overlay() {
-        let overlay = MembershipConfig {
-            view_size: 12,
-            shuffle_len: 6,
-            healing: 2,
-            swap: 4,
-            relays: 2,
-            relay_fanout: 5,
-        };
-        let mut service = TrustService::new(ServiceConfig {
-            nodes: 8,
-            epoch: SimDuration::from_secs(10),
-            membership: Some(overlay),
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        service.ingest(interaction(0, 1, true, 1)).unwrap();
-        let restored = TrustService::restore(&service.checkpoint().unwrap()).unwrap();
-        assert_eq!(restored.config().membership, Some(overlay));
-        // And a membership-free service restores membership-free.
-        let plain = small_service();
-        let restored = TrustService::restore(&plain.checkpoint().unwrap()).unwrap();
-        assert_eq!(restored.config().membership, None);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! that service as a simulation substrate:
 //!
 //! * [`PartialView`] — one node's bounded, aged entry list;
-//! * [`MembershipConfig`] — view size and the shuffle family's
-//!   exchange-length / healing / swap parameters;
+//! * [`MembershipConfig`] — view size and relay count, the overlay's
+//!   only two settable values;
 //! * [`MembershipRuntime`] — the per-population overlay: bootstrap
 //!   through relay nodes, one deterministic push-pull shuffle sweep per
 //!   call to [`MembershipRuntime::shuffle_round`].
@@ -32,6 +32,15 @@
 //!
 //! This is the peer-sampling framework's `(tail, push-pull, H, S)`
 //! instantiation — the family the paper's uniformity analysis covers.
+//!
+//! ## The exchange shape
+//!
+//! The overlay fixes one point of that design space and derives it
+//! from the view size `c`: half-view exchanges
+//! (`shuffle_len = max(1, c / 2)`), healing `H = 1`, swap the rest
+//! (`S = shuffle_len - 1`), and a re-bootstrap handout of
+//! `relay_fanout = min(8, c)` entries. The default view of 16 gives
+//! 8 / 1 / 7 / 8.
 //!
 //! ## Bootstrap and relays
 //!
@@ -171,43 +180,59 @@ impl PartialView {
     }
 }
 
-/// Configuration of the membership overlay.
+/// Configuration of the membership overlay: the view size and the
+/// relay count. The exchange shape derives from the view size (see
+/// the [module docs](self#the-exchange-shape)).
 ///
 /// Defaults follow the peer-sampling literature's healthy mid-range:
-/// views of 16, half-view exchanges, one healing slot, full swap.
+/// views of 16 and three relays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MembershipConfig {
     /// View capacity per node (the paper's `c`).
     pub view_size: usize,
-    /// Entries exchanged per shuffle, fresh self-entry included (the
-    /// half-view length; must not exceed `view_size`).
-    pub shuffle_len: usize,
-    /// Healing parameter `H`: on overflow, up to this many *oldest*
-    /// entries are evicted first (crash tolerance).
-    pub healing: usize,
-    /// Swap parameter `S`: after healing, up to this many of the
-    /// entries *just sent* are evicted (keeps views from converging
-    /// onto each other).
-    pub swap: usize,
     /// Number of relay / bootstrap nodes: the first `relays` slots of
     /// the population. Real entities — they shuffle, churn and crash
     /// like everyone else.
     pub relays: usize,
-    /// Entries a relay hands out on (re)bootstrap: the relay itself
-    /// plus up to `relay_fanout - 1` peers sampled from the relay's
-    /// own view.
-    pub relay_fanout: usize,
 }
 
 impl Default for MembershipConfig {
     fn default() -> Self {
         MembershipConfig {
             view_size: 16,
-            shuffle_len: 8,
-            healing: 1,
-            swap: 7,
             relays: 3,
-            relay_fanout: 8,
+        }
+    }
+}
+
+/// The exchange shape derived from a view size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ExchangeShape {
+    /// Entries exchanged per shuffle, fresh self-entry included.
+    shuffle_len: usize,
+    /// Healing parameter `H`: on overflow, up to this many *oldest*
+    /// entries are evicted first (crash tolerance).
+    healing: usize,
+    /// Swap parameter `S`: after healing, up to this many of the
+    /// entries *just sent* are evicted (keeps views from converging
+    /// onto each other).
+    swap: usize,
+    /// Entries a relay hands out on (re)bootstrap: the relay itself
+    /// plus up to `relay_fanout - 1` peers sampled from its own view.
+    relay_fanout: usize,
+}
+
+impl ExchangeShape {
+    /// Half-view exchanges, healing 1, swap the rest, and a handout of
+    /// at most 8. Never evicts more than a view holds:
+    /// `healing + swap = shuffle_len <= view_size` for `view_size >= 1`.
+    fn of(view_size: usize) -> Self {
+        let shuffle_len = (view_size / 2).max(1);
+        ExchangeShape {
+            shuffle_len,
+            healing: 1,
+            swap: shuffle_len - 1,
+            relay_fanout: view_size.min(8),
         }
     }
 }
@@ -222,21 +247,8 @@ impl MembershipConfig {
         if self.view_size == 0 {
             return Err("membership view_size must be at least 1".into());
         }
-        if self.shuffle_len == 0 || self.shuffle_len > self.view_size {
-            return Err("membership shuffle_len must be in [1, view_size]".into());
-        }
-        if self
-            .healing
-            .checked_add(self.swap)
-            .is_none_or(|evictions| evictions > self.view_size)
-        {
-            return Err("membership healing + swap must not exceed view_size".into());
-        }
         if self.relays == 0 {
             return Err("membership needs at least 1 relay".into());
-        }
-        if self.relay_fanout == 0 || self.relay_fanout > self.view_size {
-            return Err("membership relay_fanout must be in [1, view_size]".into());
         }
         Ok(())
     }
@@ -281,6 +293,7 @@ pub struct ShuffleStats {
 #[derive(Debug, Clone)]
 pub struct MembershipRuntime {
     config: MembershipConfig,
+    shape: ExchangeShape,
     seed: u64,
     views: Vec<PartialView>,
     round: u64,
@@ -302,6 +315,7 @@ impl MembershipRuntime {
     /// Returns [`MembershipConfig::validate_for`]'s error for `n`.
     pub fn new(n: usize, config: MembershipConfig, seed: u64) -> Result<Self, String> {
         config.validate_for(n)?;
+        let shape = ExchangeShape::of(config.view_size);
         let mut views = vec![PartialView::new(config.view_size); n];
         // Bootstrap: each node asks relay `slot % relays`, which hands
         // out itself plus a sample of already-joined peers (the state a
@@ -315,8 +329,8 @@ impl MembershipRuntime {
             // A view holds at most the other n - 1 slots, so targets and
             // budgets are capped at the population; below it they are
             // exactly the configured fanout.
-            let want = config.relay_fanout.min(n - 1);
-            let mut budget = 4usize.saturating_mul(config.relay_fanout.min(n));
+            let want = shape.relay_fanout.min(n - 1);
+            let mut budget = 4usize.saturating_mul(shape.relay_fanout.min(n));
             while view.len() < want && budget > 0 {
                 budget -= 1;
                 let peer = NodeId::from_index(rng.gen_range(0..n));
@@ -327,6 +341,7 @@ impl MembershipRuntime {
         }
         Ok(MembershipRuntime {
             config,
+            shape,
             seed,
             views,
             round: 0,
@@ -465,8 +480,8 @@ impl MembershipRuntime {
             let mut picked = Vec::new();
             // Capped at the population like the bootstrap loop.
             let n = self.views.len();
-            let fanout = self.config.relay_fanout.min(n - 1);
-            let mut budget = 2usize.saturating_mul(self.config.relay_fanout.min(n));
+            let fanout = self.shape.relay_fanout.min(n - 1);
+            let mut budget = 2usize.saturating_mul(self.shape.relay_fanout.min(n));
             while picked.len() + 1 < fanout && budget > 0 {
                 budget -= 1;
                 match relay_view.sample(rng) {
@@ -490,7 +505,7 @@ impl MembershipRuntime {
     fn exchange(&mut self, a: usize, b: usize, rng: &mut SimRng) {
         // A buffer can hold at most the population; capping here bounds
         // `fill_buffer`'s draw budget and changes nothing below it.
-        let shuffle_len = self.config.shuffle_len.min(self.views.len());
+        let shuffle_len = self.shape.shuffle_len.min(self.views.len());
         let mut send_a = std::mem::take(&mut self.send_a);
         let mut send_b = std::mem::take(&mut self.send_b);
         fill_buffer(
@@ -532,7 +547,7 @@ impl MembershipRuntime {
             }
         }
         // Healing: evict the oldest first.
-        let mut healing_left = self.config.healing;
+        let mut healing_left = self.shape.healing;
         while view.entries.len() > cap && healing_left > 0 {
             healing_left -= 1;
             if let Some(oldest) = view.oldest() {
@@ -540,7 +555,7 @@ impl MembershipRuntime {
             }
         }
         // Swap: evict what we just sent.
-        let mut swap_left = self.config.swap;
+        let mut swap_left = self.shape.swap;
         let mut sent_cursor = 0;
         while view.entries.len() > cap && swap_left > 0 && sent_cursor < sent.len() {
             let candidate = sent[sent_cursor].peer;
@@ -623,30 +638,54 @@ mod tests {
         };
         assert!(config.validate().unwrap_err().contains("view_size"));
         let config = MembershipConfig {
-            shuffle_len: defaults.view_size + 1,
-            ..defaults
-        };
-        assert!(config.validate().unwrap_err().contains("shuffle_len"));
-        let config = MembershipConfig {
-            healing: 10,
-            swap: 10,
-            ..defaults
-        };
-        assert!(config.validate().unwrap_err().contains("healing"));
-        // An overflowing sum is an error too, not a wrap (release) or an
-        // overflow panic (debug).
-        let config = MembershipConfig {
-            healing: usize::MAX,
-            swap: 1,
-            ..defaults
-        };
-        assert!(config.validate().unwrap_err().contains("healing"));
-        let config = MembershipConfig {
             relays: 0,
             ..defaults
         };
         assert!(config.validate().unwrap_err().contains("relay"));
         assert!(MembershipConfig::default().validate().is_ok());
+    }
+
+    #[test]
+    fn exchange_shape_follows_the_view_size() {
+        // (view_size, shuffle_len, healing, swap, relay_fanout): half-view
+        // exchanges, healing 1, swap the rest, a handout of at most 8.
+        let cases = [
+            (1, 1, 1, 0, 1),
+            (2, 1, 1, 0, 2),
+            (4, 2, 1, 1, 4),
+            (6, 3, 1, 2, 6),
+            (8, 4, 1, 3, 8),
+            (16, 8, 1, 7, 8),
+            (17, 8, 1, 7, 8),
+            (1_000_000_000, 500_000_000, 1, 499_999_999, 8),
+        ];
+        for (view_size, shuffle_len, healing, swap, relay_fanout) in cases {
+            let expected = ExchangeShape {
+                shuffle_len,
+                healing,
+                swap,
+                relay_fanout,
+            };
+            assert_eq!(ExchangeShape::of(view_size), expected, "{view_size}");
+            let config = MembershipConfig {
+                view_size,
+                ..MembershipConfig::default()
+            };
+            let runtime = MembershipRuntime::new(40, config, 1).expect("valid");
+            assert_eq!(runtime.shape, expected, "{view_size}");
+        }
+        // The default: 16 / 8 / 1 / 7, three relays, handout 8.
+        let defaults = MembershipConfig::default();
+        assert_eq!((defaults.view_size, defaults.relays), (16, 3));
+        assert_eq!(
+            ExchangeShape::of(defaults.view_size),
+            ExchangeShape {
+                shuffle_len: 8,
+                healing: 1,
+                swap: 7,
+                relay_fanout: 8,
+            }
+        );
     }
 
     #[test]
@@ -727,13 +766,12 @@ mod tests {
         // The bootstrap, re-bootstrap and exchange loops used to budget
         // `4 × relay_fanout` (or `shuffle_len`) draws for a view that can
         // never hold more than n - 1 peers: a 2^40 fanout spun for
-        // trillions of draws. Capped at the population, this finishes in
-        // a few thousand.
+        // trillions of draws. The 2^40 view still derives a 2^39
+        // exchange length; capped at the population, this finishes in a
+        // few thousand draws.
         let huge = 1usize << 40;
         let config = MembershipConfig {
             view_size: huge,
-            shuffle_len: huge,
-            relay_fanout: huge,
             ..MembershipConfig::default()
         };
         let n = 50;
@@ -812,8 +850,6 @@ mod tests {
         // over 40 nodes runs like any bound the views never reach.
         let shaped = |view_size: usize| MembershipConfig {
             view_size,
-            shuffle_len: view_size / 2,
-            swap: view_size / 2 - 1,
             ..MembershipConfig::default()
         };
         let mut huge = MembershipRuntime::new(40, shaped(1_000_000_000), 5).expect("valid");

@@ -238,7 +238,8 @@ fn scenario_builder(flags: &Flags) -> Result<ScenarioBuilder, String> {
 ///
 /// `--peer-sampling` switches partner selection from the global population
 /// to bounded partial views refreshed by view shuffling; `--view-size` and
-/// `--relays` tune the overlay (and imply `--peer-sampling`).
+/// `--relays` tune the overlay (and imply `--peer-sampling`). The exchange
+/// shape derives from the view size inside the overlay.
 fn membership_flags(flags: &Flags) -> Result<Option<MembershipConfig>, String> {
     let requested = flags.has("--peer-sampling")
         || flags.get("--view-size")?.is_some()
@@ -247,15 +248,10 @@ fn membership_flags(flags: &Flags) -> Result<Option<MembershipConfig>, String> {
         return Ok(None);
     }
     let defaults = MembershipConfig::default();
-    let view_size = flags.parse("--view-size", defaults.view_size)?;
-    let mut overlay = MembershipConfig {
-        view_size,
-        shuffle_len: (view_size / 2).max(1),
+    let overlay = MembershipConfig {
+        view_size: flags.parse("--view-size", defaults.view_size)?,
         relays: flags.parse("--relays", defaults.relays)?,
-        relay_fanout: defaults.relay_fanout.min(view_size),
-        ..defaults
     };
-    overlay.swap = overlay.shuffle_len.saturating_sub(overlay.healing);
     overlay.validate()?;
     Ok(Some(overlay))
 }
@@ -462,15 +458,13 @@ fn service_summary(service: &TrustService, json: bool) {
     }
 }
 
-/// Shared by `serve` and `replay`: the service flags. The store
-/// carries no service config, so a replay rebuilds it from the same
-/// flags the serve run used. The overlay rides in the service config
-/// too, so checkpoints carry it (checkpoint config section v3).
+/// Shared by `serve` and `replay`: the service flags. A replay takes
+/// the flags the serve run used; [`recover_store`] checks them against
+/// the config a restored checkpoint carries.
 fn service_config(flags: &Flags) -> Result<ServiceConfig, String> {
     let mut config = ServiceConfig {
         nodes: flags.parse("--nodes", 100)?,
         epoch: SimDuration::from_secs(flags.parse("--epoch-secs", 60u64)?),
-        membership: membership_flags(flags)?,
         ..ServiceConfig::default()
     };
     if let Some(raw) = flags.get("--mechanism")? {
@@ -692,6 +686,11 @@ fn persist_storage_flag(flags: &Flags, host: &ServiceHost) -> Result<(), String>
 /// from the serve run's flags, fault plan included, driven for the
 /// whole history. The fault flags describe the stored history: they
 /// feed only the reference run, never the recovered host.
+///
+/// A restored checkpoint carries the service config, and flags that
+/// disagree with it are an error naming the first differing field. A
+/// store with no usable checkpoint is replayed from scratch into a
+/// service built from the flags.
 fn cmd_replay(args: &[String]) -> Result<(), String> {
     let flags = Flags::new(
         args,
@@ -760,8 +759,9 @@ fn recover_store(flags: &Flags, dir: &str) -> Result<ServiceHost, String> {
     if checkpoints.is_empty() {
         eprintln!("no stored checkpoints in {dir}: recovery will replay the whole journal");
     }
+    let wanted = service_config(flags)?;
     let host_config = HostConfig {
-        service: service_config(flags)?,
+        service: wanted.clone(),
         recovery_grace: SimDuration::ZERO,
         ..HostConfig::default()
     };
@@ -784,7 +784,30 @@ fn recover_store(flags: &Flags, dir: &str) -> Result<ServiceHost, String> {
     for error in &report.corrupt {
         eprintln!("  skipped checkpoint: {error}");
     }
+    if !report.from_scratch {
+        let stored = host.service().ok_or("recovery left no running service")?;
+        store_matches_flags(stored.config(), &wanted)?;
+    }
     Ok(host)
+}
+
+/// Names the first flag-set field where a restored checkpoint's
+/// service config differs from the one the replay flags build.
+fn store_matches_flags(stored: &ServiceConfig, wanted: &ServiceConfig) -> Result<(), String> {
+    let fields = |c: &ServiceConfig| {
+        [
+            ("nodes", c.nodes.to_string()),
+            ("mechanism", c.mechanism.name().to_string()),
+            ("epoch-secs", c.epoch.as_secs_f64().to_string()),
+            ("disclosure", c.disclosure_level.to_string()),
+        ]
+    };
+    for ((flag, held), (_, given)) in fields(stored).into_iter().zip(fields(wanted)) {
+        if held != given {
+            return Err(format!("store holds {held} {flag}, --{flag} says {given}"));
+        }
+    }
+    Ok(())
 }
 
 fn cmd_dynamics(args: &[String]) -> Result<(), String> {
@@ -954,6 +977,18 @@ mod tests {
         );
         let replay = [&WORKLOAD[..], &["--epochs", "1", "--verify"]].concat();
         assert_eq!(cmd_replay(&store.args(&replay)), Ok(()));
+    }
+
+    #[test]
+    fn replay_flags_must_match_the_restored_checkpoint() {
+        let store = TempStore::new("mismatch");
+        cmd_serve(&store.args(&["--nodes", "30", "--epochs", "1", "--seed", "9"])).unwrap();
+        let replay = |nodes| store.args(&["--nodes", nodes, "--seed", "9", "--verify"]);
+        assert_eq!(
+            cmd_replay(&replay("40")),
+            Err("store holds 30 nodes, --nodes says 40".to_string())
+        );
+        assert_eq!(cmd_replay(&replay("30")), Ok(()));
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub use tsn_simnet as simnet;
 /// Commonly used items, for `use tsn::prelude::*`.
 pub mod prelude {
     pub use tsn_core::runner::{
-        DisclosureLevel, Observer, ProgressPrinter, ScenarioBuilder, SeriesRecorder, SweepGrid,
-        SweepReport, SweepRunner, ValidationError,
+        DisclosureLevel, Observer, ProgressPrinter, ScenarioBuilder, SweepGrid, SweepReport,
+        SweepRunner, ValidationError,
     };
     pub use tsn_core::{
         FacetScores, FacetWeights, Scenario, ScenarioConfig, ScenarioOutcome, TrustMetric,

@@ -12,7 +12,7 @@
 //! * `whitewash_attack` re-enters whitewashed identities with *reset*
 //!   (not inherited) reputation.
 
-use tsn::core::runner::{ScenarioBuilder, SeriesRecorder};
+use tsn::core::runner::ScenarioBuilder;
 use tsn::graph::generators;
 use tsn::protocol::{GossipConfig, GossipNetwork};
 use tsn::simnet::{
@@ -190,14 +190,13 @@ fn buffer_pool_accounting_survives_1k_churny_rounds() {
 
 #[test]
 fn scenario_flash_crowd_fills_up_and_stays_sound() {
-    let mut recorder = SeriesRecorder::new(["availability"]);
     let outcome = ScenarioBuilder::small()
         .seed(500)
         .rounds(12)
         .flash_crowd()
-        .run_observed(&mut [&mut recorder])
+        .run()
         .expect("valid configuration");
-    let availability = recorder.series("availability").expect("subscribed");
+    let availability = outcome.series("availability").expect("known series");
     assert!(
         availability[0] < 0.5,
         "three quarters start offline: {}",

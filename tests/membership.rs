@@ -59,11 +59,7 @@ fn fingerprint(o: &ScenarioOutcome) -> String {
 fn overlay() -> MembershipConfig {
     MembershipConfig {
         view_size: 6,
-        shuffle_len: 3,
-        healing: 1,
-        swap: 2,
         relays: 3,
-        relay_fanout: 6,
     }
 }
 
@@ -133,11 +129,7 @@ fn unreachable_views_are_counted_isolated() {
         .churn(0.5)
         .membership(MembershipConfig {
             view_size: 4,
-            shuffle_len: 2,
-            healing: 1,
-            swap: 1,
             relays: 2,
-            relay_fanout: 4,
         })
         .run()
         .expect("valid config");
@@ -179,11 +171,7 @@ fn every_peer_reaches_every_view_in_logarithmic_rounds() {
     let n = 48usize;
     let config = MembershipConfig {
         view_size: 8,
-        shuffle_len: 4,
-        healing: 1,
-        swap: 3,
         relays: 3,
-        relay_fanout: 8,
     };
     let budget = (16.0 * (n as f64).log2()).ceil() as usize;
     let mut runtime =

@@ -261,11 +261,7 @@ fn peer_sampling_from_shuffled_views_is_uniform() {
     let n = 32usize;
     let config = MembershipConfig {
         view_size: 8,
-        shuffle_len: 4,
-        healing: 1,
-        swap: 3,
         relays: 3,
-        relay_fanout: 8,
     };
     let mut runtime = MembershipRuntime::new(n, config, 0x9E37).expect("valid overlay");
     let mut draw_rng = SimRng::seed_from_u64(0x517C_C1B7);
