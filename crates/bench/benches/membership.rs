@@ -6,10 +6,12 @@
 //!
 //! Two questions, each at 10k and 100k nodes:
 //!
-//! * `shuffle/round_*` — throughput of one full shuffle round
-//!   (every live node ages its view, picks its oldest partner and
-//!   push-pulls `shuffle_len` entries). Items = nodes, so the
-//!   number reads as node-shuffles/second.
+//! * `shuffle/round_*` — throughput of one full synchronous shuffle
+//!   round (every live node ages its view, claims its oldest partner
+//!   and push-pulls `shuffle_len` entries) on the calling thread;
+//!   `shuffle/round_*_2w` runs the same round on two workers, which
+//!   yields the same views. Items = nodes, so the number reads as
+//!   node-shuffles/second.
 //! * `dissemination/full_*` — wall-clock until a rumor started at
 //!   node 0 reaches the whole population, when every informed node
 //!   pushes it to one view-sampled target per round. This is the
@@ -59,23 +61,26 @@ fn rounds_to_full_dissemination(n: usize) -> u64 {
 fn main() {
     let mut suite = BenchSuite::new(
         "membership",
-        "view=16 shuffle=8 relays=3 seed=4242 nodes=10k/100k samples=3",
+        "exchange=sync-round-claims2 view=16 shuffle=8 relays=3 seed=4242 nodes=10k/100k \
+         workers=1/2 samples=3",
     );
 
     let bench = Bench::new("shuffle").samples(3).warmup(1);
     for &n in &[10_000usize, 100_000] {
-        let mut runtime = overlay(n);
-        let label = format!("round_{}k", n / 1000);
-        let result = bench.run_items(&label, n as u64, || {
-            runtime.shuffle_round(|_| true, |_, _| true);
-            black_box(runtime.rounds())
-        });
-        println!(
-            "shuffle round at n={n}: {:.0} node-shuffles/s (median {:?})",
-            result.throughput_per_sec(),
-            result.median
-        );
-        suite.record(result);
+        for (workers, suffix) in [(1usize, ""), (2, "_2w")] {
+            let mut runtime = overlay(n);
+            let label = format!("round_{}k{suffix}", n / 1000);
+            let result = bench.run_items(&label, n as u64, || {
+                runtime.shuffle_round_on(workers, |_| true, |_, _| true);
+                black_box(runtime.rounds())
+            });
+            println!(
+                "shuffle round at n={n}, {workers} worker(s): {:.0} node-shuffles/s (median {:?})",
+                result.throughput_per_sec(),
+                result.median
+            );
+            suite.record(result);
+        }
     }
 
     let bench = Bench::new("dissemination").samples(3).warmup(0);

@@ -1041,9 +1041,10 @@ impl Scenario {
     }
 
     /// Membership pre-round step: one view shuffle against this
-    /// round's offline flags and any active partition. Runs on the
-    /// calling thread before the interaction phase, so the per-round
-    /// view snapshot is identical for any shard count. No-op when the
+    /// round's offline flags and any active partition, on the round's
+    /// workers. It finishes before the interaction phase and its result
+    /// does not depend on the worker count, so the per-round view
+    /// snapshot is identical for any shard count. No-op when the
     /// overlay is off.
     fn membership_pre_round(&mut self) {
         let Some(membership) = self.membership.as_mut() else {
@@ -1054,7 +1055,8 @@ impl Scenario {
             .net_dynamics
             .as_ref()
             .and_then(|d| d.active_group_map());
-        membership.shuffle_round(
+        membership.shuffle_round_on(
+            self.workers,
             |node| !offline[node.index()],
             |a, b| partition.is_none_or(|m| m.same_group(a, b)),
         );

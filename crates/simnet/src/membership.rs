@@ -12,26 +12,57 @@
 //! * [`MembershipConfig`] — view size and relay count, the overlay's
 //!   only two settable values;
 //! * [`MembershipRuntime`] — the per-population overlay: bootstrap
-//!   through relay nodes, one deterministic push-pull shuffle sweep per
-//!   call to [`MembershipRuntime::shuffle_round`].
+//!   through relay nodes, one deterministic, synchronous push-pull
+//!   shuffle round per call to [`MembershipRuntime::shuffle_round`].
 //!
 //! ## The shuffle step
 //!
-//! Per round, every live node (ascending slot order — the determinism
-//! contract) does one push-pull exchange:
+//! One call to [`MembershipRuntime::shuffle_round`] is one synchronous
+//! round: every exchange reads the views as the round found them, so
+//! no exchange sees the result of another in the same round. The round
+//! runs in four passes over fixed blocks of 1,024 slots:
 //!
-//! 1. ages every entry in its view;
-//! 2. picks the *oldest* live entry as partner, pruning dead entries
-//!    encountered on the way (the crash-healing path);
-//! 3. sends a fresh self-entry plus up to `shuffle_len - 1` random
-//!    entries; the partner replies symmetrically;
-//! 4. both sides merge: received entries that duplicate an existing
-//!    peer keep the younger age; overflow beyond `view_size` evicts
-//!    first up to `healing` oldest entries, then up to `swap` of the
-//!    entries just sent, then random entries.
+//! 1. **choose** — every live node ages every entry in its view, prunes
+//!    dead entries while the oldest one is dead (the crash-healing
+//!    path), and records its oldest and second-oldest live, reachable
+//!    entries;
+//! 2. **claim** — serial: a partner named first by more than two
+//!    initiators keeps the two with the lowest per-round hash priority,
+//!    and the rest move to their second choice (a node without one
+//!    keeps its first). A live node with no live, reachable entry
+//!    re-bootstraps through a relay. The round's exchanges are then
+//!    indexed per node, in ascending initiator order;
+//! 3. **draw** — for every exchange it takes part in, a node draws a
+//!    buffer of a fresh self-entry plus view entries by one partial
+//!    Fisher–Yates permutation per node, so it never gives away one
+//!    entry twice in a round. Both sides of an exchange send equally
+//!    many entries: up to `shuffle_len - 1`, and no more than either
+//!    side has left after its exchanges of lower initiators;
+//! 4. **merge** — every node merges each buffer addressed to it, in
+//!    ascending initiator order: received entries that duplicate an
+//!    existing peer keep the younger age; overflow beyond `view_size`
+//!    evicts first up to `healing` oldest entries, then up to `swap` of
+//!    the entries it sent in that exchange, then random entries.
+//!
+//! Passes 1, 3 and 4 write only their own block's slots and draw only
+//! from their block's streams, so any number of workers
+//! ([`MembershipRuntime::shuffle_round_on`]) yields the same views.
+//!
+//! The claim cap keeps the relays from turning into hubs. Every initial
+//! view starts with its relay, so in the first round each relay is the
+//! oldest entry of a third of the population; uncapped, a relay would
+//! merge thousands of buffers in one round and end up in most views.
+//! Equal, never-repeated buffers keep entries in circulation: a sent
+//! entry leaves its sender's view as it lands in the receiver's, so
+//! merges seldom fall back on random evictions, which would let some
+//! nodes drift out of almost every view.
 //!
 //! This is the peer-sampling framework's `(tail, push-pull, H, S)`
-//! instantiation — the family the paper's uniformity analysis covers.
+//! instantiation (Jelasity et al., "Gossip-based peer sampling", ACM
+//! TOCS 2007) — the family the paper's uniformity analysis covers. The
+//! framework asks only that every node exchange once per period; this
+//! overlay runs the period as a synchronous round rather than as
+//! Cyclon's sequential sweep.
 //!
 //! ## The exchange shape
 //!
@@ -57,13 +88,14 @@
 //!
 //! ## Determinism
 //!
-//! All randomness draws from per-round streams
+//! All randomness draws from per-(round, block, pass) streams
 //! ([`StreamDomain::MembershipShuffle`]) under a dedicated seed, so an
 //! overlay attached to an existing experiment never perturbs the
 //! experiment's own draw sequences, and a `(seed, config)` pair replays
-//! the overlay bit-for-bit.
+//! the overlay bit-for-bit, on any number of workers.
 
 use crate::rng::SimRng;
+use crate::steal::for_each_chunk_mut;
 use crate::streams::StreamDomain;
 use crate::NodeId;
 
@@ -135,33 +167,15 @@ impl PartialView {
         self.entries.iter().any(|e| e.peer == peer)
     }
 
-    /// Ages every entry by one round (saturating).
-    pub fn age_all(&mut self) {
-        for e in &mut self.entries {
-            e.age = e.age.saturating_add(1);
-        }
-    }
-
-    /// The oldest entry's peer (first of the maxima — deterministic).
-    pub fn oldest(&self) -> Option<NodeId> {
-        let mut best: Option<&ViewEntry> = None;
-        for e in &self.entries {
-            if best.is_none_or(|b| e.age > b.age) {
-                best = Some(e);
+    /// The oldest entry's position (first of the maxima — deterministic).
+    fn oldest(&self) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for (i, e) in self.entries.iter().enumerate() {
+            if best.is_none_or(|b| e.age > self.entries[b].age) {
+                best = Some(i);
             }
         }
-        best.map(|e| e.peer)
-    }
-
-    /// Removes `peer`'s entry; returns whether one existed.
-    pub fn remove(&mut self, peer: NodeId) -> bool {
-        match self.entries.iter().position(|e| e.peer == peer) {
-            Some(i) => {
-                self.entries.remove(i);
-                true
-            }
-            None => false,
-        }
+        best
     }
 
     /// Inserts a fresh (age 0) entry for `peer` if it is absent and
@@ -288,6 +302,74 @@ pub struct ShuffleStats {
     pub isolated: u64,
 }
 
+/// Slots per block of a shuffle round. Blocks are the unit of work and
+/// of randomness (one stream per block and pass), so the views never
+/// depend on how many workers share the blocks.
+const BLOCK: usize = 1024;
+
+/// First-choice claimants a partner keeps per round; the others move to
+/// their second choice.
+const MAX_CLAIMS: usize = 2;
+
+/// "No peer" in the per-slot choice and partner arrays.
+const NONE: u32 = u32::MAX;
+
+/// The passes that draw randomness, the low two bits of a
+/// [`StreamDomain::MembershipShuffle`] label.
+#[derive(Debug, Clone, Copy)]
+enum Pass {
+    /// The serial claim step: claim priorities and re-bootstrap draws.
+    Claim = 0,
+    /// Exchange buffers.
+    Draw = 1,
+    /// Random trims of the merge.
+    Merge = 2,
+}
+
+/// A uniform index in `[0, span)` for `span >= 1`: Lemire's
+/// multiply-shift with rejection, unbiased like
+/// [`SimRng::gen_range`] but without its division on nearly every
+/// draw, the larger part of a small draw's cost.
+fn index_below(rng: &mut SimRng, span: usize) -> usize {
+    let span = span as u64;
+    let mut product = u128::from(rng.next_u64()) * u128::from(span);
+    if (product as u64) < span {
+        let threshold = span.wrapping_neg() % span;
+        while (product as u64) < threshold {
+            product = u128::from(rng.next_u64()) * u128::from(span);
+        }
+    }
+    (product >> 64) as usize
+}
+
+/// The stream of one pass over one block of a round.
+fn shuffle_stream(seed: u64, round: u64, block: usize, pass: Pass) -> SimRng {
+    StreamDomain::MembershipShuffle
+        .stream(seed, (round << 24) | ((block as u64) << 2) | pass as u64)
+}
+
+/// A node's claim priority in a round: the lower, the likelier it keeps
+/// a contested partner. SplitMix64's finalizer over the round's key.
+fn priority(key: u64, slot: u32) -> u64 {
+    let mut z = key ^ u64::from(slot);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One round's exchanges, indexed per node: slot `x` takes part in the
+/// exchange sides `start[x]..start[x + 1]`, in ascending initiator
+/// order, one side per exchange it initiated or was claimed for.
+struct Exchanges {
+    start: Vec<usize>,
+    /// Per side: the other side of the same exchange.
+    mirror: Vec<usize>,
+    /// Per side: its buffer is `entries[buffer[k]..buffer[k + 1]]`.
+    buffer: Vec<usize>,
+    /// Every exchange buffer of the round.
+    entries: Vec<ViewEntry>,
+}
+
 /// The per-population peer-sampling overlay: one [`PartialView`] per
 /// slot plus the deterministic shuffle protocol.
 #[derive(Debug, Clone)]
@@ -298,10 +380,6 @@ pub struct MembershipRuntime {
     views: Vec<PartialView>,
     round: u64,
     stats: ShuffleStats,
-    // Exchange scratch, reused across pairs to keep the sweep
-    // allocation-free after warm-up.
-    send_a: Vec<ViewEntry>,
-    send_b: Vec<ViewEntry>,
 }
 
 impl MembershipRuntime {
@@ -316,11 +394,18 @@ impl MembershipRuntime {
     pub fn new(n: usize, config: MembershipConfig, seed: u64) -> Result<Self, String> {
         config.validate_for(n)?;
         let shape = ExchangeShape::of(config.view_size);
+        // A view never holds more than the n - 1 other slots, and a
+        // merge evicts in a scratch copy before it writes back: reserving
+        // the bound here keeps every merge from reallocating on a worker
+        // thread, and a huge configured bound from allocating beyond the
+        // population.
+        let reserve = config.view_size.min(n - 1);
         let mut views = vec![PartialView::new(config.view_size); n];
         // Bootstrap: each node asks relay `slot % relays`, which hands
         // out itself plus a sample of already-joined peers (the state a
         // real relay accumulates as the population trickles in).
         for (slot, view) in views.iter_mut().enumerate() {
+            view.entries.reserve_exact(reserve);
             let mut rng = StreamDomain::MembershipBootstrap.stream(seed, slot as u64);
             let relay = NodeId::from_index(slot % config.relays);
             if relay.index() != slot {
@@ -346,19 +431,7 @@ impl MembershipRuntime {
             views,
             round: 0,
             stats: ShuffleStats::default(),
-            send_a: Vec::new(),
-            send_b: Vec::new(),
         })
-    }
-
-    /// The overlay configuration.
-    pub fn config(&self) -> &MembershipConfig {
-        &self.config
-    }
-
-    /// The relay (bootstrap) slots: the first `relays` node ids.
-    pub fn relays(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.config.relays).map(NodeId::from_index)
     }
 
     /// One node's view.
@@ -382,89 +455,269 @@ impl MembershipRuntime {
         self.round
     }
 
-    /// Executes one deterministic shuffle sweep: every node for which
-    /// `alive` holds, in ascending slot order, runs the push-pull
-    /// exchange described in the [module docs](self). `reachable(a, b)`
+    /// [`MembershipRuntime::shuffle_round_on`] on the calling thread
+    /// alone.
+    pub fn shuffle_round(
+        &mut self,
+        alive: impl Fn(NodeId) -> bool + Sync,
+        reachable: impl Fn(NodeId, NodeId) -> bool + Sync,
+    ) {
+        self.shuffle_round_on(1, alive, reachable);
+    }
+
+    /// Executes one synchronous shuffle round, described in the
+    /// [module docs](self), on up to `workers` threads: every node for
+    /// which `alive` holds exchanges with one partner. `reachable(a, b)`
     /// gates partner and relay contact (partitions, regional cuts);
     /// pass `|_, _| true` on an unpartitioned substrate.
     ///
-    /// Draws come from this round's
-    /// [`StreamDomain::MembershipShuffle`] stream only, so overlay
-    /// state after `k` rounds is a pure function of
-    /// `(seed, config, alive/reachable history)`.
-    pub fn shuffle_round(
+    /// Draws come from this round's [`StreamDomain::MembershipShuffle`]
+    /// streams only, so overlay state after `k` rounds is a pure
+    /// function of `(seed, config, alive/reachable history)` — the
+    /// worker count does not enter it.
+    pub fn shuffle_round_on(
         &mut self,
-        alive: impl Fn(NodeId) -> bool,
-        reachable: impl Fn(NodeId, NodeId) -> bool,
+        workers: usize,
+        alive: impl Fn(NodeId) -> bool + Sync,
+        reachable: impl Fn(NodeId, NodeId) -> bool + Sync,
     ) {
-        let mut rng = StreamDomain::MembershipShuffle.stream(self.seed, self.round);
+        // The round's working arrays live only for the round: kept, they
+        // would add a few MB to the scenario engine's peak resident set
+        // while its other phases run.
+        let choice = self.choose(workers, &alive, &reachable);
+        let partner = self.claim(&choice, &alive, &reachable);
+        let mut exchanges = self.index(&partner);
+        self.draw(&mut exchanges, workers);
+        self.merge_all(&exchanges, workers);
         self.round += 1;
         self.stats.rounds += 1;
-        for slot in 0..self.views.len() {
-            let initiator = NodeId::from_index(slot);
-            if !alive(initiator) {
-                continue;
-            }
-            self.views[slot].age_all();
-            let partner = match self.find_partner(slot, &alive, &reachable) {
-                Some(p) => p,
-                None => match self.rebootstrap(slot, &mut rng, &alive, &reachable) {
-                    Some(p) => p,
-                    None => {
-                        self.stats.isolated += 1;
-                        continue;
-                    }
-                },
-            };
-            self.exchange(slot, partner.index(), &mut rng);
-            self.stats.exchanges += 1;
-        }
     }
 
-    /// The oldest live, reachable peer in `slot`'s view; dead entries
-    /// found on the way are pruned (healing). Unreachable-but-alive
-    /// entries are kept — the partition will heal.
-    fn find_partner(
+    /// Pass 1: every live node ages its view, prunes dead oldest
+    /// entries and records its two oldest live, reachable entries
+    /// ([`NONE`] for a node that is down or found none).
+    fn choose(
         &mut self,
-        slot: usize,
-        alive: &impl Fn(NodeId) -> bool,
-        reachable: &impl Fn(NodeId, NodeId) -> bool,
-    ) -> Option<NodeId> {
-        let me = NodeId::from_index(slot);
-        loop {
-            let oldest = self.views[slot].oldest()?;
-            if !alive(oldest) {
-                self.views[slot].remove(oldest);
-                self.stats.pruned += 1;
-                continue;
-            }
-            if reachable(me, oldest) {
-                return Some(oldest);
-            }
-            // Reachability is transient; fall through the ages until a
-            // contactable peer turns up, without evicting anyone.
-            let mut best: Option<&ViewEntry> = None;
-            for e in self.views[slot].entries() {
-                if alive(e.peer) && reachable(me, e.peer) {
-                    let better = match best {
-                        Some(b) => e.age > b.age,
-                        None => true,
-                    };
-                    if better {
-                        best = Some(e);
+        workers: usize,
+        alive: &(impl Fn(NodeId) -> bool + Sync),
+        reachable: &(impl Fn(NodeId, NodeId) -> bool + Sync),
+    ) -> Vec<[u32; 2]> {
+        let mut choice = vec![[NONE; 2]; self.views.len()];
+        let mut blocks: Vec<_> = self
+            .views
+            .chunks_mut(BLOCK)
+            .zip(choice.chunks_mut(BLOCK))
+            .map(|(views, choices)| (views, choices, 0u64))
+            .collect();
+        for_each_chunk_mut(&mut blocks, 1, workers, |block, piece| {
+            for (views, choices, pruned) in piece {
+                for (j, (view, choice)) in views.iter_mut().zip(choices.iter_mut()).enumerate() {
+                    let me = NodeId::from_index(block * BLOCK + j);
+                    if alive(me) {
+                        *choice = choose_partners(view, me, alive, reachable, pruned);
                     }
                 }
             }
-            return best.map(|e| e.peer);
+        });
+        self.stats.pruned += blocks.iter().map(|(_, _, pruned)| pruned).sum::<u64>();
+        choice
+    }
+
+    /// Pass 2, serial: caps each partner's first-choice claimants at
+    /// [`MAX_CLAIMS`] and re-bootstraps live nodes that found no
+    /// partner. Returns each slot's partner, [`NONE`] for none.
+    fn claim(
+        &mut self,
+        choice: &[[u32; 2]],
+        alive: &impl Fn(NodeId) -> bool,
+        reachable: &impl Fn(NodeId, NodeId) -> bool,
+    ) -> Vec<u32> {
+        let n = self.views.len();
+        let mut rng = shuffle_stream(self.seed, self.round, 0, Pass::Claim);
+        let key = rng.next_u64();
+        // Per slot: how many initiators named it first, and the ones of
+        // lowest priority, lowest first.
+        let mut claims = vec![0usize; n];
+        let mut keep = vec![[NONE; MAX_CLAIMS]; n];
+        for (slot, &[first, _]) in choice.iter().enumerate() {
+            if first == NONE {
+                continue;
+            }
+            claims[first as usize] += 1;
+            // Insert into the sorted keep list; whoever falls off the end
+            // is out.
+            let mut carry = slot as u32;
+            for kept in &mut keep[first as usize] {
+                if *kept == NONE || priority(key, carry) < priority(key, *kept) {
+                    std::mem::swap(kept, &mut carry);
+                    if carry == NONE {
+                        break;
+                    }
+                }
+            }
         }
+        let mut partner = vec![NONE; n];
+        let mut handouts = Vec::new();
+        for (slot, &[first, second]) in choice.iter().enumerate() {
+            let me = NodeId::from_index(slot);
+            partner[slot] = if first != NONE {
+                let contested =
+                    claims[first as usize] > MAX_CLAIMS && !keep[first as usize].contains(&me.0);
+                if contested && second != NONE {
+                    second
+                } else {
+                    first
+                }
+            } else if !alive(me) {
+                continue;
+            } else if let Some(relay) =
+                self.rebootstrap(slot, &mut handouts, &mut rng, alive, reachable)
+            {
+                relay.0
+            } else {
+                self.stats.isolated += 1;
+                continue;
+            };
+        }
+        partner
+    }
+
+    /// Builds the round's exchange index from each slot's partner, with
+    /// the length of every buffer.
+    fn index(&mut self, partner: &[u32]) -> Exchanges {
+        let n = self.views.len();
+        let mut start = vec![0usize; n + 1];
+        for (slot, &partner) in partner.iter().enumerate() {
+            if partner != NONE {
+                start[slot + 1] += 1;
+                start[partner as usize + 1] += 1;
+            }
+        }
+        for slot in 0..n {
+            start[slot + 1] += start[slot];
+        }
+        let sides = start[n];
+        self.stats.exchanges += sides as u64 / 2;
+        // Initiators are visited in ascending order, so every slot's
+        // sides come out in ascending initiator order. `given` counts the
+        // view entries a slot's earlier buffers take.
+        let mut next = start[..n].to_vec();
+        let mut given = vec![0usize; n];
+        let mut mirror = vec![0usize; sides];
+        let mut buffer = vec![0usize; sides + 1];
+        // Both sides of an exchange send a fresh self-entry plus equally
+        // many view entries: up to `shuffle_len - 1`, and no more than
+        // either side has not yet given away this round.
+        let shuffle_len = self.shape.shuffle_len.min(n);
+        for (slot, &partner) in partner.iter().enumerate() {
+            if partner != NONE {
+                let partner = partner as usize;
+                let (mine, theirs) = (next[slot], next[partner]);
+                next[slot] += 1;
+                next[partner] += 1;
+                mirror[mine] = theirs;
+                mirror[theirs] = mine;
+                let give = (shuffle_len - 1)
+                    .min(self.views[slot].len() - given[slot])
+                    .min(self.views[partner].len() - given[partner]);
+                given[slot] += give;
+                given[partner] += give;
+                buffer[mine + 1] = 1 + give;
+                buffer[theirs + 1] = 1 + give;
+            }
+        }
+        for side in 0..sides {
+            buffer[side + 1] += buffer[side];
+        }
+        let empty = ViewEntry {
+            peer: NodeId(NONE),
+            age: 0,
+        };
+        Exchanges {
+            entries: vec![empty; buffer[sides]],
+            start,
+            mirror,
+            buffer,
+        }
+    }
+
+    /// Pass 3: every node fills the buffer of each of its exchange
+    /// sides from its own view.
+    fn draw(&self, exchanges: &mut Exchanges, workers: usize) {
+        let n = self.views.len();
+        let (seed, round, views) = (self.seed, self.round, &self.views);
+        let Exchanges {
+            start,
+            buffer,
+            entries,
+            ..
+        } = exchanges;
+        let mut blocks = Vec::with_capacity(n.div_ceil(BLOCK));
+        let mut rest = entries.as_mut_slice();
+        for lo in (0..n).step_by(BLOCK) {
+            let hi = (lo + BLOCK).min(n);
+            let len = buffer[start[hi]] - buffer[start[lo]];
+            let (out, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            blocks.push(out);
+            rest = tail;
+        }
+        for_each_chunk_mut(&mut blocks, 1, workers, |block, piece| {
+            let mut rng = shuffle_stream(seed, round, block, Pass::Draw);
+            // Worker-local, so no two workers write one cache line.
+            let mut order = Vec::new();
+            let lo = block * BLOCK;
+            let base = buffer[start[lo]];
+            for out in piece {
+                for slot in lo..(lo + BLOCK).min(n) {
+                    let view = &views[slot].entries;
+                    let owner = NodeId::from_index(slot);
+                    order.clear();
+                    order.extend(0..view.len());
+                    let mut drawn = 0;
+                    for side in start[slot]..start[slot + 1] {
+                        let buf = &mut out[buffer[side] - base..buffer[side + 1] - base];
+                        fill_buffer(buf, view, owner, &mut order, &mut drawn, &mut rng);
+                    }
+                }
+            }
+        });
+    }
+
+    /// Pass 4: every node merges each buffer addressed to it, in
+    /// ascending initiator order.
+    fn merge_all(&mut self, exchanges: &Exchanges, workers: usize) {
+        let (seed, round, shape) = (self.seed, self.round, self.shape);
+        let Exchanges {
+            start,
+            mirror,
+            buffer,
+            entries,
+        } = exchanges;
+        for_each_chunk_mut(&mut self.views, BLOCK, workers, |offset, views| {
+            let mut rng = shuffle_stream(seed, round, offset / BLOCK, Pass::Merge);
+            // Worker-local, so no two workers write one cache line.
+            let mut merged = Vec::new();
+            for (j, view) in views.iter_mut().enumerate() {
+                let slot = offset + j;
+                let me = NodeId::from_index(slot);
+                for side in start[slot]..start[slot + 1] {
+                    let other = mirror[side];
+                    let received = &entries[buffer[other]..buffer[other + 1]];
+                    let sent = &entries[buffer[side]..buffer[side + 1]];
+                    merge(view, me, received, sent, &shape, &mut merged, &mut rng);
+                }
+            }
+        });
     }
 
     /// Refills an empty (or fully unreachable) view through a live,
     /// reachable relay: the relay itself plus a sample of the relay's
-    /// view. Returns the relay as the round's partner.
+    /// view, gathered in `handouts`. Returns the relay as the round's
+    /// partner.
     fn rebootstrap(
         &mut self,
         slot: usize,
+        handouts: &mut Vec<NodeId>,
         rng: &mut SimRng,
         alive: &impl Fn(NodeId) -> bool,
         reachable: &impl Fn(NodeId, NodeId) -> bool,
@@ -474,130 +727,189 @@ impl MembershipRuntime {
             .map(NodeId::from_index)
             .find(|&r| r != me && alive(r) && reachable(me, r))?;
         // Sample up to fanout-1 handout peers from the relay's view
-        // before touching our own (split-borrow via index ordering).
-        let handouts: Vec<NodeId> = {
-            let relay_view = &self.views[relay.index()];
-            let mut picked = Vec::new();
-            // Capped at the population like the bootstrap loop.
-            let n = self.views.len();
-            let fanout = self.shape.relay_fanout.min(n - 1);
-            let mut budget = 2usize.saturating_mul(self.shape.relay_fanout.min(n));
-            while picked.len() + 1 < fanout && budget > 0 {
-                budget -= 1;
-                match relay_view.sample(rng) {
-                    Some(p) if p != me && !picked.contains(&p) => picked.push(p),
-                    Some(_) => {}
-                    None => break,
-                }
+        // before touching our own.
+        let relay_view = &self.views[relay.index()];
+        handouts.clear();
+        // Capped at the population like the bootstrap loop.
+        let n = self.views.len();
+        let fanout = self.shape.relay_fanout.min(n - 1);
+        let mut budget = 2usize.saturating_mul(self.shape.relay_fanout.min(n));
+        while handouts.len() + 1 < fanout && budget > 0 {
+            budget -= 1;
+            match relay_view.sample(rng) {
+                Some(p) if p != me && !handouts.contains(&p) => handouts.push(p),
+                Some(_) => {}
+                None => break,
             }
-            picked
-        };
+        }
         let view = &mut self.views[slot];
         view.insert_fresh(relay);
-        for p in handouts {
+        for &p in handouts.iter() {
             view.insert_fresh(p);
         }
         self.stats.rebootstraps += 1;
         Some(relay)
     }
+}
 
-    /// One push-pull exchange between live nodes `a` and `b`.
-    fn exchange(&mut self, a: usize, b: usize, rng: &mut SimRng) {
-        // A buffer can hold at most the population; capping here bounds
-        // `fill_buffer`'s draw budget and changes nothing below it.
-        let shuffle_len = self.shape.shuffle_len.min(self.views.len());
-        let mut send_a = std::mem::take(&mut self.send_a);
-        let mut send_b = std::mem::take(&mut self.send_b);
-        fill_buffer(
-            &mut send_a,
-            &self.views[a],
-            NodeId::from_index(a),
-            shuffle_len,
-            rng,
-        );
-        fill_buffer(
-            &mut send_b,
-            &self.views[b],
-            NodeId::from_index(b),
-            shuffle_len,
-            rng,
-        );
-        self.merge(b, &send_a, &send_b, rng);
-        self.merge(a, &send_b, &send_a, rng);
-        send_a.clear();
-        send_b.clear();
-        self.send_a = send_a;
-        self.send_b = send_b;
+/// Pass 1 for one live node: ages `view`, drops dead entries while the
+/// oldest one is dead, and returns its oldest and second-oldest live,
+/// reachable entries (the first of equals wins; [`NONE`] if absent).
+/// Unreachable-but-alive entries are kept — the partition will heal.
+fn choose_partners(
+    view: &mut PartialView,
+    me: NodeId,
+    alive: &impl Fn(NodeId) -> bool,
+    reachable: &impl Fn(NodeId, NodeId) -> bool,
+    pruned: &mut u64,
+) -> [u32; 2] {
+    // One scan ages every entry and finds both the oldest entry and the
+    // two oldest live, reachable ones. Pruning dead entries afterwards
+    // leaves the live ones, and so the two picks, as they are.
+    let mut oldest: Option<usize> = None;
+    let mut best: [Option<ViewEntry>; 2] = [None, None];
+    for i in 0..view.entries.len() {
+        let e = &mut view.entries[i];
+        e.age = e.age.saturating_add(1);
+        let e = *e;
+        if oldest.is_none_or(|o| e.age > view.entries[o].age) {
+            oldest = Some(i);
+        }
+        if !(alive(e.peer) && reachable(me, e.peer)) {
+            continue;
+        }
+        if best[0].is_none_or(|b| e.age > b.age) {
+            best = [Some(e), best[0]];
+        } else if best[1].is_none_or(|b| e.age > b.age) {
+            best[1] = Some(e);
+        }
     }
+    while let Some(i) = oldest {
+        if alive(view.entries[i].peer) {
+            break;
+        }
+        view.entries.remove(i);
+        *pruned += 1;
+        oldest = view.oldest();
+    }
+    best.map(|e| e.map_or(NONE, |e| e.peer.0))
+}
 
-    /// Merges `received` into `slot`'s view, evicting per the
-    /// framework's healing / swap / random discipline. `sent` is what
-    /// `slot` pushed out this exchange (the swap candidates).
-    fn merge(&mut self, slot: usize, received: &[ViewEntry], sent: &[ViewEntry], rng: &mut SimRng) {
-        let me = NodeId::from_index(slot);
-        let cap = self.config.view_size;
-        let view = &mut self.views[slot];
-        for e in received {
-            if e.peer == me {
-                continue;
-            }
-            match view.entries.iter_mut().find(|have| have.peer == e.peer) {
-                Some(have) => have.age = have.age.min(e.age),
-                None => view.entries.push(*e),
-            }
-        }
-        // Healing: evict the oldest first.
-        let mut healing_left = self.shape.healing;
-        while view.entries.len() > cap && healing_left > 0 {
-            healing_left -= 1;
-            if let Some(oldest) = view.oldest() {
-                view.remove(oldest);
-            }
-        }
-        // Swap: evict what we just sent.
-        let mut swap_left = self.shape.swap;
-        let mut sent_cursor = 0;
-        while view.entries.len() > cap && swap_left > 0 && sent_cursor < sent.len() {
-            let candidate = sent[sent_cursor].peer;
-            sent_cursor += 1;
-            if view.remove(candidate) {
-                swap_left -= 1;
-            }
-        }
-        // Random: trim the remainder.
-        while view.entries.len() > cap {
-            let index = rng.gen_range(0..view.entries.len());
-            view.entries.remove(index);
-        }
+/// Fills `buffer` with `owner`'s fresh self-entry followed by
+/// `buffer.len() - 1` distinct entries of `view`, drawn by partial
+/// Fisher–Yates over the view's positions `order`.
+///
+/// The draw continues the permutation its owner's earlier buffers of
+/// the round left in `order` (`drawn` positions in): a node never gives
+/// away one entry twice in a round, as in a sequential sweep, where
+/// each exchange swaps out what it sent. The index step sizes the
+/// buffers so that a view always has enough entries left.
+fn fill_buffer(
+    buffer: &mut [ViewEntry],
+    view: &[ViewEntry],
+    owner: NodeId,
+    order: &mut [usize],
+    drawn: &mut usize,
+    rng: &mut SimRng,
+) {
+    let Some((first, rest)) = buffer.split_first_mut() else {
+        return;
+    };
+    *first = ViewEntry {
+        peer: owner,
+        age: 0,
+    };
+    for out in rest {
+        let k = *drawn;
+        let pick = k + index_below(rng, order.len() - k);
+        order.swap(k, pick);
+        *out = view[order[k]];
+        *drawn += 1;
     }
 }
 
-/// Builds an exchange buffer: a fresh self-entry plus up to
-/// `shuffle_len - 1` distinct random entries of `view`.
-fn fill_buffer(
-    buffer: &mut Vec<ViewEntry>,
-    view: &PartialView,
-    owner: NodeId,
-    shuffle_len: usize,
+/// Merges `received` into `me`'s view, evicting per the framework's
+/// healing / swap / random discipline. `sent` is what `me` pushed out
+/// in the same exchange (the swap candidates).
+///
+/// The merge works in `merged`, so the view itself never grows past its
+/// capacity. Healing and swap evictions are marked and dropped in one
+/// pass, which keeps the survivors' order, so "oldest", "sent" and the
+/// random index all see what one removal after another would leave.
+fn merge(
+    view: &mut PartialView,
+    me: NodeId,
+    received: &[ViewEntry],
+    sent: &[ViewEntry],
+    shape: &ExchangeShape,
+    merged: &mut Vec<ViewEntry>,
     rng: &mut SimRng,
 ) {
-    buffer.clear();
-    buffer.push(ViewEntry {
-        peer: owner,
-        age: 0,
-    });
-    let want = (shuffle_len - 1).min(view.len());
-    let mut budget = 4usize.saturating_mul(shuffle_len.max(1));
-    while buffer.len() - 1 < want && budget > 0 {
-        budget -= 1;
-        if let Some(e) = rng.choose(view.entries()) {
-            if !buffer.iter().any(|b| b.peer == e.peer) {
-                buffer.push(*e);
+    const GONE: NodeId = NodeId(NONE);
+    let cap = view.capacity;
+    merged.clear();
+    merged.extend_from_slice(&view.entries);
+    // A buffer holds distinct peers, so only the entries held before
+    // this merge can duplicate one. A 128-bit hash mask of the peers
+    // present lets most new peers skip the scan.
+    let held = merged.len();
+    let bit = |peer: NodeId| 1u128 << (peer.0 & 127);
+    let mut mask = merged.iter().fold(0u128, |m, e| m | bit(e.peer));
+    for e in received {
+        if e.peer == me {
+            continue;
+        }
+        if mask & bit(e.peer) != 0 {
+            if let Some(have) = merged[..held].iter_mut().find(|have| have.peer == e.peer) {
+                have.age = have.age.min(e.age);
+                continue;
             }
-        } else {
-            break;
+        }
+        merged.push(*e);
+        mask |= bit(e.peer);
+    }
+    let mut excess = merged.len().saturating_sub(cap);
+    // Healing: evict the oldest first.
+    for _ in 0..shape.healing.min(excess) {
+        let mut oldest: Option<usize> = None;
+        for (i, e) in merged.iter().enumerate() {
+            if e.peer != GONE && oldest.is_none_or(|o| e.age > merged[o].age) {
+                oldest = Some(i);
+            }
+        }
+        if let Some(i) = oldest {
+            merged[i].peer = GONE;
+            excess -= 1;
         }
     }
+    // Swap: evict what we just sent. `me`'s own entry is never held.
+    let mut swap_left = shape.swap;
+    for candidate in sent {
+        if excess == 0 || swap_left == 0 {
+            break;
+        }
+        if candidate.peer == me || mask & bit(candidate.peer) == 0 {
+            continue;
+        }
+        if let Some(e) = merged.iter_mut().find(|e| e.peer == candidate.peer) {
+            e.peer = GONE;
+            excess -= 1;
+            swap_left -= 1;
+        }
+    }
+    let mut kept = 0;
+    for read in 0..merged.len() {
+        let e = merged[read];
+        merged[kept] = e;
+        kept += usize::from(e.peer != GONE);
+    }
+    merged.truncate(kept);
+    // Random: trim the remainder.
+    while merged.len() > cap {
+        merged.remove(index_below(rng, merged.len()));
+    }
+    view.entries.clear();
+    view.entries.extend_from_slice(merged);
 }
 
 #[cfg(test)]
@@ -694,8 +1006,8 @@ mod tests {
         assert_invariants(&runtime);
         for (slot, view) in runtime.views().iter().enumerate() {
             assert!(!view.is_empty(), "slot {slot} starts with an empty view");
-            if slot >= runtime.config().relays {
-                let relay = NodeId::from_index(slot % runtime.config().relays);
+            if slot >= runtime.config.relays {
+                let relay = NodeId::from_index(slot % runtime.config.relays);
                 assert!(view.contains(relay), "slot {slot} misses its relay");
             }
         }
@@ -713,9 +1025,9 @@ mod tests {
                 .flat_map(|v| v.entries().iter().map(|e| e.age))
                 .max()
                 .unwrap_or(0);
-            // An entry ages at its holder and can age once more after
-            // traveling to a later-sweeping node in the same round —
-            // so growth is bounded by two per round, never unbounded.
+            // A round ages every view once, before any exchange, so an
+            // entry grows by at most one per round; two per round bounds
+            // it loosely, never unbounded.
             assert!(
                 u64::from(max_age) <= 2 * (round + 1),
                 "round {round}: age {max_age} outgrew the sweep bound"
@@ -755,7 +1067,7 @@ mod tests {
     fn empty_view_rebootstraps_through_a_live_relay() {
         let mut runtime = overlay(16, 17);
         // Empty one node's view by hand.
-        runtime.views[9] = PartialView::new(runtime.config().view_size);
+        runtime.views[9] = PartialView::new(runtime.config.view_size);
         runtime.shuffle_round(|_| true, |_, _| true);
         assert!(!runtime.views()[9].is_empty(), "rebootstrap refilled it");
         assert!(runtime.stats().rebootstraps >= 1);
@@ -784,7 +1096,7 @@ mod tests {
         }
         runtime.views[9] = PartialView::new(huge);
         let mut rng = SimRng::seed_from_u64(31);
-        let relay = runtime.rebootstrap(9, &mut rng, &|_| true, &|_, _| true);
+        let relay = runtime.rebootstrap(9, &mut Vec::new(), &mut rng, &|_| true, &|_, _| true);
         assert_eq!(relay, Some(NodeId(0)));
         assert!(!runtime.views()[9].is_empty());
         assert_invariants(&runtime);
@@ -794,7 +1106,7 @@ mod tests {
     #[test]
     fn all_relays_dead_leaves_empty_views_isolated() {
         let mut runtime = overlay(16, 19);
-        runtime.views[9] = PartialView::new(runtime.config().view_size);
+        runtime.views[9] = PartialView::new(runtime.config.view_size);
         // Only node 9 is up: no relay to re-bootstrap through, and no
         // live peer whose outbound exchange could refill it.
         runtime.shuffle_round(|n| n.index() == 9, |_, _| true);
@@ -844,10 +1156,105 @@ mod tests {
         assert!(bad.validate_for(1000).unwrap_err().contains("view_size"));
     }
 
+    /// A churned, partitioned population for the worker-count and claim
+    /// tests: three blocks and a bit, so blocks meet mid-exchange.
+    const BLOCKS_N: usize = 3 * BLOCK + 77;
+
+    fn churned(round: u64, node: NodeId) -> bool {
+        // A fifth of the population is down, a different fifth each round.
+        !(u64::from(node.0) * 0x9E37_79B9 + round * 0x85EB_CA6B).is_multiple_of(5)
+    }
+
+    fn split(round: u64, a: NodeId, b: NodeId) -> bool {
+        // Rounds 3..6 split the population into two halves.
+        !(3..6).contains(&round) || (a.index() < BLOCKS_N / 2) == (b.index() < BLOCKS_N / 2)
+    }
+
+    #[test]
+    fn worker_count_never_changes_the_views() {
+        let run = |workers: usize| {
+            let mut runtime = overlay(BLOCKS_N, 37);
+            for round in 0..12 {
+                runtime.shuffle_round_on(
+                    workers,
+                    |node| churned(round, node),
+                    |a, b| split(round, a, b),
+                );
+            }
+            // Empty a few views, relays included, so the round also
+            // re-bootstraps.
+            for slot in [1, 700, 2_500] {
+                runtime.views[slot] = PartialView::new(runtime.config.view_size);
+            }
+            runtime.shuffle_round_on(workers, |node| churned(12, node), |_, _| true);
+            runtime
+        };
+        let reference = run(1);
+        assert_invariants(&reference);
+        let stats = reference.stats();
+        assert!(stats.pruned > 0 && stats.rebootstraps > 0, "{stats:?}");
+        for workers in [2, 5] {
+            let other = run(workers);
+            assert_eq!(other.stats(), stats, "{workers} workers");
+            assert!(
+                other.views() == reference.views(),
+                "{workers} workers diverged from one"
+            );
+        }
+    }
+
+    #[test]
+    fn claim_step_caps_first_choice_claimants() {
+        // Round one: every view starts with its relay, so each relay is
+        // the oldest entry of a third of the population.
+        let mut runtime = overlay(BLOCKS_N, 41);
+        let up = |_: NodeId| true;
+        let reachable = |_: NodeId, _: NodeId| true;
+        let choice = runtime.choose(1, &up, &reachable);
+        let partner = runtime.claim(&choice, &up, &reachable);
+        let mut claims = vec![0usize; BLOCKS_N];
+        for &[first, _] in &choice {
+            assert_ne!(first, NONE, "a slot found no partner");
+            claims[first as usize] += 1;
+        }
+        assert!(claims[0] > 1_000, "relay 0 named first {} times", claims[0]);
+        let mut kept = vec![0usize; BLOCKS_N];
+        for (slot, &[first, second]) in choice.iter().enumerate() {
+            if partner[slot] == first {
+                kept[first as usize] += 1;
+            } else {
+                assert_eq!(
+                    partner[slot], second,
+                    "slot {slot} moved off its second choice"
+                );
+                assert!(claims[first as usize] > MAX_CLAIMS);
+            }
+        }
+        let most = kept.iter().copied().max().unwrap_or(0);
+        assert!(
+            most <= MAX_CLAIMS,
+            "a partner kept {most} first-choice claimants"
+        );
+        assert_eq!(kept[0], MAX_CLAIMS, "relay 0 keeps its two claimants");
+    }
+
+    #[test]
+    fn index_below_stays_in_range_and_covers_it() {
+        let mut rng = SimRng::seed_from_u64(43);
+        assert_eq!(index_below(&mut rng, 1), 0);
+        let mut seen = [0u32; 7];
+        for _ in 0..7_000 {
+            seen[index_below(&mut rng, 7)] += 1;
+        }
+        assert!(seen.iter().all(|&c| (800..1_200).contains(&c)), "{seen:?}");
+        assert!(index_below(&mut rng, usize::MAX) < usize::MAX);
+    }
+
     #[test]
     fn huge_view_bound_allocates_nothing_up_front() {
-        // The view size is a bound, not a reservation: a 10^9-entry bound
-        // over 40 nodes runs like any bound the views never reach.
+        // The view size is a bound, and a view reserves no more than the
+        // population: a 10^9-entry bound over 40 nodes runs like any
+        // bound the views never reach.
         let shaped = |view_size: usize| MembershipConfig {
             view_size,
             ..MembershipConfig::default()

@@ -73,8 +73,12 @@ pub enum StreamDomain {
     /// bits: XORed write label (historical layout: the tag is XORed,
     /// not ORed, with the label).
     FaultStorage,
-    /// Per-round view-shuffle streams of the membership overlay. Low
-    /// bits: `round`.
+    /// Per-(round, block, pass) view-shuffle streams of the membership
+    /// overlay. Low bits: `(round << 24) | (block << 2) | pass`, with
+    /// `block` the 1,024-slot block (below `2^22`, as node ids are
+    /// `u32`) and `pass` 0 for the serial claim step (block 0), 1 for
+    /// the buffer draws and 2 for the merges' random trims. Rounds stay
+    /// below `2^32`, clear of the tag.
     MembershipShuffle,
     /// Bootstrap view seeding of the membership overlay. Low bits:
     /// `node`.

@@ -19,7 +19,8 @@ use tsn_core::json::format_f64;
 use tsn_core::runner::ScenarioBuilder;
 use tsn_core::scenario::ScenarioOutcome;
 use tsn_simnet::{
-    DynamicsPlan, MembershipConfig, MembershipRuntime, SimTime, MEMBERSHIP_SEED_SALT,
+    DynamicsPlan, MembershipConfig, MembershipRuntime, NodeId, SimRng, SimTime,
+    MEMBERSHIP_SEED_SALT,
 };
 
 /// Bit-exact text form of the outcome floats plus the per-round series
@@ -165,9 +166,13 @@ fn every_peer_reaches_every_view_in_logarithmic_rounds() {
     // Temporal coverage: with view shuffling, the union of one node's
     // successive views sweeps the whole population in O(log n) rounds
     // (coupon collection at shuffle_len fresh entries per round). At
-    // n = 48 and shuffle_len = 4 we allow 16·log2(48) ≈ 89 rounds —
-    // far beyond the coupon-collector expectation of ~48·ln(48)/4 ≈ 47,
-    // so the bound is a regression guard, not a statistical gamble.
+    // n = 48 and shuffle_len = 4 the budget is ⌈16·log2(48)⌉ = 90
+    // rounds. That is not far beyond what the overlay needs: the
+    // slowest observer's last peer is a maximum over 48 coupon
+    // collections, so one seed needs anywhere from about 60 to over 100
+    // rounds, and some seeds miss the budget. This pinned seed is a
+    // regression guard for one run; the median over 16 seeds is
+    // checked by `coverage_median_over_seeds_stays_within_budget`.
     let n = 48usize;
     let config = MembershipConfig {
         view_size: 8,
@@ -195,4 +200,81 @@ fn every_peer_reaches_every_view_in_logarithmic_rounds() {
             "node {observer} never saw peers {missing:?} within {budget} rounds"
         );
     }
+}
+
+/// Rounds until every node of a 48-node, view-8 overlay has seen every
+/// other node in its view, or `None` within `limit` rounds.
+fn rounds_to_full_coverage(seed: u64, limit: usize) -> Option<usize> {
+    let n = 48usize;
+    let config = MembershipConfig {
+        view_size: 8,
+        relays: 3,
+    };
+    let mut runtime =
+        MembershipRuntime::new(n, config, seed ^ MEMBERSHIP_SEED_SALT).expect("valid overlay");
+    let mut missing = n * (n - 1);
+    let mut seen = vec![vec![false; n]; n];
+    for round in 1..=limit {
+        runtime.shuffle_round(|_| true, |_, _| true);
+        for (observer, seen_row) in seen.iter_mut().enumerate() {
+            for peer in runtime.view(NodeId::from_index(observer)).peers() {
+                if !seen_row[peer.index()] {
+                    seen_row[peer.index()] = true;
+                    missing -= 1;
+                }
+            }
+        }
+        if missing == 0 {
+            return Some(round);
+        }
+    }
+    None
+}
+
+#[test]
+fn coverage_median_over_seeds_stays_within_budget() {
+    // The pinned-seed test above checks one run against the
+    // ⌈16·log2(48)⌉ = 90-round budget; single seeds spread widely, so
+    // the typical run is judged by the median over 16 seeds.
+    let budget = (16.0 * 48f64.log2()).ceil() as usize;
+    let mut rounds: Vec<usize> = (0..16)
+        .map(|k| rounds_to_full_coverage(9313 + k, 4 * budget).unwrap_or(usize::MAX))
+        .collect();
+    rounds.sort_unstable();
+    let median = (rounds[7] + rounds[8]) / 2;
+    assert!(
+        median <= budget,
+        "median coverage {median} rounds over budget {budget}: {rounds:?}"
+    );
+}
+
+#[test]
+fn bootstrap_relays_do_not_become_hubs() {
+    // Every initial view starts with its relay, so in the first round
+    // each relay is the oldest entry of a third of the population. A
+    // round that let every initiator exchange with its first choice
+    // would have each relay merge a thousand buffers and end up in most
+    // views. 3,000 nodes, 20 rounds, a random quarter of the population
+    // offline each round: the sequential sweep the synchronous round
+    // replaced read a largest view in-degree of 150 (a relay) and no
+    // node missing from every view on this run; neither may grow.
+    let n = 3_000usize;
+    let mut runtime =
+        MembershipRuntime::new(n, MembershipConfig::default(), 1 ^ MEMBERSHIP_SEED_SALT)
+            .expect("valid overlay");
+    for round in 0..20u64 {
+        let mut rng = SimRng::seed_from_u64(31 ^ round);
+        let up: Vec<bool> = (0..n).map(|_| rng.gen_range(0..4u32) != 0).collect();
+        runtime.shuffle_round(|node| up[node.index()], |_, _| true);
+    }
+    let mut in_degree = vec![0usize; n];
+    for view in runtime.views() {
+        for peer in view.peers() {
+            in_degree[peer.index()] += 1;
+        }
+    }
+    let largest = in_degree.iter().copied().max().unwrap_or(0);
+    let unseen = in_degree.iter().filter(|&&d| d == 0).count();
+    assert!(largest <= 150, "largest view in-degree {largest}");
+    assert_eq!(unseen, 0, "{unseen} nodes are in no view");
 }
