@@ -466,7 +466,7 @@ struct ShardCtx<'a> {
     /// dynamics plan.
     identities: Option<&'a [NodeId]>,
     /// Slot-indexed partial views of the membership overlay — the
-    /// round's frozen snapshot (shuffled on the calling thread before
+    /// round's frozen snapshot (shuffled on the round's workers before
     /// the phase starts), `None` when the overlay is off.
     views: Option<&'a [PartialView]>,
     system_policy: DisclosurePolicy,
@@ -1222,9 +1222,9 @@ impl Scenario {
 // Nodes are partitioned into contiguous shards (one below
 // `SHARD_AUTO_NODES` unless `shards` asks for more). Every round:
 //
-//   1. *Pre-round* (calling thread): population clock, dynamics/offline
-//      flags, membership shuffle; then the round's selection-weight
-//      table, filled per slot on the workers.
+//   1. *Pre-round*: population clock and dynamics/offline flags on the
+//      calling thread; then the membership shuffle and the round's
+//      selection-weight table, both on the workers.
 //   2. *Interaction phase*: workers claim shards off an atomic cursor
 //      and run them against the frozen round-start snapshot — scores,
 //      served counters and ledger state do not move. Randomness comes

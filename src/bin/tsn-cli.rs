@@ -19,14 +19,14 @@
 //!                  [--replicas N] [--kill-primary-at SECS]
 //!                  [--journal-dir DIR] [--json]
 //! tsn-cli replay   --journal-dir DIR [--epochs E] [--verify] [--json]
-//!                  [the serve run's workload and --crash-at flags]
 //! ```
 //!
 //! The service persists in one form: the segmented store `serve
-//! --journal-dir` writes (journal manifest, segments, checkpoint ring).
-//! `replay` re-hosts it through the recovery path, newest valid
+//! --journal-dir` writes (journal manifest, segments, checkpoint ring)
+//! plus its run record, the serve run's resolved flags. `replay`
+//! re-hosts the store through the recovery path, newest valid
 //! checkpoint plus journal suffix, and `--verify` checks the result
-//! against a fresh run of the serve flags, fault plan included.
+//! against a fresh run of the recorded flags, fault plan included.
 
 use std::process::ExitCode;
 use tsn::core::dynamics::{DynamicsConfig, DynamicsState, InteractionDynamics};
@@ -40,6 +40,7 @@ use tsn::service::{
     DriverConfig, EventJournal, HostConfig, ReplicaConfig, ReplicaSet, ServiceConfig,
     ServiceDriver, ServiceHost, TrustService,
 };
+use tsn::simnet::codec::crc32;
 use tsn::simnet::{FaultInjector, FaultPlan, MembershipConfig, SimDuration, SimTime};
 
 fn main() -> ExitCode {
@@ -91,7 +92,7 @@ scenario flags:
   --churn 0.0..1.0  steady availability churn: that fraction of users
                     is offline each round (one-round mean sessions)
   --progress K   print a progress line every K rounds
-peer-sampling flags (scenario, serve, replay):
+peer-sampling flags (scenario, serve):
   --peer-sampling   draw partners from bounded partial views kept fresh
                     by view shuffling instead of the global population
   --view-size N     entries per partial view (default 16)
@@ -112,29 +113,35 @@ serve flags (also --mechanism, --disclosure, --malicious):
                     auto-checkpoints and crash it at sim-second S;
                     clients retry with backoff
   --down-secs S     downtime before the scheduled restart (default 5)
-  --grace S         degraded-query window after recovery (default 2)
+  --grace S         degraded-query window after recovery (default 2);
+                    --crash-at only
   --replicas N      run N replicated hosts behind the deterministic
                     sequencer (failover on crash)
   --kill-primary-at S  crash replica 0 (the initial primary) at
                     sim-second S; the healthiest follower is promoted
   --journal-dir D   host the service and persist the (primary's)
                     segmented journal + checkpoint ring to directory D
-                    at the end: the store replay recovers
-replay flags (also the serve run's service, workload and fault flags):
+                    at the end, with the run record (the resolved
+                    service, workload and --crash-at flags): the store
+                    replay recovers
+replay flags (the rest comes from the store's run record):
   --journal-dir D   store written by serve --journal-dir (required)
   --epochs E        extra epochs to continue after recovering (default 0)
   --verify          check the recovered-and-continued run bit for bit
                     against a fresh run of the whole history from the
-                    same flags, its --crash-at fault plan included"
+                    run record, its --crash-at fault plan included"
     );
 }
 
-/// The service, workload, overlay and fault flags that `serve` and
-/// `replay` share: a replay takes those of the serve run that wrote
-/// its store.
-const SERVICE_FLAGS: &str = "--nodes --epoch-secs --mechanism --disclosure --arrivals \
-    --disclosures --queries --malicious --seed --peer-sampling --view-size --relays \
-    --grace --crash-at --down-secs";
+/// The service, workload, overlay and fault flags of a serve run: what
+/// its store's run record holds, and what `replay` re-parses from it.
+const RECORD_FLAGS: &str = "--nodes --epoch-secs --mechanism --disclosure --arrivals \
+    --disclosures --queries --malicious --seed --view-size --relays \
+    --crash-at --down-secs --grace";
+
+/// `--down-secs` and `--grace` defaults, in sim-seconds.
+const DOWN_SECS: u64 = 5;
+const GRACE_SECS: u64 = 2;
 
 /// Minimal flag parser: `--key value` pairs plus boolean `--flag`s.
 struct Flags<'a> {
@@ -459,8 +466,8 @@ fn service_summary(service: &TrustService, json: bool) {
 }
 
 /// Shared by `serve` and `replay`: the service flags. A replay takes
-/// the flags the serve run used; [`recover_store`] checks them against
-/// the config a restored checkpoint carries.
+/// them from the store's run record; [`recover_store`] checks them
+/// against the config a restored checkpoint carries.
 fn service_config(flags: &Flags) -> Result<ServiceConfig, String> {
     let mut config = ServiceConfig {
         nodes: flags.parse("--nodes", 100)?,
@@ -486,11 +493,11 @@ fn host_from_flags(
 ) -> Result<ServiceHost, String> {
     let mut host = ServiceHost::new(HostConfig {
         service,
-        recovery_grace: SimDuration::from_secs(flags.parse("--grace", 2u64)?),
+        recovery_grace: SimDuration::from_secs(flags.parse("--grace", GRACE_SECS)?),
         ..HostConfig::default()
     })?;
     if let Some(crash_at) = flags.parse_opt::<u64>("--crash-at")? {
-        let down: u64 = flags.parse("--down-secs", 5u64)?;
+        let down: u64 = flags.parse("--down-secs", DOWN_SECS)?;
         let plan =
             FaultPlan::service_crash(SimTime::from_secs(crash_at), SimDuration::from_secs(down));
         host.attach_faults(FaultInjector::new(plan, seed)?);
@@ -526,18 +533,38 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         args,
         "serve",
         &[
-            SERVICE_FLAGS,
-            "--epochs --replicas --kill-primary-at --journal-dir --json",
+            RECORD_FLAGS,
+            "--peer-sampling --epochs --replicas --kill-primary-at --journal-dir --json",
         ],
     )?;
     let config = service_config(&flags)?;
     let epochs: u64 = flags.parse("--epochs", 10)?;
     let driver = ServiceDriver::new(driver_config(&flags, config.nodes)?)?;
     let replicas: usize = flags.parse("--replicas", 1usize)?;
-    if replicas > 1 || flags.get("--kill-primary-at")?.is_some() {
+    let kill = flags.get("--kill-primary-at")?.is_some();
+    let crash = flags.get("--crash-at")?.is_some();
+    // Fault flags the chosen mode would ignore are errors: they must
+    // not silently run with the defaults.
+    let replicated = replicas > 1 || kill;
+    if replicated && crash {
+        return Err("--crash-at crashes a single hosted service; \
+                    a replica set takes --kill-primary-at"
+            .into());
+    }
+    if replicated && flags.get("--grace")?.is_some() {
+        return Err("--grace does not apply to a replica set \
+                    (members recover with zero grace)"
+            .into());
+    }
+    for flag in ["--grace", "--down-secs"] {
+        if !crash && !kill && flags.get(flag)?.is_some() {
+            return Err(format!("{flag} needs --crash-at or --kill-primary-at"));
+        }
+    }
+    if replicated {
         return serve_replicated(&flags, config, &driver, epochs, replicas.max(2));
     }
-    if flags.get("--crash-at")?.is_some() || flags.get("--journal-dir")?.is_some() {
+    if crash || flags.get("--journal-dir")?.is_some() {
         return serve_hosted(&flags, config, &driver, epochs);
     }
     let mut service = TrustService::new(config)?;
@@ -607,9 +634,6 @@ fn serve_replicated(
     epochs: u64,
     replicas: usize,
 ) -> Result<(), String> {
-    if flags.get("--grace")?.is_some() {
-        eprintln!("note: --grace is ignored with --replicas (members recover with zero grace)");
-    }
     let host = HostConfig {
         service: config,
         recovery_grace: SimDuration::ZERO,
@@ -617,7 +641,7 @@ fn serve_replicated(
     };
     let mut set = ReplicaSet::new(ReplicaConfig { host, replicas })?;
     if let Some(kill_at) = flags.parse_opt::<u64>("--kill-primary-at")? {
-        let down: u64 = flags.parse("--down-secs", 5u64)?;
+        let down: u64 = flags.parse("--down-secs", DOWN_SECS)?;
         let plan =
             FaultPlan::replica_crash(0, SimTime::from_secs(kill_at), SimDuration::from_secs(down));
         set.attach_faults(FaultInjector::new(plan, driver.config().seed)?);
@@ -654,8 +678,8 @@ fn serve_replicated(
 }
 
 /// Honors `--journal-dir DIR` after a hosted serve run: writes the
-/// journal manifest, every live segment, and the checkpoint ring —
-/// the store `replay` re-hosts.
+/// journal manifest, every live segment, the checkpoint ring and the
+/// run record — the store `replay` re-hosts.
 fn persist_storage_flag(flags: &Flags, host: &ServiceHost) -> Result<(), String> {
     let Some(dir) = flags.get("--journal-dir")? else {
         return Ok(());
@@ -672,67 +696,131 @@ fn persist_storage_flag(flags: &Flags, host: &ServiceHost) -> Result<(), String>
     for (k, stored) in host.stored_checkpoints().iter().enumerate() {
         write(format!("ckpt-{k}.tsnc"), &stored.bytes)?;
     }
+    write(
+        "run.tsnr".into(),
+        &seal_run_record(&run_record_line(flags)?),
+    )?;
     eprintln!(
-        "storage: manifest + {} segments + {} checkpoints -> {dir}",
+        "storage: manifest + {} segments + {} checkpoints + run record -> {dir}",
         host.journal().segments().len(),
         host.stored_checkpoints().len(),
     );
     Ok(())
 }
 
+/// The run record's magic. `run.tsnr` holds this, the CRC-32 of the
+/// record line (u32, little-endian) and the line.
+const RUN_RECORD_MAGIC: &[u8; 8] = b"TSNRUN01";
+
+/// The run record line: the service, workload, overlay and crash flags
+/// `flags` resolve to, defaults written out — `--view-size --relays`
+/// only with the overlay on, `--crash-at --down-secs --grace` only with
+/// a scheduled crash. Parsing it back through [`service_config`],
+/// [`driver_config`] and [`host_from_flags`] rebuilds the same run.
+fn run_record_line(flags: &Flags) -> Result<String, String> {
+    let service = service_config(flags)?;
+    let driver = driver_config(flags, service.nodes)?;
+    let mut line = format!(
+        "--nodes {} --epoch-secs {} --mechanism {} --disclosure {} --arrivals {} \
+         --disclosures {} --queries {} --malicious {} --seed {}",
+        service.nodes,
+        service.epoch.as_micros() / 1_000_000,
+        service.mechanism.name(),
+        service.disclosure_level,
+        driver.arrival_rate,
+        driver.disclosure_rate,
+        driver.query_rate,
+        driver.malicious_fraction,
+        driver.seed,
+    );
+    if let Some(overlay) = driver.membership {
+        line += &format!(
+            " --view-size {} --relays {}",
+            overlay.view_size, overlay.relays
+        );
+    }
+    if let Some(crash_at) = flags.parse_opt::<u64>("--crash-at")? {
+        line += &format!(
+            " --crash-at {crash_at} --down-secs {} --grace {}",
+            flags.parse("--down-secs", DOWN_SECS)?,
+            flags.parse("--grace", GRACE_SECS)?,
+        );
+    }
+    Ok(line)
+}
+
+fn seal_run_record(line: &str) -> Vec<u8> {
+    let mut bytes = RUN_RECORD_MAGIC.to_vec();
+    bytes.extend(crc32(line.as_bytes()).to_le_bytes());
+    bytes.extend(line.as_bytes());
+    bytes
+}
+
+/// Reads and checks `dir`'s run record and returns the serve flags it
+/// holds. A missing file, a bad magic or CRC, or a line that does not
+/// parse as a serve run is an error naming the record, raised before
+/// any recovery.
+fn read_run_record(dir: &str) -> Result<Vec<String>, String> {
+    let path = format!("{dir}/run.tsnr");
+    let bytes = std::fs::read(&path).map_err(|e| format!("cannot read run record {path}: {e}"))?;
+    let corrupt = |what: &str| format!("run record {path} is corrupt: {what}");
+    if bytes.len() < RUN_RECORD_MAGIC.len() + 4 {
+        return Err(corrupt("shorter than its header"));
+    }
+    let (magic, rest) = bytes.split_at(RUN_RECORD_MAGIC.len());
+    let (crc, line) = rest.split_at(4);
+    if magic != RUN_RECORD_MAGIC {
+        return Err(corrupt("bad magic"));
+    }
+    if crc32(line).to_le_bytes() != crc {
+        return Err(corrupt("CRC mismatch"));
+    }
+    let line = std::str::from_utf8(line).map_err(|_| corrupt("not UTF-8"))?;
+    let args: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+    Flags::new(&args, "a run record", &[RECORD_FLAGS])
+        .and_then(|run| run_record_line(&run))
+        .map_err(|e| format!("run record {path}: {e}"))?;
+    Ok(args)
+}
+
 /// `replay --journal-dir DIR`: recovers the store through the real
 /// recovery path, continues it for `--epochs` more, and with
 /// `--verify` checks it against a reference run — a fresh host built
-/// from the serve run's flags, fault plan included, driven for the
-/// whole history. The fault flags describe the stored history: they
-/// feed only the reference run, never the recovered host.
+/// from the store's run record, fault plan included, driven for the
+/// whole history. The recorded fault flags describe the stored
+/// history: they feed only the reference run, never the recovered
+/// host.
 ///
-/// A restored checkpoint carries the service config, and flags that
-/// disagree with it are an error naming the first differing field. A
-/// store with no usable checkpoint is replayed from scratch into a
-/// service built from the flags.
+/// The run record configures the rest too: the service a store with no
+/// usable checkpoint is replayed into and the `--epochs` workload. A
+/// restored checkpoint whose config disagrees with the record makes
+/// the store inconsistent, an error naming the first differing field.
 fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let flags = Flags::new(
-        args,
-        "replay",
-        &[SERVICE_FLAGS, "--journal-dir --epochs --verify --json"],
-    )?;
+    let flags = Flags::new(args, "replay", &["--journal-dir --epochs --verify --json"])?;
     let dir = flags
         .get("--journal-dir")?
         .ok_or("replay needs --journal-dir DIR (a store written by serve --journal-dir)")?;
-    let mut host = recover_store(&flags, dir)?;
+    let record = read_run_record(dir)?;
+    let run = Flags { args: &record };
+    let mut host = recover_store(&run, dir)?;
     let restored = host.service().ok_or("recovery left no running service")?;
-    let (nodes, restored_epochs, clock) = (
-        restored.config().nodes,
-        restored.epoch_index(),
-        restored.now(),
-    );
+    let (nodes, restored_epochs) = (restored.config().nodes, restored.epoch_index());
     eprintln!("restored {nodes} nodes at epoch {restored_epochs} from {dir}");
-    if let Some(crash_at) = flags.parse_opt::<u64>("--crash-at")? {
-        if SimTime::from_secs(crash_at) >= clock {
-            return Err(format!(
-                "--crash-at {crash_at} is at or after the restored clock ({:.0}s): \
-                 the stored history holds no such crash",
-                clock.as_secs_f64()
-            ));
-        }
-    }
     let extra: u64 = flags.parse("--epochs", 0)?;
-    let driver = ServiceDriver::new(driver_config(&flags, nodes)?)?;
+    let driver = ServiceDriver::new(driver_config(&run, nodes)?)?;
     if extra > 0 {
         driver.drive_host(&mut host, extra)?;
     }
     let service = host.service().ok_or("the service ended the run down")?;
     if flags.has("--verify") {
         let epochs = restored_epochs + extra;
-        let mut reference =
-            host_from_flags(&flags, service.config().clone(), driver.config().seed)?;
+        let mut reference = host_from_flags(&run, service.config().clone(), driver.config().seed)?;
         driver.drive_host(&mut reference, epochs)?;
         let reference = reference.service().ok_or("the reference run ended down")?;
         verify_against(service, reference)?;
         eprintln!(
             "verify: recovered+continued run is bit-identical to a fresh {epochs}-epoch run \
-             of the same flags"
+             of the run record"
         );
     }
     service_summary(service, flags.has("--json"));
@@ -743,8 +831,9 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
 /// [`ServiceHost::from_storage`] + [`ServiceHost::restart`]: newest
 /// CRC-valid checkpoint of the ring, falling back to older ones, plus
 /// segment-suffix journal replay. Reports the recovery on stderr,
-/// naming each skipped checkpoint's corrupt section.
-fn recover_store(flags: &Flags, dir: &str) -> Result<ServiceHost, String> {
+/// naming each skipped checkpoint's corrupt section. `run` is the
+/// store's run record.
+fn recover_store(run: &Flags, dir: &str) -> Result<ServiceHost, String> {
     let manifest_path = format!("{dir}/manifest.tsnm");
     let manifest = std::fs::read(&manifest_path)
         .map_err(|e| format!("cannot read journal manifest {manifest_path}: {e}"))?;
@@ -759,7 +848,7 @@ fn recover_store(flags: &Flags, dir: &str) -> Result<ServiceHost, String> {
     if checkpoints.is_empty() {
         eprintln!("no stored checkpoints in {dir}: recovery will replay the whole journal");
     }
-    let wanted = service_config(flags)?;
+    let wanted = service_config(run)?;
     let host_config = HostConfig {
         service: wanted.clone(),
         recovery_grace: SimDuration::ZERO,
@@ -786,14 +875,15 @@ fn recover_store(flags: &Flags, dir: &str) -> Result<ServiceHost, String> {
     }
     if !report.from_scratch {
         let stored = host.service().ok_or("recovery left no running service")?;
-        store_matches_flags(stored.config(), &wanted)?;
+        store_matches_record(stored.config(), &wanted)?;
     }
     Ok(host)
 }
 
-/// Names the first flag-set field where a restored checkpoint's
-/// service config differs from the one the replay flags build.
-fn store_matches_flags(stored: &ServiceConfig, wanted: &ServiceConfig) -> Result<(), String> {
+/// The store's own consistency check: names the first flag-set field
+/// where a restored checkpoint's service config differs from the one
+/// the run record builds.
+fn store_matches_record(stored: &ServiceConfig, wanted: &ServiceConfig) -> Result<(), String> {
     let fields = |c: &ServiceConfig| {
         [
             ("nodes", c.nodes.to_string()),
@@ -802,9 +892,11 @@ fn store_matches_flags(stored: &ServiceConfig, wanted: &ServiceConfig) -> Result
             ("disclosure", c.disclosure_level.to_string()),
         ]
     };
-    for ((flag, held), (_, given)) in fields(stored).into_iter().zip(fields(wanted)) {
+    for ((field, held), (_, given)) in fields(stored).into_iter().zip(fields(wanted)) {
         if held != given {
-            return Err(format!("store holds {held} {flag}, --{flag} says {given}"));
+            return Err(format!(
+                "store is inconsistent: checkpoint holds {held} {field}, run record says {given}"
+            ));
         }
     }
     Ok(())
@@ -869,9 +961,9 @@ mod tests {
     #[test]
     fn unknown_flags_are_named_errors() {
         type Command = fn(&[String]) -> Result<(), String>;
-        // The four retired persistence flags, a typo and a flag of
-        // another command.
-        let cases: [(Command, &str, &[&str], &str); 6] = [
+        // The four retired persistence flags, a typo, a flag of
+        // another command and serve flags the run record now carries.
+        let cases: [(Command, &str, &[&str], &str); 8] = [
             (
                 cmd_serve,
                 "serve",
@@ -898,6 +990,8 @@ mod tests {
                 "--epoch",
             ),
             (cmd_dynamics, "dynamics", &["--nodes", "30"], "--nodes"),
+            (cmd_replay, "replay", &["--nodes", "41"], "--nodes"),
+            (cmd_replay, "replay", &["--crash-at", "130"], "--crash-at"),
         ];
         for (command, name, raw, flag) in cases {
             assert_eq!(
@@ -939,21 +1033,23 @@ mod tests {
     }
 
     const SERVE: [&str; 6] = ["--nodes", "30", "--epochs", "4", "--seed", "9"];
-    const WORKLOAD: [&str; 4] = ["--nodes", "30", "--seed", "9"];
 
     #[test]
     fn crashed_store_verifies_against_its_own_fault_plan() {
         let store = TempStore::new("crashed");
         let crash = ["--crash-at", "130", "--down-secs", "10"];
         cmd_serve(&store.args(&[&SERVE[..], &crash].concat())).unwrap();
+        let record = read_run_record(store.0.to_str().unwrap())
+            .unwrap()
+            .join(" ");
+        assert!(
+            record.ends_with("--crash-at 130 --down-secs 10 --grace 2"),
+            "{record}"
+        );
         for extra in ["0", "2"] {
-            let replay = [&WORKLOAD[..], &crash, &["--epochs", extra, "--verify"]].concat();
-            assert_eq!(cmd_replay(&store.args(&replay)), Ok(()), "--epochs {extra}");
+            let replay = store.args(&["--epochs", extra, "--verify"]);
+            assert_eq!(cmd_replay(&replay), Ok(()), "--epochs {extra}");
         }
-        // The stored history ends at 240 s: a later crash is not in it.
-        let late = [&WORKLOAD[..], &["--crash-at", "240", "--verify"]].concat();
-        let error = cmd_replay(&store.args(&late)).unwrap_err();
-        assert!(error.contains("at or after the restored clock"), "{error}");
     }
 
     #[test]
@@ -965,8 +1061,9 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 4;
         std::fs::write(&newest, bytes).unwrap();
-        let args = store.args(&WORKLOAD);
-        let host = recover_store(&Flags { args: &args }, store.0.to_str().unwrap()).unwrap();
+        let dir = store.0.to_str().unwrap();
+        let record = read_run_record(dir).unwrap();
+        let host = recover_store(&Flags { args: &record }, dir).unwrap();
         let report = host.last_recovery().unwrap();
         assert_eq!(report.fallbacks, 1);
         assert!(!report.from_scratch);
@@ -975,20 +1072,102 @@ mod tests {
             "{:?}",
             report.corrupt
         );
-        let replay = [&WORKLOAD[..], &["--epochs", "1", "--verify"]].concat();
-        assert_eq!(cmd_replay(&store.args(&replay)), Ok(()));
+        assert_eq!(
+            cmd_replay(&store.args(&["--epochs", "1", "--verify"])),
+            Ok(())
+        );
     }
 
     #[test]
-    fn replay_flags_must_match_the_restored_checkpoint() {
+    fn checkpointless_store_replays_into_its_recorded_service() {
+        let store = TempStore::new("no-ckpt");
+        cmd_serve(&store.args(&["--nodes", "30", "--epochs", "2", "--seed", "9"])).unwrap();
+        for k in 0..2 {
+            std::fs::remove_file(store.path(&format!("ckpt-{k}.tsnc"))).unwrap();
+        }
+        let dir = store.0.to_str().unwrap();
+        let record = read_run_record(dir).unwrap();
+        let host = recover_store(&Flags { args: &record }, dir).unwrap();
+        assert!(host.last_recovery().unwrap().from_scratch);
+        assert_eq!(host.service().unwrap().config().nodes, 30);
+        assert_eq!(cmd_replay(&store.args(&["--verify"])), Ok(()));
+    }
+
+    #[test]
+    fn run_record_round_trips_the_configs() {
+        let cases = [
+            String::new(),
+            // Display writes the shortest string that parses back to
+            // the same bits: 0.30000000000000004.
+            format!("--nodes 30 --seed 9 --arrivals {}", 0.1 + 0.2),
+            "--mechanism beta --disclosure 3 --epoch-secs 45 --disclosures 0.25 \
+             --queries 0.75 --malicious 0.1 --peer-sampling"
+                .into(),
+            "--view-size 6 --relays 2 --crash-at 130 --grace 4".into(),
+        ];
+        for raw in cases {
+            let args: Vec<String> = raw.split_whitespace().map(str::to_owned).collect();
+            let flags = Flags { args: &args };
+            let line = run_record_line(&flags).unwrap();
+            let record: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+            let parsed = Flags::new(&record, "a run record", &[RECORD_FLAGS]).unwrap();
+            let service = service_config(&flags).unwrap();
+            assert_eq!(service_config(&parsed).unwrap(), service, "{raw}");
+            assert_eq!(
+                driver_config(&parsed, service.nodes).unwrap(),
+                driver_config(&flags, service.nodes).unwrap(),
+                "{raw}"
+            );
+            assert_eq!(run_record_line(&parsed).unwrap(), line, "{raw}");
+        }
+    }
+
+    #[test]
+    fn every_corruption_of_the_run_record_is_a_named_error() {
+        let store = TempStore::new("record");
+        cmd_serve(&store.args(&["--nodes", "30", "--epochs", "1", "--seed", "9"])).unwrap();
+        let path = store.path("run.tsnr");
+        let sealed = std::fs::read(&path).unwrap();
+        let replay = store.args(&["--verify"]);
+        let rejects = |bytes: &[u8], what: &str| {
+            std::fs::write(&path, bytes).unwrap();
+            let error = cmd_replay(&replay).unwrap_err();
+            assert!(error.starts_with("run record "), "{what}: {error}");
+        };
+        for i in 0..sealed.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut bytes = sealed.clone();
+                bytes[i] ^= mask;
+                rejects(&bytes, &format!("byte {i} ^ {mask:#x}"));
+            }
+        }
+        for len in 0..sealed.len() {
+            rejects(&sealed[..len], &format!("truncated to {len}"));
+        }
+        std::fs::remove_file(&path).unwrap();
+        let error = cmd_replay(&replay).unwrap_err();
+        assert!(error.starts_with("cannot read run record "), "{error}");
+        std::fs::write(&path, sealed).unwrap();
+        assert_eq!(cmd_replay(&replay), Ok(()));
+    }
+
+    #[test]
+    fn run_record_must_match_the_restored_checkpoint() {
         let store = TempStore::new("mismatch");
         cmd_serve(&store.args(&["--nodes", "30", "--epochs", "1", "--seed", "9"])).unwrap();
-        let replay = |nodes| store.args(&["--nodes", nodes, "--seed", "9", "--verify"]);
+        let path = store.path("run.tsnr");
+        let record = read_run_record(store.0.to_str().unwrap())
+            .unwrap()
+            .join(" ");
+        let forged = record.replacen("--nodes 30", "--nodes 40", 1);
+        assert_ne!(forged, record);
+        std::fs::write(&path, seal_run_record(&forged)).unwrap();
         assert_eq!(
-            cmd_replay(&replay("40")),
-            Err("store holds 30 nodes, --nodes says 40".to_string())
+            cmd_replay(&store.args(&["--verify"])),
+            Err("store is inconsistent: checkpoint holds 30 nodes, run record says 40".to_string())
         );
-        assert_eq!(cmd_replay(&replay("30")), Ok(()));
+        std::fs::write(&path, seal_run_record(&record)).unwrap();
+        assert_eq!(cmd_replay(&store.args(&["--verify"])), Ok(()));
     }
 
     #[test]
@@ -1000,8 +1179,44 @@ mod tests {
         // Bytes 48..56 of the manifest hold its segment count.
         bytes[48..56].fill(0xff);
         std::fs::write(&manifest, bytes).unwrap();
-        let replay = [&WORKLOAD[..], &["--verify"]].concat();
-        let error = cmd_replay(&store.args(&replay)).unwrap_err();
+        let error = cmd_replay(&store.args(&["--verify"])).unwrap_err();
         assert!(error.contains("manifest"), "{error}");
+    }
+
+    #[test]
+    fn serve_refuses_fault_flags_it_would_ignore() {
+        let cases: [(&[&str], &str); 5] = [
+            (
+                &["--replicas", "3", "--crash-at", "100"],
+                "--crash-at crashes a single hosted service; a replica set takes --kill-primary-at",
+            ),
+            (
+                &["--kill-primary-at", "100", "--crash-at", "100"],
+                "--crash-at crashes a single hosted service; a replica set takes --kill-primary-at",
+            ),
+            (
+                &[
+                    "--replicas",
+                    "3",
+                    "--kill-primary-at",
+                    "100",
+                    "--grace",
+                    "9",
+                ],
+                "--grace does not apply to a replica set (members recover with zero grace)",
+            ),
+            (
+                &["--grace", "9", "--down-secs", "50"],
+                "--grace needs --crash-at or --kill-primary-at",
+            ),
+            (
+                &["--replicas", "3", "--down-secs", "50"],
+                "--down-secs needs --crash-at or --kill-primary-at",
+            ),
+        ];
+        for (raw, error) in cases {
+            let args = owned(&[&["--nodes", "20", "--epochs", "1"][..], raw].concat());
+            assert_eq!(cmd_serve(&args), Err(error.to_string()), "{raw:?}");
+        }
     }
 }

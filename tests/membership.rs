@@ -73,9 +73,10 @@ fn base() -> ScenarioBuilder {
 
 #[test]
 fn view_constrained_selection_is_shard_count_invariant() {
-    // The shuffle runs on the calling thread before the phase and the
-    // shard phase reads a frozen snapshot of the views, so the
-    // shard count must not leak into any float or counter.
+    // The shuffle finishes before the phase with a result independent
+    // of the worker count, and the shard phase reads a frozen snapshot
+    // of the views, so the shard count must not leak into any float or
+    // counter.
     let reference = fingerprint(&base().shards(1).run().expect("valid"));
     for shards in [2usize, 8] {
         let outcome = base().shards(shards).run().expect("valid");
