@@ -1087,7 +1087,7 @@ impl Scenario {
         }
 
         if (round + 1).is_multiple_of(self.config.refresh_every) {
-            *refresh_iterations += self.mechanism.refresh();
+            *refresh_iterations += self.mechanism.refresh_on(self.workers);
         }
 
         // --- Round sample + adaptive disclosure (the Section-3 loop).
@@ -1149,7 +1149,7 @@ impl Scenario {
         observers: &mut [&mut dyn Observer],
     ) -> ScenarioOutcome {
         let n = self.config.nodes;
-        let refresh_iterations = refresh_iterations + self.mechanism.refresh();
+        let refresh_iterations = refresh_iterations + self.mechanism.refresh_on(self.workers);
         let power = self.measure_power(refresh_iterations);
         let oecd = self.oecd_score();
 
@@ -1238,8 +1238,10 @@ impl Scenario {
 //      why k = 1, 2, 8 are bit-identical.
 //   4. *Round tail*: provider adequacy, refresh, measurement, adaptive
 //      disclosure. The per-slot fills (power scores, per-user trust)
-//      split over the workers, one writer per slot; every reduction
-//      stays serial in slot order. One shard spawns no thread anywhere.
+//      and the refresh walk's ratee blocks split over the workers, one
+//      writer per slot; every reduction (the walk's dangling mass and
+//      L1 change included) stays serial in slot order. One shard
+//      spawns no thread anywhere.
 impl Scenario {
     /// (Re)builds the shard plan: `shards` contiguous ranges of
     /// near-equal size covering `0..nodes`.

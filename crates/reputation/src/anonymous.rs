@@ -157,6 +157,10 @@ impl<M: ReputationMechanism> ReputationMechanism for Anonymized<M> {
         self.inner.refresh()
     }
 
+    fn refresh_on(&mut self, workers: usize) -> usize {
+        self.inner.refresh_on(workers)
+    }
+
     fn score(&self, node: NodeId) -> f64 {
         self.inner.score(node)
     }

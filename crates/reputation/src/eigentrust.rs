@@ -128,9 +128,14 @@ impl ReputationMechanism for EigenTrust {
     }
 
     fn refresh(&mut self) -> usize {
+        self.refresh_on(1)
+    }
+
+    fn refresh_on(&mut self, workers: usize) -> usize {
         // One walk, teleporting to the pre-trusted prior.
-        self.store
-            .refresh(|walk, _| walk.stationary(&self.prior, ALPHA, EPSILON, MAX_ITERATIONS))
+        self.store.refresh(|walk, _| {
+            walk.stationary(&self.prior, ALPHA, EPSILON, MAX_ITERATIONS, workers)
+        })
     }
 
     fn score(&self, node: NodeId) -> f64 {

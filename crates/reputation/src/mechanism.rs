@@ -98,9 +98,11 @@ impl std::fmt::Display for MechanismKind {
 /// trade-off the paper studies).
 ///
 /// Mechanisms are `Send + Sync`: the sharded scenario engine reads
-/// scores (`&self`) from several worker threads at once while all
-/// mutation (`record`, `refresh`) stays on the engine's calling
-/// thread. Implementations hold plain owned data, so this costs nothing.
+/// scores (`&self`) from several worker threads at once, while
+/// `record` and `refresh` are called on the engine's calling thread
+/// (`refresh_on` may split a walk's iterations over workers it joins
+/// before returning). Implementations hold plain owned data, so this
+/// costs nothing.
 pub trait ReputationMechanism: std::fmt::Debug + Send + Sync {
     /// Identifies the mechanism in reports.
     fn kind(&self) -> MechanismKind;
@@ -127,6 +129,16 @@ pub trait ReputationMechanism: std::fmt::Debug + Send + Sync {
     /// mechanisms). Returns the number of internal iterations performed,
     /// for efficiency accounting.
     fn refresh(&mut self) -> usize;
+
+    /// [`ReputationMechanism::refresh`], with the work of a walk
+    /// mechanism (EigenTrust, PowerTrust) spread over up to `workers`
+    /// threads through `tsn_simnet::steal`. Scores and the returned
+    /// iteration count are bit-identical to `refresh()` for any worker
+    /// count: each walk slot has one writer and keeps its accumulation
+    /// order. The default refreshes on the calling thread.
+    fn refresh_on(&mut self, _workers: usize) -> usize {
+        self.refresh()
+    }
 
     /// Global score of `node` in `[0, 1]`. Nodes never rated return the
     /// mechanism's prior.
@@ -220,6 +232,9 @@ impl ReputationMechanism for Box<dyn ReputationMechanism> {
     }
     fn refresh(&mut self) -> usize {
         (**self).refresh()
+    }
+    fn refresh_on(&mut self, workers: usize) -> usize {
+        (**self).refresh_on(workers)
     }
     fn score(&self, node: NodeId) -> f64 {
         (**self).score(node)
@@ -326,7 +341,7 @@ pub fn build_mechanism(kind: MechanismKind, n: usize) -> Box<dyn ReputationMecha
 mod tests {
     use super::*;
     use crate::gathering::{DisclosurePolicy, FeedbackReport};
-    use tsn_simnet::SimTime;
+    use tsn_simnet::{SimRng, SimTime};
 
     #[test]
     fn snapshot_capable_names_lists_the_implementations() {
@@ -389,6 +404,57 @@ mod tests {
         let err = m.restore_state(&snap[..snap.len() - 9 - 4]).unwrap_err();
         assert!(err.contains("truncated"), "{err}");
         assert_eq!(m.snapshot_state(), before, "a truncated restore wrote");
+    }
+
+    #[test]
+    fn refresh_on_workers_matches_refresh_bit_for_bit() {
+        // Three ratee blocks of the walk, so two workers split each
+        // iteration; unrated nodes dangle.
+        let n = 2 * crate::walk::BLOCK + 100;
+        let make = |label: &str| -> Box<dyn ReputationMechanism> {
+            match label {
+                "eigentrust" => build_mechanism(MechanismKind::EigenTrust, n),
+                "powertrust" => build_mechanism(MechanismKind::PowerTrust, n),
+                _ => Box::new(crate::Anonymized::new(
+                    crate::EigenTrust::new(n, vec![NodeId(0), NodeId(7)]),
+                    crate::AnonymizationConfig {
+                        strip_probability: 0.3,
+                        flip_probability: 0.1,
+                    },
+                    SimRng::seed_from_u64(5),
+                )),
+            }
+        };
+        let bits = |m: &dyn ReputationMechanism| -> Vec<u64> {
+            m.scores().into_iter().map(f64::to_bits).collect()
+        };
+        for label in ["eigentrust", "powertrust", "anonymized eigentrust"] {
+            let (mut serial, mut split) = (make(label), make(label));
+            let mut rng = SimRng::seed_from_u64(3);
+            // Two refreshes: the second walks a rebuilt matrix.
+            for _ in 0..2 {
+                for _ in 0..n {
+                    let report = FeedbackReport {
+                        rater: NodeId(rng.gen_range(0..n as u32 / 2)),
+                        ratee: NodeId(rng.gen_range(0..n as u32)),
+                        outcome: if rng.gen_bool(0.7) {
+                            InteractionOutcome::Success { quality: 0.9 }
+                        } else {
+                            InteractionOutcome::Failure
+                        },
+                        topic: None,
+                        at: SimTime::ZERO,
+                    };
+                    let view = DisclosurePolicy::full().view(&report);
+                    serial.record(&view);
+                    split.record(&view);
+                }
+                let iterations = serial.refresh();
+                assert!(iterations > 1, "{label}");
+                assert_eq!(split.refresh_on(2), iterations, "{label}");
+                assert_eq!(bits(split.as_ref()), bits(serial.as_ref()), "{label}");
+            }
+        }
     }
 
     #[test]

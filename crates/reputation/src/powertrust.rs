@@ -108,11 +108,15 @@ impl ReputationMechanism for PowerTrust {
     }
 
     fn refresh(&mut self) -> usize {
+        self.refresh_on(1)
+    }
+
+    fn refresh_on(&mut self, workers: usize) -> usize {
         self.store.refresh(|walk, n| {
             // Pass 1: plain random walk elects power nodes.
             self.teleport.clear();
             self.teleport.resize(n, 1.0 / n as f64);
-            let it1 = walk.stationary(&self.teleport, THETA, EPSILON, MAX_ITERATIONS);
+            let it1 = walk.stationary(&self.teleport, THETA, EPSILON, MAX_ITERATIONS, workers);
             rank_descending(&mut self.order, walk.solution());
             let m = POWER_NODES.min(n);
             self.power_set.clear();
@@ -125,7 +129,7 @@ impl ReputationMechanism for PowerTrust {
             for p in &self.power_set {
                 self.teleport[p.index()] = 1.0 / m as f64;
             }
-            it1 + walk.stationary(&self.teleport, THETA, EPSILON, MAX_ITERATIONS)
+            it1 + walk.stationary(&self.teleport, THETA, EPSILON, MAX_ITERATIONS, workers)
         })
     }
 

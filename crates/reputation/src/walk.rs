@@ -9,128 +9,161 @@
 //! plans its walks' teleports.
 //!
 //! [`WalkMatrix`] is the walk: `rebuild` flattens the cells in one pass
-//! into a row-normalized CSR matrix in resident buffers, and `stationary`
-//! iterates it with ping-pong buffers, allocating nothing, in ascending
-//! (rater, ratee) order — the fixed accumulation order that makes every
-//! refresh reproducible bit-for-bit across runs, processes and threads.
+//! into row-normalized edges, grouped into fixed-width ratee blocks, in
+//! resident buffers; `stationary` iterates them with resident ping-pong
+//! buffers, one block per work item on the caller's workers. Every slot
+//! accumulates in ascending (rater, ratee) order — the fixed
+//! accumulation order that makes every refresh reproducible
+//! bit-for-bit across runs, processes and worker counts.
 
 use crate::gathering::ReportView;
 use crate::local_matrix::{LocalMatrix, UpsertMemo};
 use crate::mechanism::drained;
+use tsn_simnet::steal::for_each_chunk_mut;
 use tsn_simnet::{ByteReader, ByteWriter, NodeId};
 
-/// A row-normalized walk matrix in flat CSR form, plus the iteration
-/// buffers. Rebuilt in place from the mutable [`LocalMatrix`] on every
-/// refresh; cloneable (flat buffers) so mechanisms stay cloneable.
+/// Ratee slots per block: a block's 64 KiB slice of `next` stays in the
+/// core's cache while its edges scatter into it.
+pub(crate) const BLOCK: usize = 8192;
+
+/// One walk edge: the rater, the ratee's offset within its block and the
+/// normalized trust `c_ij`.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    rater: u32,
+    slot: u32,
+    c: f64,
+}
+
+/// A row-normalized walk matrix as a flat edge list per ratee block,
+/// plus the iteration buffers. Rebuilt in place from the mutable
+/// [`LocalMatrix`] on every refresh; cloneable (flat buffers) so
+/// mechanisms stay cloneable.
+///
+/// A CSR walk spends its time leaving short rows (2–4 edges each, a
+/// mispredicted loop exit per row), not scattering; here each block is
+/// one fixed-length loop over its edges, and blocks are independent
+/// work items because each owns its slice of `next`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WalkMatrix {
-    /// Row start offsets (`n + 1` entries). An empty row is a *dangling*
-    /// rater (no positive outgoing trust): its walk mass teleports.
-    row_ptr: Vec<u32>,
-    /// Ratee of each edge, ascending within a row.
-    cols: Vec<u32>,
-    /// Normalized trust `c_ij` of each edge.
-    vals: Vec<f64>,
+    /// Number of nodes (rows and ratees).
+    n: usize,
+    /// Edges into ratees `b·BLOCK .. (b+1)·BLOCK` in `blocks[b]`, in
+    /// ascending (rater, ratee) order.
+    blocks: Vec<Vec<Edge>>,
+    /// Raters without positive outgoing trust, ascending: their walk
+    /// mass teleports.
+    dangling: Vec<u32>,
     /// Ping-pong iteration buffers.
     t: Vec<f64>,
     next: Vec<f64>,
 }
 
 impl WalkMatrix {
-    /// Rebuilds the CSR structure from the first `n` rows of `local`.
+    /// Rebuilds the edge blocks from the first `n` rows of `local`.
     /// Cells with walk weight ≤ 0 carry no edge; each edge is normalized
     /// by its row's positive-weight sum (accumulated in ascending-ratee
-    /// order); rows without any positive weight end up empty (dangling).
-    /// The same traversal appends each rated cell's (rater, ratee, value
-    /// mean) to `means` in ascending (rater, ratee) order.
+    /// order); rows without any positive weight are dangling. The same
+    /// traversal appends each rated cell's (rater, ratee, value mean) to
+    /// `means` in ascending (rater, ratee) order.
     pub fn rebuild<C: EvidenceCell>(
         &mut self,
         n: usize,
         local: &LocalMatrix<C>,
         means: &mut Vec<(u32, u32, f64)>,
     ) {
-        self.row_ptr.clear();
-        self.row_ptr.push(0);
-        self.cols.clear();
-        self.vals.clear();
+        self.blocks.resize_with(n.div_ceil(BLOCK), Vec::new);
+        for block in &mut self.blocks {
+            block.clear();
+        }
+        self.dangling.clear();
         for i in 0..n {
-            let row_start = self.vals.len();
+            let row = local.row(i);
             let mut sum = 0.0;
-            for (j, cell) in local.row(i) {
+            for (j, cell) in row {
                 if let Some(mean) = cell.value_mean() {
                     means.push((i as u32, *j, mean));
                 }
                 let w = cell.weight();
                 if w > 0.0 {
                     sum += w;
-                    self.cols.push(*j);
-                    self.vals.push(w);
                 }
             }
-            // Normalize the freshly appended (cache-hot) slice in place:
-            // `w / sum` exactly as if divided before the push.
-            for v in &mut self.vals[row_start..] {
-                *v /= sum;
+            if sum == 0.0 {
+                // No positive weight (positive weights never sum to 0).
+                self.dangling.push(i as u32);
+                continue;
             }
-            self.row_ptr.push(self.cols.len() as u32);
+            // Re-read the cache-hot row for its normalized edges.
+            for (j, cell) in row {
+                let w = cell.weight();
+                if w > 0.0 {
+                    let j = *j as usize;
+                    self.blocks[j / BLOCK].push(Edge {
+                        rater: i as u32,
+                        slot: (j % BLOCK) as u32,
+                        c: w / sum,
+                    });
+                }
+            }
         }
+        self.n = n;
     }
 
     /// Runs `t ← (1 − damping) tᵀC + damping · teleport` from
     /// `t = teleport` until the L1 change drops below `epsilon` or
-    /// `max_iterations` is reached. Returns the iteration count; the
-    /// final vector is available via [`WalkMatrix::solution`].
+    /// `max_iterations` is reached, with the ratee blocks of each
+    /// iteration spread over up to `workers` threads. Returns the
+    /// iteration count; the final vector is available via
+    /// [`WalkMatrix::solution`]. The result is bit-identical for every
+    /// worker count: each slot has one writer and receives its adds in
+    /// ascending rater order, and the two sums (dangling mass, L1
+    /// change) run serially in slot order on the calling thread.
     pub fn stationary(
         &mut self,
         teleport: &[f64],
         damping: f64,
         epsilon: f64,
         max_iterations: usize,
+        workers: usize,
     ) -> usize {
-        let n = self.row_ptr.len() - 1;
-        debug_assert_eq!(teleport.len(), n);
+        debug_assert_eq!(teleport.len(), self.n);
         self.t.clear();
         self.t.extend_from_slice(teleport);
         self.next.clear();
-        self.next.resize(n, 0.0);
-        let row_ptr = &self.row_ptr;
-        let cols = &self.cols;
-        let vals = &self.vals;
+        self.next.resize(self.n, 0.0);
+        let blocks = &self.blocks;
         let mut iterations = 0;
         for _ in 0..max_iterations {
             iterations += 1;
             let t: &[f64] = &self.t;
-            let next = &mut self.next;
-            next.fill(0.0);
-            // tᵀ C  (walk forward along trust edges), rows ascending so
-            // every slot accumulates in ascending rater order. Dangling
-            // raters' mass is summed (ascending, like the edges) and
-            // scattered once, keeping the iteration O(n + nnz) even when
-            // most nodes are not yet raters.
+            // Dangling raters' mass is summed once and spread by the
+            // teleport, keeping the iteration O(n + nnz) even when most
+            // nodes are not yet raters.
             let mut dangling = 0.0;
-            for (i, window) in row_ptr.windows(2).enumerate() {
-                let (row_start, row_end) = (window[0] as usize, window[1] as usize);
-                let ti = t[i];
-                if row_start == row_end {
-                    dangling += ti;
-                } else {
-                    let row_cols = &cols[row_start..row_end];
-                    let row_vals = &vals[row_start..row_end];
-                    for (&j, &c) in row_cols.iter().zip(row_vals) {
-                        next[j as usize] += ti * c;
+            for &i in &self.dangling {
+                dangling += t[i as usize];
+            }
+            // tᵀ C (walk forward along trust edges), then the dangling
+            // spread and the damping, one ratee block per work item.
+            for_each_chunk_mut(&mut self.next, BLOCK, workers, |offset, next| {
+                next.fill(0.0);
+                for edge in &blocks[offset / BLOCK] {
+                    next[edge.slot as usize] += t[edge.rater as usize] * edge.c;
+                }
+                let teleport = &teleport[offset..offset + next.len()];
+                if dangling != 0.0 {
+                    for (next_k, &teleport_k) in next.iter_mut().zip(teleport) {
+                        *next_k += dangling * teleport_k;
                     }
                 }
-            }
-            if dangling != 0.0 {
                 for (next_k, &teleport_k) in next.iter_mut().zip(teleport) {
-                    *next_k += dangling * teleport_k;
+                    *next_k = (1.0 - damping) * *next_k + damping * teleport_k;
                 }
-            }
+            });
             let mut delta = 0.0;
-            for (next_k, (&t_k, &teleport_k)) in next.iter_mut().zip(t.iter().zip(teleport)) {
-                let damped = (1.0 - damping) * *next_k + damping * teleport_k;
-                delta += (damped - t_k).abs();
-                *next_k = damped;
+            for (&next_k, &t_k) in self.next.iter().zip(t) {
+                delta += (next_k - t_k).abs();
             }
             std::mem::swap(&mut self.t, &mut self.next);
             if delta < epsilon {
@@ -440,7 +473,7 @@ mod tests {
 
     /// A direct transcription of the nested implementation (with the
     /// same summed-dangling-mass teleport the engine uses), kept as the
-    /// reference the flat CSR engine must match bit-for-bit.
+    /// reference the blocked edge-list engine must match bit-for-bit.
     fn reference_stationary(
         n: usize,
         local: &LocalMatrix<f64>,
@@ -487,6 +520,22 @@ mod tests {
         (t, iterations)
     }
 
+    /// Runs the engine over `local` at 1, 2 and 3 workers and asserts
+    /// the solution bits and the iteration count against the reference.
+    fn assert_matches_reference(local: &LocalMatrix<f64>, teleport: &[f64], label: &str) {
+        let n = teleport.len();
+        let (expected, expected_iters) = reference_stationary(n, local, teleport, 0.15, 1e-9, 200);
+        let mut walk = WalkMatrix::default();
+        let mut means = Vec::new();
+        walk.rebuild(n, local, &mut means);
+        assert_eq!(means.len(), local.iter().count(), "every cell is rated");
+        for workers in [1, 2, 3] {
+            let iters = walk.stationary(teleport, 0.15, 1e-9, 200, workers);
+            assert_eq!(iters, expected_iters, "{label}, {workers} workers");
+            assert_eq!(walk.solution(), expected, "{label}, {workers} workers");
+        }
+    }
+
     #[test]
     fn flat_engine_matches_nested_reference_bit_for_bit() {
         let mut rng = tsn_simnet::SimRng::seed_from_u64(11);
@@ -500,16 +549,38 @@ mod tests {
                 *local.upsert(i, j) += rng.gen_f64() * 2.0 - 0.7;
             }
             let teleport: Vec<f64> = vec![1.0 / n as f64; n];
-            let (expected, expected_iters) =
-                reference_stationary(n, &local, &teleport, 0.15, 1e-9, 200);
-            let mut walk = WalkMatrix::default();
-            let mut means = Vec::new();
-            walk.rebuild(n, &local, &mut means);
-            assert_eq!(means.len(), local.iter().count(), "every cell is rated");
-            let iters = walk.stationary(&teleport, 0.15, 1e-9, 200);
-            assert_eq!(iters, expected_iters, "case {case}");
-            assert_eq!(walk.solution(), &expected[..], "case {case}");
+            assert_matches_reference(&local, &teleport, &format!("case {case}"));
         }
+        // Four ratee blocks, the last one partial. Block 1 receives no
+        // edge, every seventh row has no cell and mixed signs leave more
+        // rows without positive weight, and every fifth row's edges
+        // straddle the block 0/2 and 2/3 boundaries.
+        let b = BLOCK as u32;
+        let n = 3 * BLOCK + 5;
+        let mut local = LocalMatrix::new(n);
+        for i in (0..n as u32).filter(|i| i % 7 != 0) {
+            for _ in 0..3 {
+                let j = rng.gen_range(0..n as u32);
+                let j = if j / b == 1 { j - b } else { j };
+                *local.upsert(i, j) += rng.gen_f64() * 2.0 - 0.7;
+            }
+            if i % 5 == 0 {
+                for j in [b - 1, 2 * b, 3 * b - 1, 3 * b] {
+                    *local.upsert(i, j) += 1.0 + rng.gen_f64();
+                }
+            }
+        }
+        assert!(local.iter().all(|(_, ratee, _)| ratee / b != 1));
+        let uniform = vec![1.0 / n as f64; n];
+        assert_matches_reference(&local, &uniform, "wide, uniform teleport");
+        // A teleport onto three rows with positive weight (multiples of
+        // 5, not of 7): the dangling rows start with no mass, so the
+        // first iteration skips the dangling spread.
+        let mut sparse = vec![0.0; n];
+        for k in [5, BLOCK + 3, 3 * BLOCK + 4] {
+            sparse[k] = 1.0 / 3.0;
+        }
+        assert_matches_reference(&local, &sparse, "wide, sparse teleport");
     }
 
     #[test]
@@ -529,7 +600,7 @@ mod tests {
         let mut walk = WalkMatrix::default();
         walk.rebuild(3, &local, &mut Vec::new());
         let teleport = [0.5, 0.25, 0.25];
-        let iters = walk.stationary(&teleport, 0.5, 1e-300, 1);
+        let iters = walk.stationary(&teleport, 0.5, 1e-300, 1, 1);
         assert_eq!(iters, 1);
         assert_eq!(walk.solution(), &[0.375, 0.4375, 0.1875]);
     }
@@ -540,7 +611,7 @@ mod tests {
         let teleport = [0.5, 0.25, 0.25];
         let mut walk = WalkMatrix::default();
         walk.rebuild(3, &local, &mut Vec::new());
-        walk.stationary(&teleport, 0.15, 1e-9, 200);
+        walk.stationary(&teleport, 0.15, 1e-9, 200, 1);
         for (got, want) in walk.solution().iter().zip(&teleport) {
             assert!((got - want).abs() < 1e-9, "{got} vs {want}");
         }
@@ -552,16 +623,30 @@ mod tests {
         let a = matrix(3, &[(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]);
         let teleport = vec![1.0 / 3.0; 3];
         walk.rebuild(3, &a, &mut Vec::new());
-        walk.stationary(&teleport, 0.15, 1e-9, 200);
+        walk.stationary(&teleport, 0.15, 1e-9, 200, 1);
         let cycle = walk.solution().to_vec();
         // Rebuild over a different matrix reuses every buffer.
         let b = matrix(3, &[(0, 1, 1.0)]);
         walk.rebuild(3, &b, &mut Vec::new());
-        walk.stationary(&teleport, 0.15, 1e-9, 200);
+        walk.stationary(&teleport, 0.15, 1e-9, 200, 1);
         assert_ne!(walk.solution(), &cycle[..]);
+        // A larger matrix over three blocks equals a fresh engine's walk.
+        let n = 2 * BLOCK + 3;
+        let last = n as u32 - 1;
+        let wide = matrix(
+            n,
+            &[(0, last, 1.0), (last, 1, 2.0), (1, 0, 1.0), (1, last, 1.0)],
+        );
+        let wide_teleport = vec![1.0 / n as f64; n];
+        let mut fresh = WalkMatrix::default();
+        fresh.rebuild(n, &wide, &mut Vec::new());
+        fresh.stationary(&wide_teleport, 0.15, 1e-9, 200, 2);
+        walk.rebuild(n, &wide, &mut Vec::new());
+        walk.stationary(&wide_teleport, 0.15, 1e-9, 200, 2);
+        assert_eq!(walk.solution(), fresh.solution());
         // And back: identical to the first run.
         walk.rebuild(3, &a, &mut Vec::new());
-        walk.stationary(&teleport, 0.15, 1e-9, 200);
+        walk.stationary(&teleport, 0.15, 1e-9, 200, 1);
         assert_eq!(walk.solution(), &cycle[..]);
     }
 }

@@ -1,7 +1,7 @@
 //! The one work-stealing helper behind every parallel loop in the
 //! workspace: the scenario's shard phase and per-slot round-tail fills,
-//! the sweep runner's cells and the trust service's per-shard commit
-//! staging. [`join`] is its two-task sibling (the scenario's merge
+//! the refresh walk's ratee blocks, the sweep runner's cells and the
+//! trust service's per-shard commit staging. [`join`] is its two-task sibling (the scenario's merge
 //! barrier); every thread the workspace spawns is spawned here.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -6,7 +6,8 @@
 //!
 //! * 1, 2, 3 and 8 shards produce bit-identical outcomes;
 //! * a round tail split over the workers (per-slot fills, the two-way
-//!   merge barrier) equals the serial one-shard tail;
+//!   merge barrier, the refresh walk's ratee blocks) equals the serial
+//!   one-shard tail;
 //! * the default, auto mode (`shards = 0`) and explicit counts agree,
 //!   below and at the auto threshold;
 //! * sweeps over sharded cells stay deterministic under the parallel
@@ -35,6 +36,14 @@ fn fingerprint(o: &ScenarioOutcome) -> String {
         format_f64(o.facets.satisfaction),
         format_f64(o.global_trust),
         format_f64(o.honest_success_rate),
+    ));
+    // The power report's RMSE and iteration count read the last
+    // refresh's scores and walks directly; the other outcome floats see
+    // them only through rankings and thresholds.
+    s.push_str(&format!(
+        "power rmse {} iterations {}\n",
+        format_f64(o.power.rmse),
+        o.power.iterations
     ));
     s.push_str(&format!(
         "counts interactions={} messages={} user_breaches={} system_breaches={} whitewashes={}\n",
@@ -149,6 +158,34 @@ fn parallel_round_tail_equals_the_serial_tail() {
                 fingerprint(&outcome),
                 "{shards} shards diverged from the serial tail \
                  (anonymous raters: {anonymous_raters})"
+            );
+        }
+    }
+}
+
+#[test]
+fn refresh_walk_on_the_workers_is_shard_count_invariant() {
+    // Wider than one 8,192-slot ratee block of the walk, and one round
+    // that refreshes: with two or more shards the refresh splits each
+    // walk iteration's blocks over the round's workers.
+    for mechanism in [MechanismKind::EigenTrust, MechanismKind::PowerTrust] {
+        let build = || {
+            ScenarioBuilder::small()
+                .seed(7107)
+                .nodes(9_000)
+                .rounds(1)
+                .refresh_every(1)
+                .mechanism(mechanism)
+        };
+        let one = build().shards(1).run().expect("valid config");
+        assert!(one.interactions > 0);
+        let reference = fingerprint(&one);
+        for shards in [2usize, 8] {
+            let outcome = build().shards(shards).run().expect("valid config");
+            assert_eq!(
+                reference,
+                fingerprint(&outcome),
+                "{mechanism}: {shards} shards diverged from 1 shard"
             );
         }
     }
